@@ -15,7 +15,6 @@ from .equations import (
     Params,
     Scalar,
     ScalarField,
-    THIRD_ORDER_KINDS,
     constraint_c,
     jet_identities,
     residual2,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DIVIDES_BY_W",
-    "THIRD_ORDER_KINDS",
     "EquationKind",
     "Jet2",
     "Jet3",

@@ -72,11 +72,6 @@ DIVIDES_BY_W = frozenset(
     {EquationKind.PIV, EquationKind.PIV0, EquationKind.XVII, EquationKind.XXIX, EquationKind.XXXII}
 )
 
-#: kinds advanced through the third-order system (w, w', w'')
-THIRD_ORDER_KINDS = frozenset(
-    {EquationKind.PIV, EquationKind.PIV0, EquationKind.XVII, EquationKind.XXIX, EquationKind.XXXII}
-)
-
 
 def is_finite_scalar(x: Scalar) -> bool:
     if isinstance(x, complex):
@@ -146,10 +141,44 @@ def ensure_kind_params(kind: EquationKind, p: Params) -> None:
             raise ValueError(f"{kind.value} requires alpha = beta = 0, got {p}")
 
 
+def _rhs_xxix(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
+    return 6.0 * w * w * w1
+
+
+def _rhs_quadratic(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
+    return 0.0 * w
+
+
+def _rhs_sqrt_piv0(t: Scalar, f: Scalar, f1: Scalar) -> Scalar:
+    return f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25
+
+
+def rhs_fn(kind: EquationKind, p: Params):
+    """Right-hand side of the advanced system bound to one kind.
+
+    The returned function maps (z, w, w') to the top derivative of the
+    advanced state: w''' for the third-order kinds (see `rhs3`) and f'' for
+    sqrt-piv0, read as (t, f, f').  The parameters are validated here, once,
+    so the bound function does no dispatch or checking per call.
+    """
+    ensure_kind_params(kind, p)
+    if kind is EquationKind.SQRT_PIV0:
+        return _rhs_sqrt_piv0
+    if kind is EquationKind.XXIX:
+        return _rhs_xxix
+    if kind in (EquationKind.XVII, EquationKind.XXXII):
+        return _rhs_quadratic
+    alpha = p.alpha
+
+    def rhs_piv(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
+        return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - alpha)) * w1 + 4.0 * (w + z) * w
+
+    return rhs_piv
+
+
 def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
     if kind is EquationKind.SQRT_PIV0:
-        ensure_kind_params(kind, p)
-        return w * (3.0 * w * w + 2.0 * z) * (w * w + 2.0 * z) * 0.25
+        return rhs_fn(kind, p)(z, w, w1)
     if w == 0:
         raise SingularInput(f"{kind.value}: w = 0 is outside the second-order form's domain")
     if kind is EquationKind.XVII:
@@ -190,12 +219,7 @@ def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Sca
     """
     if kind is EquationKind.SQRT_PIV0:
         raise UnsupportedKind("sqrt-piv0 is integrated in second-order form only")
-    if kind is EquationKind.XXIX:
-        return 6.0 * w * w * w1
-    if kind in (EquationKind.XVII, EquationKind.XXXII):
-        return 0.0 * w
-    ensure_kind_params(kind, p)
-    return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - p.alpha)) * w1 + 4.0 * (w + z) * w
+    return rhs_fn(kind, p)(z, w, w1)
 
 
 def _piv_poly(alpha: float, beta: float, z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Scalar:

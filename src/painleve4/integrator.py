@@ -6,19 +6,26 @@ and complex trajectories are parametrised by a real arc parameter s >= 0
 along z(s) = z0 + s*d where d is +-1 on the real line and a unit complex
 direction otherwise, so a single code path serves both modes.
 
-The stepper is the classic Dormand-Prince 5(4) embedded pair.  Dense output
-is not taken from the pair: node jets already carry (w, w', w''), so a
-two-point quintic Hermite interpolant between accepted nodes reproduces the
-solution to the same order and is exact on quadratics.
+The stepper is the classic Dormand-Prince 5(4) embedded pair, written out
+as one unrolled kernel per state size: three components for the third-order
+kinds, two for sqrt-piv0.  `integrate` and `step` bind the kernel once to
+the kind's right-hand side (`equations.rhs_fn`), so the step loop does no
+kind dispatch and no parameter validation.  Each unrolled sum runs left to
+right in tableau order; tests/test_integrator.py holds a generic tableau
+step that the kernels must match bit for bit.
+
+Dense output is not taken from the pair: node jets already carry
+(w, w', w''), so a two-point quintic Hermite interpolant between accepted
+nodes reproduces the solution to the same order and is exact on quadratics.
 """
 
 import logging
+from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
 
 from .equations import (
     EquationKind,
-    Jet2,
     Jet3,
     Params,
     Scalar,
@@ -27,26 +34,26 @@ from .equations import (
     ensure_kind_params,
     is_finite_scalar,
     residual2,
-    rhs3,
+    rhs3,  # noqa: F401 -- unused here; perfbench/tracing.py patches integrator.rhs3
+    rhs_fn,
     _rhs2_scalar,
 )
 from .errors import InvalidInitialData, NonFiniteState, OutOfSpan
 
 logger = logging.getLogger(__name__)
 
-# Dormand-Prince 5(4) tableau; E = b5 - b4 gives the embedded error weights.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
+# sec. II.5), 1-based as printed; the zero entries a72, b2 and e2 are left out.
+# The last row of A equals b, so the seventh stage is evaluated at y5.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# embedded error weights e = b5 - b4
+_E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -220,47 +227,129 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     return Jet3(z0, w0, w1, w2)
 
 
-def _make_deriv(kind: EquationKind, p: Params, z0: Scalar, d: Scalar):
-    """Derivative of the advanced state with respect to the arc parameter s."""
+def _dp3(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
+    """Unrolled DP5(4) step of y = (w, w', w'') with dy/ds = d * (w', w'', rhs(z, w, w'))."""
+
+    def kernel(s: float, y: tuple, h: float):
+        y0, y1, y2 = y
+        # k<stage><component>: arc-parameter derivative of stage input <stage>
+        k10 = d * y1
+        k11 = d * y2
+        k12 = d * rhs(z0 + s * d, y0, y1)
+        u0 = y0 + h * (_A21 * k10)
+        u1 = y1 + h * (_A21 * k11)
+        u2 = y2 + h * (_A21 * k12)
+        k20 = d * u1
+        k21 = d * u2
+        k22 = d * rhs(z0 + (s + _C2 * h) * d, u0, u1)
+        u0 = y0 + h * (_A31 * k10 + _A32 * k20)
+        u1 = y1 + h * (_A31 * k11 + _A32 * k21)
+        u2 = y2 + h * (_A31 * k12 + _A32 * k22)
+        k30 = d * u1
+        k31 = d * u2
+        k32 = d * rhs(z0 + (s + _C3 * h) * d, u0, u1)
+        u0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
+        u1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+        u2 = y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+        k40 = d * u1
+        k41 = d * u2
+        k42 = d * rhs(z0 + (s + _C4 * h) * d, u0, u1)
+        u0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+        u1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+        u2 = y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+        k50 = d * u1
+        k51 = d * u2
+        k52 = d * rhs(z0 + (s + _C5 * h) * d, u0, u1)
+        u0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+        u1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+        u2 = y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+        k60 = d * u1
+        k61 = d * u2
+        z_end = z0 + (s + h) * d
+        k62 = d * rhs(z_end, u0, u1)
+        n0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
+        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+        n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+        k70 = d * n1
+        k71 = d * n2
+        k72 = d * rhs(z_end, n0, n1)
+        e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
+        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+        e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
+        if not (isfinite(n0) and isfinite(n1) and isfinite(n2) and isfinite(e0) and isfinite(e1) and isfinite(e2)):
+            return None
+        return (n0, n1, n2), max(
+            abs(e0) / (atol + rtol * max(abs(y0), abs(n0))),
+            abs(e1) / (atol + rtol * max(abs(y1), abs(n1))),
+            abs(e2) / (atol + rtol * max(abs(y2), abs(n2))),
+        )
+
+    return kernel
+
+
+def _dp2(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
+    """Unrolled DP5(4) step of y = (f, f') with dy/ds = d * (f', rhs(t, f, f'))."""
+
+    def kernel(s: float, y: tuple, h: float):
+        y0, y1 = y
+        k10 = d * y1
+        k11 = d * rhs(z0 + s * d, y0, y1)
+        u0 = y0 + h * (_A21 * k10)
+        u1 = y1 + h * (_A21 * k11)
+        k20 = d * u1
+        k21 = d * rhs(z0 + (s + _C2 * h) * d, u0, u1)
+        u0 = y0 + h * (_A31 * k10 + _A32 * k20)
+        u1 = y1 + h * (_A31 * k11 + _A32 * k21)
+        k30 = d * u1
+        k31 = d * rhs(z0 + (s + _C3 * h) * d, u0, u1)
+        u0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
+        u1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+        k40 = d * u1
+        k41 = d * rhs(z0 + (s + _C4 * h) * d, u0, u1)
+        u0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+        u1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+        k50 = d * u1
+        k51 = d * rhs(z0 + (s + _C5 * h) * d, u0, u1)
+        u0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+        u1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+        k60 = d * u1
+        z_end = z0 + (s + h) * d
+        k61 = d * rhs(z_end, u0, u1)
+        n0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
+        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+        k70 = d * n1
+        k71 = d * rhs(z_end, n0, n1)
+        e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
+        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+        if not (isfinite(n0) and isfinite(n1) and isfinite(e0) and isfinite(e1)):
+            return None
+        return (n0, n1), max(
+            abs(e0) / (atol + rtol * max(abs(y0), abs(n0))),
+            abs(e1) / (atol + rtol * max(abs(y1), abs(n1))),
+        )
+
+    return kernel
+
+
+def _kernel(kind: EquationKind, p: Params, z0: Scalar, d: Scalar, tol: Tolerances):
+    """The DP5(4) step for `kind` along z = z0 + s*d, with the state/jet conversions.
+
+    Returns (kernel, state, lift).  `kernel(s, y, h)` advances the state y
+    from arc parameter s by h > 0 and returns (y5, err): the fifth-order
+    solution and the embedded error estimate in the mixed norm
+    max_i |e_i| / (abs + rel * max(|y_i|, |y5_i|)).  It returns None when
+    y5 or the error vector is not finite; NaN and inf propagate through the
+    later stages, so one check per step covers every stage.  `state` maps
+    a jet to the advanced state and `lift(z, y)` maps the state back.
+    """
+    rhs = rhs_fn(kind, p)
     if kind is EquationKind.SQRT_PIV0:
 
-        def deriv(s, y):
-            t = z0 + s * d
-            return (d * y[1], d * _rhs2_scalar(kind, p, t, y[0], y[1]))
+        def lift(z: Scalar, y: tuple) -> Jet3:
+            return Jet3(z, y[0], y[1], rhs(z, y[0], y[1]))
 
-        return deriv
-
-    def deriv(s, y):
-        z = z0 + s * d
-        return (d * y[1], d * y[2], d * rhs3(kind, p, z, y[0], y[1]))
-
-    return deriv
-
-
-def _rk_stages(deriv, s: float, y: tuple, h: float):
-    """One Dormand-Prince evaluation: returns (y5, error_components) or None on a non-finite stage."""
-    k = [deriv(s, y)]
-    n = len(y)
-    for i in range(1, 7):
-        a = _A[i]
-        yi = tuple(y[j] + h * sum(a[m] * k[m][j] for m in range(i)) for j in range(n))
-        if not all(is_finite_scalar(v) for v in yi):
-            return None
-        k.append(deriv(s + _C[i] * h, yi))
-    y_new = tuple(y[j] + h * sum(_B5[m] * k[m][j] for m in range(7)) for j in range(n))
-    err = tuple(h * sum(_E[m] * k[m][j] for m in range(7)) for j in range(n))
-    if not all(is_finite_scalar(v) for v in y_new):
-        return None
-    return y_new, err
-
-
-def _mixed_norm(err, y_old, y_new, tol: Tolerances) -> float:
-    """max over components of |e_i| / (abs + rel * |y_i|)."""
-    worst = 0.0
-    for e, a, b in zip(err, y_old, y_new):
-        scale = tol.abs + tol.rel * max(abs(a), abs(b))
-        worst = max(worst, abs(e) / scale)
-    return worst
+        return _dp2(rhs, z0, d, tol.abs, tol.rel), lambda j: (j.w, j.w1), lift
+    return _dp3(rhs, z0, d, tol.abs, tol.rel), lambda j: (j.w, j.w1, j.w2), lambda z, y: Jet3(z, *y)
 
 
 def step(
@@ -275,26 +364,17 @@ def step(
     h is a signed real step in z (the path direction is sign(h); complex jet
     entries are allowed).  Returns the new jet and the embedded error
     estimate in the mixed norm.  Raises NonFiniteState if any advanced
-    component leaves the finite range.
+    component or error component leaves the finite range.
     """
     if h == 0:
         raise ValueError("h: step size must be nonzero")
     d = 1.0 if h > 0 else -1.0
-    if kind is EquationKind.SQRT_PIV0:
-        y = (j.w, j.w1)
-    else:
-        y = (j.w, j.w1, j.w2)
-    deriv = _make_deriv(kind, p, j.z, d)
-    out = _rk_stages(deriv, 0.0, y, abs(h))
+    kernel, state, lift = _kernel(kind, p, j.z, d, tol)
+    out = kernel(0.0, state(j), abs(h))
     if out is None:
         raise NonFiniteState(f"non-finite state advancing from z = {j.z!r} with h = {h!r}")
     y_new, err = out
-    z_new = j.z + abs(h) * d
-    if kind is EquationKind.SQRT_PIV0:
-        jet = Jet3(z_new, y_new[0], y_new[1], _rhs2_scalar(kind, p, z_new, y_new[0], y_new[1]))
-    else:
-        jet = Jet3(z_new, y_new[0], y_new[1], y_new[2])
-    return jet, _mixed_norm(err, y, y_new, tol)
+    return lift(j.z + abs(h) * d, y_new), err
 
 
 def _pole_extrapolate(n_prev: TrajectoryNode, n_last: TrajectoryNode) -> Scalar:
@@ -348,12 +428,14 @@ def integrate(
 
     j0 = complete_initial_data(kind, p, init)
     total = abs(span)
-    second_order = kind is EquationKind.SQRT_PIV0
-    y = (j0.w, j0.w1) if second_order else (j0.w, j0.w1, j0.w2)
-    deriv = _make_deriv(kind, p, j0.z, d)
+    kernel, state, lift = _kernel(kind, p, j0.z, d, tol)
+    y = state(j0)
+    # residual2 of piv/piv0 is the constraint polynomial itself
+    res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
 
     def make_node(jet: Jet3, h: float, err: float, s: float) -> TrajectoryNode:
-        return TrajectoryNode(jet, h, err, constraint_c(p, jet), residual2(kind, p, jet), s)
+        c = constraint_c(p, jet)
+        return TrajectoryNode(jet, h, err, c, c if res2_is_c else residual2(kind, p, jet), s)
 
     nodes = [make_node(j0, 0.0, 0.0, 0.0)]
     status = TrajectoryStatus.COMPLETED
@@ -387,14 +469,13 @@ def integrate(
         hit_end = h >= total - s
         if hit_end:
             h = total - s
-        out = _rk_stages(deriv, s, y, h)
+        out = kernel(s, y, h)
         if out is None:
             h *= _MIN_FACTOR
             rejected = True
             nonfinite = True
             continue
-        y_new, err_vec = out
-        err = _mixed_norm(err_vec, y, y_new, tol)
+        y_new, err = out
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             rejected = True
@@ -403,11 +484,7 @@ def integrate(
 
         # accepted
         s_new = total if hit_end else s + h
-        z_new = j0.z + s_new * d
-        if second_order:
-            jet = Jet3(z_new, y_new[0], y_new[1], _rhs2_scalar(kind, p, z_new, y_new[0], y_new[1]))
-        else:
-            jet = Jet3(z_new, y_new[0], y_new[1], y_new[2])
+        jet = lift(j0.z + s_new * d, y_new)
 
         if abs(jet.w) > tol.pole_cutoff:
             status = TrajectoryStatus.POLE

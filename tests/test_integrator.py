@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -21,6 +22,8 @@ from painleve4 import (
     residual2,
     step,
 )
+from painleve4.equations import _rhs2_scalar, is_finite_scalar, rhs3
+from painleve4.integrator import _dp2, _dp3, _kernel
 
 K = EquationKind
 
@@ -115,8 +118,44 @@ class TestStep:
             step(K.PIV, Params(), quadratic_jet(0.0), 0.0)
 
     def test_nonfinite_state_raises(self):
-        with pytest.raises(NonFiniteState):
-            step(K.XXIX, Params(), Jet3(0.0, 1e100, 1e100, 1e100), 10.0)
+        for kind, jet in (
+            (K.XXIX, Jet3(0.0, 1e100, 1e100, 1e100)),
+            (K.PIV, Jet3(0.0, 1e100 + 1e100j, 1e100j, -1e100 + 0j)),
+            (K.SQRT_PIV0, Jet3(0.0, 1e100, 1e100, 0.0)),
+        ):
+            for h in (10.0, -10.0):
+                with pytest.raises(NonFiniteState):
+                    step(kind, Params(), jet, h)
+
+    @pytest.mark.parametrize("h", [1e-2, -1e-2])
+    def test_complex_jet_with_real_step(self, h):
+        # xxix pole family w = 1/(c - z) with a pole off the real line
+        c = 1.0 + 0.5j
+
+        def exact(z):
+            u = 1.0 / (c - z)
+            return Jet3(z, u, u * u, 2.0 * u ** 3)
+
+        new, err = step(K.XXIX, Params(), exact(0.0), h)
+        ref = exact(h)
+        assert new.z == h
+        assert isinstance(new.w, complex)
+        for a, b in ((new.w, ref.w), (new.w1, ref.w1), (new.w2, ref.w2)):
+            assert abs(a - b) < 1e-12
+        assert math.isfinite(err)
+
+    def test_fifth_order_convergence_on_pole_family(self):
+        # fixed steps along w = 1/(1 - z) over [0, 0.5]: halving h must cut
+        # the global error by about 2^5
+        def global_error(n):
+            j = Jet3(0.0, 1.0, 1.0, 2.0)
+            for _ in range(n):
+                j, _ = step(K.XXIX, Params(), j, 0.5 / n)
+            return abs(j.w - 1.0 / (1.0 - j.z))
+
+        errors = [global_error(n) for n in (10, 20, 40)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 25.0 <= coarse / fine <= 40.0
 
 
 class TestIntegrate:
@@ -288,3 +327,117 @@ def test_constraint_is_conserved_even_off_the_zero_set():
     assert max(abs(n.c - c0) for n in t.nodes) < 1e-8
     # and the jet never satisfies the second-order equation (res2 = C for piv)
     assert min(abs(n.res2) for n in t.nodes) > 0.5
+
+
+# The generic tableau-driven Dormand-Prince step that the unrolled kernels
+# replaced, kept as their reference.  Sums accumulate left to right from 0,
+# as the builtin sum did for floats up to Python 3.11.
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _ref_sum(terms):
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def reference_dp_step(kind, p, z0, d, s, y, h, tol):
+    """(y5, mixed-norm error) of one step from arc parameter s, or None on a non-finite stage."""
+    if kind is K.SQRT_PIV0:
+
+        def deriv(s, y):
+            return (d * y[1], d * _rhs2_scalar(kind, p, z0 + s * d, y[0], y[1]))
+
+    else:
+
+        def deriv(s, y):
+            return (d * y[1], d * y[2], d * rhs3(kind, p, z0 + s * d, y[0], y[1]))
+
+    k = [deriv(s, y)]
+    n = len(y)
+    for i in range(1, 7):
+        yi = tuple(y[j] + h * _ref_sum(_REF_A[i][m] * k[m][j] for m in range(i)) for j in range(n))
+        if not all(is_finite_scalar(v) for v in yi):
+            return None
+        k.append(deriv(s + _REF_C[i] * h, yi))
+    y_new = tuple(y[j] + h * _ref_sum(_REF_B5[m] * k[m][j] for m in range(7)) for j in range(n))
+    err = tuple(h * _ref_sum(_REF_E[m] * k[m][j] for m in range(7)) for j in range(n))
+    if not all(is_finite_scalar(v) for v in y_new):
+        return None
+    worst = 0.0
+    for e, a, b in zip(err, y, y_new):
+        worst = max(worst, abs(e) / (tol.abs + tol.rel * max(abs(a), abs(b))))
+    return y_new, worst
+
+
+def _bits(v):
+    if isinstance(v, complex):
+        return v.real.hex(), v.imag.hex()
+    return v.hex()
+
+
+# mode -> (complex jet entries, complex path direction)
+_MODES = {"real": (False, False), "complex": (True, True), "complex-jet-real-h": (True, False)}
+
+
+@pytest.mark.parametrize(
+    "kind, mode",
+    [(kind, mode) for kind in K for mode in _MODES if kind is not K.SQRT_PIV0 or mode == "real"],
+)
+def test_kernel_bit_identical_to_reference_step(kind, mode):
+    complex_jet, complex_dir = _MODES[mode]
+    rng = random.Random(f"{kind.value}/{mode}")
+    tol = Tolerances()
+
+    def draw():
+        x = rng.uniform(-1.5, 1.5)
+        return complex(x, rng.uniform(-1.5, 1.5)) if complex_jet else x
+
+    for sign in (1.0, -1.0):
+        for _ in range(20):
+            p = Params(rng.uniform(-1, 1), rng.uniform(-1, 1)) if kind is K.PIV else Params()
+            z0 = draw()
+            if complex_dir:
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                d = sign * complex(math.cos(theta), math.sin(theta))
+            else:
+                d = sign
+            y = (draw(), draw()) if kind is K.SQRT_PIV0 else (draw(), draw(), draw())
+            s = rng.uniform(0.0, 2.0)
+            h = 10.0 ** rng.uniform(-4.0, -0.5)
+            kernel, _, _ = _kernel(kind, p, z0, d, tol)
+            got = kernel(s, y, h)
+            want = reference_dp_step(kind, p, z0, d, s, y, h, tol)
+            assert want is not None and got is not None
+            assert [_bits(v) for v in got[0]] == [_bits(v) for v in want[0]]
+            assert _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.parametrize("factory, y", [(_dp3, (1.0, 0.5, 0.25)), (_dp2, (1.0, 0.5))])
+def test_nan_error_component_is_not_accepted(factory, y):
+    # only the seventh stage turns NaN; it enters the error estimate but not
+    # y5, and a NaN must not read as a zero error
+    def rhs_nan_at(stage):
+        calls = []
+
+        def rhs(z, w, w1):
+            calls.append(z)
+            return math.nan if len(calls) == stage else 0.0
+
+        return rhs
+
+    y5, err = factory(rhs_nan_at(0), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1)
+    assert all(math.isfinite(v) for v in y5) and math.isfinite(err)
+    assert factory(rhs_nan_at(7), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1) is None
