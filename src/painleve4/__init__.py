@@ -8,7 +8,6 @@ functional C, which vanishes exactly on consistent jets.
 """
 
 from .equations import (
-    DIVIDES_BY_W,
     EquationKind,
     Jet2,
     Jet3,
@@ -71,7 +70,6 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DIVIDES_BY_W",
     "EquationKind",
     "Jet2",
     "Jet3",

@@ -31,7 +31,7 @@ from .integrator import (
     Tolerances,
     Trajectory,
     TrajectoryStatus,
-    dense_eval,
+    dense_eval,  # noqa: F401 -- unused here; perfbench/tracing.py patches cli.dense_eval
     integrate,
 )
 from .verify import DEFAULT_COUNTS, SUITE_NAMES, run_suite
@@ -180,7 +180,6 @@ class RunSpec:
     tol: Tolerances
     out: Path
     summary: Path
-    seed: int = 0
 
 
 def _build_tolerances(ns) -> Tolerances:
@@ -236,7 +235,6 @@ def _build_runspec(ns, default_out: str) -> RunSpec:
         tol=tol,
         out=Path(ns.out) if ns.out else Path(default_out),
         summary=Path(ns.summary) if ns.summary else Path("summary.json"),
-        seed=ns.seed,
     )
 
 
@@ -267,17 +265,10 @@ def cmd_zeros(spec: RunSpec) -> int:
         and not identically_zero
     ):
         report = check_curvature_theorem(events, traj)
-    payload = {
-        "equation": spec.kind.value,
-        "params": {"alpha": spec.params.alpha, "beta": spec.params.beta},
-        "convention": CONVENTION_NOTE,
-        "status": traj.status.value,
-        "identically_zero": identically_zero,
-        "events": [_event_json(e) for e in events],
-        "curvature_report": _report_json(report),
-    }
+    summary = summary_json(traj, events)
+    payload = {**summary, "identically_zero": identically_zero, "curvature_report": _report_json(report)}
     spec.out.write_text(json_dumps(payload) + "\n", encoding="utf-8")
-    spec.summary.write_text(json_dumps(summary_json(traj, events)) + "\n", encoding="utf-8")
+    spec.summary.write_text(json_dumps(summary) + "\n", encoding="utf-8")
     print(f"{traj.status.value}: {len(events)} zero event(s) -> {spec.out}")
     return _exit_code(traj)
 
@@ -322,10 +313,6 @@ def run_sweep(
                 params = Params(alpha, beta)
                 traj = integrate(kind, params, init, span, tol)
                 events = locate_zeros(traj)
-                # count refined events that actually sit on the zero set;
-                # sub-trigger |w| minima that refine elsewhere stay in the
-                # event list but are not zeros
-                zeros_found = sum(1 for e in events if abs(dense_eval(traj, e.a).w) < tol.abs)
                 c0 = traj.nodes[0].c
                 drift = max(abs(n.c - c0) for n in traj.nodes)
                 cells.append(
@@ -334,7 +321,7 @@ def run_sweep(
                         beta=beta,
                         status=traj.status.value,
                         node_count=len(traj.nodes),
-                        zero_count=zeros_found,
+                        zero_count=len(events),
                         pole_estimate=traj.pole_estimate,
                         max_c_drift=drift,
                         events=events,
@@ -409,21 +396,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser, *, with_initial=True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
+    # sweep takes alpha and beta from its grid and writes no summary
     sub.add_argument("--eq", choices=[k.value for k in EquationKind], help="equation kind")
-    sub.add_argument("--alpha", type=float, default=0.0, help="alpha parameter (piv only)")
-    sub.add_argument("--beta", type=float, default=0.0, help="beta parameter, Ince XXXI beta^2 convention")
+    if not sweep:
+        sub.add_argument("--alpha", type=float, default=0.0, help="alpha parameter (piv only)")
+        sub.add_argument("--beta", type=float, default=0.0, help="beta parameter, Ince XXXI beta^2 convention")
     sub.add_argument("--z0", type=float, default=0.0, help="initial point")
-    if with_initial:
-        sub.add_argument("--w0", type=float, default=None, help="initial w (nonzero mode unless --w2 is given)")
-        sub.add_argument("--w1", type=float, default=None, help="initial w'")
-        sub.add_argument("--w2", type=float, default=None, help="initial w''; its presence selects a raw jet")
-        sub.add_argument(
-            "--zero-branch",
-            choices=["plus", "minus"],
-            default=None,
-            help="seed a zero of w with slope +beta or -beta (piv/piv0); --w2 sets the free curvature",
-        )
+    sub.add_argument("--w0", type=float, default=None, help="initial w (nonzero mode unless --w2 is given)")
+    sub.add_argument("--w1", type=float, default=None, help="initial w'")
+    sub.add_argument("--w2", type=float, default=None, help="initial w''; its presence selects a raw jet")
+    sub.add_argument(
+        "--zero-branch",
+        choices=["plus", "minus"],
+        default=None,
+        help="seed a zero of w with slope +beta or -beta (piv/piv0); --w2 sets the free curvature",
+    )
     sub.add_argument("--span", type=float, default=None, help="signed integration span (arc length in COMPLEX mode)")
     sub.add_argument("--rel", type=float, default=1e-10, help="relative tolerance")
     sub.add_argument("--abs", type=float, default=1e-10, help="absolute tolerance")
@@ -432,16 +420,15 @@ def _add_common(sub: argparse.ArgumentParser, *, with_initial=True) -> None:
     sub.add_argument("--dir-re", type=float, default=1.0, help="real part of the unit path direction (COMPLEX mode)")
     sub.add_argument("--dir-im", type=float, default=0.0, help="imaginary part of the path direction")
     sub.add_argument("--out", default=None, help="primary output file")
-    sub.add_argument("--summary", default=None, help="summary JSON file")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    sub.add_argument("--count", type=int, default=None, help="instance count for randomized suites")
+    if not sweep:
+        sub.add_argument("--summary", default=None, help="summary JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="painleve4", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_int = subs.add_parser("integrate", parents=[], help="integrate one trajectory")
+    p_int = subs.add_parser("integrate", help="integrate one trajectory")
     _add_common(p_int)
 
     p_zeros = subs.add_parser("zeros", help="integrate and scan for zeros of w")
@@ -455,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sweep = subs.add_parser("sweep", help="grid of integrations over alpha and beta")
-    _add_common(p_sweep)
+    _add_common(p_sweep, sweep=True)
     p_sweep.add_argument("--alpha-min", type=float, default=0.0)
     p_sweep.add_argument("--alpha-max", type=float, default=0.0)
     p_sweep.add_argument("--alpha-steps", type=int, default=1)

@@ -67,12 +67,6 @@ class ScalarField(Enum):
     COMPLEX = "complex"
 
 
-#: kinds whose second-order form divides by w
-DIVIDES_BY_W = frozenset(
-    {EquationKind.PIV, EquationKind.PIV0, EquationKind.XVII, EquationKind.XXIX, EquationKind.XXXII}
-)
-
-
 def is_finite_scalar(x: Scalar) -> bool:
     if isinstance(x, complex):
         return cmath.isfinite(x)

@@ -86,12 +86,6 @@ class Tolerances:
             raise ValueError(f"pole_cutoff: must be >= 1e3, got {self.pole_cutoff}")
 
 
-def _as_real(name: str, x) -> float:
-    if isinstance(x, complex):
-        raise InvalidInitialData(f"{name}: REAL mode rejects complex values, got {x!r}")
-    return float(x)
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Initial data in one of three modes.
@@ -190,9 +184,6 @@ class Trajectory:
     def max_abs_w(self) -> float:
         return max(abs(n.jet.w) for n in self.nodes)
 
-    def jets(self) -> tuple[Jet3, ...]:
-        return tuple(n.jet for n in self.nodes)
-
 
 def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> Jet3:
     """Fill in the jet entries the equation determines; pass raw data through.
@@ -205,7 +196,7 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
         z0 = complex(init.z0)
         conv = complex
     else:
-        z0 = _as_real("z0", init.z0)
+        z0 = float(init.z0)
         conv = float
 
     if init.mode == "zero":
@@ -459,10 +450,7 @@ def integrate(
             # a non-finite state on a growing |w| is a pole the cutoff missed
             if nonfinite and growing():
                 status = TrajectoryStatus.POLE
-                if len(nodes) >= 2:
-                    pole_estimate = _pole_extrapolate(nodes[-2], nodes[-1])
-                else:
-                    pole_estimate = nodes[-1].jet.z
+                pole_estimate = _pole_extrapolate(nodes[-2], nodes[-1])
             else:
                 status = TrajectoryStatus.STEP_UNDERFLOW
             break

@@ -26,6 +26,7 @@ from .equations import (
     jet_identities,
     residual2,
 )
+from .errors import PainleveError
 from .integrator import (
     InitialData,
     Tolerances,
@@ -107,16 +108,22 @@ def suite_identities(seed: int, count: int) -> list[PropertyResult]:
     ]
 
 
-def _draw_bounded_run(rng: random.Random, w_cap: float = 3.0, max_attempts: int = 400):
-    """Random third-order piv data conditioned on a bounded span-2 run."""
+def _draw_bounded_run(rng: random.Random, draw, w_cap: float, max_attempts: int, what: str):
+    """First (trajectory, draw) of fresh ``draw(rng)`` = (kind, params, init, span) completing with max|w| <= w_cap."""
     for _ in range(max_attempts):
-        p = Params(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        z0 = rng.uniform(-1.5, -0.5)
-        init = InitialData.raw(z0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        traj = integrate(EquationKind.PIV, p, init, 2.0, _VERIFY_TOL)
+        drawn = draw(rng)
+        traj = integrate(*drawn, _VERIFY_TOL)
         if traj.status is TrajectoryStatus.COMPLETED and traj.max_abs_w() <= w_cap:
-            return traj
-    raise RuntimeError("could not draw a bounded constraint run; ranges need retuning")
+            return traj, drawn
+    raise PainleveError(f"could not draw a bounded {what} run in {max_attempts} attempts; ranges need retuning")
+
+
+def _constraint_draw(rng: random.Random):
+    """Random third-order piv data over a span-2 run."""
+    p = Params(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    z0 = rng.uniform(-1.5, -0.5)
+    init = InitialData.raw(z0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    return EquationKind.PIV, p, init, 2.0
 
 
 def suite_constraint(seed: int, count: int) -> list[PropertyResult]:
@@ -124,7 +131,7 @@ def suite_constraint(seed: int, count: int) -> list[PropertyResult]:
     worst = 0.0
     off_manifold = 0
     for _ in range(count):
-        traj = _draw_bounded_run(rng)
+        traj, _ = _draw_bounded_run(rng, _constraint_draw, 3.0, 400, "constraint")
         c0 = traj.nodes[0].c
         if abs(c0) > 1e-6:
             off_manifold += 1
@@ -171,6 +178,13 @@ def suite_closed_forms(seed: int, count: int) -> list[PropertyResult]:
     ]
 
 
+def _xxix_draw(rng: random.Random):
+    w0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2)
+    w1 = rng.uniform(-1.0, 1.0)
+    span = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.5)
+    return EquationKind.XXIX, Params(), InitialData.nonzero(0.0, w0, w1), span
+
+
 def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
     rng = random.Random(seed)
     worst_l = 0.0
@@ -185,16 +199,7 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
     worst_drift = 0.0
     runs = max(1, count // 10)
     for _ in range(runs):
-        for _attempt in range(200):
-            z0 = 0.0
-            w0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2)
-            w1 = rng.uniform(-1.0, 1.0)
-            span = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.5)
-            traj = integrate(EquationKind.XXIX, Params(), InitialData.nonzero(z0, w0, w1), span, _VERIFY_TOL)
-            if traj.status is TrajectoryStatus.COMPLETED and traj.max_abs_w() <= 10.0:
-                break
-        else:
-            raise RuntimeError("could not draw a bounded xxix run")
+        traj, _ = _draw_bounded_run(rng, _xxix_draw, 10.0, 200, "xxix")
         first = xxix_integrals(traj.nodes[0].jet)
         for node in traj.nodes:
             vals = xxix_integrals(node.jet)
@@ -220,27 +225,21 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
     ]
 
 
+def _sqrt_draw(rng: random.Random):
+    t0 = rng.uniform(-1.0, 1.0)
+    f0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.2)
+    f1 = rng.uniform(-0.8, 0.8)
+    span = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0)
+    return EquationKind.SQRT_PIV0, Params(), InitialData.raw(t0, f0, f1, 0.0), span
+
+
 def suite_sqrt(seed: int, count: int) -> list[PropertyResult]:
     rng = random.Random(seed)
     worst_res = 0.0
     worst_round = 0.0
     for _ in range(count):
-        for _attempt in range(200):
-            t0 = rng.uniform(-1.0, 1.0)
-            f0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.2)
-            f1 = rng.uniform(-0.8, 0.8)
-            span = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0)
-            traj = integrate(
-                EquationKind.SQRT_PIV0,
-                Params(),
-                InitialData.raw(t0, f0, f1, 0.0),
-                span,
-                _VERIFY_TOL,
-            )
-            if traj.status is TrajectoryStatus.COMPLETED and traj.max_abs_w() <= 3.0:
-                break
-        else:
-            raise RuntimeError("could not draw a bounded sqrt-piv0 run")
+        traj, (_, _, init, span) = _draw_bounded_run(rng, _sqrt_draw, 3.0, 200, "sqrt-piv0")
+        t0 = init.z0
         pushed0 = square_push(traj.nodes[0].jet.z, traj.nodes[0].jet.w, traj.nodes[0].jet.w1)
         for node in traj.nodes:
             pushed = square_push(node.jet.z, node.jet.w, node.jet.w1)

@@ -6,13 +6,15 @@ third-order uniqueness theorem would force w to vanish identically near a).
 The locator refines candidates on the dense interpolant and classifies the
 slope against the two admissible branches.
 
-Real sign changes are refined by bisection.  Tangential zeros (and the
-|w| minima used in COMPLEX mode, where a zero generically misses a fixed
-straight path) are bracketed by golden-section minimisation of |w| and then
-polished on the path derivative of |w|^2, which crosses zero transversally
-at the minimum; without that polish the flatness of |w| around a tangential
-zero limits the slope reading to about sqrt(abs_tol), far too coarse for
-the slope checks this module exists to support.
+Real sign changes are refined by bisection.  Tangential zeros (and zeros
+a COMPLEX-mode path meets between nodes) are bracketed by golden-section
+minimisation of |w| and then polished on the path derivative of |w|^2,
+which crosses zero transversally at the minimum; without that polish the
+flatness of |w| around a tangential zero limits the slope reading to about
+sqrt(abs_tol), far too coarse for the slope checks this module exists to
+support.  A candidate is an event only if it refines onto the zero set,
+|w| < abs_tol, so a complex |w| minimum where a zero misses the path is not
+reported.
 """
 
 import logging
@@ -93,7 +95,7 @@ def _abs2_slope(traj: Trajectory, s: float) -> float:
     return 2.0 * (jet.w.conjugate() * jet.w1 * traj.direction).real if isinstance(jet.w, complex) else 2.0 * jet.w * jet.w1 * traj.direction
 
 
-def _refine_minimum(traj: Trajectory, s_lo: float, s_hi: float, abs_tol: float):
+def _refine_minimum(traj: Trajectory, s_lo: float, s_hi: float):
     """Golden-section on |w| followed by a root polish on d|w|^2/ds; returns (s, jet)."""
 
     def g(s: float):
@@ -175,11 +177,11 @@ def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEv
     Candidates are exact node zeros, sign changes between consecutive real
     nodes, and interior or boundary |w| minima below
     ``TRIGGER_FRACTION * max|w|``.  Each candidate is refined on the dense
-    interpolant; slope and curvature are read from the refined jet and the
-    branch is the nearer of +-beta within ``slope_tol * max(1, |beta|)``,
-    UNRESOLVED otherwise.  Events come back ordered along the path; events
-    closer than ``ISOLATION_STEPS`` local steps are merged, keeping the one
-    with the smaller |w|.
+    interpolant and kept, in path order, only if ``|w| < tol.abs`` there;
+    candidates closer than ``ISOLATION_STEPS`` local steps are first merged,
+    keeping the smaller |w|.  Slope and curvature are read from the refined
+    jet and the branch is the nearer of +-beta within
+    ``slope_tol * max(1, |beta|)``, UNRESOLVED otherwise.
 
     The identically-zero trajectory yields no events (its zeros are not
     isolated); callers can detect it through ``max_abs_w() == 0``.
@@ -206,13 +208,13 @@ def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEv
             w_a, w_b = nodes[i].jet.w, nodes[i + 1].jet.w
             if w_a != 0 and w_b != 0 and (w_a < 0) != (w_b < 0):
                 refined.append(_refine_bisection(traj, nodes[i].s, nodes[i + 1].s, abs_tol))
-    # interior |w| minima (tangencies and off-path complex zeros); exact
-    # boundary zeros are already caught by the node scan above
+    # interior |w| minima (tangencies, and zeros a complex path meets
+    # between nodes); exact boundary zeros are already caught by the node scan above
     for i in range(1, len(nodes) - 1):
         if ws[i] == 0.0 or ws[i] >= trigger:
             continue
         if ws[i] <= ws[i - 1] and ws[i] <= ws[i + 1]:
-            refined.append(_refine_minimum(traj, nodes[i - 1].s, nodes[i + 1].s, abs_tol))
+            refined.append(_refine_minimum(traj, nodes[i - 1].s, nodes[i + 1].s))
 
     refined.sort(key=lambda item: item[0])
     # isolation radius: 10 local steps, capped so that long exact steps
@@ -230,9 +232,10 @@ def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEv
         merged.append((s, jet))
 
     events = []
-    for s, jet in merged:
-        resolvable = abs(jet.w) < abs_tol or jet.w == 0
-        branch = _classify(jet.w1, beta, slope_tol) if resolvable else ZeroBranch.UNRESOLVED
+    for _, jet in merged:
+        if abs(jet.w) >= abs_tol:
+            continue  # a |w| minimum that refined off the zero set
+        branch = _classify(jet.w1, beta, slope_tol)
         curvature_nonzero = (abs(jet.w2) > CURV_FLOOR) if beta_zero else None
         events.append(ZeroEvent(jet.z, jet.w1, jet.w2, branch, curvature_nonzero))
     return tuple(events)

@@ -219,6 +219,30 @@ class TestZerosCommand:
         assert doc["identically_zero"] is True
         assert doc["events"] == []
 
+    def test_events_file_is_the_summary_plus_two_keys(self, tmp_path):
+        out, summary = tmp_path / "events.json", tmp_path / "s.json"
+        code = main(
+            [
+                "zeros",
+                "--eq", "piv0", "--w2", "1", "--z0", "0", "--span", "1",
+                "--out", str(out), "--summary", str(summary),
+            ]
+        )
+        assert code == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        sdoc = json.loads(summary.read_text(encoding="utf-8"))
+        assert set(doc) == set(sdoc) | {"identically_zero", "curvature_report"}
+        assert all(doc[k] == sdoc[k] for k in sdoc)
+        # the keys the events file carried before it reused the summary
+        assert doc["equation"] == "piv0"
+        assert doc["params"] == {"alpha": 0.0, "beta": 0.0}
+        assert doc["convention"] == "Ince XXXI β² convention"
+        assert doc["status"] == "completed"
+        assert doc["identically_zero"] is False
+        assert doc["events"] == [
+            {"a": 0.0, "slope": 0.0, "curvature": 1.0, "branch": "plus_beta", "curvature_nonzero": True}
+        ]
+
     def test_curvature_report_for_beta_zero(self, tmp_path):
         out = tmp_path / "events.json"
         code = main(
@@ -242,6 +266,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
+    @pytest.mark.parametrize("suite", ["constraint", "xxix-integrals", "sqrt"])
+    def test_undrawable_suite_exits_1_without_traceback(self, suite, monkeypatch, capsys):
+        import painleve4.verify as verify
+
+        pole_run = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
+        assert pole_run.status is TrajectoryStatus.POLE
+        monkeypatch.setattr(verify, "integrate", lambda *args, **kwargs: pole_run)
+        assert main(["verify", "--suite", suite, "--count", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not draw a bounded")
+        assert "Traceback" not in err
+
     def test_failure_exits_3(self, monkeypatch, capsys):
         import painleve4.cli as cli
         from painleve4.verify import PropertyResult
@@ -251,6 +287,23 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--suite", "identities"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command", ["integrate", "zeros", "sweep"])
+    @pytest.mark.parametrize("flag", ["--seed", "--count"])
+    def test_suite_flags_rejected_off_verify(self, command, flag, tmp_path, capsys):
+        code = main([command, "--eq", "piv", "--w0", "0.5", "--span", "1", flag, "3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--summary"])
+    def test_sweep_rejects_flags_it_would_ignore(self, flag, tmp_path, capsys):
+        code = main(["sweep", "--eq", "piv", "--w0", "0.5", "--span", "1", flag, "0.5",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestSweepCommand:

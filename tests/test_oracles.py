@@ -213,6 +213,18 @@ class TestSqrtTransform:
         with pytest.raises(MultipleZeros):
             sqrt_lift(traj, None, (-0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "w0,a", [(0.763157894736842, -1.3057727208590257), (0.8105263157894737, -0.6168225878011064)]
+    )
+    def test_lift_beside_a_pole_run_minimum(self, w0, a):
+        # a is a |w| minimum with w ~ 3 on a pole-terminated run; it is no zero,
+        # so the zero-free lift over its neighbourhood must not see a stray zero
+        t = integrate(K.PIV0, Params(), InitialData.nonzero(-3.0, w0, 0.0), 6.0)
+        lift = sqrt_lift(t, None, (a - 0.05, a + 0.05))
+        assert lift.zero_t is None
+        assert all(sm.f > 1.0 for sm in lift.samples)
+        assert all(abs(sm.f * sm.f - dense_eval(t, sm.t).w) < 1e-9 for sm in lift.samples)
+
     def test_negative_w_raises(self):
         t = integrate(K.PIV0, Params(), InitialData.nonzero(0.0, -0.5, 0.0), 0.5)
         with pytest.raises(NegativeW):

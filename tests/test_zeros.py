@@ -5,6 +5,7 @@ from painleve4 import (
     InitialData,
     Params,
     ScalarField,
+    TrajectoryStatus,
     WrongKind,
     ZeroBranch,
     check_curvature_theorem,
@@ -132,6 +133,16 @@ def test_pole_trajectory_is_scannable():
     t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
     events = locate_zeros(t)  # nodes before the pole are scanned; no zeros here
     assert events == ()
+
+
+@pytest.mark.parametrize("w0", [0.763157894736842, 0.8105263157894737])
+def test_pole_run_minima_are_not_zeros(w0):
+    # near a pole max|w| ~ 1e8 lifts the trigger to ~1e4, so ordinary |w|
+    # minima of this positive solution (w ~ 3) become candidates; none is a zero
+    t = integrate(K.PIV0, Params(), InitialData.nonzero(-3.0, w0, 0.0), 6.0)
+    assert t.status is TrajectoryStatus.POLE
+    assert min(n.jet.w for n in t.nodes) > 0.0
+    assert locate_zeros(t) == ()
 
 
 def test_complex_on_path_zero_at_seed():
