@@ -29,7 +29,6 @@ from .errors import (
     OutOfSpan,
     PainleveError,
     SingularInput,
-    UnsupportedKind,
     WrongKind,
 )
 from .integrator import (
@@ -83,7 +82,6 @@ __all__ = [
     "rhs3",
     "PainleveError",
     "SingularInput",
-    "UnsupportedKind",
     "NonFiniteState",
     "InvalidInitialData",
     "OutOfSpan",

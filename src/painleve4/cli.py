@@ -206,9 +206,7 @@ def _build_initial(ns, field: ScalarField, direction: Scalar) -> InitialData:
 
 
 def _build_runspec(ns, default_out: str) -> RunSpec:
-    kind = EquationKind.from_name(ns.eq) if ns.eq else None
-    if kind is None:
-        raise ValueError("--eq: equation kind is required")
+    kind = EquationKind(ns.eq)
     try:
         params = Params(ns.alpha, ns.beta)
     except ValueError as exc:
@@ -367,9 +365,7 @@ def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
 
 
 def cmd_sweep(ns) -> int:
-    kind = EquationKind.from_name(ns.eq) if ns.eq else None
-    if kind is None:
-        raise ValueError("--eq: equation kind is required")
+    kind = EquationKind(ns.eq)
     alphas = _grid("alpha", ns.alpha_min, ns.alpha_max, ns.alpha_steps)
     betas = _grid("beta", ns.beta_min, ns.beta_max, ns.beta_steps)
     if len(alphas) * len(betas) > 1_000_000:
@@ -398,7 +394,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
     # sweep takes alpha and beta from its grid and writes no summary
-    sub.add_argument("--eq", choices=[k.value for k in EquationKind], help="equation kind")
+    sub.add_argument("--eq", choices=[k.value for k in EquationKind], required=True, help="equation kind")
     if not sweep:
         sub.add_argument("--alpha", type=float, default=0.0, help="alpha parameter (piv only)")
         sub.add_argument("--beta", type=float, default=0.0, help="beta parameter, Ince XXXI beta^2 convention")

@@ -22,7 +22,11 @@ denominator entirely; for piv the result is
     w''' = {6 w^2 + 12 z w + 4 (z^2 - alpha)} w' + 4 (w + z) w,
 
 which is polynomial in every variable and therefore regular at zeros of w.
-That third-order form is what the integrator advances; the second-order
+sqrt-piv0 has no denominator to clear; differentiating it once gives
+
+    f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4.
+
+Every kind is advanced through its third-order form; the second-order
 equation survives only as the cleared-denominator residual monitor
 `residual2` and the conserved constraint `constraint_c`.
 
@@ -36,7 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SingularInput, UnsupportedKind
+from .errors import SingularInput
 
 Scalar = float | complex
 
@@ -50,14 +54,6 @@ class EquationKind(Enum):
     XXIX = "xxix"
     XXXII = "xxxii"
     SQRT_PIV0 = "sqrt-piv0"
-
-    @classmethod
-    def from_name(cls, name: str) -> "EquationKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown equation {name!r}; expected one of: {valid}") from None
 
 
 class ScalarField(Enum):
@@ -144,16 +140,17 @@ def _rhs_quadratic(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
 
 
 def _rhs_sqrt_piv0(t: Scalar, f: Scalar, f1: Scalar) -> Scalar:
-    return f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25
+    # products, not **: a float ** raises OverflowError where a product gives inf
+    ff = f * f
+    return 2.0 * f * (ff + t) + (15.0 * ff * ff + 24.0 * t * ff + 4.0 * t * t) * f1 * 0.25
 
 
 def rhs_fn(kind: EquationKind, p: Params):
     """Right-hand side of the advanced system bound to one kind.
 
-    The returned function maps (z, w, w') to the top derivative of the
-    advanced state: w''' for the third-order kinds (see `rhs3`) and f'' for
-    sqrt-piv0, read as (t, f, f').  The parameters are validated here, once,
-    so the bound function does no dispatch or checking per call.
+    The returned function maps (z, w, w') to w''' (see `rhs3`).  The
+    parameters are validated here, once, so the bound function does no
+    dispatch or checking per call.
     """
     ensure_kind_params(kind, p)
     if kind is EquationKind.SQRT_PIV0:
@@ -172,7 +169,8 @@ def rhs_fn(kind: EquationKind, p: Params):
 
 def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
     if kind is EquationKind.SQRT_PIV0:
-        return rhs_fn(kind, p)(z, w, w1)
+        ensure_kind_params(kind, p)
+        return w * (3.0 * w * w + 2.0 * z) * (w * w + 2.0 * z) * 0.25
     if w == 0:
         raise SingularInput(f"{kind.value}: w = 0 is outside the second-order form's domain")
     if kind is EquationKind.XVII:
@@ -207,12 +205,11 @@ def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Sca
     piv / piv0:  {6 w^2 + 12 z w + 4 (z^2 - alpha)} w' + 4 (w + z) w
     xxix:        6 w^2 w'
     xvii, xxxii: 0  (2 w w''' = 0 after clearing and differentiating)
+    sqrt-piv0:   2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4, read as (t, f, f')
 
     The second derivative does not appear on the right-hand side: it cancels
     when the cleared-denominator form is differentiated.
     """
-    if kind is EquationKind.SQRT_PIV0:
-        raise UnsupportedKind("sqrt-piv0 is integrated in second-order form only")
     return rhs_fn(kind, p)(z, w, w1)
 
 
@@ -247,7 +244,8 @@ def residual2(kind: EquationKind, p: Params, j: Jet3) -> Scalar:
     2w * (LHS - RHS), expanded), so the residual is defined at w = 0 and
     vanishes exactly on solution jets.  For piv it is the same polynomial
     as `constraint_c`.  sqrt-piv0 has no denominator; its residual is
-    4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t) with the jet read as (t, f, f', f'').
+    4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t) with the jet read as (t, f, f', f''),
+    a first integral of the sqrt-piv0 third-order flow.
     """
     z, w, w1, w2 = j.z, j.w, j.w1, j.w2
     if kind in (EquationKind.PIV, EquationKind.PIV0):

@@ -9,10 +9,6 @@ class SingularInput(PainleveError):
     """An operation that divides by w (or needs w > 0) received w at the singularity."""
 
 
-class UnsupportedKind(PainleveError):
-    """The selected equation kind does not support this operation."""
-
-
 class NonFiniteState(PainleveError):
     """A propagated state component became NaN or infinite."""
 

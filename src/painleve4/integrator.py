@@ -1,18 +1,17 @@
 """Adaptive explicit integration of the third-order systems with dense output.
 
-All kinds except sqrt-piv0 advance the state (w, w', w'') whose derivative
-is (w', w'', rhs3); sqrt-piv0 advances (f, f') with (f', rhs2).  Both real
-and complex trajectories are parametrised by a real arc parameter s >= 0
-along z(s) = z0 + s*d where d is +-1 on the real line and a unit complex
+Every kind advances the state (w, w', w'') whose derivative is
+(w', w'', rhs3); sqrt-piv0 reads it as (f, f', f'').  Both real and complex
+trajectories are parametrised by a real arc parameter s >= 0 along
+z(s) = z0 + s*d where d is +-1 on the real line and a unit complex
 direction otherwise, so a single code path serves both modes.
 
 The stepper is the classic Dormand-Prince 5(4) embedded pair, written out
-as one unrolled kernel per state size: three components for the third-order
-kinds, two for sqrt-piv0.  `integrate` and `step` bind the kernel once to
-the kind's right-hand side (`equations.rhs_fn`), so the step loop does no
-kind dispatch and no parameter validation.  Each unrolled sum runs left to
-right in tableau order; tests/test_integrator.py holds a generic tableau
-step that the kernels must match bit for bit.
+as one unrolled kernel, `_dp3`.  `integrate` and `step` bind it once to the
+kind's right-hand side (`equations.rhs_fn`), so the step loop does no kind
+dispatch and no parameter validation.  Each unrolled sum runs left to right
+in tableau order; tests/test_integrator.py holds a generic tableau step
+that the kernel must match bit for bit.
 
 Dense output is not taken from the pair: node jets already carry
 (w, w', w''), so a two-point quintic Hermite interpolant between accepted
@@ -219,7 +218,15 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
 
 
 def _dp3(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
-    """Unrolled DP5(4) step of y = (w, w', w'') with dy/ds = d * (w', w'', rhs(z, w, w'))."""
+    """Unrolled DP5(4) step of y = (w, w', w'') with dy/ds = d * (w', w'', rhs(z, w, w')).
+
+    Returns `kernel(s, y, h)`, which advances y from arc parameter s by
+    h > 0 along z = z0 + s*d and returns (y5, err): the fifth-order solution
+    and the embedded error estimate in the mixed norm
+    max_i |e_i| / (abs + rel * max(|y_i|, |y5_i|)).  It returns None when
+    y5 or the error vector is not finite; NaN and inf propagate through the
+    later stages, so one check per step covers every stage.
+    """
 
     def kernel(s: float, y: tuple, h: float):
         y0, y1, y2 = y
@@ -278,71 +285,6 @@ def _dp3(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
     return kernel
 
 
-def _dp2(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
-    """Unrolled DP5(4) step of y = (f, f') with dy/ds = d * (f', rhs(t, f, f'))."""
-
-    def kernel(s: float, y: tuple, h: float):
-        y0, y1 = y
-        k10 = d * y1
-        k11 = d * rhs(z0 + s * d, y0, y1)
-        u0 = y0 + h * (_A21 * k10)
-        u1 = y1 + h * (_A21 * k11)
-        k20 = d * u1
-        k21 = d * rhs(z0 + (s + _C2 * h) * d, u0, u1)
-        u0 = y0 + h * (_A31 * k10 + _A32 * k20)
-        u1 = y1 + h * (_A31 * k11 + _A32 * k21)
-        k30 = d * u1
-        k31 = d * rhs(z0 + (s + _C3 * h) * d, u0, u1)
-        u0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
-        u1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-        k40 = d * u1
-        k41 = d * rhs(z0 + (s + _C4 * h) * d, u0, u1)
-        u0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
-        u1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-        k50 = d * u1
-        k51 = d * rhs(z0 + (s + _C5 * h) * d, u0, u1)
-        u0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
-        u1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-        k60 = d * u1
-        z_end = z0 + (s + h) * d
-        k61 = d * rhs(z_end, u0, u1)
-        n0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
-        n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        k70 = d * n1
-        k71 = d * rhs(z_end, n0, n1)
-        e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-        if not (isfinite(n0) and isfinite(n1) and isfinite(e0) and isfinite(e1)):
-            return None
-        return (n0, n1), max(
-            abs(e0) / (atol + rtol * max(abs(y0), abs(n0))),
-            abs(e1) / (atol + rtol * max(abs(y1), abs(n1))),
-        )
-
-    return kernel
-
-
-def _kernel(kind: EquationKind, p: Params, z0: Scalar, d: Scalar, tol: Tolerances):
-    """The DP5(4) step for `kind` along z = z0 + s*d, with the state/jet conversions.
-
-    Returns (kernel, state, lift).  `kernel(s, y, h)` advances the state y
-    from arc parameter s by h > 0 and returns (y5, err): the fifth-order
-    solution and the embedded error estimate in the mixed norm
-    max_i |e_i| / (abs + rel * max(|y_i|, |y5_i|)).  It returns None when
-    y5 or the error vector is not finite; NaN and inf propagate through the
-    later stages, so one check per step covers every stage.  `state` maps
-    a jet to the advanced state and `lift(z, y)` maps the state back.
-    """
-    rhs = rhs_fn(kind, p)
-    if kind is EquationKind.SQRT_PIV0:
-
-        def lift(z: Scalar, y: tuple) -> Jet3:
-            return Jet3(z, y[0], y[1], rhs(z, y[0], y[1]))
-
-        return _dp2(rhs, z0, d, tol.abs, tol.rel), lambda j: (j.w, j.w1), lift
-    return _dp3(rhs, z0, d, tol.abs, tol.rel), lambda j: (j.w, j.w1, j.w2), lambda z, y: Jet3(z, *y)
-
-
 def step(
     kind: EquationKind,
     p: Params,
@@ -360,12 +302,11 @@ def step(
     if h == 0:
         raise ValueError("h: step size must be nonzero")
     d = 1.0 if h > 0 else -1.0
-    kernel, state, lift = _kernel(kind, p, j.z, d, tol)
-    out = kernel(0.0, state(j), abs(h))
+    out = _dp3(rhs_fn(kind, p), j.z, d, tol.abs, tol.rel)(0.0, (j.w, j.w1, j.w2), abs(h))
     if out is None:
         raise NonFiniteState(f"non-finite state advancing from z = {j.z!r} with h = {h!r}")
     y_new, err = out
-    return lift(j.z + abs(h) * d, y_new), err
+    return Jet3(j.z + abs(h) * d, *y_new), err
 
 
 def _pole_extrapolate(n_prev: TrajectoryNode, n_last: TrajectoryNode) -> Scalar:
@@ -417,10 +358,6 @@ def integrate(
     else:
         d = 1.0 if span > 0 else -1.0
 
-    j0 = complete_initial_data(kind, p, init)
-    total = abs(span)
-    kernel, state, lift = _kernel(kind, p, j0.z, d, tol)
-    y = state(j0)
     # residual2 of piv/piv0 is the constraint polynomial itself
     res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
 
@@ -428,7 +365,14 @@ def integrate(
         c = constraint_c(p, jet)
         return TrajectoryNode(jet, h, err, c, c if res2_is_c else residual2(kind, p, jet), s)
 
-    nodes = [make_node(j0, 0.0, 0.0, 0.0)]
+    try:
+        j0 = complete_initial_data(kind, p, init)
+        nodes = [make_node(j0, 0.0, 0.0, 0.0)]
+    except OverflowError:
+        raise InvalidInitialData("w0: initial data overflows floating point") from None
+    total = abs(span)
+    kernel = _dp3(rhs_fn(kind, p), j0.z, d, tol.abs, tol.rel)
+    y = (j0.w, j0.w1, j0.w2)
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
 
@@ -472,7 +416,7 @@ def integrate(
 
         # accepted
         s_new = total if hit_end else s + h
-        jet = lift(j0.z + s_new * d, y_new)
+        jet = Jet3(j0.z + s_new * d, *y_new)
 
         if abs(jet.w) > tol.pole_cutoff:
             status = TrajectoryStatus.POLE

@@ -200,6 +200,7 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, capsys):
         ["integrate", "--eq", "piv", "--alpha", "0", "--beta", "1",
          "--zero-branch", "plus", "--w2", "0", "--z0", "0", "--span", "1"],
         ["integrate", "--eq", "xxix", "--z0", "0", "--w0", "1", "--w1", "1", "--span", "2"],
+        ["integrate", "--eq", "sqrt-piv0", "--z0", "0", "--w0", "0.5", "--span", "1"],
     ]
     for idx, spec in enumerate(specs):
         blobs = []
@@ -225,4 +226,4 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, capsys):
         assert row["h"] == node.h and row["err_est"] == node.err_est
         assert row["C_re"] == node.c and row["res2_re"] == node.res2
     with capsys.disabled():
-        _report(9, "reruns byte-identical for three specs; CSV parse-back exact on every node")
+        _report(9, "reruns byte-identical for four specs; CSV parse-back exact on every node")

@@ -138,6 +138,7 @@ class TestValidation:
             (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--field", "complex",
               "--dir-re", "2"], "--dir-re"),
             (["integrate", "--eq", "xxxii", "--zero-branch", "plus", "--span", "1"], "zero"),
+            (["integrate", "--w0", "1", "--span", "1"], "--eq"),
         ],
     )
     def test_invalid_specs_exit_1_naming_the_field(self, args, needle, capsys, tmp_path):
@@ -145,6 +146,21 @@ class TestValidation:
         assert main(full) == 1
         err = capsys.readouterr().err
         assert needle in err
+
+    @pytest.mark.parametrize("command", ["integrate", "zeros"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--eq", "xxix", "--w0", "1e200", "--span", "1"],
+            ["--eq", "piv", "--w0", "1e120", "--span", "1"],
+            ["--eq", "piv", "--w0", "1e90", "--w2", "1", "--span", "1"],
+        ],
+    )
+    def test_oversized_initial_data_exits_1_naming_w0(self, command, args, capsys, tmp_path):
+        full = [command] + args + ["--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")]
+        assert main(full) == 1
+        err = capsys.readouterr().err
+        assert "error: w0:" in err and "Traceback" not in err
 
     def test_unknown_equation_exits_1(self, capsys):
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1

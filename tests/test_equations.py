@@ -10,7 +10,6 @@ from painleve4 import (
     Jet3,
     Params,
     SingularInput,
-    UnsupportedKind,
     constraint_c,
     jet_identities,
     residual2,
@@ -53,11 +52,9 @@ def test_rhs3_hand_values():
     assert rhs3(K.XXIX, Params(), 0.0, 1.0, 2.0) == 12.0
     assert rhs3(K.XXXII, Params(), 3.0, 5.0, 7.0) == 0.0
     assert rhs3(K.XVII, Params(), -1.0, 2.0, 3.0) == 0.0
-
-
-def test_rhs3_rejects_sqrt_kind():
-    with pytest.raises(UnsupportedKind):
-        rhs3(K.SQRT_PIV0, Params(), 0.0, 1.0, 1.0)
+    # f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4
+    assert rhs3(K.SQRT_PIV0, Params(), 0.0, 2.0, 0.0) == 16.0
+    assert rhs3(K.SQRT_PIV0, Params(), 1.0, 1.0, 1.0) == 14.75
 
 
 def test_piv0_rejects_nonzero_params():

@@ -22,8 +22,8 @@ from painleve4 import (
     residual2,
     step,
 )
-from painleve4.equations import _rhs2_scalar, is_finite_scalar, rhs3
-from painleve4.integrator import _dp2, _dp3, _kernel
+from painleve4.equations import is_finite_scalar, rhs3, rhs_fn
+from painleve4.integrator import _dp3
 
 K = EquationKind
 
@@ -126,6 +126,15 @@ class TestStep:
             for h in (10.0, -10.0):
                 with pytest.raises(NonFiniteState):
                     step(kind, Params(), jet, h)
+
+    @pytest.mark.parametrize("h", [1e-2, -1e-2])
+    def test_sqrt_residual_is_conserved(self, h):
+        # 4 (f'' - F(t, f)) is a first integral of the sqrt-piv0 third-order flow
+        j = Jet3(0.2, 0.7, -0.3, 1.0)
+        r0 = residual2(K.SQRT_PIV0, Params(), j)
+        assert abs(r0 - 2.835) < 1e-3
+        new, _ = step(K.SQRT_PIV0, Params(), j, h)
+        assert abs(residual2(K.SQRT_PIV0, Params(), new) - r0) < 1e-9
 
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_complex_jet_with_real_step(self, h):
@@ -355,15 +364,9 @@ def _ref_sum(terms):
 
 def reference_dp_step(kind, p, z0, d, s, y, h, tol):
     """(y5, mixed-norm error) of one step from arc parameter s, or None on a non-finite stage."""
-    if kind is K.SQRT_PIV0:
 
-        def deriv(s, y):
-            return (d * y[1], d * _rhs2_scalar(kind, p, z0 + s * d, y[0], y[1]))
-
-    else:
-
-        def deriv(s, y):
-            return (d * y[1], d * y[2], d * rhs3(kind, p, z0 + s * d, y[0], y[1]))
+    def deriv(s, y):
+        return (d * y[1], d * y[2], d * rhs3(kind, p, z0 + s * d, y[0], y[1]))
 
     k = [deriv(s, y)]
     n = len(y)
@@ -394,7 +397,7 @@ _MODES = {"real": (False, False), "complex": (True, True), "complex-jet-real-h":
 
 @pytest.mark.parametrize(
     "kind, mode",
-    [(kind, mode) for kind in K for mode in _MODES if kind is not K.SQRT_PIV0 or mode == "real"],
+    [(kind, mode) for kind in K for mode in _MODES],
 )
 def test_kernel_bit_identical_to_reference_step(kind, mode):
     complex_jet, complex_dir = _MODES[mode]
@@ -414,19 +417,17 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
                 d = sign * complex(math.cos(theta), math.sin(theta))
             else:
                 d = sign
-            y = (draw(), draw()) if kind is K.SQRT_PIV0 else (draw(), draw(), draw())
+            y = (draw(), draw(), draw())
             s = rng.uniform(0.0, 2.0)
             h = 10.0 ** rng.uniform(-4.0, -0.5)
-            kernel, _, _ = _kernel(kind, p, z0, d, tol)
-            got = kernel(s, y, h)
+            got = _dp3(rhs_fn(kind, p), z0, d, tol.abs, tol.rel)(s, y, h)
             want = reference_dp_step(kind, p, z0, d, s, y, h, tol)
             assert want is not None and got is not None
             assert [_bits(v) for v in got[0]] == [_bits(v) for v in want[0]]
             assert _bits(got[1]) == _bits(want[1])
 
 
-@pytest.mark.parametrize("factory, y", [(_dp3, (1.0, 0.5, 0.25)), (_dp2, (1.0, 0.5))])
-def test_nan_error_component_is_not_accepted(factory, y):
+def test_nan_error_component_is_not_accepted():
     # only the seventh stage turns NaN; it enters the error estimate but not
     # y5, and a NaN must not read as a zero error
     def rhs_nan_at(stage):
@@ -438,6 +439,7 @@ def test_nan_error_component_is_not_accepted(factory, y):
 
         return rhs
 
-    y5, err = factory(rhs_nan_at(0), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1)
+    y = (1.0, 0.5, 0.25)
+    y5, err = _dp3(rhs_nan_at(0), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1)
     assert all(math.isfinite(v) for v in y5) and math.isfinite(err)
-    assert factory(rhs_nan_at(7), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1) is None
+    assert _dp3(rhs_nan_at(7), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1) is None
