@@ -144,6 +144,7 @@ class TrajectoryStatus(Enum):
     COMPLETED = "completed"
     POLE = "pole"
     STEP_UNDERFLOW = "step_underflow"
+    STEP_BUDGET = "step_budget"
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     """Fill in the jet entries the equation determines; pass raw data through.
 
     For sqrt-piv0 the second derivative is never free data: it is always
-    recomputed from the equation, also in raw mode.
+    recomputed from the equation, also in raw mode.  A completed w'' that
+    is not finite is rejected as InvalidInitialData naming w0.
     """
     ensure_kind_params(kind, p)
     if init.field is ScalarField.COMPLEX:
@@ -205,15 +207,11 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
 
     w0 = conv(init.w0 if init.w0 is not None else 0.0)
     w1 = conv(init.w1_0 if init.w1_0 is not None else 0.0)
-    if init.mode == "nonzero":
-        w2 = _rhs2_scalar(kind, p, z0, w0, w1)
-        return Jet3(z0, w0, w1, w2)
-
-    # raw
-    if kind is EquationKind.SQRT_PIV0:
-        w2 = _rhs2_scalar(kind, p, z0, w0, w1)
-    else:
-        w2 = conv(init.w2_0 if init.w2_0 is not None else 0.0)
+    if init.mode == "raw" and kind is not EquationKind.SQRT_PIV0:
+        return Jet3(z0, w0, w1, conv(init.w2_0 if init.w2_0 is not None else 0.0))
+    w2 = _rhs2_scalar(kind, p, z0, w0, w1)
+    if not is_finite_scalar(w2):
+        raise InvalidInitialData(f"w0: w'' completed from the equation is not finite ({w2!r})")
     return Jet3(z0, w0, w1, w2)
 
 
@@ -341,7 +339,8 @@ def integrate(
       COMPLETED       the requested span was covered,
       POLE(z_est)     |w| exceeded pole_cutoff; z_est extrapolates 1/w -> 0
                       linearly from the last two accepted nodes,
-      STEP_UNDERFLOW  the controller pushed h below h_min.
+      STEP_UNDERFLOW  the controller pushed h below h_min,
+      STEP_BUDGET     _MAX_STEPS step attempts did not cover the span.
 
     A state that turns non-finite while |w| was growing is classified as
     POLE, otherwise as STEP_UNDERFLOW.
@@ -389,7 +388,8 @@ def integrate(
     while total - s > tol.h_min:
         n_steps += 1
         if n_steps > _MAX_STEPS:
-            raise RuntimeError(f"step budget exceeded after {len(nodes)} nodes at s = {s}")
+            status = TrajectoryStatus.STEP_BUDGET
+            break
         if h < tol.h_min:
             # a non-finite state on a growing |w| is a pole the cutoff missed
             if nonfinite and growing():

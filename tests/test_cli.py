@@ -154,6 +154,11 @@ class TestValidation:
             ["--eq", "xxix", "--w0", "1e200", "--span", "1"],
             ["--eq", "piv", "--w0", "1e120", "--span", "1"],
             ["--eq", "piv", "--w0", "1e90", "--w2", "1", "--span", "1"],
+            # w'' completed from the equation overflows
+            ["--eq", "sqrt-piv0", "--w0", "1e200", "--span", "1"],
+            ["--eq", "xvii", "--w0", "1e-300", "--w1", "1e10", "--span", "1"],
+            ["--eq", "piv", "--w0", "1e-300", "--w1", "1e10", "--span", "1"],
+            ["--eq", "xxxii", "--w0", "1e-320", "--span", "1"],
         ],
     )
     def test_oversized_initial_data_exits_1_naming_w0(self, command, args, capsys, tmp_path):
@@ -161,6 +166,17 @@ class TestValidation:
         assert main(full) == 1
         err = capsys.readouterr().err
         assert "error: w0:" in err and "Traceback" not in err
+
+    def test_exit_code_2_on_step_budget(self, tmp_path, monkeypatch, capsys):
+        import painleve4.integrator as integrator
+
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 50)
+        summary = tmp_path / "s.json"
+        code = main(["integrate", "--eq", "piv", "--alpha", "0.3", "--beta", "0.7", "--z0", "-1",
+                     "--w0", "0.5", "--span", "2", "--out", str(tmp_path / "t.csv"), "--summary", str(summary)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(summary.read_text())["status"] == "step_budget"
 
     def test_unknown_equation_exits_1(self, capsys):
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1

@@ -241,6 +241,16 @@ class TestIntegrate:
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, tol)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
 
+    def test_step_budget_status_keeps_partial_trajectory(self, monkeypatch):
+        import painleve4.integrator as integrator
+
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 50)
+        t = integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0)
+        assert t.status is TrajectoryStatus.STEP_BUDGET
+        assert t.status.value == "step_budget"
+        assert 1 < len(t.nodes) <= 51
+        assert 0.0 < t.nodes[-1].s < 2.0
+
     def test_span_validation(self):
         with pytest.raises(ValueError):
             integrate(K.PIV, Params(), InitialData.nonzero(0.0, 1.0, 0.0), 0.0)

@@ -1,3 +1,7 @@
+import cmath
+import math
+import random
+
 import pytest
 
 from painleve4 import (
@@ -24,13 +28,17 @@ def xxxii_through_two_roots():
     return integrate(K.XXXII, Params(), InitialData.nonzero(z0, z0 * z0 - 0.25, 2 * z0), 4.0)
 
 
-@pytest.fixture(scope="module")
-def interior_tangency():
+def piv0_through_zero(w2):
     # tangential zero of piv0 at z = 0, made interior by restarting at z = -0.6
     p = Params()
-    back = integrate(K.PIV0, p, InitialData.raw(0.0, 0.0, 0.0, 2.0), -0.6)
+    back = integrate(K.PIV0, p, InitialData.raw(0.0, 0.0, 0.0, w2), -0.6)
     j = back.nodes[-1].jet
     return integrate(K.PIV0, p, InitialData.raw(j.z, j.w, j.w1, j.w2), 1.2)
+
+
+@pytest.fixture(scope="module")
+def interior_tangency():
+    return piv0_through_zero(2.0)
 
 
 def test_sign_change_zeros_of_quadratic(xxxii_through_two_roots):
@@ -137,8 +145,8 @@ def test_pole_trajectory_is_scannable():
 
 @pytest.mark.parametrize("w0", [0.763157894736842, 0.8105263157894737])
 def test_pole_run_minima_are_not_zeros(w0):
-    # near a pole max|w| ~ 1e8 lifts the trigger to ~1e4, so ordinary |w|
-    # minima of this positive solution (w ~ 3) become candidates; none is a zero
+    # ordinary |w| minima of this positive solution (w ~ 3) on its way to a
+    # pole are refined as candidates; none is a zero
     t = integrate(K.PIV0, Params(), InitialData.nonzero(-3.0, w0, 0.0), 6.0)
     assert t.status is TrajectoryStatus.POLE
     assert min(n.jet.w for n in t.nodes) > 0.0
@@ -163,8 +171,8 @@ def test_complex_on_path_zero_at_seed():
 
 
 def test_complex_sub_node_dip_is_not_claimed():
-    # a dip of |w| far below node resolution stays undetected: the scanner
-    # makes no completeness claim off the nodes on complex paths
+    # the path passes eps = 1e-5 beside a zero: the dip of |w| between nodes
+    # is refined, then rejected because |w| ~ 1e-5 there exceeds tol.abs
     p = Params(0.0, 1.0)
     eps = 1e-5
     seed = integrate(K.PIV, p, InitialData.zero(0.0, +1, 0.0), 0.5)
@@ -181,3 +189,87 @@ def test_complex_sub_node_dip_is_not_claimed():
     ws = [abs(n.jet.w) for n in t.nodes]
     assert min(ws) > 1e-4 * max(ws)  # the dip never surfaces at node level
     assert locate_zeros(t) == ()
+
+
+def _off_axis_direction(rng):
+    # at least 0.5 rad off the real axis, so the path meets no second root
+    return cmath.exp(1j * rng.choice((1, -1)) * rng.uniform(0.5, math.pi - 0.5))
+
+
+def _xvii_double_root(rng, field):
+    # w = c (z - a)^2 solves xvii, with a double root at a
+    a = rng.uniform(-1.0, 1.0)
+    c = rng.choice((1, -1)) * rng.uniform(0.5, 2.0)
+    d = 1.0 if field is ScalarField.REAL else _off_axis_direction(rng)
+    s0 = rng.uniform(0.3, 1.0)
+    z0 = a - s0 * d
+    init = InitialData.nonzero(z0, c * (z0 - a) ** 2, 2 * c * (z0 - a), field=field, direction=d)
+    return integrate(K.XVII, Params(), init, s0 + rng.uniform(0.5, 1.5)), a
+
+
+def _xxxii_complex_simple_root(rng):
+    # w = A z^2 + B z + C with B^2 - 4AC = 1 solves xxxii; its roots are real
+    A = rng.choice((1, -1)) * rng.uniform(0.5, 2.0)
+    B = rng.uniform(-1.0, 1.0)
+    C = (B * B - 1.0) / (4.0 * A)
+    root = (1.0 - B) / (2.0 * A)
+    d = _off_axis_direction(rng)
+    s0 = rng.uniform(0.3, 1.0)
+    z0 = root - s0 * d
+    init = InitialData.nonzero(z0, A * z0 * z0 + B * z0 + C, 2 * A * z0 + B, field=ScalarField.COMPLEX, direction=d)
+    return integrate(K.XXXII, Params(), init, s0 + rng.uniform(0.5, 1.5)), root
+
+
+@pytest.mark.parametrize(
+    "draw,tol",
+    [
+        (lambda rng: _xvii_double_root(rng, ScalarField.REAL), 1e-6),
+        (lambda rng: _xvii_double_root(rng, ScalarField.COMPLEX), 1e-6),
+        (_xxxii_complex_simple_root, 1e-9),
+    ],
+    ids=["xvii-double-real", "xvii-double-complex", "xxxii-simple-complex"],
+)
+def test_closed_form_zero_found_once(draw, tol):
+    rng = random.Random(5)
+    for _ in range(200):
+        t, root = draw(rng)
+        events = locate_zeros(t)
+        assert len(events) == 1, (t.z0, t.direction, events)
+        assert abs(events[0].a - root) < tol
+
+
+@pytest.mark.parametrize("w2", [0.1, 0.3, 1.0])
+def test_piv0_tangential_zero_resolved(w2):
+    events = locate_zeros(piv0_through_zero(w2))
+    assert len(events) == 1
+    e = events[0]
+    assert abs(e.a) < 1e-9
+    assert abs(e.slope) < 1e-6
+    assert e.branch is not ZeroBranch.UNRESOLVED
+
+
+def test_complex_path_meets_zero_between_nodes():
+    # built like the complex class of the postprocess benchmark pool
+    p = Params(0.3, 1.0)
+    d = cmath.exp(0.25j * math.pi)
+    back = integrate(K.PIV, p, InitialData.zero(0j, +1, 0.5 + 0j, ScalarField.COMPLEX, -d), 0.6)
+    j = back.nodes[-1].jet
+    t = integrate(K.PIV, p, InitialData.raw(j.z, j.w, j.w1, j.w2, ScalarField.COMPLEX, d), 1.2)
+    assert all(n.jet.w != 0 for n in t.nodes)
+    events = locate_zeros(t)
+    assert len(events) == 1
+    assert events[0].branch is ZeroBranch.PLUS_BETA
+    assert abs(events[0].a) < 1e-9
+
+
+def test_sign_change_over_a_turning_point_step():
+    # w = z^2 - 1/4 is integrated exactly, so one long step spans both the
+    # turning point z = 0 and the root z = 1/2; d|w|^2/ds is positive at both
+    # ends of that interval, and only the sign change of w reveals the root
+    z0 = -0.41385964912280704
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(z0, z0 * z0 - 0.25, 2 * z0), 1.5)
+    zs = [n.jet.z for n in t.nodes]
+    assert any(lo < 0.0 and 0.5 < hi for lo, hi in zip(zs, zs[1:]))
+    events = locate_zeros(t)
+    assert len(events) == 1
+    assert abs(events[0].a - 0.5) < 1e-9
