@@ -411,7 +411,9 @@ def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
     sub.add_argument("--span", type=float, default=None, help="signed integration span (arc length in COMPLEX mode)")
     sub.add_argument("--rel", type=float, default=1e-10, help="relative tolerance")
     sub.add_argument("--abs", type=float, default=1e-10, help="absolute tolerance")
-    sub.add_argument("--pole-cutoff", type=float, default=1e8, help="|w| threshold declaring a pole")
+    sub.add_argument(
+        "--pole-cutoff", type=float, default=1e4, help="|w| threshold declaring a pole, in [1e3, 1e9]"
+    )
     sub.add_argument("--field", choices=["real", "complex"], default="real", help="scalar field")
     sub.add_argument("--dir-re", type=float, default=1.0, help="real part of the unit path direction (COMPLEX mode)")
     sub.add_argument("--dir-im", type=float, default=0.0, help="imaginary part of the path direction")

@@ -72,7 +72,7 @@ class Tolerances:
     abs: float = 1e-10
     h_init: float = 1e-3
     h_min: float = 1e-12
-    pole_cutoff: float = 1e8
+    pole_cutoff: float = 1e4
 
     def __post_init__(self):
         if not (self.rel >= 1e-14):
@@ -81,8 +81,8 @@ class Tolerances:
             raise ValueError(f"abs: must be >= 1e-14, got {self.abs}")
         if not (0 < self.h_min < self.h_init):
             raise ValueError(f"h_min: need 0 < h_min < h_init, got {self.h_min} vs {self.h_init}")
-        if not (self.pole_cutoff >= 1e3):
-            raise ValueError(f"pole_cutoff: must be >= 1e3, got {self.pole_cutoff}")
+        if not (1e3 <= self.pole_cutoff <= 1e9):
+            raise ValueError(f"pole_cutoff: must lie in [1e3, 1e9], got {self.pole_cutoff}")
 
 
 @dataclass(frozen=True)
@@ -307,17 +307,22 @@ def step(
     return Jet3(j.z + abs(h) * d, *y_new), err
 
 
-def _pole_extrapolate(n_prev: TrajectoryNode, n_last: TrajectoryNode) -> Scalar:
-    """Linear extrapolation of 1/w from the last two nodes to 1/w = 0."""
-    z1, w1 = n_prev.jet.z, n_prev.jet.w
-    z2, w2 = n_last.jet.z, n_last.jet.w
-    if w1 == 0 or w2 == 0:
-        return z2
-    u1, u2 = 1.0 / w1, 1.0 / w2
-    if u2 == u1:
-        return z2
-    slope = (u2 - u1) / (z2 - z1)
-    return z2 - u2 / slope
+def _pole_estimate(kind: EquationKind, j: Jet3) -> Scalar:
+    """One Newton step from the jet j onto a simple zero u(a) = 0 at the pole a.
+
+    piv and piv0 use u = 1/(w + z): their Laurent series
+    w = e/(z - a) - a + O(z - a), e = +-1, makes u = e (z - a) + O((z - a)^3),
+    so a = z + (w + z)/(w' + 1) is off by O((z - a)^3).  sqrt-piv0 takes the
+    same step on the piv0 solution it squares to, w = f^2 and w' = 2 f f'.
+    Every other kind uses u = 1/w, a = z + w/w', exact on the xxix family
+    1/(c - z).  Where the step is undefined (u' = 0) the estimate is z.
+    """
+    z, w, w1 = j.z, j.w, j.w1
+    if kind is EquationKind.SQRT_PIV0:
+        w, w1 = w * w, 2.0 * w * w1
+    shifted = kind in (EquationKind.PIV, EquationKind.PIV0, EquationKind.SQRT_PIV0)
+    num, den = (w + z, w1 + 1.0) if shifted else (w, w1)
+    return z if den == 0 else z + num / den
 
 
 def integrate(
@@ -337,13 +342,11 @@ def integrate(
 
     Termination:
       COMPLETED       the requested span was covered,
-      POLE(z_est)     |w| exceeded pole_cutoff; z_est extrapolates 1/w -> 0
-                      linearly from the last two accepted nodes,
+      POLE(z_est)     an accepted step took |w| above pole_cutoff (|f^2| for
+                      sqrt-piv0); z_est is one Newton step from that step's
+                      jet (`_pole_estimate`), which is not stored as a node,
       STEP_UNDERFLOW  the controller pushed h below h_min,
       STEP_BUDGET     _MAX_STEPS step attempts did not cover the span.
-
-    A state that turns non-finite while |w| was growing is classified as
-    POLE, otherwise as STEP_UNDERFLOW.
     """
     ensure_kind_params(kind, p)
     if not (span != 0 and is_finite_scalar(span) and not isinstance(span, complex)):
@@ -359,6 +362,8 @@ def integrate(
 
     # residual2 of piv/piv0 is the constraint polynomial itself
     res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
+    # sqrt-piv0's f squares to the piv0 solution that has the pole
+    squared = kind is EquationKind.SQRT_PIV0
 
     def make_node(jet: Jet3, h: float, err: float, s: float) -> TrajectoryNode:
         c = constraint_c(p, jet)
@@ -379,11 +384,7 @@ def integrate(
     h = min(tol.h_init, total)
     err_prev = 1.0
     rejected = False
-    nonfinite = False
     n_steps = 0
-
-    def growing() -> bool:
-        return len(nodes) >= 2 and abs(nodes[-1].jet.w) > abs(nodes[-2].jet.w)
 
     while total - s > tol.h_min:
         n_steps += 1
@@ -391,12 +392,7 @@ def integrate(
             status = TrajectoryStatus.STEP_BUDGET
             break
         if h < tol.h_min:
-            # a non-finite state on a growing |w| is a pole the cutoff missed
-            if nonfinite and growing():
-                status = TrajectoryStatus.POLE
-                pole_estimate = _pole_extrapolate(nodes[-2], nodes[-1])
-            else:
-                status = TrajectoryStatus.STEP_UNDERFLOW
+            status = TrajectoryStatus.STEP_UNDERFLOW
             break
         hit_end = h >= total - s
         if hit_end:
@@ -405,25 +401,20 @@ def integrate(
         if out is None:
             h *= _MIN_FACTOR
             rejected = True
-            nonfinite = True
             continue
         y_new, err = out
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             rejected = True
-            nonfinite = False
             continue
 
         # accepted
         s_new = total if hit_end else s + h
         jet = Jet3(j0.z + s_new * d, *y_new)
 
-        if abs(jet.w) > tol.pole_cutoff:
+        if abs(jet.w * jet.w if squared else jet.w) > tol.pole_cutoff:
             status = TrajectoryStatus.POLE
-            if len(nodes) >= 2:
-                pole_estimate = _pole_extrapolate(nodes[-2], nodes[-1])
-            else:
-                pole_estimate = _pole_extrapolate(nodes[-1], make_node(jet, h, err, s_new))
+            pole_estimate = _pole_estimate(kind, jet)
             break
 
         nodes.append(make_node(jet, h, err, s_new))
@@ -440,7 +431,6 @@ def integrate(
         h *= factor
         err_prev = max(err, 1e-16)
         rejected = False
-        nonfinite = False
         s, y = s_new, y_new
 
     logger.debug(

@@ -65,7 +65,23 @@ class TestIntegrateCommand:
         assert code == 0
         doc = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
         assert doc["status"] == "pole"
-        assert abs(doc["pole_estimate"] - 1.0) < 1e-3
+        assert abs(doc["pole_estimate"] - 1.0) < 1e-10
+
+    def test_sqrt_pole_run_exits_zero_at_the_piv0_pole(self, tmp_path):
+        # f^2 is the piv0 solution with w0 = 0.5, w1 = 0; |f| only grows like
+        # |z - a|^(-1/2), so the cutoff is tested against f^2
+        def run(eq, w0):
+            summary = tmp_path / f"{eq}.json"
+            code = main(["integrate", "--eq", eq, "--z0", "-3", "--w0", w0, "--span", "6",
+                         "--out", str(tmp_path / f"{eq}.csv"), "--summary", str(summary)])
+            return code, json.loads(summary.read_text(encoding="utf-8"))
+
+        code, piv0 = run("piv0", "0.5")
+        assert (code, piv0["status"]) == (0, "pole")
+        code, sq = run("sqrt-piv0", "0.7071067811865476")
+        assert (code, sq["status"]) == (0, "pole")
+        assert abs(sq["pole_estimate"] - piv0["pole_estimate"]) < 1e-10
+        assert abs(sq["pole_estimate"] + 1.2362138137) < 1e-9
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         t = integrate(K.PIV, Params(0.0, 1.0), InitialData.zero(0.0, +1, 0.0), 1.0)
@@ -139,6 +155,7 @@ class TestValidation:
               "--dir-re", "2"], "--dir-re"),
             (["integrate", "--eq", "xxxii", "--zero-branch", "plus", "--span", "1"], "zero"),
             (["integrate", "--w0", "1", "--span", "1"], "--eq"),
+            (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--pole-cutoff", "1e10"], "--pole-cutoff"),
         ],
     )
     def test_invalid_specs_exit_1_naming_the_field(self, args, needle, capsys, tmp_path):

@@ -23,7 +23,8 @@ from painleve4 import (
     step,
 )
 from painleve4.equations import is_finite_scalar, rhs3, rhs_fn
-from painleve4.integrator import _dp3
+from painleve4.integrator import _dp3, _pole_estimate
+from painleve4.oracles import xxix_pole_family
 
 K = EquationKind
 
@@ -36,7 +37,7 @@ def quadratic_jet(z):
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert (t.rel, t.abs, t.h_init, t.h_min, t.pole_cutoff) == (1e-10, 1e-10, 1e-3, 1e-12, 1e8)
+        assert (t.rel, t.abs, t.h_init, t.h_min, t.pole_cutoff) == (1e-10, 1e-10, 1e-3, 1e-12, 1e4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -46,6 +47,7 @@ class TestTolerances:
             {"h_min": 2e-3},
             {"h_min": -1.0},
             {"pole_cutoff": 10.0},
+            {"pole_cutoff": 1e10},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -185,8 +187,39 @@ class TestIntegrate:
     def test_xxix_pole_detection(self):
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
         assert t.status is TrajectoryStatus.POLE
-        assert abs(t.pole_estimate - 1.0) < 1e-3
+        assert abs(t.pole_estimate - 1.0) < 1e-10
         assert all(abs(n.jet.w) <= t.tol.pole_cutoff for n in t.nodes)
+
+    @pytest.mark.parametrize("c", [0.7, -1.3, 1.0 + 0.5j])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_pole_estimate_exact_on_xxix_family(self, c, side):
+        # one Newton step on 1/w is exact on w = 1/(c - z)
+        assert abs(_pole_estimate(K.XXIX, xxix_pole_family(c, c - side * 1e-4)) - c) < 1e-14
+
+    def test_pole_estimate_without_a_newton_step_is_the_jet(self):
+        # a constant xxix jet above the cutoff: u = 1/w has u' = 0
+        t = integrate(K.XXIX, Params(), InitialData.raw(0.0, 2e4, 0.0, 0.0), 1.0)
+        assert t.status is TrajectoryStatus.POLE
+        assert t.pole_estimate == t.tol.h_init
+        assert _pole_estimate(K.PIV, Jet3(0.5, 2e4, -1.0, 0.0)) == 0.5
+
+    def test_piv_pole_estimates_match_tight_reference(self):
+        # cells of the README 11 x 11 sweep (z0 = -1, w0 = 0.5, span 2) with
+        # alpha in [-1.2, 0]; beta enters only as beta^2, so beta >= 0 suffices
+        grid = [-2.0 + 4.0 * i / 10 for i in range(11)]
+        init = InitialData.nonzero(-1.0, 0.5, 0.0)
+        ref_tol = Tolerances(rel=1e-13, abs=1e-13, pole_cutoff=1e6)
+        poles = 0
+        for alpha in grid[2:6]:
+            for beta in grid[5:]:
+                t = integrate(K.PIV, Params(alpha, beta), init, 2.0)
+                if t.status is not TrajectoryStatus.POLE:
+                    continue
+                poles += 1
+                ref = integrate(K.PIV, Params(alpha, beta), init, 2.0, ref_tol)
+                assert ref.status is TrajectoryStatus.POLE
+                assert abs(t.pole_estimate - ref.pole_estimate) < 1e-10
+        assert poles == 13
 
     def test_monotone_nodes_and_metadata(self):
         t = integrate(K.PIV, Params(0.5, 0.5), InitialData.nonzero(0.0, 1.0, 0.0), -0.8)
