@@ -17,7 +17,6 @@ from .equations import (
     constraint_c,
     jet_identities,
     residual2,
-    rhs2,
     rhs3,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .oracles import (
 )
 from .verify import PropertyResult, run_suite
 from .zeros import (
-    CurvatureCheck,
     CurvatureReport,
     ZeroBranch,
     ZeroEvent,
@@ -78,7 +76,6 @@ __all__ = [
     "constraint_c",
     "jet_identities",
     "residual2",
-    "rhs2",
     "rhs3",
     "PainleveError",
     "SingularInput",
@@ -114,7 +111,6 @@ __all__ = [
     "run_suite",
     "ZeroBranch",
     "ZeroEvent",
-    "CurvatureCheck",
     "CurvatureReport",
     "check_curvature_theorem",
     "locate_zeros",

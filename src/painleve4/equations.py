@@ -116,9 +116,6 @@ class Jet3:
         for name in ("z", "w", "w1", "w2"):
             _check_finite(name, getattr(self, name))
 
-    def to_jet2(self) -> Jet2:
-        return Jet2(self.z, self.w, self.w1)
-
 
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:
     """Reject nonzero (alpha, beta) for the parameter-free specialisations.
@@ -187,16 +184,6 @@ def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar
         + 2.0 * (z * z - p.alpha) * w
         - p.beta * p.beta / (2.0 * w)
     )
-
-
-def rhs2(kind: EquationKind, p: Params, j: Jet2 | Jet3) -> Scalar:
-    """Second derivative prescribed by the selected second-order equation at j.
-
-    Raises SingularInput when w = 0 for the kinds that divide by w; the
-    limit interpretation at zeros belongs to the integrator (via `rhs3`)
-    and to the zero classifier, never to this pointwise evaluator.
-    """
-    return _rhs2_scalar(kind, p, j.z, j.w, j.w1)
 
 
 def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:

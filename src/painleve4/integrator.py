@@ -122,7 +122,7 @@ class InitialData:
                 if isinstance(value, complex):
                     raise InvalidInitialData(f"{name}: REAL mode rejects complex values")
         else:
-            if abs(abs(complex(self.direction)) - 1.0) > 1e-12:
+            if not abs(abs(complex(self.direction)) - 1.0) <= 1e-12:
                 raise InvalidInitialData(
                     f"direction: COMPLEX mode needs a unit direction, |d| = {abs(complex(self.direction))!r}"
                 )

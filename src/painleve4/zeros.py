@@ -1,10 +1,13 @@
 """Zero location along trajectories and classification against the slope condition.
 
-At any zero a of a piv solution the slope satisfies w'(a) = +-beta; when
+At a zero of w the constraint C = 2 w w'' - w'^2 - 3 w^4 - ... + beta^2
+reduces to beta^2 - w'^2.  C is a first integral of the third-order flow,
+so a zero on a trajectory whose C has drifted to C* has slope
++-sqrt(beta^2 - C*): exactly +-beta on a consistent solution.  When
 beta = 0 an isolated zero additionally has w''(a) != 0 (otherwise the
 third-order uniqueness theorem would force w to vanish identically near a).
-The locator refines candidates on the dense interpolant and classifies the
-slope against the two admissible branches.
+The locator refines candidates on the dense interpolant and gives each one
+its single verdict, a `ZeroBranch`.
 
 A zero of w on the path is a minimum of |w|^2, so the path derivative
 q = d|w|^2/ds = 2 Re(conj(w) w' d) rises through 0 across it, and every node
@@ -18,19 +21,21 @@ A candidate is an event only if it refines onto the zero set,
 |w| < abs_tol, so a |w| minimum where w misses zero is not reported.
 """
 
+import cmath
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .equations import EquationKind, Jet3, Scalar, ScalarField
 from .errors import WrongKind
-from .integrator import Trajectory, dense_eval_param
+from .integrator import Trajectory, TrajectoryNode, dense_eval_param
 
 logger = logging.getLogger(__name__)
 
-#: default slope tolerance for branch assignment
+#: slope tolerance for branch assignment, relative to max(1, |beta|)
 SLOPE_TOL = 1e-6
-#: default curvature floor for the beta = 0 check
+#: curvature floor for the beta = 0 check
 CURV_FLOOR = 1e-8
 #: events closer than this multiple of the local step size are merged
 ISOLATION_STEPS = 10.0
@@ -56,13 +61,12 @@ class ZeroEvent:
     curvature_nonzero: bool | None = None
 
 
-def _classify(slope: Scalar, beta: float, slope_tol: float) -> ZeroBranch:
-    d_plus = abs(slope - beta)
-    d_minus = abs(slope + beta)
-    budget = slope_tol * max(1.0, abs(beta))
-    if min(d_plus, d_minus) > budget:
+def _classify(slope: Scalar, beta: float, res2: Scalar, real_mode: bool) -> ZeroBranch:
+    # at a zero, res2 (C on piv/piv0) reduces to beta^2 - w'^2; the label is the nearer of +-beta
+    target = math.sqrt(max(beta * beta - res2, 0.0)) if real_mode else cmath.sqrt(beta * beta - res2)
+    if min(abs(slope - target), abs(slope + target)) > SLOPE_TOL * max(1.0, abs(beta)):
         return ZeroBranch.UNRESOLVED
-    return ZeroBranch.PLUS_BETA if d_plus <= d_minus else ZeroBranch.MINUS_BETA
+    return ZeroBranch.PLUS_BETA if abs(slope - beta) <= abs(slope + beta) else ZeroBranch.MINUS_BETA
 
 
 def _bisect(f, lo: float, hi: float) -> tuple[float, Jet3]:
@@ -87,7 +91,7 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, Jet3]:
     return (lo, j_lo) if abs(v_lo) <= abs(v_hi) else (hi, j_hi)
 
 
-def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEvent, ...]:
+def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     """Locate and classify zeros of w along a trajectory.
 
     Candidates are exact node zeros; every node interval where
@@ -97,8 +101,12 @@ def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEv
     node closing their interval (capped at 5 % of the path) are merged,
     keeping the smaller |w|; then a candidate is kept, in path order, only
     if ``|w| < tol.abs`` at it.  Slope and curvature are read from the
-    refined jet and the branch is the nearer of +-beta within
-    ``slope_tol * max(1, |beta|)``, UNRESOLVED otherwise.
+    refined jet.  The slope must lie within ``SLOPE_TOL * max(1, |beta|)``
+    of +-sqrt(beta^2 - res2*), where res2* is the monitor of the node
+    closing the interval (of the node itself for a node zero); the branch
+    is then the nearer of +-beta, and UNRESOLVED otherwise.  On piv and
+    piv0 res2* is the drifted C*; on xvii and xxix it is the kind's own
+    first integral, which reduces to -w'^2 at a zero.
 
     Two zeros inside one node interval yield at most one event.  The
     identically-zero trajectory yields no events (its zeros are not
@@ -122,9 +130,9 @@ def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEv
         jet = dense_eval_param(traj, s)
         return jet.w, jet
 
-    # (s, jet, h): h is the step of the node closing the candidate's interval;
-    # node 0's h = 0 is never read, as its candidate sorts first
-    refined: list[tuple[float, Jet3, float]] = [(n.s, n.jet, n.h) for n, w in zip(nodes, ws) if w == 0]
+    # (s, jet, node): node closes the candidate's interval and lends its step h
+    # and monitor res2; node 0's h = 0 is never read, as its candidate sorts first
+    refined: list[tuple[float, Jet3, TrajectoryNode]] = [(n.s, n.jet, n) for n, w in zip(nodes, ws) if w == 0]
     qs = [(w.conjugate() * j.w1 * d).real for w, j in zip(ws, jets)]
     for i in range(len(nodes) - 1):
         if qs[i] < 0 <= qs[i + 1]:
@@ -133,72 +141,54 @@ def locate_zeros(traj: Trajectory, slope_tol: float = SLOPE_TOL) -> tuple[ZeroEv
             f = w_at
         else:
             continue
-        refined.append((*_bisect(f, nodes[i].s, nodes[i + 1].s), nodes[i + 1].h))
+        refined.append((*_bisect(f, nodes[i].s, nodes[i + 1].s), nodes[i + 1]))
 
     refined.sort(key=lambda item: item[0])
     # isolation radius: 10 local steps, capped so that long exact steps
     # (polynomial solutions) cannot swallow genuinely distinct zeros
     radius_cap = 0.05 * max(nodes[-1].s, traj.tol.h_init)
-    merged: list[tuple[float, Jet3]] = []
-    for s, jet, h in refined:
+    merged: list[tuple[float, Jet3, TrajectoryNode]] = []
+    for s, jet, node in refined:
         if merged:
-            s_prev, jet_prev = merged[-1]
-            if s - s_prev < min(ISOLATION_STEPS * h, radius_cap):
+            s_prev, jet_prev, _ = merged[-1]
+            if s - s_prev < min(ISOLATION_STEPS * node.h, radius_cap):
                 if abs(jet.w) < abs(jet_prev.w):
-                    merged[-1] = (s, jet)
+                    merged[-1] = (s, jet, node)
                 continue
-        merged.append((s, jet))
+        merged.append((s, jet, node))
 
     events = []
-    for _, jet in merged:
+    for _, jet, node in merged:
         if abs(jet.w) >= traj.tol.abs:
             continue  # a |w| minimum off the zero set
-        branch = _classify(jet.w1, beta, slope_tol)
+        branch = _classify(jet.w1, beta, node.res2, real_mode)
         curvature_nonzero = (abs(jet.w2) > CURV_FLOOR) if beta == 0.0 else None
         events.append(ZeroEvent(jet.z, jet.w1, jet.w2, branch, curvature_nonzero))
     return tuple(events)
 
 
 @dataclass(frozen=True)
-class CurvatureCheck:
-    event: ZeroEvent
-    slope_ok: bool
-    curvature_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.slope_ok and self.curvature_ok
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
-    """Outcome of the beta = 0 nonzero-curvature check over a set of events."""
+    """The beta = 0 events that are UNRESOLVED or have vanishing curvature."""
 
-    checks: tuple[CurvatureCheck, ...]
-    curv_floor: float
-    slope_tol: float
-
-    @property
-    def violations(self) -> tuple[CurvatureCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+    violations: tuple[ZeroEvent, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def check_curvature_theorem(
-    events,
-    traj: Trajectory,
-    curv_floor: float = CURV_FLOOR,
-    slope_tol: float = SLOPE_TOL,
-) -> CurvatureReport:
-    """Check that every beta = 0 zero event has vanishing slope and nonzero curvature.
+def check_curvature_theorem(events, traj: Trajectory) -> CurvatureReport:
+    """Collect the beta = 0 zero events that break the curvature theorem.
 
-    Valid for real piv/piv0 trajectories with beta = 0 that are not
-    identically zero (the identically-zero trajectory produces no events,
-    so the report is vacuous).  A violation falsifies the integration
-    accuracy or the isolation of the zero, never the underlying statement.
+    At beta = 0 an isolated zero has slope +-sqrt(-C*), which is 0 on a
+    consistent solution, and nonzero curvature.  Both are judged once, by
+    `locate_zeros`: an event violates the theorem if its branch is
+    UNRESOLVED or its ``curvature_nonzero`` is false.  Valid for real
+    piv/piv0 trajectories with beta = 0 that are not identically zero (the
+    identically-zero trajectory produces no events, so the report is
+    vacuous).  A violation falsifies the integration accuracy or the
+    isolation of the zero, never the underlying statement.
     """
     if traj.kind not in (EquationKind.PIV, EquationKind.PIV0):
         raise WrongKind(f"curvature check applies to piv/piv0, not {traj.kind.value}")
@@ -206,20 +196,14 @@ def check_curvature_theorem(
         raise WrongKind(f"curvature check requires beta = 0, got beta = {traj.params.beta}")
     if traj.field is not ScalarField.REAL:
         raise WrongKind("curvature check requires REAL mode")
-    checks = tuple(
-        CurvatureCheck(
-            event=e,
-            slope_ok=abs(e.slope) <= slope_tol,
-            curvature_ok=abs(e.curvature) >= curv_floor,
-        )
-        for e in events
+    report = CurvatureReport(
+        tuple(e for e in events if e.branch is ZeroBranch.UNRESOLVED or not e.curvature_nonzero)
     )
-    report = CurvatureReport(checks, curv_floor, slope_tol)
-    for check in report.violations:
+    for e in report.violations:
         logger.warning(
             "curvature check violation at a = %r: slope = %r, curvature = %r",
-            check.event.a,
-            check.event.slope,
-            check.event.curvature,
+            e.a,
+            e.slope,
+            e.curvature,
         )
     return report

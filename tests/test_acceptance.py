@@ -98,13 +98,13 @@ def test_criterion_5_closed_forms(capsys):
     t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)
     worst32 = max(abs(n.jet.w - (n.jet.z ** 2 + 3 * n.jet.z + 2)) for n in t.nodes)
     assert worst32 < 1e-9
-    q32 = fit_quadratic(K.XXXII, t.nodes[0].jet.to_jet2())
+    q32 = fit_quadratic(K.XXXII, t.nodes[0].jet)
     assert abs(q32.discriminant - 1.0) < 1e-12
 
     t17 = integrate(K.XVII, Params(), InitialData.nonzero(0.0, 1.0, 2.0), 4.0)
     worst17 = max(abs(n.jet.w - (n.jet.z + 1.0) ** 2) for n in t17.nodes)
     assert worst17 < 1e-9
-    q17 = fit_quadratic(K.XVII, t17.nodes[0].jet.to_jet2())
+    q17 = fit_quadratic(K.XVII, t17.nodes[0].jet)
     assert abs(q17.discriminant) < 1e-12
     with capsys.disabled():
         _report(5, f"xxxii/xvii runs match their quadratics (worst {max(worst32, worst17):.2e}), discriminants exact to 1e-12")
@@ -153,7 +153,7 @@ def test_criterion_7_u_substitution(capsys):
         ks = []
         for n in t.nodes:
             assert n.jet.w > 0.0
-            ks.append(xxxii_u_integral(n.jet.to_jet2()))
+            ks.append(xxxii_u_integral(n.jet))
         worst = max(worst, max(ks) - min(ks), max(abs(k - q.a) for k in ks))
     assert worst < 1e-8
     with capsys.disabled():

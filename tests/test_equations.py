@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 
 from painleve4 import (
     EquationKind,
+    InitialData,
+    InvalidInitialData,
     Jet2,
     Jet3,
     Params,
     SingularInput,
+    complete_initial_data,
     constraint_c,
     jet_identities,
     residual2,
-    rhs2,
     rhs3,
 )
+from painleve4.equations import _rhs2_scalar
 
 K = EquationKind
 
@@ -23,26 +26,34 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 nonzero_w = st.floats(min_value=-10.0, max_value=10.0).filter(lambda w: abs(w) >= 1e-3)
 
 
+def completed_w2(kind, p, z, w, w1):
+    # w'' that the second-order equation completes at a regular point
+    return complete_initial_data(kind, p, InitialData.nonzero(z, w, w1)).w2
+
+
 def test_rhs2_piv_hand_values():
-    assert rhs2(K.PIV, Params(0, 0), Jet2(0.0, 1.0, 0.0)) == 1.5
+    assert completed_w2(K.PIV, Params(0, 0), 0.0, 1.0, 0.0) == 1.5
     # 4/2 + 3/2 + 4 + 0 - 1/2
-    assert rhs2(K.PIV, Params(1, 1), Jet2(1.0, 1.0, 2.0)) == 7.0
+    assert completed_w2(K.PIV, Params(1, 1), 1.0, 1.0, 2.0) == 7.0
 
 
 def test_rhs2_other_kinds():
-    assert rhs2(K.XXXII, Params(), Jet2(4.2, 1.0, 1.0)) == 0.0
-    assert rhs2(K.XVII, Params(), Jet2(0.0, 2.0, 4.0)) == 4.0
-    assert rhs2(K.XXIX, Params(), Jet2(0.0, 1.0, 1.0)) == 2.0
+    assert completed_w2(K.XXXII, Params(), 4.2, 1.0, 1.0) == 0.0
+    assert completed_w2(K.XVII, Params(), 0.0, 2.0, 4.0) == 4.0
+    assert completed_w2(K.XXIX, Params(), 0.0, 1.0, 1.0) == 2.0
     # 4 f'' = 2 * 12 * 4 = 96
-    assert rhs2(K.SQRT_PIV0, Params(), Jet2(0.0, 2.0, 0.0)) == 24.0
+    assert completed_w2(K.SQRT_PIV0, Params(), 0.0, 2.0, 0.0) == 24.0
 
 
 def test_rhs2_rejects_w_zero():
+    # nonzero mode refuses w0 = 0, and the evaluator behind it refuses w = 0 too
+    with pytest.raises(InvalidInitialData):
+        InitialData.nonzero(0.0, 0.0, 1.0)
     for kind in (K.PIV, K.PIV0, K.XVII, K.XXIX, K.XXXII):
         with pytest.raises(SingularInput):
-            rhs2(kind, Params(), Jet2(0.0, 0.0, 1.0))
-    # the square-root equation has no denominator
-    assert rhs2(K.SQRT_PIV0, Params(), Jet2(0.0, 0.0, 1.0)) == 0.0
+            _rhs2_scalar(kind, Params(), 0.0, 0.0, 1.0)
+    # the square-root equation has no denominator: raw data completes f'' at f = 0
+    assert complete_initial_data(K.SQRT_PIV0, Params(), InitialData.raw(0.0, 0.0, 1.0, 5.0)).w2 == 0.0
 
 
 def test_rhs3_hand_values():
@@ -59,11 +70,11 @@ def test_rhs3_hand_values():
 
 def test_piv0_rejects_nonzero_params():
     with pytest.raises(ValueError):
-        rhs2(K.PIV0, Params(1.0, 0.0), Jet2(0.0, 1.0, 0.0))
+        completed_w2(K.PIV0, Params(1.0, 0.0), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         rhs3(K.PIV0, Params(0.0, 0.5), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        rhs2(K.SQRT_PIV0, Params(0.0, 1.0), Jet2(0.0, 1.0, 0.0))
+        completed_w2(K.SQRT_PIV0, Params(0.0, 1.0), 0.0, 1.0, 0.0)
 
 
 def test_jets_reject_non_finite():
@@ -91,7 +102,7 @@ def test_constraint_vanishes_at_zero_with_slope_beta(beta, a, w2):
 @settings(max_examples=200)
 def test_completed_jet_sits_on_constraint_zero_set(z, w, w1, alpha, beta):
     p = Params(alpha, beta)
-    w2 = rhs2(K.PIV, p, Jet2(z, w, w1))
+    w2 = completed_w2(K.PIV, p, z, w, w1)
     c = constraint_c(p, Jet3(z, w, w1, w2))
     scale = 1.0 + abs(2 * w * w2) + w1 * w1 + 3 * w ** 4 + abs(8 * z * w ** 3) + 4 * abs(z * z - alpha) * w * w + beta * beta
     assert abs(c) <= 1e-12 * scale
@@ -117,7 +128,7 @@ def test_residual2_hand_values():
 
 
 def test_residual2_sqrt_kind():
-    # 4 f'' - f (3 f^2 + 2t)(f^2 + 2t) with f'' = 24 from rhs2
+    # 4 f'' - f (3 f^2 + 2t)(f^2 + 2t) with f'' = 24 completed by the equation
     assert residual2(K.SQRT_PIV0, Params(), Jet3(0.0, 2.0, 0.0, 24.0)) == 0.0
     assert residual2(K.SQRT_PIV0, Params(), Jet3(0.0, 2.0, 0.0, 25.0)) == 4.0
 

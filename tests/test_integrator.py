@@ -312,6 +312,11 @@ class TestComplexMode:
         with pytest.raises(InvalidInitialData):
             InitialData.raw(0.0, 1.0, 0.0, 0.0, field=ScalarField.COMPLEX, direction=2.0 + 0.0j)
 
+    @pytest.mark.parametrize("d", [complex(math.nan, 0.0), complex(1.0, math.nan)])
+    def test_nan_direction_rejected(self, d):
+        with pytest.raises(InvalidInitialData, match="direction"):
+            InitialData.raw(0.0, 1.0, 0.0, 0.0, field=ScalarField.COMPLEX, direction=d)
+
     def test_negative_span_rejected(self):
         init = InitialData.raw(0.0, 1.0, 0.0, 0.0, field=ScalarField.COMPLEX, direction=1j)
         with pytest.raises(ValueError):

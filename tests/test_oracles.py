@@ -15,6 +15,7 @@ from painleve4 import (
     Params,
     SingularInput,
     WrongKind,
+    complete_initial_data,
     dense_eval,
     eval_quadratic,
     fit_quadratic,
@@ -137,7 +138,7 @@ class TestUIntegral:
     def test_constant_along_trajectory_and_equals_a(self):
         q = fit_quadratic(K.XXXII, Jet2(0.0, 2.0, 3.0))
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)
-        ks = [xxxii_u_integral(n.jet.to_jet2()) for n in t.nodes if n.jet.w > 0]
+        ks = [xxxii_u_integral(n.jet) for n in t.nodes if n.jet.w > 0]
         assert len(ks) == len(t.nodes)
         assert max(abs(k - q.a) for k in ks) < 1e-8
 
@@ -155,10 +156,8 @@ class TestSqrtTransform:
     def test_square_push_hand_values(self):
         j = square_push(0.0, 2.0, 3.0)
         assert (j.z, j.w, j.w1, j.w2) == (0.0, 4.0, 12.0, 114.0)
-        # cross-check: rhs2(piv0) at (0, 4, 12) is 144/8 + 1.5*64 = 114
-        from painleve4 import rhs2
-
-        assert rhs2(K.PIV0, Params(), Jet2(0.0, 4.0, 12.0)) == 114.0
+        # cross-check: w'' completed by piv0 at (0, 4, 12) is 144/8 + 1.5*64 = 114
+        assert complete_initial_data(K.PIV0, Params(), InitialData.nonzero(0.0, 4.0, 12.0)).w2 == 114.0
 
     def test_square_push_at_f_zero(self):
         for sigma in (0.5, -2.0):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -105,8 +106,8 @@ def test_curvature_theorem_report(interior_tangency):
     events = locate_zeros(interior_tangency)
     report = check_curvature_theorem(events, interior_tangency)
     assert report.ok
-    assert len(report.checks) == 1
-    assert report.checks[0].slope_ok and report.checks[0].curvature_ok
+    assert len(events) == 1 and report.violations == ()
+    assert events[0].branch is not ZeroBranch.UNRESOLVED and events[0].curvature_nonzero
 
 
 def test_curvature_check_rejects_nonzero_beta():
@@ -134,7 +135,7 @@ def test_raw_zero_seed_event_keeps_curvature():
 def test_vacuous_report_for_zero_solution():
     t = integrate(K.PIV0, Params(), InitialData.raw(0.0, 0.0, 0.0, 0.0), 1.0)
     report = check_curvature_theorem(locate_zeros(t), t)
-    assert report.ok and report.checks == ()
+    assert report.ok and report.violations == ()
 
 
 def test_pole_trajectory_is_scannable():
@@ -246,6 +247,48 @@ def test_piv0_tangential_zero_resolved(w2):
     assert abs(e.a) < 1e-9
     assert abs(e.slope) < 1e-6
     assert e.branch is not ZeroBranch.UNRESOLVED
+
+
+@pytest.mark.parametrize("w2", [-1.0, -2.0, 5.0])
+def test_piv0_tangential_zero_resolved_against_drifted_c(w2):
+    # the slope here reads 3e-6 to 1e-5, beyond SLOPE_TOL of 0, but within it
+    # of the +-sqrt(-C*) that the trajectory's drifted C* allows
+    t = piv0_through_zero(w2)
+    events = locate_zeros(t)
+    assert len(events) == 1
+    assert abs(events[0].slope) > 1e-6
+    assert events[0].branch is ZeroBranch.PLUS_BETA
+    assert check_curvature_theorem(events, t).ok
+
+
+@pytest.mark.parametrize(
+    "kind,init,span",
+    [
+        (K.PIV0, InitialData.raw(-1.0, 0.3, 0.2, -0.5), 2.0),
+        (K.XVII, InitialData.raw(0.0, 1.0, 0.5, -1.0), 3.0),
+        (K.XXIX, InitialData.raw(0.0, 0.5, 0.1, -3.0), 1.5),
+    ],
+    ids=["piv0", "xvii", "xxix"],
+)
+def test_zero_resolved_at_the_slope_its_first_integral_allows(kind, init, span):
+    # res2 is a first integral that reduces to -w'^2 at a zero (beta = 0), so
+    # a jet off the solution set crosses zero at slope -sqrt(-res2_0), not 0
+    t = integrate(kind, Params(), init, span)
+    res2_0 = t.nodes[0].res2
+    assert res2_0 < -0.1
+    events = locate_zeros(t)
+    assert len(events) == 1
+    assert abs(events[0].slope + math.sqrt(-res2_0)) < 1e-8
+    assert events[0].branch is ZeroBranch.PLUS_BETA
+
+
+def test_verdict_reads_the_stored_monitor():
+    t = piv0_through_zero(-1.0)
+    blind = dataclasses.replace(t, nodes=tuple(dataclasses.replace(n, res2=0.0) for n in t.nodes))
+    events = locate_zeros(blind)
+    assert len(events) == 1
+    assert events[0].branch is ZeroBranch.UNRESOLVED
+    assert check_curvature_theorem(events, blind).violations == events
 
 
 def test_complex_path_meets_zero_between_nodes():
