@@ -118,14 +118,18 @@ class Jet3:
 
 
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:
-    """Reject nonzero (alpha, beta) for the parameter-free specialisations.
+    """Reject nonzero (alpha, beta) for every kind but piv.
 
     piv0 is piv at alpha = beta = 0; sqrt-piv0 is derived from piv0 and is
-    equally parameter free.
+    equally parameter free.  xvii, xxix and xxxii carry no parameters, so
+    a nonzero value would be ignored by the equation yet still read by the
+    zero classification (its slope target +-beta).
     """
-    if kind in (EquationKind.PIV0, EquationKind.SQRT_PIV0):
-        if p.alpha != 0.0 or p.beta != 0.0:
-            raise ValueError(f"{kind.value} requires alpha = beta = 0, got {p}")
+    if kind is not EquationKind.PIV:
+        for name in ("alpha", "beta"):
+            value = getattr(p, name)
+            if value != 0.0:
+                raise ValueError(f"{name}: {kind.value} requires alpha = beta = 0, got {name} = {value!r}")
 
 
 def _rhs_xxix(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:

@@ -19,6 +19,7 @@ nodes reproduces the solution to the same order and is exact on quadratics.
 """
 
 import logging
+import math
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
@@ -143,6 +144,7 @@ class InitialData:
 class TrajectoryStatus(Enum):
     COMPLETED = "completed"
     POLE = "pole"
+    W_BOUND = "w_bound"
     STEP_UNDERFLOW = "step_underflow"
     STEP_BUDGET = "step_budget"
 
@@ -331,6 +333,8 @@ def integrate(
     init: InitialData,
     span: float,
     tol: Tolerances = Tolerances(),
+    *,
+    w_bound: float = math.inf,
 ) -> Trajectory:
     """Adaptive accept/reject integration over a path of length |span|.
 
@@ -345,12 +349,19 @@ def integrate(
       POLE(z_est)     an accepted step took |w| above pole_cutoff (|f^2| for
                       sqrt-piv0); z_est is one Newton step from that step's
                       jet (`_pole_estimate`), which is not stored as a node,
+      W_BOUND         an accepted step took |w| above w_bound (|f| for
+                      sqrt-piv0, as `Trajectory.max_abs_w` measures) but not
+                      above pole_cutoff; that step is not stored either, so
+                      every stored |w| is at most w_bound; a caller that
+                      rejects any run leaving |w| <= w_bound stops it here,
       STEP_UNDERFLOW  the controller pushed h below h_min,
       STEP_BUDGET     _MAX_STEPS step attempts did not cover the span.
     """
     ensure_kind_params(kind, p)
     if not (span != 0 and is_finite_scalar(span) and not isinstance(span, complex)):
         raise ValueError(f"span: must be a nonzero finite real, got {span!r}")
+    if not (w_bound > 0):
+        raise ValueError(f"w_bound: must be positive, got {w_bound!r}")
     if kind is EquationKind.SQRT_PIV0 and init.field is ScalarField.COMPLEX:
         raise InvalidInitialData("field: sqrt-piv0 is restricted to REAL mode")
     if init.field is ScalarField.COMPLEX:
@@ -364,6 +375,8 @@ def integrate(
     res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
     # sqrt-piv0's f squares to the piv0 solution that has the pole
     squared = kind is EquationKind.SQRT_PIV0
+    # one comparison per accepted step serves both the cutoff and the bound
+    stop = min(tol.pole_cutoff, w_bound * w_bound if squared else w_bound)
 
     def make_node(jet: Jet3, h: float, err: float, s: float) -> TrajectoryNode:
         c = constraint_c(p, jet)
@@ -412,9 +425,13 @@ def integrate(
         s_new = total if hit_end else s + h
         jet = Jet3(j0.z + s_new * d, *y_new)
 
-        if abs(jet.w * jet.w if squared else jet.w) > tol.pole_cutoff:
-            status = TrajectoryStatus.POLE
-            pole_estimate = _pole_estimate(kind, jet)
+        mag = abs(jet.w * jet.w if squared else jet.w)
+        if mag > stop:
+            if mag > tol.pole_cutoff:
+                status = TrajectoryStatus.POLE
+                pole_estimate = _pole_estimate(kind, jet)
+            else:
+                status = TrajectoryStatus.W_BOUND
             break
 
         nodes.append(make_node(jet, h, err, s_new))

@@ -11,6 +11,10 @@ staying bounded), because the conserved quantity C contains w^4 terms and
 an absolute drift bound in double precision is only meaningful while the
 terms it cancels stay representable at that accuracy.  Near-pole nodes of
 an unconstrained draw would swamp any integrator with pure rounding noise.
+
+Suites that condition runs on staying bounded (`constraint`,
+`xxix-integrals`, `sqrt`) stop a rejected draw as soon as it crosses its
+cap, so rejection costs only the nodes below the cap.
 """
 
 import logging
@@ -109,10 +113,16 @@ def suite_identities(seed: int, count: int) -> list[PropertyResult]:
 
 
 def _draw_bounded_run(rng: random.Random, draw, w_cap: float, max_attempts: int, what: str):
-    """First (trajectory, draw) of fresh ``draw(rng)`` = (kind, params, init, span) completing with max|w| <= w_cap."""
+    """First (trajectory, draw) of fresh ``draw(rng)`` = (kind, params, init, span) completing with max|w| <= w_cap.
+
+    Each run is integrated with ``w_bound=w_cap``, so a draw that leaves
+    |w| <= w_cap stops there (status ``w_bound``) instead of stepping on to
+    the pole cutoff.  Such a run would be rejected anyway, so the draws, the
+    accepted trajectories and every suite result are as without the bound.
+    """
     for _ in range(max_attempts):
         drawn = draw(rng)
-        traj = integrate(*drawn, _VERIFY_TOL)
+        traj = integrate(*drawn, _VERIFY_TOL, w_bound=w_cap)
         if traj.status is TrajectoryStatus.COMPLETED and traj.max_abs_w() <= w_cap:
             return traj, drawn
     raise PainleveError(f"could not draw a bounded {what} run in {max_attempts} attempts; ranges need retuning")

@@ -161,6 +161,9 @@ class TestValidation:
             (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--pole-cutoff", "1e10"], "--pole-cutoff"),
             (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--field", "complex",
               "--dir-re", "nan"], "--dir-re"),
+            (["zeros", "--eq", "xvii", "--beta", "2", "--z0", "0", "--w0", "1", "--w1", "-2", "--span", "2"],
+             "error: beta:"),
+            (["integrate", "--eq", "xxxii", "--alpha", "1", "--w0", "1", "--span", "1"], "error: alpha:"),
         ],
     )
     def test_invalid_specs_exit_1_naming_the_field(self, args, needle, capsys, tmp_path):

@@ -77,6 +77,14 @@ def test_piv0_rejects_nonzero_params():
         completed_w2(K.SQRT_PIV0, Params(0.0, 1.0), 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("kind", [K.XVII, K.XXIX, K.XXXII])
+@pytest.mark.parametrize("params,name", [(Params(0.5, 0.0), "alpha"), (Params(0.0, 2.0), "beta")])
+def test_parameter_free_kinds_reject_nonzero_params(kind, params, name):
+    # the equations ignore (alpha, beta), but the zero label would read beta
+    with pytest.raises(ValueError, match=f"^{name}: {kind.value} requires"):
+        rhs3(kind, params, 0.0, 1.0, 0.0)
+
+
 def test_jets_reject_non_finite():
     with pytest.raises(ValueError):
         Jet3(0.0, math.inf, 0.0, 0.0)

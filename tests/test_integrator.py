@@ -294,6 +294,63 @@ class TestIntegrate:
             integrate(K.SQRT_PIV0, Params(), init, 1.0)
 
 
+class TestWBound:
+    # a README-sweep pole cell: |w| passes 3 well before the 1e4 cutoff
+    P = Params(-1.2, 2.0)
+    INIT = InitialData.nonzero(-1.0, 0.5, 0.0)
+
+    def test_bounded_run_is_a_prefix_of_the_unbounded_run(self):
+        full = integrate(K.PIV, self.P, self.INIT, 2.0)
+        assert full.status is TrajectoryStatus.POLE
+        bounded = integrate(K.PIV, self.P, self.INIT, 2.0, w_bound=3.0)
+        assert bounded.status is TrajectoryStatus.W_BOUND
+        assert bounded.status.value == "w_bound"
+        assert bounded.pole_estimate is None
+        n = len(bounded.nodes)
+        assert 1 < n < len(full.nodes)
+        assert bounded.nodes == full.nodes[:n]
+        assert bounded.max_abs_w() <= 3.0
+        # the step that crossed the bound is not stored
+        assert abs(full.nodes[n].jet.w) > 3.0
+
+    def test_bound_above_every_node_changes_nothing(self):
+        full = integrate(K.PIV, self.P, self.INIT, 2.0)
+        for bound in (math.inf, 1e6):
+            t = integrate(K.PIV, self.P, self.INIT, 2.0, w_bound=bound)
+            assert (t.status, t.nodes, t.pole_estimate) == (full.status, full.nodes, full.pole_estimate)
+
+    def test_sqrt_bound_is_on_f_and_cutoff_on_f_squared(self):
+        init = InitialData.raw(0.0, 1.0, 0.0, 0.0)
+        full = integrate(K.SQRT_PIV0, Params(), init, 2.0)
+        assert full.status is TrajectoryStatus.POLE
+        bounded = integrate(K.SQRT_PIV0, Params(), init, 2.0, w_bound=3.0)
+        assert bounded.status is TrajectoryStatus.W_BOUND
+        n = len(bounded.nodes)
+        assert bounded.nodes == full.nodes[:n]
+        # stored |f| passes sqrt(3): the bound is not applied to f^2
+        assert math.sqrt(3.0) < bounded.max_abs_w() <= 3.0
+        assert abs(full.nodes[n].jet.w) > 3.0
+        # |f| = 200 lies beyond the cutoff f^2 = 1e4, so the pole ends the run
+        t = integrate(K.SQRT_PIV0, Params(), init, 2.0, w_bound=200.0)
+        assert (t.status, t.nodes, t.pole_estimate) == (full.status, full.nodes, full.pole_estimate)
+
+    def test_step_crossing_bound_and_cutoff_ends_pole(self):
+        full = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
+        assert full.status is TrajectoryStatus.POLE
+        last = abs(full.nodes[-1].jet.w)
+        bound = 0.5 * (last + full.tol.pole_cutoff)
+        t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, w_bound=bound)
+        assert t.status is TrajectoryStatus.POLE
+        assert t.pole_estimate == full.pole_estimate
+        assert abs(t.pole_estimate - 1.0) < 1e-10
+        assert t.nodes == full.nodes
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan])
+    def test_bad_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="w_bound"):
+            integrate(K.PIV, self.P, self.INIT, 2.0, w_bound=bound)
+
+
 class TestComplexMode:
     def test_straight_path_constraint_conserved(self):
         d = complex(math.cos(0.3), math.sin(0.3))

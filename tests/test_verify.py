@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from painleve4.verify import DEFAULT_COUNTS, SUITE_NAMES, run_suite
+from painleve4 import PainleveError, TrajectoryStatus, integrate
+from painleve4.verify import _VERIFY_TOL, DEFAULT_COUNTS, SUITE_NAMES, _constraint_draw, _draw_bounded_run, run_suite
 
 
 def test_suite_names_cover_cli_contract():
@@ -46,3 +49,23 @@ def test_unknown_suite_rejected():
         run_suite("bogus", seed=0, count=1)
     with pytest.raises(ValueError):
         run_suite("identities", seed=0, count=0)
+
+
+def test_bounded_draws_keep_the_unbounded_acceptance_rule():
+    # reference: integrate without a bound, accept a run that completes with max|w| <= 3
+    rng = random.Random(5)
+    decisions = []
+    for _ in range(40):
+        drawn = _constraint_draw(rng)
+        ref = integrate(*drawn, _VERIFY_TOL)
+        ref_accepts = ref.status is TrajectoryStatus.COMPLETED and ref.max_abs_w() <= 3.0
+        try:
+            traj, _ = _draw_bounded_run(None, lambda _rng: drawn, 3.0, 1, "constraint")
+        except PainleveError:
+            accepts = False
+        else:
+            accepts = True
+            assert traj.nodes == ref.nodes
+        assert accepts == ref_accepts
+        decisions.append(accepts)
+    assert any(decisions) and not all(decisions)
