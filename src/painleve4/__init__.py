@@ -9,7 +9,6 @@ functional C, which vanishes exactly on consistent jets.
 
 from .equations import (
     EquationKind,
-    Jet2,
     Jet3,
     Params,
     Scalar,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EquationKind",
-    "Jet2",
     "Jet3",
     "Params",
     "Scalar",

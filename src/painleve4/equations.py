@@ -87,19 +87,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class Jet2:
-    """Point value (z, w, w') of a solution, second derivative not included."""
-
-    z: Scalar
-    w: Scalar
-    w1: Scalar
-
-    def __post_init__(self):
-        for name in ("z", "w", "w1"):
-            _check_finite(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
 class Jet3:
     """Point value (z, w, w', w''): the full state of the third-order system.
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .equations import (
     EquationKind,
-    Jet2,
     Jet3,
     Params,
     Scalar,
@@ -65,7 +64,7 @@ class QuadraticSolution:
         return 1.0 if self.kind is EquationKind.XXXII else 0.0
 
 
-def fit_quadratic(kind: EquationKind, j: Jet2 | Jet3) -> QuadraticSolution:
+def fit_quadratic(kind: EquationKind, j: Jet3) -> QuadraticSolution:
     """Fit the unique quadratic through a regular (w != 0) jet of xvii or xxxii.
 
     The curvature is read from the equation itself (a = w''/2), so the
@@ -124,16 +123,14 @@ def xxix_pole_family(c: Scalar, z: Scalar) -> Jet3:
     return Jet3(z, u, u * u, 2.0 * u ** 3)
 
 
-def xxxii_u_integral(j: Jet2 | Jet3, sign: int = +1) -> float:
+def xxxii_u_integral(j: Jet3) -> float:
     """First integral K of the substitution w = u^2 applied to xxxii.
 
-    With u = sign * sqrt(w) and u' = w'/(2u), K = u'^2 - 1/(4 u^2), which
+    With u = +-sqrt(w) and u' = w'/(2u), K = u'^2 - 1/(4 u^2), which
     simplifies to (w'^2 - 1)/(4w) and does not depend on the sign choice.
     On the quadratic family K equals the leading coefficient a.  Requires
     real w > 0.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign: must be +1 or -1, got {sign!r}")
     if isinstance(j.w, complex) or isinstance(j.w1, complex):
         raise SingularInput("u-substitution integral is defined in REAL mode")
     if not j.w > 0:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .equations import (
     EquationKind,
-    Jet2,
     Jet3,
     Params,
     constraint_c,
@@ -163,10 +162,10 @@ def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
         z0 = rng.uniform(-1.5, 1.5)
         w0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 3.0)
         w1 = rng.uniform(-3.0, 3.0)
-        q = fit_quadratic(kind, Jet2(z0, w0, w1))
-        worst_disc = max(worst_disc, abs(q.discriminant - q.target_discriminant))
         span = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 3.0)
         traj = integrate(kind, Params(), InitialData.nonzero(z0, w0, w1), span, _VERIFY_TOL)
+        q = fit_quadratic(kind, traj.nodes[0].jet)
+        worst_disc = max(worst_disc, abs(q.discriminant - q.target_discriminant))
         for node in traj.nodes:
             exact = eval_quadratic(q, node.jet.z)
             worst_w = max(worst_w, abs(node.jet.w - exact.w))

@@ -6,8 +6,9 @@ so a zero on a trajectory whose C has drifted to C* has slope
 +-sqrt(beta^2 - C*): exactly +-beta on a consistent solution.  When
 beta = 0 an isolated zero additionally has w''(a) != 0 (otherwise the
 third-order uniqueness theorem would force w to vanish identically near a).
-The locator refines candidates on the dense interpolant and gives each one
-its single verdict, a `ZeroBranch`.
+The locator refines at most one candidate per node interval on the dense
+interpolant, in path order and with no merging, and gives each one its
+single verdict, a `ZeroBranch`.
 
 A zero of w on the path is a minimum of |w|^2, so the path derivative
 q = d|w|^2/ds = 2 Re(conj(w) w' d) rises through 0 across it, and every node
@@ -37,8 +38,6 @@ logger = logging.getLogger(__name__)
 SLOPE_TOL = 1e-6
 #: curvature floor for the beta = 0 check
 CURV_FLOOR = 1e-8
-#: events closer than this multiple of the local step size are merged
-ISOLATION_STEPS = 10.0
 
 #: enough halvings to reach adjacent doubles in any node interval not starting at s = 0
 _BISECT_ITERS = 100
@@ -69,10 +68,10 @@ def _classify(slope: Scalar, beta: float, res2: Scalar, real_mode: bool) -> Zero
     return ZeroBranch.PLUS_BETA if abs(slope - beta) <= abs(slope + beta) else ZeroBranch.MINUS_BETA
 
 
-def _bisect(f, lo: float, hi: float) -> tuple[float, Jet3]:
+def _bisect(f, lo: float, hi: float) -> Jet3:
     """Bisect a sign change of f(s) -> (value, jet) on [lo, hi] until the midpoint is an endpoint.
 
-    Returns (s, jet) at an exact zero of f if one is met, otherwise at the
+    Returns the jet at an exact zero of f if one is met, otherwise at the
     final endpoint with the smaller |value|.
     """
     v_lo, j_lo = f(lo)
@@ -83,30 +82,29 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, Jet3]:
             break
         v, jet = f(mid)
         if v == 0:
-            return mid, jet
+            return jet
         if (v < 0) == (v_lo < 0):
             lo, v_lo, j_lo = mid, v, jet
         else:
             hi, v_hi, j_hi = mid, v, jet
-    return (lo, j_lo) if abs(v_lo) <= abs(v_hi) else (hi, j_hi)
+    return j_lo if abs(v_lo) <= abs(v_hi) else j_hi
 
 
 def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     """Locate and classify zeros of w along a trajectory.
 
-    Candidates are exact node zeros; every node interval where
-    q = d|w|^2/ds rises from below 0 to 0 or above, bisected on q; and, in
-    REAL mode, every node interval where w changes sign but q does not rise,
-    bisected on w.  Candidates closer than ``ISOLATION_STEPS`` steps of the
-    node closing their interval (capped at 5 % of the path) are merged,
-    keeping the smaller |w|; then a candidate is kept, in path order, only
-    if ``|w| < tol.abs`` at it.  Slope and curvature are read from the
-    refined jet.  The slope must lie within ``SLOPE_TOL * max(1, |beta|)``
-    of +-sqrt(beta^2 - res2*), where res2* is the monitor of the node
-    closing the interval (of the node itself for a node zero); the branch
-    is then the nearer of +-beta, and UNRESOLVED otherwise.  On piv and
-    piv0 res2* is the drifted C*; on xvii and xxix it is the kind's own
-    first integral, which reduces to -w'^2 at a zero.
+    Each node interval (s_i, s_i+1] gives at most one candidate, in path
+    order: the closing node if its w is exactly 0; otherwise, if
+    q = d|w|^2/ds rises from below 0 to 0 or above, the bisection of q;
+    otherwise, in REAL mode, if w changes sign, the bisection of w.  Node 0
+    is a candidate only if w0 is exactly 0.  Nothing is merged: a candidate
+    is kept only if ``|w| < tol.abs`` at it.  Slope and curvature are read
+    from the refined jet.  The slope must lie within
+    ``SLOPE_TOL * max(1, |beta|)`` of +-sqrt(beta^2 - res2*), where res2* is
+    the monitor of the node closing the interval (of node 0 for its own
+    zero); the branch is then the nearer of +-beta, and UNRESOLVED
+    otherwise.  On piv and piv0 res2* is the drifted C*; on xvii and xxix it
+    is the kind's own first integral, which reduces to -w'^2 at a zero.
 
     Two zeros inside one node interval yield at most one event.  The
     identically-zero trajectory yields no events (its zeros are not
@@ -130,35 +128,22 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
         jet = dense_eval_param(traj, s)
         return jet.w, jet
 
-    # (s, jet, node): node closes the candidate's interval and lends its step h
-    # and monitor res2; node 0's h = 0 is never read, as its candidate sorts first
-    refined: list[tuple[float, Jet3, TrajectoryNode]] = [(n.s, n.jet, n) for n, w in zip(nodes, ws) if w == 0]
+    # each candidate carries the node closing its interval, whose res2 judges it
+    candidates: list[tuple[Jet3, TrajectoryNode]] = [(nodes[0].jet, nodes[0])] if ws[0] == 0 else []
     qs = [(w.conjugate() * j.w1 * d).real for w, j in zip(ws, jets)]
-    for i in range(len(nodes) - 1):
-        if qs[i] < 0 <= qs[i + 1]:
-            f = q_at
+    for i, node in enumerate(nodes[1:]):
+        if ws[i + 1] == 0:
+            jet = node.jet
+        elif qs[i] < 0 <= qs[i + 1]:
+            jet = _bisect(q_at, nodes[i].s, node.s)
         elif real_mode and (ws[i] < 0 < ws[i + 1] or ws[i + 1] < 0 < ws[i]):
-            f = w_at
+            jet = _bisect(w_at, nodes[i].s, node.s)
         else:
             continue
-        refined.append((*_bisect(f, nodes[i].s, nodes[i + 1].s), nodes[i + 1]))
-
-    refined.sort(key=lambda item: item[0])
-    # isolation radius: 10 local steps, capped so that long exact steps
-    # (polynomial solutions) cannot swallow genuinely distinct zeros
-    radius_cap = 0.05 * max(nodes[-1].s, traj.tol.h_init)
-    merged: list[tuple[float, Jet3, TrajectoryNode]] = []
-    for s, jet, node in refined:
-        if merged:
-            s_prev, jet_prev, _ = merged[-1]
-            if s - s_prev < min(ISOLATION_STEPS * node.h, radius_cap):
-                if abs(jet.w) < abs(jet_prev.w):
-                    merged[-1] = (s, jet, node)
-                continue
-        merged.append((s, jet, node))
+        candidates.append((jet, node))
 
     events = []
-    for _, jet, node in merged:
+    for jet, node in candidates:
         if abs(jet.w) >= traj.tol.abs:
             continue  # a |w| minimum off the zero set
         branch = _classify(jet.w1, beta, node.res2, real_mode)

@@ -9,7 +9,7 @@ import math
 from painleve4 import (
     EquationKind,
     InitialData,
-    Jet2,
+    Jet3,
     Params,
     TrajectoryStatus,
     ZeroBranch,
@@ -148,7 +148,7 @@ def test_criterion_6_xxix_first_integrals(capsys):
 def test_criterion_7_u_substitution(capsys):
     worst = 0.0
     for w0, w1 in ((2.0, 3.0), (0.3, 1.0)):
-        q = fit_quadratic(K.XXXII, Jet2(0.0, w0, w1))
+        q = fit_quadratic(K.XXXII, Jet3(0.0, w0, w1, 0.0))
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, w0, w1), 4.0)
         ks = []
         for n in t.nodes:

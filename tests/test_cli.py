@@ -164,10 +164,16 @@ class TestValidation:
             (["zeros", "--eq", "xvii", "--beta", "2", "--z0", "0", "--w0", "1", "--w1", "-2", "--span", "2"],
              "error: beta:"),
             (["integrate", "--eq", "xxxii", "--alpha", "1", "--w0", "1", "--span", "1"], "error: alpha:"),
+            (["integrate", "--eq", "piv", "--alpha", "nan", "--w0", "1", "--span", "1"], "error: --alpha/--beta:"),
+            (["sweep", "--eq", "piv", "--w0", "0.5"], "error: --span:"),
+            (["sweep", "--eq", "piv", "--w0", "0.5", "--span", "1", "--alpha-steps", "1001", "--beta-steps", "1000"],
+             "error: --alpha-steps/--beta-steps:"),
         ],
     )
     def test_invalid_specs_exit_1_naming_the_field(self, args, needle, capsys, tmp_path):
-        full = args + ["--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")]
+        # sweep writes no summary, so it has no --summary
+        summary = [] if args[0] == "sweep" else ["--summary", str(tmp_path / "s")]
+        full = args + ["--out", str(tmp_path / "o")] + summary
         assert main(full) == 1
         err = capsys.readouterr().err
         assert needle in err

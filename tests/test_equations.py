@@ -8,7 +8,6 @@ from painleve4 import (
     EquationKind,
     InitialData,
     InvalidInitialData,
-    Jet2,
     Jet3,
     Params,
     SingularInput,
@@ -88,8 +87,6 @@ def test_parameter_free_kinds_reject_nonzero_params(kind, params, name):
 def test_jets_reject_non_finite():
     with pytest.raises(ValueError):
         Jet3(0.0, math.inf, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Jet2(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError):
         Params(math.inf, 0.0)
 

@@ -294,6 +294,58 @@ class TestIntegrate:
             integrate(K.SQRT_PIV0, Params(), init, 1.0)
 
 
+@pytest.fixture
+def trial_steps(monkeypatch):
+    """Record each trial step of `integrate` as 'passed', 'error' or 'non-finite'."""
+    import painleve4.integrator as integrator
+
+    seen = []
+    make_kernel = integrator._dp3
+
+    def counting(*args):
+        kernel = make_kernel(*args)
+
+        def counted(s, y, h):
+            out = kernel(s, y, h)
+            seen.append("non-finite" if out is None else "error" if out[1] > 1.0 else "passed")
+            return out
+
+        return counted
+
+    monkeypatch.setattr(integrator, "_dp3", counting)
+    return seen
+
+
+class TestRejectedSteps:
+    # a large h_init forces the controller to reject trial steps, then regrow h
+    def test_error_rejection_on_a_regular_run(self, trial_steps):
+        init = InitialData.nonzero(-1.0, 0.5, 0.0)
+        t = integrate(K.PIV, Params(), init, 2.0, Tolerances(h_init=0.5))
+        assert trial_steps.count("error") == 2 and "non-finite" not in trial_steps
+        assert t.status is TrajectoryStatus.COMPLETED
+        assert all(n.err_est <= 1.0 for n in t.nodes)
+        ref = integrate(K.PIV, Params(), init, 2.0).nodes[-1].jet
+        end = t.nodes[-1].jet
+        assert end.z == ref.z
+        for a, b in ((end.w, ref.w), (end.w1, ref.w1), (end.w2, ref.w2)):
+            assert abs(a - b) < 1e-9 * max(1.0, abs(b))
+
+    def test_error_rejections_on_a_pole_run(self, trial_steps):
+        j = xxix_pole_family(0.01, 0.0)
+        t = integrate(K.XXIX, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.0, Tolerances(h_init=0.9))
+        assert trial_steps.count("error") == 6 and "non-finite" not in trial_steps
+        assert t.status is TrajectoryStatus.POLE
+        assert abs(t.pole_estimate - 0.01) < 1e-10
+
+    def test_non_finite_rejections_end_in_underflow(self, trial_steps):
+        # w0 = 1e20: every trial step overflows until h falls below h_min
+        j = xxix_pole_family(1e-20, 0.0)
+        t = integrate(K.XXIX, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.0, Tolerances(h_init=0.9))
+        assert trial_steps == ["non-finite"] * 18
+        assert t.status is TrajectoryStatus.STEP_UNDERFLOW
+        assert len(t.nodes) == 1 and t.pole_estimate is None
+
+
 class TestWBound:
     # a README-sweep pole cell: |w| passes 3 well before the 1e4 cutoff
     P = Params(-1.2, 2.0)
@@ -414,6 +466,16 @@ class TestDenseEval:
             dense_eval(t, 4.5)
         with pytest.raises(OutOfSpan):
             dense_eval(t, -0.5)
+
+    def test_complex_path_takes_the_arc_parameter(self):
+        d = complex(math.cos(0.3), math.sin(0.3))
+        init = InitialData.raw(0.0, 0.7, -0.1, 0.4, field=ScalarField.COMPLEX, direction=d)
+        t = integrate(K.PIV, Params(0.5, 0.25), init, 1.0)
+        for n in t.nodes:
+            assert dense_eval(t, n.s) == n.jet
+        for s in (0.1, 0.37, 0.5, 0.93):
+            assert dense_eval(t, s) == dense_eval_param(t, s)
+            assert abs(dense_eval(t, s).z - s * d) < 1e-14
 
     def test_backward_span_lookup(self):
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), -2.0)

@@ -8,11 +8,11 @@ from painleve4 import (
     DiscriminantViolation,
     EquationKind,
     InitialData,
-    Jet2,
     Jet3,
     MultipleZeros,
     NegativeW,
     Params,
+    ScalarField,
     SingularInput,
     WrongKind,
     complete_initial_data,
@@ -33,31 +33,32 @@ K = EquationKind
 
 
 class TestQuadratics:
+    # fit_quadratic reads only z, w and w'; the jets' w'' = 0 is never used
     def test_fit_xxxii_hand_values(self):
-        q = fit_quadratic(K.XXXII, Jet2(0.0, 1.0, 1.0))
+        q = fit_quadratic(K.XXXII, Jet3(0.0, 1.0, 1.0, 0.0))
         assert (q.a, q.b, q.c) == (0.0, 1.0, 1.0)
         assert q.discriminant == 1.0
-        q = fit_quadratic(K.XXXII, Jet2(0.0, 2.0, 3.0))
+        q = fit_quadratic(K.XXXII, Jet3(0.0, 2.0, 3.0, 0.0))
         assert (q.a, q.b, q.c) == (1.0, 3.0, 2.0)
         assert q.discriminant == 1.0
 
     def test_fit_xvii_hand_values(self):
-        q = fit_quadratic(K.XVII, Jet2(0.0, 1.0, 2.0))
+        q = fit_quadratic(K.XVII, Jet3(0.0, 1.0, 2.0, 0.0))
         assert (q.a, q.b, q.c) == (1.0, 2.0, 1.0)
         assert q.discriminant == 0.0
 
     def test_fit_rejects_w_zero(self):
         with pytest.raises(SingularInput):
-            fit_quadratic(K.XXXII, Jet2(0.0, 0.0, 1.0))
+            fit_quadratic(K.XXXII, Jet3(0.0, 0.0, 1.0, 0.0))
 
     def test_fit_rejects_other_kinds(self):
         with pytest.raises(WrongKind):
-            fit_quadratic(K.PIV, Jet2(0.0, 1.0, 1.0))
+            fit_quadratic(K.PIV, Jet3(0.0, 1.0, 1.0, 0.0))
 
     def test_ill_conditioned_jet_trips_discriminant_gate(self):
         # cancellation at scale b^2 ~ 1e9 dwarfs the 1e-10 gate
         with pytest.raises(DiscriminantViolation):
-            fit_quadratic(K.XXXII, Jet2(5.0, 1e-3, 10.0))
+            fit_quadratic(K.XXXII, Jet3(5.0, 1e-3, 10.0, 0.0))
 
     @given(
         z0=st.floats(min_value=-2.0, max_value=2.0),
@@ -67,16 +68,16 @@ class TestQuadratics:
     )
     @settings(max_examples=150)
     def test_fitted_discriminant_holds(self, z0, w0, w1, sign):
-        q32 = fit_quadratic(K.XXXII, Jet2(z0, sign * w0, w1))
+        q32 = fit_quadratic(K.XXXII, Jet3(z0, sign * w0, w1, 0.0))
         assert abs(q32.discriminant - 1.0) < 1e-12
-        q17 = fit_quadratic(K.XVII, Jet2(z0, sign * w0, w1))
+        q17 = fit_quadratic(K.XVII, Jet3(z0, sign * w0, w1, 0.0))
         assert abs(q17.discriminant) < 1e-12
 
     def test_eval_quadratic(self):
-        q = fit_quadratic(K.XXXII, Jet2(0.0, 2.0, 3.0))
+        q = fit_quadratic(K.XXXII, Jet3(0.0, 2.0, 3.0, 0.0))
         j = eval_quadratic(q, 0.0)
         assert (j.z, j.w, j.w1, j.w2) == (0.0, 2.0, 3.0, 2.0)
-        q = fit_quadratic(K.XXXII, Jet2(0.0, 1.0, 1.0))
+        q = fit_quadratic(K.XXXII, Jet3(0.0, 1.0, 1.0, 0.0))
         j = eval_quadratic(q, 5.0)
         assert (j.z, j.w, j.w1, j.w2) == (5.0, 6.0, 1.0, 0.0)
 
@@ -120,23 +121,20 @@ class TestXXIXIntegrals:
 
 
 class TestUIntegral:
+    # xxxii_u_integral reads only w and w'; the jets' w'' = 0 is never used
     def test_hand_values(self):
         # w = z^2 + z at z = 1: K = (9 - 1)/8 = 1 = leading coefficient
-        assert xxxii_u_integral(Jet2(1.0, 2.0, 3.0)) == 1.0
-        assert xxxii_u_integral(Jet2(0.0, 1.0, 1.0)) == 0.0
-
-    def test_sign_flip_is_exactly_invariant(self):
-        j = Jet2(0.7, 2.3, -1.9)
-        assert xxxii_u_integral(j, +1) == xxxii_u_integral(j, -1)
+        assert xxxii_u_integral(Jet3(1.0, 2.0, 3.0, 0.0)) == 1.0
+        assert xxxii_u_integral(Jet3(0.0, 1.0, 1.0, 0.0)) == 0.0
 
     def test_rejects_nonpositive_w(self):
         with pytest.raises(SingularInput):
-            xxxii_u_integral(Jet2(0.0, 0.0, 1.0))
+            xxxii_u_integral(Jet3(0.0, 0.0, 1.0, 0.0))
         with pytest.raises(SingularInput):
-            xxxii_u_integral(Jet2(0.0, -1.0, 1.0))
+            xxxii_u_integral(Jet3(0.0, -1.0, 1.0, 0.0))
 
     def test_constant_along_trajectory_and_equals_a(self):
-        q = fit_quadratic(K.XXXII, Jet2(0.0, 2.0, 3.0))
+        q = fit_quadratic(K.XXXII, Jet3(0.0, 2.0, 3.0, 0.0))
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)
         ks = [xxxii_u_integral(n.jet) for n in t.nodes if n.jet.w > 0]
         assert len(ks) == len(t.nodes)
@@ -233,6 +231,28 @@ class TestSqrtTransform:
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 1.0)
         with pytest.raises(WrongKind):
             sqrt_lift(t, None, (0.0, 1.0))
+
+    def test_complex_path_raises(self):
+        init = InitialData.raw(0.0, 0.5, 0.0, 0.0, field=ScalarField.COMPLEX, direction=1j)
+        t = integrate(K.PIV0, Params(), init, 0.5)
+        with pytest.raises(WrongKind, match="REAL"):
+            sqrt_lift(t, None, (0.0, 0.4))
+
+    @pytest.mark.parametrize("interval", [(0.3, 0.3), (0.4, 0.1)])
+    def test_empty_interval_raises(self, tangency_run, interval):
+        traj, _ = tangency_run
+        with pytest.raises(ValueError, match="need lo < hi"):
+            sqrt_lift(traj, None, interval)
+
+    def test_interval_past_the_covered_span_raises(self, tangency_run):
+        traj, _ = tangency_run
+        with pytest.raises(ValueError, match="exceeds the covered span"):
+            sqrt_lift(traj, None, (0.1, 0.7))
+
+    def test_event_outside_the_interval_raises(self, tangency_run):
+        traj, event = tangency_run
+        with pytest.raises(ValueError, match="outside the interval"):
+            sqrt_lift(traj, event, (0.1, 0.5))
 
     def test_lift_residual_against_sqrt_equation(self, tangency_run):
         # f'' recovered from the w-jet must satisfy 4 f'' = f (3f^2+2t)(f^2+2t)

@@ -59,6 +59,18 @@ def test_refined_points_sit_on_zeros(xxxii_through_two_roots):
         assert abs(dense_eval(t, e.a).w) < t.tol.abs
 
 
+def test_exact_node_zero_is_the_one_event_of_its_interval(xxxii_through_two_roots):
+    # a closing node with w == 0 is its interval's candidate, ahead of the rise
+    # of q there; it opens the next interval with q = 0, which is no rise
+    t = xxxii_through_two_roots
+    k = next(i for i, n in enumerate(t.nodes) if n.jet.w < 0)
+    hit = dataclasses.replace(t.nodes[k], jet=dataclasses.replace(t.nodes[k].jet, w=0.0))
+    events = locate_zeros(dataclasses.replace(t, nodes=t.nodes[:k] + (hit,) + t.nodes[k + 1:]))
+    assert len(events) == 2
+    assert events[0].a == hit.jet.z and events[0].slope == hit.jet.w1
+    assert abs(events[1].a - 0.5) < 1e-9
+
+
 def test_seed_zero_event_classified_plus_beta():
     t = integrate(K.PIV, Params(0.0, 1.0), InitialData.zero(0.0, +1, 0.0), 1.0)
     events = locate_zeros(t)
@@ -119,6 +131,13 @@ def test_curvature_check_rejects_nonzero_beta():
 def test_curvature_check_rejects_wrong_kind(xxxii_through_two_roots):
     with pytest.raises(WrongKind):
         check_curvature_theorem((), xxxii_through_two_roots)
+
+
+def test_curvature_check_rejects_complex_path():
+    init = InitialData.raw(0.0, 0.5, 0.0, 0.0, ScalarField.COMPLEX, 1j)
+    t = integrate(K.PIV0, Params(), init, 0.5)
+    with pytest.raises(WrongKind, match="REAL"):
+        check_curvature_theorem(locate_zeros(t), t)
 
 
 def test_raw_zero_seed_event_keeps_curvature():
@@ -316,3 +335,17 @@ def test_sign_change_over_a_turning_point_step():
     events = locate_zeros(t)
     assert len(events) == 1
     assert abs(events[0].a - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "r,w0,w1",
+    [(0.015, 0.02625, -2.5)] + [(r, 50.0 * r * (r + 0.02), -50.0 * (2.0 * r + 0.02)) for r in (0.03, 0.12, 0.285)],
+)
+def test_close_roots_of_one_quadratic_each_found_once(r, w0, w1):
+    # w = 50 (z - r)(z - r - 0.02) solves xxxii (b^2 - 4ac = 1); its two roots
+    # fall in adjacent node intervals.  The first case is the run of
+    # `painleve4 zeros --eq xxxii --z0 0 --w0 0.02625 --w1 -2.5 --span 1`
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, w0, w1), 1.0)
+    events = locate_zeros(t)
+    assert len(events) == 2, events
+    assert abs(events[0].a - r) < 1e-12 and abs(events[1].a - (r + 0.02)) < 1e-12, events
