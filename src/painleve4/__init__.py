@@ -34,6 +34,7 @@ from .integrator import (
     Tolerances,
     Trajectory,
     TrajectoryNode,
+    TrajectoryStats,
     TrajectoryStatus,
     complete_initial_data,
     dense_eval,
@@ -88,6 +89,7 @@ __all__ = [
     "Tolerances",
     "Trajectory",
     "TrajectoryNode",
+    "TrajectoryStats",
     "TrajectoryStatus",
     "complete_initial_data",
     "dense_eval",

@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .equations import EquationKind, Params, Scalar, ScalarField
@@ -30,6 +30,7 @@ from .integrator import (
     InitialData,
     Tolerances,
     Trajectory,
+    TrajectoryStats,
     TrajectoryStatus,
     dense_eval,  # noqa: F401 -- unused here; perfbench/tracing.py patches cli.dense_eval
     integrate,
@@ -151,6 +152,7 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
         "max_abs_c": max(abs(n.c) for n in traj.nodes),
         "max_abs_res2": max(abs(n.res2) for n in traj.nodes),
         "events": [_event_json(e) for e in events],
+        "stats": asdict(traj.stats),
     }
 
 
@@ -273,6 +275,7 @@ class SweepCell:
     max_c_drift: float | None
     events: tuple[ZeroEvent, ...]
     error: str = ""
+    stats: TrajectoryStats | None = None
 
 
 def run_sweep(
@@ -307,6 +310,7 @@ def run_sweep(
                         pole_estimate=traj.pole_estimate,
                         max_c_drift=drift,
                         events=events,
+                        stats=traj.stats,
                     )
                 )
             except Exception as exc:  # noqa: BLE001  (per-cell isolation is the contract)
@@ -322,11 +326,20 @@ def _grid(name: str, lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+def _stats_cells(stats: TrajectoryStats | None) -> list:
+    # an errored cell has no trajectory: its six step-counter columns stay empty
+    if stats is None:
+        return [""] * 6
+    hs = ["" if h is None else fmt_float(h) for h in (stats.h_min, stats.h_max)]
+    return [stats.accepted, stats.rejected_error, stats.rejected_nonfinite, stats.rhs_evals, *hs]
+
+
 def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            ["alpha", "beta", "status", "node_count", "zero_count", "pole_est_re", "pole_est_im", "max_c_drift", "error"]
+            "alpha,beta,status,node_count,zero_count,pole_est_re,pole_est_im,max_c_drift,error,"
+            "accepted,rejected_error,rejected_nonfinite,rhs_evals,h_min,h_max".split(",")
         )
         for cell in cells:
             if cell.pole_estimate is None:
@@ -344,6 +357,7 @@ def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
                     pole_im,
                     "" if cell.max_c_drift is None else fmt_float(cell.max_c_drift),
                     cell.error,
+                    *_stats_cells(cell.stats),
                 ]
             )
 

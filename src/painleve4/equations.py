@@ -37,6 +37,7 @@ conversion is offered anywhere in this package.
 
 import cmath
 import math
+from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,8 +101,10 @@ class Jet3:
     w2: Scalar
 
     def __post_init__(self):
-        for name in ("z", "w", "w1", "w2"):
-            _check_finite(name, getattr(self, name))
+        # one chain for the common, finite case; the loop names the first bad field
+        if not (isfinite(self.z) and isfinite(self.w) and isfinite(self.w1) and isfinite(self.w2)):
+            for name in ("z", "w", "w1", "w2"):
+                _check_finite(name, getattr(self, name))
 
 
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:

@@ -11,7 +11,10 @@ as one unrolled kernel, `_dp3`.  `integrate` and `step` bind it once to the
 kind's right-hand side (`equations.rhs_fn`), so the step loop does no kind
 dispatch and no parameter validation.  Each unrolled sum runs left to right
 in tableau order; tests/test_integrator.py holds a generic tableau step
-that the kernel must match bit for bit.
+that the kernel must match bit for bit.  The pair is first same as last:
+its seventh stage is evaluated at y5, so after an accepted step the kernel
+reuses that stage as the next step's first and calls the right-hand side
+6 times per step instead of 7, with bit-identical results.
 
 Dense output is not taken from the pair: node jets already carry
 (w, w', w''), so a two-point quintic Hermite interpolant between accepted
@@ -23,6 +26,7 @@ import math
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .equations import (
     EquationKind,
@@ -149,9 +153,13 @@ class TrajectoryStatus(Enum):
     STEP_BUDGET = "step_budget"
 
 
-@dataclass(frozen=True)
-class TrajectoryNode:
-    """One accepted integration node with step metadata and monitor values."""
+class TrajectoryNode(NamedTuple):
+    """One accepted integration node with step metadata and monitor values.
+
+    A named tuple rather than a frozen dataclass: it is just as immutable and
+    hashable, and `integrate` builds one per accepted step at a third of the
+    cost.
+    """
 
     jet: Jet3
     h: float
@@ -159,6 +167,28 @@ class TrajectoryNode:
     c: Scalar
     res2: Scalar
     s: float
+
+
+@dataclass(frozen=True)
+class TrajectoryStats:
+    """Deterministic step counts of one integration.
+
+    accepted            trial steps that passed error control; each is stored
+                        as a node, except the one that ends a run POLE or
+                        W_BOUND, so len(nodes) = 1 + accepted less that step
+    rejected_error      trial steps whose error estimate exceeded 1
+    rejected_nonfinite  trial steps whose new state or error was not finite
+    rhs_evals           right-hand side calls: 7 for a trial step, 6 for one
+                        that follows an accepted step (first same as last)
+    h_min, h_max        the range of h over the accepted steps; None if none
+    """
+
+    accepted: int
+    rejected_error: int
+    rejected_nonfinite: int
+    rhs_evals: int
+    h_min: float | None
+    h_max: float | None
 
 
 @dataclass(frozen=True)
@@ -172,6 +202,7 @@ class Trajectory:
     tol: Tolerances
     nodes: tuple[TrajectoryNode, ...]
     status: TrajectoryStatus
+    stats: TrajectoryStats
     pole_estimate: Scalar | None = None
 
     @property
@@ -226,14 +257,26 @@ def _dp3(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
     max_i |e_i| / (abs + rel * max(|y_i|, |y5_i|)).  It returns None when
     y5 or the error vector is not finite; NaN and inf propagate through the
     later stages, so one check per step covers every stage.
+
+    First same as last: the kernel remembers the y5 of its last call, with
+    s + h and the seventh stage's rhs term.  Called next with that same y5
+    object at that same s, as `integrate` does after an accepted step, it
+    takes that term as stage 1 instead of calling rhs: z0 + s*d is then the
+    float it was evaluated at, so the result is bit-identical.  After a
+    rejected step y is the older tuple, and stage 1 is evaluated afresh.
     """
+    last_y = last_s = last_k = None
 
     def kernel(s: float, y: tuple, h: float):
+        nonlocal last_y, last_s, last_k
         y0, y1, y2 = y
         # k<stage><component>: arc-parameter derivative of stage input <stage>
         k10 = d * y1
         k11 = d * y2
-        k12 = d * rhs(z0 + s * d, y0, y1)
+        if y is last_y and s == last_s:
+            k12 = last_k
+        else:
+            k12 = d * rhs(z0 + s * d, y0, y1)
         u0 = y0 + h * (_A21 * k10)
         u1 = y1 + h * (_A21 * k11)
         u2 = y2 + h * (_A21 * k12)
@@ -271,12 +314,14 @@ def _dp3(rhs, z0: Scalar, d: Scalar, atol: float, rtol: float):
         k70 = d * n1
         k71 = d * n2
         k72 = d * rhs(z_end, n0, n1)
+        y5 = (n0, n1, n2)
+        last_y, last_s, last_k = y5, s + h, k72
         e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
         e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
         e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
         if not (isfinite(n0) and isfinite(n1) and isfinite(n2) and isfinite(e0) and isfinite(e1) and isfinite(e2)):
             return None
-        return (n0, n1, n2), max(
+        return y5, max(
             abs(e0) / (atol + rtol * max(abs(y0), abs(n0))),
             abs(e1) / (atol + rtol * max(abs(y1), abs(n1))),
             abs(e2) / (atol + rtol * max(abs(y2), abs(n2))),
@@ -344,6 +389,9 @@ def integrate(
     constraint value C and the division-free residual of the selected
     second-order equation.
 
+    The returned `Trajectory.stats` counts the trial steps, the rhs calls
+    and the range of accepted h; they are deterministic, like the nodes.
+
     Termination:
       COMPLETED       the requested span was covered,
       POLE(z_est)     an accepted step took |w| above pole_cutoff (|f^2| for
@@ -378,17 +426,16 @@ def integrate(
     # one comparison per accepted step serves both the cutoff and the bound
     stop = min(tol.pole_cutoff, w_bound * w_bound if squared else w_bound)
 
-    def make_node(jet: Jet3, h: float, err: float, s: float) -> TrajectoryNode:
-        c = constraint_c(p, jet)
-        return TrajectoryNode(jet, h, err, c, c if res2_is_c else residual2(kind, p, jet), s)
-
     try:
         j0 = complete_initial_data(kind, p, init)
-        nodes = [make_node(j0, 0.0, 0.0, 0.0)]
+        c = constraint_c(p, j0)
+        nodes = [TrajectoryNode(j0, 0.0, 0.0, c, c if res2_is_c else residual2(kind, p, j0), 0.0)]
     except OverflowError:
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)
-    kernel = _dp3(rhs_fn(kind, p), j0.z, d, tol.abs, tol.rel)
+    z0 = j0.z
+    h_min = tol.h_min
+    kernel = _dp3(rhs_fn(kind, p), z0, d, tol.abs, tol.rel)
     y = (j0.w, j0.w1, j0.w2)
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
@@ -398,13 +445,14 @@ def integrate(
     err_prev = 1.0
     rejected = False
     n_steps = 0
+    rejected_error = rejected_nonfinite = 0
 
-    while total - s > tol.h_min:
+    while total - s > h_min:
         n_steps += 1
         if n_steps > _MAX_STEPS:
             status = TrajectoryStatus.STEP_BUDGET
             break
-        if h < tol.h_min:
+        if h < h_min:
             status = TrajectoryStatus.STEP_UNDERFLOW
             break
         hit_end = h >= total - s
@@ -414,34 +462,39 @@ def integrate(
         if out is None:
             h *= _MIN_FACTOR
             rejected = True
+            rejected_nonfinite += 1
             continue
         y_new, err = out
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             rejected = True
+            rejected_error += 1
             continue
 
         # accepted
         s_new = total if hit_end else s + h
-        jet = Jet3(j0.z + s_new * d, *y_new)
-
-        mag = abs(jet.w * jet.w if squared else jet.w)
+        w = y_new[0]
+        mag = abs(w * w if squared else w)
         if mag > stop:
             if mag > tol.pole_cutoff:
                 status = TrajectoryStatus.POLE
-                pole_estimate = _pole_estimate(kind, jet)
+                pole_estimate = _pole_estimate(kind, Jet3(z0 + s_new * d, *y_new))
             else:
                 status = TrajectoryStatus.W_BOUND
             break
 
-        nodes.append(make_node(jet, h, err, s_new))
+        # constraint_c and residual2 stay module-global lookups, so a tracer can wrap them
+        jet = Jet3(z0 + s_new * d, *y_new)
+        c = constraint_c(p, jet)
+        nodes.append(TrajectoryNode(jet, h, err, c, c if res2_is_c else residual2(kind, p, jet), s_new))
         if hit_end:
             break
 
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = _SAFETY * err ** (-_PI_ALPHA) * max(err_prev, 1e-16) ** _PI_BETA
+            # err_prev is floored at 1e-16 where it is set
+            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         if rejected:
             factor = min(1.0, factor)
@@ -450,15 +503,45 @@ def integrate(
         rejected = False
         s, y = s_new, y_new
 
-    logger.debug(
-        "integrate %s: %d nodes, status %s, span %.6g of %.6g",
+    stats = _stats(nodes, status, h, rejected_error, rejected_nonfinite, rejected)
+    logger.info(
+        "integrate %s: %d nodes, status %s, span %.6g of %.6g; %s",
         kind.value,
         len(nodes),
         status.value,
         nodes[-1].s,
         total,
+        stats,
     )
-    return Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate)
+    return Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, stats, pole_estimate)
+
+
+def _stats(
+    nodes: list, status: TrajectoryStatus, h: float, rej_error: int, rej_nonfinite: int, rejected: bool
+) -> TrajectoryStats:
+    """The step counts of a finished `integrate` loop, derived once instead of per step.
+
+    h is the last step tried, which a POLE or W_BOUND run took but did not
+    store.  `rejected` is the loop's flag: at a STEP_BUDGET or
+    STEP_UNDERFLOW exit it says the last trial step was rejected, and every
+    other exit follows an accepted step.
+    """
+    hs = [node.h for node in nodes[1:]]
+    if status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND):
+        hs.append(h)
+    trials = len(hs) + rej_error + rej_nonfinite
+    # stage 1 is evaluated afresh on the first trial and on each one after a
+    # rejection: every rejection but a final one is followed by a trial
+    last_rejected = rejected and status in (TrajectoryStatus.STEP_BUDGET, TrajectoryStatus.STEP_UNDERFLOW)
+    fresh = min(trials, 1) + rej_error + rej_nonfinite - last_rejected
+    return TrajectoryStats(
+        len(hs),
+        rej_error,
+        rej_nonfinite,
+        6 * trials + fresh,
+        min(hs, default=None),
+        max(hs, default=None),
+    )
 
 
 def _hermite_quintic(n0: TrajectoryNode, n1: TrajectoryNode, d: Scalar, s: float) -> Jet3:

@@ -96,7 +96,9 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     Each node interval (s_i, s_i+1] gives at most one candidate, in path
     order: the closing node if its w is exactly 0; otherwise, if
     q = d|w|^2/ds rises from below 0 to 0 or above, the bisection of q;
-    otherwise, in REAL mode, if w changes sign, the bisection of w.  Node 0
+    otherwise, in REAL mode, if w changes sign, the bisection of w; and for
+    the last interval only, the final node if ``|w| < tol.abs`` and q <= 0
+    there, so a path that ends on a zero to rounding reports it.  Node 0
     is a candidate only if w0 is exactly 0.  Nothing is merged: a candidate
     is kept only if ``|w| < tol.abs`` at it.  Slope and curvature are read
     from the refined jet.  The slope must lie within
@@ -131,6 +133,8 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     # each candidate carries the node closing its interval, whose res2 judges it
     candidates: list[tuple[Jet3, TrajectoryNode]] = [(nodes[0].jet, nodes[0])] if ws[0] == 0 else []
     qs = [(w.conjugate() * j.w1 * d).real for w, j in zip(ws, jets)]
+    last = len(nodes) - 2
+    abs_tol = traj.tol.abs
     for i, node in enumerate(nodes[1:]):
         if ws[i + 1] == 0:
             jet = node.jet
@@ -138,13 +142,16 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
             jet = _bisect(q_at, nodes[i].s, node.s)
         elif real_mode and (ws[i] < 0 < ws[i + 1] or ws[i + 1] < 0 < ws[i]):
             jet = _bisect(w_at, nodes[i].s, node.s)
+        elif i == last and qs[i + 1] <= 0 and abs(ws[i + 1]) < abs_tol:
+            # the path ends on a zero to rounding: |w| still falls at the final node
+            jet = node.jet
         else:
             continue
         candidates.append((jet, node))
 
     events = []
     for jet, node in candidates:
-        if abs(jet.w) >= traj.tol.abs:
+        if abs(jet.w) >= abs_tol:
             continue  # a |w| minimum off the zero set
         branch = _classify(jet.w1, beta, node.res2, real_mode)
         curvature_nonzero = (abs(jet.w2) > CURV_FLOOR) if beta == 0.0 else None

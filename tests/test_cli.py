@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 
@@ -438,6 +439,45 @@ class TestSweepCommand:
         for cell in (cells[0], cells[2]):
             assert all(e.curvature_nonzero is None for e in cell.events)
 
+    def test_step_counters_follow_the_first_nine_columns(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep",
+                "--eq", "piv",
+                "--alpha-min", "-2", "--alpha-max", "2", "--alpha-steps", "2",
+                "--beta-min", "0", "--beta-max", "1", "--beta-steps", "2",
+                "--w0", "0.5", "--z0", "-1", "--span", "2",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == (
+            "alpha,beta,status,node_count,zero_count,pole_est_re,pole_est_im,max_c_drift,error,"
+            "accepted,rejected_error,rejected_nonfinite,rhs_evals,h_min,h_max"
+        )
+        rows = list(csv.DictReader(lines))
+        assert {r["status"] for r in rows} == {"completed", "pole"}
+        for r in rows:
+            unstored = r["status"] == "pole"
+            assert int(r["accepted"]) == int(r["node_count"]) - 1 + unstored
+            assert int(r["rhs_evals"]) >= 6 * int(r["accepted"])
+            assert 0.0 < float(r["h_min"]) <= float(r["h_max"])
+
+    def test_errored_cell_leaves_the_step_counters_empty(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--eq", "piv0", "--alpha-min", "1", "--w0", "0.5", "--span", "1", "--out", str(out)])
+        assert code == 1
+        row = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1]
+        assert row[2] == "error" and row[9:] == [""] * 6
+
+    def test_readme_sweep_events(self):
+        grid = [-2.0 + 4.0 * i / 10 for i in range(11)]
+        cells = run_sweep(K.PIV, grid, grid, InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances())
+        assert sum(c.zero_count for c in cells) == 106
+        assert sum(c.status == "pole" for c in cells) == 52
+
     def test_deterministic_output(self, tmp_path):
         args = [
             "sweep",
@@ -462,6 +502,25 @@ def test_log_level_env_mapping():
     assert log_level_from_env("info") == logging.INFO
     assert log_level_from_env("debug") == logging.DEBUG
     assert log_level_from_env("nonsense") == logging.WARNING
+
+
+def test_summary_ends_with_the_step_counters(tmp_path):
+    out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    argv = ["integrate", "--eq", "xxix", "--z0", "0", "--w0", "1", "--w1", "1", "--span", "2",
+            "--out", str(out), "--summary", str(summary)]  # fmt: skip
+    assert main(argv) == 0
+    doc = json.loads(summary.read_text(encoding="utf-8"))
+    assert list(doc)[-1] == "stats"
+    stats = doc["stats"]
+    assert list(stats) == ["accepted", "rejected_error", "rejected_nonfinite", "rhs_evals", "h_min", "h_max"]
+    # a pole run does not store the step that crossed the cutoff
+    assert stats["accepted"] == doc["node_count"]
+    assert stats["rejected_error"] == stats["rejected_nonfinite"] == 0
+    assert stats["rhs_evals"] == 7 + 6 * (stats["accepted"] - 1)
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
+    first = summary.read_bytes()
+    assert main(argv) == 0
+    assert summary.read_bytes() == first
 
 
 def test_summary_json_shape_complex():

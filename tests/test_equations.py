@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,27 @@ def test_parameter_free_kinds_reject_nonzero_params(kind, params, name):
     # the equations ignore (alpha, beta), but the zero label would read beta
     with pytest.raises(ValueError, match=f"^{name}: {kind.value} requires"):
         rhs3(kind, params, 0.0, 1.0, 0.0)
+
+
+_JET_FIELDS = ("z", "w", "w1", "w2")
+
+
+@pytest.mark.parametrize("field", _JET_FIELDS)
+@pytest.mark.parametrize(
+    "bad",
+    [math.inf, -math.inf, math.nan, complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)],
+    ids=["inf", "-inf", "nan", "complex-inf", "complex-imag-inf", "complex-nan"],
+)
+def test_jet_names_its_first_non_finite_field(field, bad):
+    values = {"z": 0.5, "w": 1.0, "w1": -2.0, "w2": 0.25j}
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        Jet3(**values)
+    # every later field non-finite too: the message still names the first
+    for later in _JET_FIELDS[_JET_FIELDS.index(field) + 1:]:
+        values[later] = math.nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {re.escape(repr(bad))}$"):
+        Jet3(**values)
 
 
 def test_jets_reject_non_finite():

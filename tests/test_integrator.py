@@ -346,6 +346,155 @@ class TestRejectedSteps:
         assert len(t.nodes) == 1 and t.pole_estimate is None
 
 
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Count every call of the right-hand side that `integrate` binds."""
+    import painleve4.integrator as integrator
+
+    calls = [0]
+    bind = integrator.rhs_fn
+
+    def counting_rhs_fn(kind, p):
+        rhs = bind(kind, p)
+
+        def counted(z, w, w1):
+            calls[0] += 1
+            return rhs(z, w, w1)
+
+        return counted
+
+    monkeypatch.setattr(integrator, "rhs_fn", counting_rhs_fn)
+    return calls
+
+
+def _raw(j):
+    return InitialData.raw(j.z, j.w, j.w1, j.w2)
+
+
+# name -> (kind, params, initial data, span, tolerances, w_bound, _MAX_STEPS or None)
+_STATS_RUNS = {
+    "piv-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, None),
+    "piv-completed": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5, Tolerances(), math.inf, None),
+    "piv-error-rejections": (
+        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_init=0.5), math.inf, None,
+    ),
+    "xxix-pole-rejections": (
+        K.XXIX, Params(), _raw(xxix_pole_family(0.01, 0.0)), 1.0, Tolerances(h_init=0.9), math.inf, None,
+    ),
+    "xxix-non-finite-underflow": (
+        K.XXIX, Params(), _raw(xxix_pole_family(1e-20, 0.0)), 1.0, Tolerances(h_init=0.9), math.inf, None,
+    ),
+    "piv-w-bound": (K.PIV, Params(-1.2, 2.0), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), 3.0, None),
+    "piv-budget": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 50),
+    "piv-budget-after-a-rejection": (
+        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_init=0.5), math.inf, 1,
+    ),
+}  # fmt: skip
+
+
+def _run_stats_case(name, monkeypatch):
+    import painleve4.integrator as integrator
+
+    kind, p, init, span, tol, bound, max_steps = _STATS_RUNS[name]
+    if max_steps is not None:
+        monkeypatch.setattr(integrator, "_MAX_STEPS", max_steps)
+    return integrate(kind, p, init, span, tol, w_bound=bound)
+
+
+class TestStats:
+    @pytest.mark.parametrize("name", list(_STATS_RUNS))
+    def test_counts_match_the_trial_steps_and_rhs_calls(self, name, trial_steps, rhs_calls, monkeypatch):
+        t = _run_stats_case(name, monkeypatch)
+        st = t.stats
+        assert st.accepted == trial_steps.count("passed")
+        assert st.rejected_error == trial_steps.count("error")
+        assert st.rejected_nonfinite == trial_steps.count("non-finite")
+        assert st.rhs_evals == rhs_calls[0]
+        # the step that ends a run POLE or W_BOUND is accepted but not stored
+        unstored = t.status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND)
+        assert len(t.nodes) == 1 + st.accepted - unstored
+        hs = [n.h for n in t.nodes[1:]]
+        if hs:
+            assert st.h_min <= min(hs) and st.h_max >= max(hs)
+            if not unstored:
+                assert (st.h_min, st.h_max) == (min(hs), max(hs))
+        elif st.accepted == 0:
+            assert st.h_min is None and st.h_max is None
+
+    @pytest.mark.parametrize("name", ["piv-pole", "piv-completed", "piv-w-bound", "piv-budget"])
+    def test_first_same_as_last_saves_one_rhs_call_per_step(self, name, trial_steps, rhs_calls, monkeypatch):
+        t = _run_stats_case(name, monkeypatch)
+        assert set(trial_steps) == {"passed"}
+        assert t.stats.rhs_evals == rhs_calls[0] == 7 + 6 * (len(trial_steps) - 1)
+
+    @pytest.mark.parametrize(
+        "name, error, non_finite",
+        [("piv-error-rejections", 2, 0), ("xxix-pole-rejections", 6, 0), ("xxix-non-finite-underflow", 0, 18)],
+    )
+    def test_rejections_of_the_rejected_step_runs(self, name, error, non_finite, monkeypatch):
+        st = _run_stats_case(name, monkeypatch).stats
+        assert (st.rejected_error, st.rejected_nonfinite) == (error, non_finite)
+
+    def test_a_rerun_has_the_same_stats(self):
+        runs = [integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5) for _ in range(2)]
+        assert runs[0].stats == runs[1].stats
+
+    def test_end_of_run_info_line_carries_the_counters(self, caplog):
+        with caplog.at_level("INFO", logger="painleve4.integrator"):
+            t = integrate(K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0)
+        (record,) = [r for r in caplog.records if r.name == "painleve4.integrator"]
+        assert record.levelname == "INFO"
+        msg = record.getMessage()
+        assert f"{len(t.nodes)} nodes, status pole" in msg
+        assert f"accepted={t.stats.accepted}," in msg
+        assert f"rhs_evals={t.stats.rhs_evals}," in msg
+
+
+def _node_bits(node):
+    j = node.jet
+    return [_bits(v) for v in (j.z, j.w, j.w1, j.w2, node.h, node.err_est, node.c, node.res2, node.s)]
+
+
+# name -> (kind, params, initial data, span, tolerances)
+_FSAL_RUNS = {
+    "piv-real-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances()),
+    "piv-complex-path": (
+        K.PIV, Params(0.5, 0.25),
+        InitialData.raw(0.0, 0.7, -0.1, 0.4, field=ScalarField.COMPLEX, direction=complex(math.cos(0.3), math.sin(0.3))),
+        1.0, Tolerances(),
+    ),
+    "sqrt-piv0": (K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0, Tolerances()),
+    "piv-error-rejections": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_init=0.5)),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", list(_FSAL_RUNS))
+def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name, monkeypatch):
+    import painleve4.integrator as integrator
+
+    kind, p, init, span, tol = _FSAL_RUNS[name]
+    reused = integrate(kind, p, init, span, tol)
+    make_kernel = integrator._dp3
+    # the reference loop: a new kernel for every trial step, so stage 1 is always evaluated
+    monkeypatch.setattr(integrator, "_dp3", lambda *args: lambda s, y, h: make_kernel(*args)(s, y, h))
+    fresh = integrate(kind, p, init, span, tol)
+    assert fresh.status is reused.status
+    assert len(fresh.nodes) == len(reused.nodes) > 50
+    assert [_node_bits(n) for n in reused.nodes] == [_node_bits(n) for n in fresh.nodes]
+    if reused.pole_estimate is not None:
+        assert _bits(reused.pole_estimate) == _bits(fresh.pole_estimate)
+
+
+def test_nodes_are_immutable_and_hashable():
+    t = integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 0.1)
+    node = t.nodes[-1]
+    with pytest.raises(AttributeError):
+        node.h = 1.0
+    with pytest.raises(AttributeError):
+        node.jet = t.nodes[0].jet
+    assert hash(node) == hash(t.nodes[-1]) and node in set(t.nodes)
+
+
 class TestWBound:
     # a README-sweep pole cell: |w| passes 3 well before the 1e4 cutoff
     P = Params(-1.2, 2.0)

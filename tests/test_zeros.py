@@ -64,7 +64,7 @@ def test_exact_node_zero_is_the_one_event_of_its_interval(xxxii_through_two_root
     # of q there; it opens the next interval with q = 0, which is no rise
     t = xxxii_through_two_roots
     k = next(i for i, n in enumerate(t.nodes) if n.jet.w < 0)
-    hit = dataclasses.replace(t.nodes[k], jet=dataclasses.replace(t.nodes[k].jet, w=0.0))
+    hit = t.nodes[k]._replace(jet=dataclasses.replace(t.nodes[k].jet, w=0.0))
     events = locate_zeros(dataclasses.replace(t, nodes=t.nodes[:k] + (hit,) + t.nodes[k + 1:]))
     assert len(events) == 2
     assert events[0].a == hit.jet.z and events[0].slope == hit.jet.w1
@@ -303,7 +303,7 @@ def test_zero_resolved_at_the_slope_its_first_integral_allows(kind, init, span):
 
 def test_verdict_reads_the_stored_monitor():
     t = piv0_through_zero(-1.0)
-    blind = dataclasses.replace(t, nodes=tuple(dataclasses.replace(n, res2=0.0) for n in t.nodes))
+    blind = dataclasses.replace(t, nodes=tuple(n._replace(res2=0.0) for n in t.nodes))
     events = locate_zeros(blind)
     assert len(events) == 1
     assert events[0].branch is ZeroBranch.UNRESOLVED
@@ -349,3 +349,27 @@ def test_close_roots_of_one_quadratic_each_found_once(r, w0, w1):
     events = locate_zeros(t)
     assert len(events) == 2, events
     assert abs(events[0].a - r) < 1e-12 and abs(events[1].a - (r + 0.02)) < 1e-12, events
+
+
+def test_root_on_the_final_node_is_reported():
+    # w = z^2 - 1/4 ends on its root z = 0.5, where the last node holds w = -8.3e-17, not 0
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, -0.25, 0.0), 0.5)
+    end = t.nodes[-1].jet
+    assert end.w != 0.0 and abs(end.w) < t.tol.abs
+    events = locate_zeros(t)
+    assert len(events) == 1
+    assert abs(events[0].a - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("span", [0.49, -0.49])
+def test_path_ending_short_of_a_root_reports_none(span):
+    # |w| = 0.0099 at the end: still falling, but not on the zero set
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, -0.25, 0.0), span)
+    assert locate_zeros(t) == ()
+
+
+def test_path_ending_past_a_root_reports_it_once():
+    # |w| rises again at the end, so the q-rise bisection owns the root
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, -0.25, 0.0), 0.5 + 1e-9)
+    events = locate_zeros(t)
+    assert len(events) == 1 and abs(events[0].a - 0.5) < 1e-12
