@@ -327,11 +327,10 @@ def _grid(name: str, lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _stats_cells(stats: TrajectoryStats | None) -> list:
-    # an errored cell has no trajectory: its six step-counter columns stay empty
+    # an errored cell has no trajectory: its three step-counter columns stay empty
     if stats is None:
-        return [""] * 6
-    hs = ["" if h is None else fmt_float(h) for h in (stats.h_min, stats.h_max)]
-    return [stats.accepted, stats.rejected_error, stats.rejected_nonfinite, stats.rhs_evals, *hs]
+        return [""] * 3
+    return [stats.accepted, *("" if h is None else fmt_float(h) for h in (stats.h_min, stats.h_max))]
 
 
 def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
@@ -339,7 +338,7 @@ def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             "alpha,beta,status,node_count,zero_count,pole_est_re,pole_est_im,max_c_drift,error,"
-            "accepted,rejected_error,rejected_nonfinite,rhs_evals,h_min,h_max".split(",")
+            "accepted,h_min,h_max".split(",")
         )
         for cell in cells:
             if cell.pole_estimate is None:

@@ -30,6 +30,13 @@ Every kind is advanced through its third-order form; the second-order
 equation survives only as the cleared-denominator residual monitor
 `residual2` and the conserved constraint `constraint_c`.
 
+Because every third-order right-hand side is a polynomial, the Taylor
+coefficients of a solution follow from its jet by Cauchy-product
+recurrences, with no division by w and no right-hand side calls (Jorba and
+Zou, Exp. Math. 14 (2005); Fornberg and Weideman, J. Comput. Phys. 230
+(2011)).  `series_fn` binds the recurrence of one kind; `rhs_fn` and `rhs3`
+evaluate the right-hand side itself at one point.
+
 Note on parameters: the ``beta**2`` convention above is Ince's XXXI form.
 The standalone Painleve IV convention relabels beta^2 as -2*beta; no
 conversion is offered anywhere in this package.
@@ -40,6 +47,7 @@ import math
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 from .errors import SingularInput
 
@@ -156,6 +164,87 @@ def rhs_fn(kind: EquationKind, p: Params):
         return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - alpha)) * w1 + 4.0 * (w + z) * w
 
     return rhs_piv
+
+
+#: order p of the Taylor series that `series_fn` builds: coefficients a_0 .. a_p
+ORDER = 20
+
+
+def _piv_series(alpha: float):
+    def series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
+        # w''' = P w' + 4 (w + z) w with P = 6 w^2 + 12 z w + 4 (z^2 - alpha)
+        a = [w, w1, 0.5 * w2]
+        dw = [w1, w2]  # (w')_k = (k + 1) a_{k+1}
+        poly = (4.0 * (z * z - alpha), 8.0 * z, 4.0)  # 4 (z^2 - alpha) in powers of z - z0
+        ps = []
+        for k in range(ORDER - 2):
+            # (w^2)_k: map stops at the shorter list, pairing a_i with a_{k-i}
+            sq = sum(map(mul, a, a[k::-1]))
+            zw = z * a[k] + a[k - 1] if k else z * w
+            ps.append(6.0 * sq + 12.0 * zw + poly[k] if k < 3 else 6.0 * sq + 12.0 * zw)
+            r = sum(map(mul, ps, dw[k::-1])) + 4.0 * (sq + zw)
+            a.append(r / ((k + 1) * (k + 2) * (k + 3)))
+            dw.append((k + 3) * a[-1])
+        return a
+
+    return series
+
+
+def _xxix_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
+    # w''' = 6 w^2 w'
+    a = [w, w1, 0.5 * w2]
+    dw = [w1, w2]
+    sqs = []
+    for k in range(ORDER - 2):
+        sqs.append(sum(map(mul, a, a[k::-1])))
+        a.append(6.0 * sum(map(mul, sqs, dw[k::-1])) / ((k + 1) * (k + 2) * (k + 3)))
+        dw.append((k + 3) * a[-1])
+    return a
+
+
+def _quadratic_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
+    # w''' = 0: the series ends at the quadratic term
+    return [w, w1, 0.5 * w2] + [0.0] * (ORDER - 2)
+
+
+def _sqrt_piv0_series(t: Scalar, f: Scalar, f1: Scalar, f2: Scalar) -> list:
+    # f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4, from f^2, f^4 = (f^2)^2 and t f^2
+    a = [f, f1, 0.5 * f2]
+    df = [f1, f2]
+    poly = (4.0 * t * t, 8.0 * t, 4.0)  # 4 t^2 in powers of t - t0
+    sqs, qs = [], []
+    for k in range(ORDER - 2):
+        sqs.append(sum(map(mul, a, a[k::-1])))
+        tsq = t * sqs[k] + sqs[k - 1] if k else t * sqs[0]
+        tf = t * a[k] + a[k - 1] if k else t * f
+        qk = 15.0 * sum(map(mul, sqs, sqs[::-1])) + 24.0 * tsq
+        qs.append(qk + poly[k] if k < 3 else qk)
+        cube = sum(map(mul, a, sqs[::-1]))
+        r = 2.0 * (cube + tf) + 0.25 * sum(map(mul, qs, df[k::-1]))
+        a.append(r / ((k + 1) * (k + 2) * (k + 3)))
+        df.append((k + 3) * a[-1])
+    return a
+
+
+def series_fn(kind: EquationKind, p: Params):
+    """Taylor recurrence of the advanced system bound to one kind.
+
+    The returned function maps a jet (z, w, w', w'') to the list a_0 .. a_p
+    (p = `ORDER`) of Taylor coefficients of w in powers of z - z0, where z0
+    is the jet's point; 6 a_3 is `rhs3` there.  Coefficient a_{k+3} comes
+    from coefficient k of the right-hand side, whose products are Cauchy
+    sums over the coefficients already known: O(p^2) operations in all and
+    no division by w.  xvii and xxxii have w''' = 0, so their a_k vanish
+    for k >= 3.  The parameters are validated here, once, as in `rhs_fn`.
+    """
+    ensure_kind_params(kind, p)
+    if kind is EquationKind.SQRT_PIV0:
+        return _sqrt_piv0_series
+    if kind is EquationKind.XXIX:
+        return _xxix_series
+    if kind in (EquationKind.XVII, EquationKind.XXXII):
+        return _quadratic_series
+    return _piv_series(p.alpha)
 
 
 def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:

@@ -61,6 +61,9 @@ DEFAULT_COUNTS = {
 
 _VERIFY_TOL = Tolerances(rel=1e-10, abs=1e-10)
 
+#: interior points per closed-form run at which dense output is checked too
+_DENSE_POINTS = 8
+
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -171,6 +174,10 @@ def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
             worst_w = max(worst_w, abs(node.jet.w - exact.w))
             if has_k and node.jet.w > 1e-3:
                 worst_k = max(worst_k, abs(xxxii_u_integral(node.jet) - q.a))
+        # one exact step spans the run, so its nodes are only the two ends
+        for k in range(_DENSE_POINTS):
+            z = z0 + span * (k + 0.5) / _DENSE_POINTS
+            worst_w = max(worst_w, abs(dense_eval(traj, z).w - eval_quadratic(q, z).w))
     return worst_w, worst_disc, worst_k
 
 

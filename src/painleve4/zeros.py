@@ -6,20 +6,29 @@ so a zero on a trajectory whose C has drifted to C* has slope
 +-sqrt(beta^2 - C*): exactly +-beta on a consistent solution.  When
 beta = 0 an isolated zero additionally has w''(a) != 0 (otherwise the
 third-order uniqueness theorem would force w to vanish identically near a).
-The locator refines at most one candidate per node interval on the dense
-interpolant, in path order and with no merging, and gives each one its
-single verdict, a `ZeroBranch`.
 
-A zero of w on the path is a minimum of |w|^2, so the path derivative
-q = d|w|^2/ds = 2 Re(conj(w) w' d) rises through 0 across it, and every node
-jet already carries q.  One bisection of q refines crossings, tangential
-zeros and zeros a complex path meets between nodes alike, to the last bit
-of s.  A search on |w| itself could not: |w| is flat around a tangential
-zero, which limits the slope reading to about sqrt(abs_tol).  On the real
-line a sign change of w over a node interval where q does not rise (one
-long step over both a turning point and a root) is bisected on w instead.
-A candidate is an event only if it refines onto the zero set,
-|w| < abs_tol, so a |w| minimum where w misses zero is not reported.
+Between two nodes, w is the Taylor polynomial of the step that joins them
+(`TrajectoryNode.series`), so every root of w in a node interval is found
+on that interval's own polynomial; a long step may hold several.  The
+polynomial is only ever evaluated pointwise: its expanded products are
+noisy near multiple roots.  An interval is skipped at once when
+|w_0| - sum_k |a_k| h^k >= abs_tol.  Otherwise it is halved, at most
+`_MAX_DEPTH` times, wherever the lower bound |w(c)| - |w'(c)| r - M r^2/2
+of |w| on a piece of centre c and radius r (M bounds |w''| on the
+interval) stays below abs_tol; the surviving pieces form clusters.
+
+On the real line, a piece where |w'(c)| > M r holds no root of w', so w is
+monotone there.  The roots of w' in the other pieces, found by bisecting
+w', cut each cluster into monotone parts, and each part holds at most one
+root of w, found by bisecting w.  An extremum where |w| < abs_tol is a
+tangential zero, reported at the extremum with the slope w' = 0 it has
+there.  A root of w in a part next to such an extremum is that zero's,
+not a second event: a trajectory whose C* drifted below 0 crosses twice
+there, at slopes +-sqrt(-C*), and whose C* drifted above 0 misses zero by
+rounding.  On a complex path, each cluster over which
+q = d|w|^2/ds = 2 Re(conj(w) w' d) rises through 0 holds a minimum of |w|,
+found by bisecting q.  A candidate is an event only if |w| < abs_tol
+there, so a |w| minimum where w misses zero is not reported.
 """
 
 import cmath
@@ -27,10 +36,11 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
-from .equations import EquationKind, Jet3, Scalar, ScalarField
+from .equations import EquationKind, Scalar, ScalarField
 from .errors import WrongKind
-from .integrator import Trajectory, TrajectoryNode, dense_eval_param
+from .integrator import Trajectory, TrajectoryNode, dense_eval_param, derivative, powers
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +51,8 @@ CURV_FLOOR = 1e-8
 
 #: enough halvings to reach adjacent doubles in any node interval not starting at s = 0
 _BISECT_ITERS = 100
+#: halvings of a node interval in the search for the pieces that may hold a zero
+_MAX_DEPTH = 12
 
 
 class ZeroBranch(Enum):
@@ -61,93 +73,158 @@ class ZeroEvent:
 
 
 def _classify(slope: Scalar, beta: float, res2: Scalar, real_mode: bool) -> ZeroBranch:
-    # at a zero, res2 (C on piv/piv0) reduces to beta^2 - w'^2; the label is the nearer of +-beta
+    # at a zero, res2 (C on piv/piv0) reduces to beta^2 - w'^2: the slope may sit
+    # at +-beta or at the +-sqrt(beta^2 - res2*) the drifted monitor allows
     target = math.sqrt(max(beta * beta - res2, 0.0)) if real_mode else cmath.sqrt(beta * beta - res2)
-    if min(abs(slope - target), abs(slope + target)) > SLOPE_TOL * max(1.0, abs(beta)):
+    miss = min(abs(slope - beta), abs(slope + beta), abs(slope - target), abs(slope + target))
+    if miss > SLOPE_TOL * max(1.0, abs(beta)):
         return ZeroBranch.UNRESOLVED
     return ZeroBranch.PLUS_BETA if abs(slope - beta) <= abs(slope + beta) else ZeroBranch.MINUS_BETA
 
 
-def _bisect(f, lo: float, hi: float) -> Jet3:
-    """Bisect a sign change of f(s) -> (value, jet) on [lo, hi] until the midpoint is an endpoint.
+def _opposite(u: float, v: float) -> bool:
+    return u < 0 < v or v < 0 < u
 
-    Returns the jet at an exact zero of f if one is met, otherwise at the
-    final endpoint with the smaller |value|.
+
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Bisect a sign change of f on [lo, hi] until the midpoint is an endpoint.
+
+    Returns an exact zero of f if one is met, otherwise the final endpoint
+    with the smaller |f|.
     """
-    v_lo, j_lo = f(lo)
-    v_hi, j_hi = f(hi)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        v, jet = f(mid)
+        v = f(mid)
         if v == 0:
-            return jet
-        if (v < 0) == (v_lo < 0):
-            lo, v_lo, j_lo = mid, v, jet
+            return mid
+        if (v < 0) == (f_lo < 0):
+            lo, f_lo = mid, v
         else:
-            hi, v_hi, j_hi = mid, v, jet
-    return j_lo if abs(v_lo) <= abs(v_hi) else j_hi
+            hi, f_hi = mid, v
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def _clusters(w_and_slope, lo: float, hi: float, bound2: float, abs_tol: float, real_mode: bool) -> list:
+    """Runs of adjacent pieces of [lo, hi] on which |w| may fall below abs_tol, in path order.
+
+    Each piece is (lo, hi, monotone); monotone pieces are found in REAL mode
+    only.  bound2 bounds |w''| on [lo, hi].
+    """
+    clusters: list[list] = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        w, w1 = w_and_slope(c)
+        if abs(w) - abs(w1) * r - 0.5 * bound2 * r * r >= abs_tol:
+            continue
+        if real_mode and abs(w1) > bound2 * r:
+            piece = (a, b, True)
+        elif depth < _MAX_DEPTH:
+            stack.append((c, b, depth + 1))
+            stack.append((a, c, depth + 1))
+            continue
+        else:
+            piece = (a, b, False)
+        if clusters and clusters[-1][-1][1] == a:
+            clusters[-1].append(piece)
+        else:
+            clusters.append([piece])
+    return clusters
+
+
+def _real_roots(cluster: list, w_at, slope_at, abs_tol: float) -> list[float]:
+    """Roots of w in one REAL cluster: each monotone part's root, and each tangential extremum."""
+    extrema = []
+    i = 0
+    while i < len(cluster):
+        j = i
+        if not cluster[i][2]:
+            while j + 1 < len(cluster) and not cluster[j + 1][2]:
+                j += 1
+            lo, hi = cluster[i][0], cluster[j][1]
+            g_lo, g_hi = slope_at(lo), slope_at(hi)
+            if _opposite(g_lo, g_hi):
+                extrema.append(_bisect(slope_at, lo, hi, g_lo, g_hi))
+        i = j + 1
+    tangential = [abs(w_at(x)) < abs_tol for x in extrema]
+    ends = [cluster[0][0], *extrema, cluster[-1][1]]
+    roots = [x for x, t in zip(extrema, tangential) if t]
+    for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if (k > 0 and tangential[k - 1]) or (k < len(extrema) and tangential[k]):
+            continue  # the tangential zero's own crossing
+        v_lo, v_hi = w_at(lo), w_at(hi)
+        if _opposite(v_lo, v_hi):
+            roots.append(_bisect(w_at, lo, hi, v_lo, v_hi))
+    return sorted(roots)
+
+
+def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real_mode: bool, abs_tol: float):
+    """Arc parameters of the candidate zeros strictly inside one node interval."""
+    coeffs = right.series
+    s0, s1 = left.s, right.s
+    span_pw = powers(s1 - s0)
+    if abs(coeffs[0]) - sum(map(mul, map(abs, coeffs[1:]), span_pw[1:])) >= abs_tol:
+        return []
+    dw = derivative(coeffs)
+    bound2 = sum(map(mul, map(abs, derivative(dw)), span_pw))
+
+    def on_step(cs, at_end):
+        # the closing node's own value at s1, so that both intervals it joins read one sign there
+        return lambda s: at_end if s == s1 else sum(map(mul, cs, powers((s - s0) * d)))
+
+    w_at, slope_at = on_step(coeffs, right.jet.w), on_step(dw, right.jet.w1)
+    clusters = _clusters(lambda s: (w_at(s), slope_at(s)), s0, s1, bound2, abs_tol, real_mode)
+    if real_mode:
+        return [x for cluster in clusters for x in _real_roots(cluster, w_at, slope_at, abs_tol)]
+
+    # q / 2 = Re(conj(w) w' d): only its sign is read
+    def q_at(s: float) -> float:
+        return (w_at(s).conjugate() * slope_at(s) * d).real
+
+    roots = []
+    for cluster in clusters:
+        lo, hi = cluster[0][0], cluster[-1][1]
+        q_lo, q_hi = q_at(lo), q_at(hi)
+        if q_lo < 0 <= q_hi:
+            roots.append(_bisect(q_at, lo, hi, q_lo, q_hi))
+    return roots
 
 
 def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
-    """Locate and classify zeros of w along a trajectory.
+    """Locate and classify zeros of w along a trajectory, in path order.
 
-    Each node interval (s_i, s_i+1] gives at most one candidate, in path
-    order: the closing node if its w is exactly 0; otherwise, if
-    q = d|w|^2/ds rises from below 0 to 0 or above, the bisection of q;
-    otherwise, in REAL mode, if w changes sign, the bisection of w; and for
-    the last interval only, the final node if ``|w| < tol.abs`` and q <= 0
-    there, so a path that ends on a zero to rounding reports it.  Node 0
-    is a candidate only if w0 is exactly 0.  Nothing is merged: a candidate
-    is kept only if ``|w| < tol.abs`` at it.  Slope and curvature are read
-    from the refined jet.  The slope must lie within
-    ``SLOPE_TOL * max(1, |beta|)`` of +-sqrt(beta^2 - res2*), where res2* is
-    the monitor of the node closing the interval (of node 0 for its own
-    zero); the branch is then the nearer of +-beta, and UNRESOLVED
-    otherwise.  On piv and piv0 res2* is the drifted C*; on xvii and xxix it
-    is the kind's own first integral, which reduces to -w'^2 at a zero.
+    A node whose w is exactly 0 is an event.  Inside each node interval,
+    the step's own polynomial gives every candidate (see the module
+    docstring); a candidate is kept only if ``|w| < tol.abs`` at it.  Slope
+    and curvature are read from the jet there.  The slope must lie within
+    ``SLOPE_TOL * max(1, |beta|)`` of +-beta or of +-sqrt(beta^2 - res2*),
+    where res2* is the monitor of the node closing the interval (of the
+    node itself for a node zero); the branch is then the nearer of +-beta,
+    and UNRESOLVED otherwise.  On piv and piv0 res2* is the drifted C*; on
+    xvii and xxix it is the kind's own first integral, which reduces to
+    -w'^2 at a zero.
 
-    Two zeros inside one node interval yield at most one event.  The
-    identically-zero trajectory yields no events (its zeros are not
+    The identically-zero trajectory yields no events (its zeros are not
     isolated); callers can detect it through ``max_abs_w() == 0``.
     """
     nodes = traj.nodes
-    jets = [n.jet for n in nodes]
-    ws = [j.w for j in jets]
-    if not any(ws):
+    if not any(n.jet.w for n in nodes):
         return ()
     d = traj.direction
     real_mode = traj.field is ScalarField.REAL
     beta = traj.params.beta
-
-    # q / 2 = Re(conj(w) w' d): the scan and the bisection read only its sign and size ratios
-    def q_at(s: float):
-        jet = dense_eval_param(traj, s)
-        return (jet.w.conjugate() * jet.w1 * d).real, jet
-
-    def w_at(s: float):
-        jet = dense_eval_param(traj, s)
-        return jet.w, jet
-
-    # each candidate carries the node closing its interval, whose res2 judges it
-    candidates: list[tuple[Jet3, TrajectoryNode]] = [(nodes[0].jet, nodes[0])] if ws[0] == 0 else []
-    qs = [(w.conjugate() * j.w1 * d).real for w, j in zip(ws, jets)]
-    last = len(nodes) - 2
     abs_tol = traj.tol.abs
-    for i, node in enumerate(nodes[1:]):
-        if ws[i + 1] == 0:
-            jet = node.jet
-        elif qs[i] < 0 <= qs[i + 1]:
-            jet = _bisect(q_at, nodes[i].s, node.s)
-        elif real_mode and (ws[i] < 0 < ws[i + 1] or ws[i + 1] < 0 < ws[i]):
-            jet = _bisect(w_at, nodes[i].s, node.s)
-        elif i == last and qs[i + 1] <= 0 and abs(ws[i + 1]) < abs_tol:
-            # the path ends on a zero to rounding: |w| still falls at the final node
-            jet = node.jet
-        else:
-            continue
-        candidates.append((jet, node))
+
+    # each candidate carries the node whose res2 judges it
+    candidates = [(nodes[0].jet, nodes[0])] if nodes[0].jet.w == 0 else []
+    for left, node in zip(nodes, nodes[1:]):
+        for s in _interval_roots(left, node, d, real_mode, abs_tol):
+            candidates.append((dense_eval_param(traj, s), node))
+        if node.jet.w == 0:
+            candidates.append((node.jet, node))
 
     events = []
     for jet, node in candidates:

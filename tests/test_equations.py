@@ -18,7 +18,8 @@ from painleve4 import (
     residual2,
     rhs3,
 )
-from painleve4.equations import _rhs2_scalar
+from painleve4.equations import ORDER, _rhs2_scalar, series_fn
+from painleve4.oracles import square_push, xxix_pole_family
 
 K = EquationKind
 
@@ -198,3 +199,36 @@ def test_third_order_form_closes_the_derivative(z, w, w1, alpha, beta):
 def test_xxix_closure(w, w1):
     # d/dz (2 w w'' - w'^2 - 3 w^4) = 2 w w''' - 12 w^3 w' = 0 under w''' = 6 w^2 w'
     assert 2.0 * w * rhs3(K.XXIX, Params(), 0.0, w, w1) == pytest.approx(12.0 * w ** 3 * w1, rel=1e-13, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.3, -0.4, 1.0 + 0.5j, -2.0 - 1.5j])
+@pytest.mark.parametrize("z0", [0.2, -0.9])
+def test_xxix_series_of_the_pole_family(c, z0):
+    # w = 1/(c - z) = sum over k of (c - z0)^-(k+1) (z - z0)^k
+    j = xxix_pole_family(c, z0)
+    coeffs = series_fn(K.XXIX, Params())(j.z, j.w, j.w1, j.w2)
+    assert len(coeffs) == ORDER + 1
+    u = 1.0 / (c - z0)
+    for k, a in enumerate(coeffs):
+        assert abs(a - u ** (k + 1)) <= 1e-14 * abs(u) ** (k + 1) * (k + 1)
+
+
+@pytest.mark.parametrize("t0,f0,f1", [(0.3, 0.7, -0.2), (-0.8, -1.1, 0.4), (0.0, 0.5, 0.0)])
+def test_sqrt_series_squares_to_the_piv0_series(t0, f0, f1):
+    # f^2 solves piv0, so the square of the sqrt-piv0 series is the piv0 series
+    # of the squared jet
+    f2 = _rhs2_scalar(K.SQRT_PIV0, Params(), t0, f0, f1)
+    f = series_fn(K.SQRT_PIV0, Params())(t0, f0, f1, f2)
+    squared = [sum(f[i] * f[k - i] for i in range(k + 1)) for k in range(ORDER + 1)]
+    j = square_push(t0, f0, f1)
+    want = series_fn(K.PIV0, Params())(j.z, j.w, j.w1, j.w2)
+    for a, b in zip(squared, want):
+        assert abs(a - b) <= 1e-13 * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("kind", list(K))
+def test_series_ends_at_the_quadratic_only_where_the_third_derivative_vanishes(kind):
+    p = Params(0.3, 0.7) if kind is K.PIV else Params()
+    coeffs = series_fn(kind, p)(0.4, 0.8, -0.3, 0.5)
+    assert coeffs[:3] == [0.8, -0.3, 0.25]
+    assert (max(map(abs, coeffs[3:])) == 0.0) == (kind in (K.XVII, K.XXXII))

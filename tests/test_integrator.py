@@ -22,8 +22,8 @@ from painleve4 import (
     residual2,
     step,
 )
-from painleve4.equations import is_finite_scalar, rhs3, rhs_fn
-from painleve4.integrator import _dp3, _pole_estimate
+from painleve4.equations import ORDER, rhs3, series_fn
+from painleve4.integrator import _pole_estimate, _step_length, taylor_jet
 from painleve4.oracles import xxix_pole_family
 
 K = EquationKind
@@ -37,17 +37,21 @@ def quadratic_jet(z):
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert (t.rel, t.abs, t.h_init, t.h_min, t.pole_cutoff) == (1e-10, 1e-10, 1e-3, 1e-12, 1e4)
+        assert (t.rel, t.abs, t.h_min, t.pole_cutoff) == (1e-10, 1e-10, 1e-12, 1e4)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel": 1e-15},
             {"abs": 0.0},
-            {"h_min": 2e-3},
+            {"h_min": 0.0},
             {"h_min": -1.0},
             {"pole_cutoff": 10.0},
             {"pole_cutoff": 1e10},
+            {"rel": math.inf},
+            {"abs": math.inf},
+            {"abs": 2.0},
+            {"h_min": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -155,18 +159,14 @@ class TestStep:
             assert abs(a - b) < 1e-12
         assert math.isfinite(err)
 
-    def test_fifth_order_convergence_on_pole_family(self):
-        # fixed steps along w = 1/(1 - z) over [0, 0.5]: halving h must cut
-        # the global error by about 2^5
-        def global_error(n):
-            j = Jet3(0.0, 1.0, 1.0, 2.0)
-            for _ in range(n):
-                j, _ = step(K.XXIX, Params(), j, 0.5 / n)
-            return abs(j.w - 1.0 / (1.0 - j.z))
-
-        errors = [global_error(n) for n in (10, 20, 40)]
-        for coarse, fine in zip(errors, errors[1:]):
-            assert 25.0 <= coarse / fine <= 40.0
+    def test_order_p_convergence_on_pole_family(self):
+        # w = 1/(1 - z) has a_k = 1 for every k, so a step of length h from
+        # z = 0 drops sum over k > p of h^k = h^(p+1) / (1 - h): the local
+        # error of an order-p step, here known exactly
+        for h in (0.5, 0.4, 0.3):
+            new, _ = step(K.XXIX, Params(), Jet3(0.0, 1.0, 1.0, 2.0), h)
+            dropped = h ** (ORDER + 1) / (1.0 - h)
+            assert abs((1.0 / (1.0 - h) - new.w) / dropped - 1.0) < 1e-3
 
 
 class TestIntegrate:
@@ -200,7 +200,9 @@ class TestIntegrate:
         # a constant xxix jet above the cutoff: u = 1/w has u' = 0
         t = integrate(K.XXIX, Params(), InitialData.raw(0.0, 2e4, 0.0, 0.0), 1.0)
         assert t.status is TrajectoryStatus.POLE
-        assert t.pole_estimate == t.tol.h_init
+        # the constant series is exact: one step to the end of the span
+        assert len(t.nodes) == 1 and t.stats.accepted == 1
+        assert t.pole_estimate == 1.0
         assert _pole_estimate(K.PIV, Jet3(0.5, 2e4, -1.0, 0.0)) == 0.5
 
     def test_piv_pole_estimates_match_tight_reference(self):
@@ -270,18 +272,18 @@ class TestIntegrate:
             assert drift <= 1e3 * tol.rel * 2.0
 
     def test_step_underflow_status(self):
-        tol = Tolerances(rel=1e-10, abs=1e-10, h_init=1e-3, h_min=9e-4)
+        tol = Tolerances(rel=1e-10, abs=1e-10, h_min=9e-4)
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, tol)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
 
     def test_step_budget_status_keeps_partial_trajectory(self, monkeypatch):
         import painleve4.integrator as integrator
 
-        monkeypatch.setattr(integrator, "_MAX_STEPS", 50)
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 5)
         t = integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0)
         assert t.status is TrajectoryStatus.STEP_BUDGET
         assert t.status.value == "step_budget"
-        assert 1 < len(t.nodes) <= 51
+        assert len(t.nodes) == 6
         assert 0.0 < t.nodes[-1].s < 2.0
 
     def test_span_validation(self):
@@ -294,76 +296,35 @@ class TestIntegrate:
             integrate(K.SQRT_PIV0, Params(), init, 1.0)
 
 
-@pytest.fixture
-def trial_steps(monkeypatch):
-    """Record each trial step of `integrate` as 'passed', 'error' or 'non-finite'."""
-    import painleve4.integrator as integrator
-
-    seen = []
-    make_kernel = integrator._dp3
-
-    def counting(*args):
-        kernel = make_kernel(*args)
-
-        def counted(s, y, h):
-            out = kernel(s, y, h)
-            seen.append("non-finite" if out is None else "error" if out[1] > 1.0 else "passed")
-            return out
-
-        return counted
-
-    monkeypatch.setattr(integrator, "_dp3", counting)
-    return seen
-
-
 class TestRejectedSteps:
-    # a large h_init forces the controller to reject trial steps, then regrow h
-    def test_error_rejection_on_a_regular_run(self, trial_steps):
-        init = InitialData.nonzero(-1.0, 0.5, 0.0)
-        t = integrate(K.PIV, Params(), init, 2.0, Tolerances(h_init=0.5))
-        assert trial_steps.count("error") == 2 and "non-finite" not in trial_steps
-        assert t.status is TrajectoryStatus.COMPLETED
-        assert all(n.err_est <= 1.0 for n in t.nodes)
-        ref = integrate(K.PIV, Params(), init, 2.0).nodes[-1].jet
-        end = t.nodes[-1].jet
-        assert end.z == ref.z
-        for a, b in ((end.w, ref.w), (end.w1, ref.w1), (end.w2, ref.w2)):
-            assert abs(a - b) < 1e-9 * max(1.0, abs(b))
-
-    def test_error_rejections_on_a_pole_run(self, trial_steps):
-        j = xxix_pole_family(0.01, 0.0)
-        t = integrate(K.XXIX, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.0, Tolerances(h_init=0.9))
-        assert trial_steps.count("error") == 6 and "non-finite" not in trial_steps
-        assert t.status is TrajectoryStatus.POLE
-        assert abs(t.pole_estimate - 0.01) < 1e-10
-
-    def test_non_finite_rejections_end_in_underflow(self, trial_steps):
-        # w0 = 1e20: every trial step overflows until h falls below h_min
+    def test_non_finite_rejections_end_in_underflow(self):
+        # w0 = 1e20: the coefficients (c - z0)^-(k+1) of 1/(c - z) overflow,
+        # so the first step is refused and the run ends at its seed
         j = xxix_pole_family(1e-20, 0.0)
-        t = integrate(K.XXIX, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.0, Tolerances(h_init=0.9))
-        assert trial_steps == ["non-finite"] * 18
+        t = integrate(K.XXIX, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.0)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
         assert len(t.nodes) == 1 and t.pole_estimate is None
+        assert (t.stats.accepted, t.stats.h_min, t.stats.h_max) == (0, None, None)
 
 
 @pytest.fixture
-def rhs_calls(monkeypatch):
-    """Count every call of the right-hand side that `integrate` binds."""
+def series_builds(monkeypatch):
+    """Count the series that `integrate` builds, one per trial step."""
     import painleve4.integrator as integrator
 
     calls = [0]
-    bind = integrator.rhs_fn
+    bind = integrator.series_fn
 
-    def counting_rhs_fn(kind, p):
-        rhs = bind(kind, p)
+    def counting_series_fn(kind, p):
+        series = bind(kind, p)
 
-        def counted(z, w, w1):
+        def counted(z, w, w1, w2):
             calls[0] += 1
-            return rhs(z, w, w1)
+            return series(z, w, w1, w2)
 
         return counted
 
-    monkeypatch.setattr(integrator, "rhs_fn", counting_rhs_fn)
+    monkeypatch.setattr(integrator, "series_fn", counting_series_fn)
     return calls
 
 
@@ -375,19 +336,13 @@ def _raw(j):
 _STATS_RUNS = {
     "piv-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, None),
     "piv-completed": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5, Tolerances(), math.inf, None),
-    "piv-error-rejections": (
-        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_init=0.5), math.inf, None,
-    ),
-    "xxix-pole-rejections": (
-        K.XXIX, Params(), _raw(xxix_pole_family(0.01, 0.0)), 1.0, Tolerances(h_init=0.9), math.inf, None,
-    ),
     "xxix-non-finite-underflow": (
-        K.XXIX, Params(), _raw(xxix_pole_family(1e-20, 0.0)), 1.0, Tolerances(h_init=0.9), math.inf, None,
+        K.XXIX, Params(), _raw(xxix_pole_family(1e-20, 0.0)), 1.0, Tolerances(), math.inf, None,
     ),
     "piv-w-bound": (K.PIV, Params(-1.2, 2.0), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), 3.0, None),
-    "piv-budget": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 50),
-    "piv-budget-after-a-rejection": (
-        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_init=0.5), math.inf, 1,
+    "piv-budget": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 5),
+    "xxix-h-min-underflow": (
+        K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, Tolerances(h_min=9e-4), math.inf, None,
     ),
 }  # fmt: skip
 
@@ -403,14 +358,13 @@ def _run_stats_case(name, monkeypatch):
 
 class TestStats:
     @pytest.mark.parametrize("name", list(_STATS_RUNS))
-    def test_counts_match_the_trial_steps_and_rhs_calls(self, name, trial_steps, rhs_calls, monkeypatch):
+    def test_counts_match_the_trial_steps_and_rhs_calls(self, name, series_builds, monkeypatch):
+        # each trial step evaluates the right-hand side once, on series: one
+        # build; a step the rule refuses ends the run STEP_UNDERFLOW
         t = _run_stats_case(name, monkeypatch)
         st = t.stats
-        assert st.accepted == trial_steps.count("passed")
-        assert st.rejected_error == trial_steps.count("error")
-        assert st.rejected_nonfinite == trial_steps.count("non-finite")
-        assert st.rhs_evals == rhs_calls[0]
-        # the step that ends a run POLE or W_BOUND is accepted but not stored
+        assert series_builds[0] == st.accepted + (t.status is TrajectoryStatus.STEP_UNDERFLOW)
+        # the step that ends a run POLE or W_BOUND is taken but not stored
         unstored = t.status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND)
         assert len(t.nodes) == 1 + st.accepted - unstored
         hs = [n.h for n in t.nodes[1:]]
@@ -420,20 +374,6 @@ class TestStats:
                 assert (st.h_min, st.h_max) == (min(hs), max(hs))
         elif st.accepted == 0:
             assert st.h_min is None and st.h_max is None
-
-    @pytest.mark.parametrize("name", ["piv-pole", "piv-completed", "piv-w-bound", "piv-budget"])
-    def test_first_same_as_last_saves_one_rhs_call_per_step(self, name, trial_steps, rhs_calls, monkeypatch):
-        t = _run_stats_case(name, monkeypatch)
-        assert set(trial_steps) == {"passed"}
-        assert t.stats.rhs_evals == rhs_calls[0] == 7 + 6 * (len(trial_steps) - 1)
-
-    @pytest.mark.parametrize(
-        "name, error, non_finite",
-        [("piv-error-rejections", 2, 0), ("xxix-pole-rejections", 6, 0), ("xxix-non-finite-underflow", 0, 18)],
-    )
-    def test_rejections_of_the_rejected_step_runs(self, name, error, non_finite, monkeypatch):
-        st = _run_stats_case(name, monkeypatch).stats
-        assert (st.rejected_error, st.rejected_nonfinite) == (error, non_finite)
 
     def test_a_rerun_has_the_same_stats(self):
         runs = [integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5) for _ in range(2)]
@@ -447,7 +387,7 @@ class TestStats:
         msg = record.getMessage()
         assert f"{len(t.nodes)} nodes, status pole" in msg
         assert f"accepted={t.stats.accepted}," in msg
-        assert f"rhs_evals={t.stats.rhs_evals}," in msg
+        assert f"h_max={t.stats.h_max!r}" in msg
 
 
 def _node_bits(node):
@@ -464,25 +404,26 @@ _FSAL_RUNS = {
         1.0, Tolerances(),
     ),
     "sqrt-piv0": (K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0, Tolerances()),
-    "piv-error-rejections": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_init=0.5)),
+    "piv-backward": (K.PIV, Params(), InitialData.nonzero(1.0, 0.5, 0.0), -2.0, Tolerances()),
 }  # fmt: skip
 
 
 @pytest.mark.parametrize("name", list(_FSAL_RUNS))
-def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name, monkeypatch):
-    import painleve4.integrator as integrator
-
+def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name):
+    # each node stores the series of the step that reached it; the zero search
+    # and dense output reuse it, so it must be the series a fresh build from
+    # the previous node's jet gives, and it must end on the node
     kind, p, init, span, tol = _FSAL_RUNS[name]
-    reused = integrate(kind, p, init, span, tol)
-    make_kernel = integrator._dp3
-    # the reference loop: a new kernel for every trial step, so stage 1 is always evaluated
-    monkeypatch.setattr(integrator, "_dp3", lambda *args: lambda s, y, h: make_kernel(*args)(s, y, h))
-    fresh = integrate(kind, p, init, span, tol)
-    assert fresh.status is reused.status
-    assert len(fresh.nodes) == len(reused.nodes) > 50
-    assert [_node_bits(n) for n in reused.nodes] == [_node_bits(n) for n in fresh.nodes]
-    if reused.pole_estimate is not None:
-        assert _bits(reused.pole_estimate) == _bits(fresh.pole_estimate)
+    t = integrate(kind, p, init, span, tol)
+    series = series_fn(kind, p)
+    assert len(t.nodes) > 5
+    assert t.nodes[0].series == ()
+    for left, node in zip(t.nodes, t.nodes[1:]):
+        j = left.jet
+        fresh = series(j.z, j.w, j.w1, j.w2)
+        assert [_bits(v) for v in node.series] == [_bits(v) for v in fresh]
+        end = taylor_jet(fresh, node.h * t.direction)
+        assert [_bits(v) for v in end] == [_bits(v) for v in (node.jet.w, node.jet.w1, node.jet.w2)]
 
 
 def test_nodes_are_immutable_and_hashable():
@@ -654,51 +595,39 @@ def test_constraint_is_conserved_even_off_the_zero_set():
     assert min(abs(n.res2) for n in t.nodes) > 0.5
 
 
-# The generic tableau-driven Dormand-Prince step that the unrolled kernels
-# replaced, kept as their reference.  Sums accumulate left to right from 0,
-# as the builtin sum did for floats up to Python 3.11.
-_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_REF_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# A plain reference for the series kernels: the right-hand side of each kind
+# expanded term by term with a generic Cauchy product, in the order the
+# kernels sum, so the two agree bit for bit.
 
 
-def _ref_sum(terms):
-    acc = 0
-    for t in terms:
-        acc = acc + t
-    return acc
+def _cauchy(x, y, k):
+    return sum(map(lambda i: x[i] * y[k - i], range(k + 1)))
 
 
-def reference_dp_step(kind, p, z0, d, s, y, h, tol):
-    """(y5, mixed-norm error) of one step from arc parameter s, or None on a non-finite stage."""
-
-    def deriv(s, y):
-        return (d * y[1], d * y[2], d * rhs3(kind, p, z0 + s * d, y[0], y[1]))
-
-    k = [deriv(s, y)]
-    n = len(y)
-    for i in range(1, 7):
-        yi = tuple(y[j] + h * _ref_sum(_REF_A[i][m] * k[m][j] for m in range(i)) for j in range(n))
-        if not all(is_finite_scalar(v) for v in yi):
-            return None
-        k.append(deriv(s + _REF_C[i] * h, yi))
-    y_new = tuple(y[j] + h * _ref_sum(_REF_B5[m] * k[m][j] for m in range(7)) for j in range(n))
-    err = tuple(h * _ref_sum(_REF_E[m] * k[m][j] for m in range(7)) for j in range(n))
-    if not all(is_finite_scalar(v) for v in y_new):
-        return None
-    worst = 0.0
-    for e, a, b in zip(err, y, y_new):
-        worst = max(worst, abs(e) / (tol.abs + tol.rel * max(abs(a), abs(b))))
-    return y_new, worst
+def reference_series(kind, p, z, w, w1, w2):
+    a = [w, w1, 0.5 * w2]
+    for k in range(ORDER - 2):
+        dw = [(i + 1) * a[i + 1] for i in range(k + 1)]
+        sq = [_cauchy(a, a, i) for i in range(k + 1)]
+        if kind in (K.XVII, K.XXXII):
+            r = 0.0
+        elif kind is K.XXIX:
+            r = 6.0 * _cauchy(sq, dw, k)
+        elif kind is K.SQRT_PIV0:
+            # t as the series (z, 1, 0, ...); 4 t^2 as (4 z^2, 8 z, 4, 0, ...)
+            t = [z, 1.0] + [0.0] * k
+            tt = ([4.0 * z * z, 8.0 * z, 4.0] + [0.0] * k)[: k + 1]
+            quad = [15.0 * _cauchy(sq, sq, i) + 24.0 * (t[0] * sq[i] + (sq[i - 1] if i else 0.0)) for i in range(k + 1)]
+            quad = [qi + tti if i < 3 else qi for i, (qi, tti) in enumerate(zip(quad, tt))]
+            tf = z * a[k] + a[k - 1] if k else z * w
+            r = 2.0 * (_cauchy(a, sq, k) + tf) + 0.25 * _cauchy(quad, dw, k)
+        else:
+            zw = [z * a[i] + a[i - 1] if i else z * w for i in range(k + 1)]
+            poly = [4.0 * (z * z - p.alpha), 8.0 * z, 4.0]
+            big_p = [6.0 * sq[i] + 12.0 * zw[i] + poly[i] if i < 3 else 6.0 * sq[i] + 12.0 * zw[i] for i in range(k + 1)]
+            r = _cauchy(big_p, dw, k) + 4.0 * (sq[k] + zw[k])
+        a.append(r / ((k + 1) * (k + 2) * (k + 3)))
+    return a
 
 
 def _bits(v):
@@ -718,7 +647,6 @@ _MODES = {"real": (False, False), "complex": (True, True), "complex-jet-real-h":
 def test_kernel_bit_identical_to_reference_step(kind, mode):
     complex_jet, complex_dir = _MODES[mode]
     rng = random.Random(f"{kind.value}/{mode}")
-    tol = Tolerances()
 
     def draw():
         x = rng.uniform(-1.5, 1.5)
@@ -734,28 +662,74 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             else:
                 d = sign
             y = (draw(), draw(), draw())
-            s = rng.uniform(0.0, 2.0)
             h = 10.0 ** rng.uniform(-4.0, -0.5)
-            got = _dp3(rhs_fn(kind, p), z0, d, tol.abs, tol.rel)(s, y, h)
-            want = reference_dp_step(kind, p, z0, d, s, y, h, tol)
-            assert want is not None and got is not None
-            assert [_bits(v) for v in got[0]] == [_bits(v) for v in want[0]]
-            assert _bits(got[1]) == _bits(want[1])
+            got = series_fn(kind, p)(z0, *y)
+            want = reference_series(kind, p, z0, *y)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            # 6 a_3 is the right-hand side at the jet
+            w3 = rhs3(kind, p, z0, y[0], y[1])
+            assert abs(6.0 * got[3] - w3) <= 1e-14 * (1.0 + abs(w3) + sum(abs(v) for v in y) ** 5)
+            # the step: the polynomial at z0 + h d, with its derivatives
+            t = h * d
+            pw = [1.0]
+            for _ in range(ORDER):
+                pw.append(pw[-1] * t)
+            dw = [k * v for k, v in enumerate(want) if k]
+            ddw = [k * v for k, v in enumerate(dw) if k]
+            ref = [sum(map(lambda c, q: c * q, cs, pw)) for cs in (want, dw, ddw)]
+            assert [_bits(v) for v in taylor_jet(got, t)] == [_bits(v) for v in ref]
 
 
-def test_nan_error_component_is_not_accepted():
-    # only the seventh stage turns NaN; it enters the error estimate but not
-    # y5, and a NaN must not read as a zero error
-    def rhs_nan_at(stage):
-        calls = []
+def test_nan_error_component_is_not_accepted(monkeypatch):
+    # a NaN among the four tail coefficients of the step rule must not read
+    # as a vanishing tail, which would allow an unbounded step
+    import painleve4.integrator as integrator
 
-        def rhs(z, w, w1):
-            calls.append(z)
-            return math.nan if len(calls) == stage else 0.0
+    exact = [1.0, 0.5, 0.25] + [0.0] * (ORDER - 2)
+    assert _step_length(exact, 1e-10) == math.inf
+    for k in range(ORDER - 3, ORDER + 1):
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            coeffs = list(exact)
+            coeffs[k] = bad
+            assert _step_length(coeffs, 1e-10) is None
 
-        return rhs
+    def nan_tail(kind, p):
+        return lambda z, w, w1, w2: [w, w1, 0.5 * w2] + [0.0] * (ORDER - 3) + [math.nan]
 
-    y = (1.0, 0.5, 0.25)
-    y5, err = _dp3(rhs_nan_at(0), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1)
-    assert all(math.isfinite(v) for v in y5) and math.isfinite(err)
-    assert _dp3(rhs_nan_at(7), 0.0, 1.0, 1e-10, 1e-10)(0.0, y, 0.1) is None
+    monkeypatch.setattr(integrator, "series_fn", nan_tail)
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)
+    assert t.status is TrajectoryStatus.STEP_UNDERFLOW and len(t.nodes) == 1
+
+
+def test_step_rule_reads_four_tail_coefficients():
+    # criterion 3's zero seed has period-4 sparsity: of a_17 .. a_20 only a_17
+    # is nonzero, so a rule on the last two orders would take the whole span
+    coeffs = series_fn(K.PIV, Params(0.0, 1.0))(0.0, 0.0, 1.0, 0.0)
+    assert coeffs[ORDER - 3] != 0.0 and coeffs[ORDER - 2:] == [0.0, 0.0, 0.0]
+    h = _step_length(coeffs, 1e-10)
+    assert h == 0.5 * (1e-10 / abs(coeffs[ORDER - 3])) ** (1.0 / (ORDER - 3)) < 1.0
+    t = integrate(K.PIV, Params(0.0, 1.0), InitialData.zero(0.0, +1, 0.0), 1.0)
+    assert t.nodes[1].h == h and len(t.nodes) > 3
+
+
+@pytest.mark.parametrize("c", [0.7, -1.3, 1.0 + 0.5j])
+def test_xxix_pole_family_steps_and_dense_output_exactly(c):
+    # w = 1/(c - z) has a_k = (c - z0)^-(k+1); each node and dense value sits
+    # on the family to rounding
+    z_end = 0.5 if (c.real if isinstance(c, complex) else c) > 0 else -0.5
+    j = xxix_pole_family(c, 0.0)
+    field = ScalarField.COMPLEX if isinstance(c, complex) else ScalarField.REAL
+    init = InitialData.raw(j.z, j.w, j.w1, j.w2, field=field, direction=1.0 if z_end > 0 else -1.0)
+    if field is ScalarField.COMPLEX:
+        t = integrate(K.XXIX, Params(), init, abs(z_end))
+    else:
+        t = integrate(K.XXIX, Params(), init, z_end)
+    assert t.status is TrajectoryStatus.COMPLETED
+    for n in t.nodes:
+        exact = xxix_pole_family(c, n.jet.z)
+        assert abs(n.jet.w - exact.w) <= 1e-12 * abs(exact.w)
+    for frac in (0.13, 0.5, 0.77):
+        jet = dense_eval_param(t, frac * abs(z_end))
+        exact = xxix_pole_family(c, jet.z)
+        for a, b in ((jet.w, exact.w), (jet.w1, exact.w1), (jet.w2, exact.w2)):
+            assert abs(a - b) <= 1e-12 * abs(b)

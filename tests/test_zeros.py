@@ -59,16 +59,20 @@ def test_refined_points_sit_on_zeros(xxxii_through_two_roots):
         assert abs(dense_eval(t, e.a).w) < t.tol.abs
 
 
-def test_exact_node_zero_is_the_one_event_of_its_interval(xxxii_through_two_roots):
-    # a closing node with w == 0 is its interval's candidate, ahead of the rise
-    # of q there; it opens the next interval with q = 0, which is no rise
-    t = xxxii_through_two_roots
-    k = next(i for i, n in enumerate(t.nodes) if n.jet.w < 0)
-    hit = t.nodes[k]._replace(jet=dataclasses.replace(t.nodes[k].jet, w=0.0))
-    events = locate_zeros(dataclasses.replace(t, nodes=t.nodes[:k] + (hit,) + t.nodes[k + 1:]))
-    assert len(events) == 2
+def test_exact_node_zero_is_the_one_event_of_its_interval():
+    # w = z^2 - 1/4 from z = 0 ends on its root z = 0.5 with w = 0 exactly;
+    # joined to the run on from there, that node closes one interval and opens
+    # the next, and it is the one event of both
+    first = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, -0.25, 0.0), 0.5)
+    hit = first.nodes[-1]
+    assert hit.jet.w == 0.0
+    on = integrate(K.XXXII, Params(), InitialData.raw(hit.jet.z, 0.0, hit.jet.w1, hit.jet.w2), 1.0)
+    later = tuple(n._replace(s=hit.s + n.s) for n in on.nodes[1:])
+    joined = dataclasses.replace(first, nodes=first.nodes + later)
+    assert len(joined.nodes) == 3
+    events = locate_zeros(joined)
+    assert len(events) == 1
     assert events[0].a == hit.jet.z and events[0].slope == hit.jet.w1
-    assert abs(events[1].a - 0.5) < 1e-9
 
 
 def test_seed_zero_event_classified_plus_beta():
@@ -268,16 +272,32 @@ def test_piv0_tangential_zero_resolved(w2):
     assert e.branch is not ZeroBranch.UNRESOLVED
 
 
+def _piv0_through(j0):
+    # restart at z = -0.6 so that the seed at z = 0 is interior
+    back = integrate(K.PIV0, Params(), InitialData.raw(0.0, *j0), -0.6)
+    j = back.nodes[-1].jet
+    return integrate(K.PIV0, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.2)
+
+
 @pytest.mark.parametrize("w2", [-1.0, -2.0, 5.0])
 def test_piv0_tangential_zero_resolved_against_drifted_c(w2):
-    # the slope here reads 3e-6 to 1e-5, beyond SLOPE_TOL of 0, but within it
-    # of the +-sqrt(-C*) that the trajectory's drifted C* allows
-    t = piv0_through_zero(w2)
-    events = locate_zeros(t)
-    assert len(events) == 1
-    assert abs(events[0].slope) > 1e-6
-    assert events[0].branch is ZeroBranch.PLUS_BETA
-    assert check_curvature_theorem(events, t).ok
+    # at beta = 0 a jet with C* = -eps^2 < 0 crosses zero twice, at slopes
+    # +-eps, and one with C* > 0 misses zero by about C* / (2 |w''|).  Either
+    # way the extremum between is the one event: a tangential zero, with the
+    # slope 0 it has there
+    eps = 1e-6
+    for j0, crossings in (((0.0, eps, w2), 2), ((math.copysign(1e-12, w2), 0.0, w2), 0)):
+        t = _piv0_through(j0)
+        assert (t.nodes[0].c < 0) == (crossings == 2)
+        events = locate_zeros(t)
+        assert len(events) == 1
+        e = events[0]
+        assert abs(e.a) < 1e-5 and abs(e.slope) < 1e-12 and abs(e.curvature - w2) < 1e-6
+        assert e.branch is ZeroBranch.PLUS_BETA
+        assert check_curvature_theorem(events, t).ok
+        probe = 4.0 * eps / abs(w2)
+        signs = [dense_eval(t, e.a + k * probe).w > 0 for k in (-1, 0, 1)]
+        assert (signs[0] != signs[1] and signs[1] != signs[2]) == (crossings == 2)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +322,10 @@ def test_zero_resolved_at_the_slope_its_first_integral_allows(kind, init, span):
 
 
 def test_verdict_reads_the_stored_monitor():
-    t = piv0_through_zero(-1.0)
+    # raw piv0 data off the solution set crosses zero at slope -sqrt(-res2*);
+    # with the stored monitor blinded to 0 the same slope is unresolved
+    t = integrate(K.PIV0, Params(), InitialData.raw(-1.0, 0.3, 0.2, -0.5), 2.0)
+    assert [e.branch for e in locate_zeros(t)] == [ZeroBranch.PLUS_BETA]
     blind = dataclasses.replace(t, nodes=tuple(n._replace(res2=0.0) for n in t.nodes))
     events = locate_zeros(blind)
     assert len(events) == 1
@@ -352,10 +375,10 @@ def test_close_roots_of_one_quadratic_each_found_once(r, w0, w1):
 
 
 def test_root_on_the_final_node_is_reported():
-    # w = z^2 - 1/4 ends on its root z = 0.5, where the last node holds w = -8.3e-17, not 0
+    # w = z^2 - 1/4 ends on its root z = 0.5: one exact step, whose last node holds w = 0
     t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, -0.25, 0.0), 0.5)
     end = t.nodes[-1].jet
-    assert end.w != 0.0 and abs(end.w) < t.tol.abs
+    assert len(t.nodes) == 2 and end.w == 0.0
     events = locate_zeros(t)
     assert len(events) == 1
     assert abs(events[0].a - 0.5) < 1e-12
@@ -369,7 +392,35 @@ def test_path_ending_short_of_a_root_reports_none(span):
 
 
 def test_path_ending_past_a_root_reports_it_once():
-    # |w| rises again at the end, so the q-rise bisection owns the root
+    # w changes sign inside the one exact step, so its bisection owns the root
     t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, -0.25, 0.0), 0.5 + 1e-9)
     events = locate_zeros(t)
     assert len(events) == 1 and abs(events[0].a - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "z0,span",
+    [(-0.886, 2.0), (-2.0, 4.0), (2.0, -4.0), (0.3, -1.0)],
+)
+def test_every_root_of_one_long_step_is_found(z0, span):
+    # w = z^2 - 1/4 is one exact step, so both roots +-0.5 share one interval
+    t = integrate(K.XXXII, Params(), InitialData.nonzero(z0, z0 * z0 - 0.25, 2 * z0), span)
+    assert len(t.nodes) == 2
+    roots = sorted(x for x in (-0.5, 0.5) if min(z0, z0 + span) < x < max(z0, z0 + span))
+    events = locate_zeros(t)
+    assert sorted(e.a for e in events) == pytest.approx(roots, abs=1e-12)
+    assert [e.a for e in events] == sorted((e.a for e in events), reverse=span < 0)
+    for e in events:
+        assert abs(abs(e.slope) - 1.0) < 1e-12
+
+
+def test_beta_zero_tangency_of_the_readme_sweep_is_one_event():
+    # README sweep cell alpha = 1.6, beta = 0: near its tangency the computed w
+    # crosses twice at slopes +-sqrt(-C*) or misses zero by rounding, as the
+    # drifted C* falls below or above 0; either way the one event is the
+    # extremum, with slope 0
+    t = integrate(K.PIV, Params(1.6, 0.0), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0)
+    events = locate_zeros(t)
+    assert len(events) == 1
+    assert abs(events[0].slope) < 5e-9
+    assert events[0].branch is ZeroBranch.PLUS_BETA and events[0].curvature_nonzero
