@@ -17,9 +17,10 @@ capped at the span left.  Four orders, not two: a series with period-4
 sparsity (piv at beta = 1 from the zero jet w = 0, w' = 1, w'' = 0 has
 a_18 = a_19 = a_20 = 0) would otherwise read as exact.  Only when all four
 vanish is h unbounded, which is the exact xvii/xxxii case (a_k = 0 for
-k >= 3), so those kinds cross any span in one step.  A non-finite
-coefficient or state ends the run STEP_UNDERFLOW; there are no rejected
-steps.
+k >= 3), so those kinds cross any span in one step.  A step is rejected
+when the rule asks for h below h_min (on error) or a coefficient or the
+state is not finite; the first rejection ends the run STEP_UNDERFLOW, and
+no step is retried.
 
 Each node keeps the coefficients of the step that reached it, so dense
 output evaluates that step's own polynomial, and the zero search reads the

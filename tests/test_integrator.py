@@ -297,6 +297,22 @@ class TestIntegrate:
 
 
 class TestRejectedSteps:
+    # a step is rejected when the rule asks for h below h_min (on error) or
+    # when the series is not finite; either ends the run STEP_UNDERFLOW
+    def test_error_rejection_on_a_regular_run(self):
+        # this pole-free run completes with steps falling from 0.27 to 0.08;
+        # with h_min = 0.1 the first step the tolerance sets below it is
+        # rejected, and the run keeps the nodes before it, bit for bit
+        init = InitialData.nonzero(-1.0, 0.5, 0.0)
+        ref = integrate(K.PIV, Params(), init, 2.0)
+        t = integrate(K.PIV, Params(), init, 2.0, Tolerances(h_min=0.1))
+        assert ref.status is TrajectoryStatus.COMPLETED
+        assert t.status is TrajectoryStatus.STEP_UNDERFLOW and t.pole_estimate is None
+        n = len(t.nodes)
+        assert 5 < n < len(ref.nodes) - 1
+        assert [_node_bits(a) for a in t.nodes] == [_node_bits(b) for b in ref.nodes[:n]]
+        assert ref.nodes[n].h < 0.1 <= min(node.h for node in t.nodes[1:])
+
     def test_non_finite_rejections_end_in_underflow(self):
         # w0 = 1e20: the coefficients (c - z0)^-(k+1) of 1/(c - z) overflow,
         # so the first step is refused and the run ends at its seed
@@ -341,7 +357,15 @@ _STATS_RUNS = {
     ),
     "piv-w-bound": (K.PIV, Params(-1.2, 2.0), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), 3.0, None),
     "piv-budget": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 5),
-    "xxix-h-min-underflow": (
+    "piv-budget-after-a-single-step": (
+        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 1,
+    ),
+    # rejected on error: the step the tolerance asks for falls below h_min,
+    # on a regular run and on the way to the pole of 1/(1 - z)
+    "piv-error-rejection": (
+        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_min=0.1), math.inf, None,
+    ),
+    "xxix-pole-rejection": (
         K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, Tolerances(h_min=9e-4), math.inf, None,
     ),
 }  # fmt: skip
@@ -375,6 +399,20 @@ class TestStats:
         elif st.accepted == 0:
             assert st.h_min is None and st.h_max is None
 
+    @pytest.mark.parametrize(
+        "name, error, non_finite",
+        [("piv-error-rejection", 1, 0), ("xxix-pole-rejection", 1, 0), ("xxix-non-finite-underflow", 0, 1)],
+    )
+    def test_rejections_of_the_rejected_step_runs(self, name, error, non_finite, monkeypatch):
+        # the one rejected step that ends each run, read off its last node:
+        # on error the rule's h is below h_min, non-finite it gives no h
+        t = _run_stats_case(name, monkeypatch)
+        assert t.status is TrajectoryStatus.STEP_UNDERFLOW
+        j = t.nodes[-1].jet
+        coeffs = series_fn(t.kind, t.params)(j.z, j.w, j.w1, j.w2)
+        h = _step_length(coeffs, t.tol.abs + t.tol.rel * abs(j.w))
+        assert (int(h is not None and h < t.tol.h_min), int(h is None)) == (error, non_finite)
+
     def test_a_rerun_has_the_same_stats(self):
         runs = [integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5) for _ in range(2)]
         assert runs[0].stats == runs[1].stats
@@ -405,6 +443,7 @@ _FSAL_RUNS = {
     ),
     "sqrt-piv0": (K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0, Tolerances()),
     "piv-backward": (K.PIV, Params(), InitialData.nonzero(1.0, 0.5, 0.0), -2.0, Tolerances()),
+    "piv-error-rejection": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_min=0.1)),
 }  # fmt: skip
 
 
