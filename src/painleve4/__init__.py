@@ -23,7 +23,6 @@ from .errors import (
     InvalidInitialData,
     MultipleZeros,
     NegativeW,
-    NonFiniteState,
     OutOfSpan,
     PainleveError,
     SingularInput,
@@ -40,7 +39,6 @@ from .integrator import (
     dense_eval,
     dense_eval_param,
     integrate,
-    step,
 )
 from .oracles import (
     QuadraticSolution,
@@ -78,7 +76,6 @@ __all__ = [
     "rhs3",
     "PainleveError",
     "SingularInput",
-    "NonFiniteState",
     "InvalidInitialData",
     "OutOfSpan",
     "DiscriminantViolation",
@@ -95,7 +92,6 @@ __all__ = [
     "dense_eval",
     "dense_eval_param",
     "integrate",
-    "step",
     "QuadraticSolution",
     "XXIXIntegrals",
     "SqrtLiftResult",

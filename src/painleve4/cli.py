@@ -7,8 +7,9 @@ zeros       integrate, locate and classify zeros, write events JSON
 verify      run a randomized property suite, print pass/fail per property
 sweep       grid of independent integrations over (alpha, beta)
 
-All numbers in emitted files are serialized at 17 significant digits, so
-parsing them back reproduces the binary values exactly.  The piv parameters
+CSV numbers are written at 17 significant digits and JSON numbers at their
+shortest round-trip repr, so parsing either back reproduces the binary
+values exactly.  The piv parameters
 follow the beta^2 convention of Ince's form XXXI throughout; there is no
 conversion flag.
 
@@ -70,35 +71,9 @@ def _scalar_json(x: Scalar | None):
     return float(x)
 
 
-def json_dumps(obj, level: int = 0) -> str:
-    """JSON text with floats at 17 significant digits and stable key order."""
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + json_dumps(v, level + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: {json_dumps(v, level + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def json_dumps(obj) -> str:
+    """JSON text indented by two spaces, keys in insertion order, floats at their shortest round-trip repr."""
+    return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:

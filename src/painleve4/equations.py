@@ -34,16 +34,14 @@ Because every third-order right-hand side is a polynomial, the Taylor
 coefficients of a solution follow from its jet by Cauchy-product
 recurrences, with no division by w and no right-hand side calls (Jorba and
 Zou, Exp. Math. 14 (2005); Fornberg and Weideman, J. Comput. Phys. 230
-(2011)).  `series_fn` binds the recurrence of one kind; `rhs_fn` and `rhs3`
-evaluate the right-hand side itself at one point.
+(2011)).  `series_fn` binds the recurrence of one kind; `rhs3` evaluates
+the right-hand side itself at one point.
 
 Note on parameters: the ``beta**2`` convention above is Ince's XXXI form.
 The standalone Painleve IV convention relabels beta^2 as -2*beta; no
 conversion is offered anywhere in this package.
 """
 
-import cmath
-import math
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
@@ -72,14 +70,8 @@ class ScalarField(Enum):
     COMPLEX = "complex"
 
 
-def is_finite_scalar(x: Scalar) -> bool:
-    if isinstance(x, complex):
-        return cmath.isfinite(x)
-    return math.isfinite(x)
-
-
 def _check_finite(name: str, x: Scalar) -> None:
-    if not is_finite_scalar(x):
+    if not isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
@@ -99,8 +91,8 @@ class Params:
 class Jet3:
     """Point value (z, w, w', w''): the full state of the third-order system.
 
-    The third derivative is never stored; it is recomputed from `rhs3`
-    whenever needed.
+    The third derivative is not stored: the series of each step
+    (`series_fn`) carries it as 6 a_3.
     """
 
     z: Scalar
@@ -128,42 +120,6 @@ def ensure_kind_params(kind: EquationKind, p: Params) -> None:
             value = getattr(p, name)
             if value != 0.0:
                 raise ValueError(f"{name}: {kind.value} requires alpha = beta = 0, got {name} = {value!r}")
-
-
-def _rhs_xxix(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
-    return 6.0 * w * w * w1
-
-
-def _rhs_quadratic(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
-    return 0.0 * w
-
-
-def _rhs_sqrt_piv0(t: Scalar, f: Scalar, f1: Scalar) -> Scalar:
-    # products, not **: a float ** raises OverflowError where a product gives inf
-    ff = f * f
-    return 2.0 * f * (ff + t) + (15.0 * ff * ff + 24.0 * t * ff + 4.0 * t * t) * f1 * 0.25
-
-
-def rhs_fn(kind: EquationKind, p: Params):
-    """Right-hand side of the advanced system bound to one kind.
-
-    The returned function maps (z, w, w') to w''' (see `rhs3`).  The
-    parameters are validated here, once, so the bound function does no
-    dispatch or checking per call.
-    """
-    ensure_kind_params(kind, p)
-    if kind is EquationKind.SQRT_PIV0:
-        return _rhs_sqrt_piv0
-    if kind is EquationKind.XXIX:
-        return _rhs_xxix
-    if kind in (EquationKind.XVII, EquationKind.XXXII):
-        return _rhs_quadratic
-    alpha = p.alpha
-
-    def rhs_piv(z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
-        return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - alpha)) * w1 + 4.0 * (w + z) * w
-
-    return rhs_piv
 
 
 #: order p of the Taylor series that `series_fn` builds: coefficients a_0 .. a_p
@@ -235,7 +191,8 @@ def series_fn(kind: EquationKind, p: Params):
     from coefficient k of the right-hand side, whose products are Cauchy
     sums over the coefficients already known: O(p^2) operations in all and
     no division by w.  xvii and xxxii have w''' = 0, so their a_k vanish
-    for k >= 3.  The parameters are validated here, once, as in `rhs_fn`.
+    for k >= 3.  The parameters are validated here, once, so the bound
+    function does no dispatch or checking per call.
     """
     ensure_kind_params(kind, p)
     if kind is EquationKind.SQRT_PIV0:
@@ -280,7 +237,16 @@ def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Sca
     The second derivative does not appear on the right-hand side: it cancels
     when the cleared-denominator form is differentiated.
     """
-    return rhs_fn(kind, p)(z, w, w1)
+    ensure_kind_params(kind, p)
+    if kind is EquationKind.SQRT_PIV0:
+        # products, not **: a float ** raises OverflowError where a product gives inf
+        ff = w * w
+        return 2.0 * w * (ff + z) + (15.0 * ff * ff + 24.0 * z * ff + 4.0 * z * z) * w1 * 0.25
+    if kind is EquationKind.XXIX:
+        return 6.0 * w * w * w1
+    if kind in (EquationKind.XVII, EquationKind.XXXII):
+        return 0.0 * w
+    return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - p.alpha)) * w1 + 4.0 * (w + z) * w
 
 
 def _piv_poly(alpha: float, beta: float, z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Scalar:

@@ -9,10 +9,6 @@ class SingularInput(PainleveError):
     """An operation that divides by w (or needs w > 0) received w at the singularity."""
 
 
-class NonFiniteState(PainleveError):
-    """A propagated state component became NaN or infinite."""
-
-
 class InvalidInitialData(PainleveError):
     """Initial data violates its mode's constraints."""
 

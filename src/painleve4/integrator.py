@@ -8,7 +8,7 @@ direction otherwise, so a single code path serves both modes.
 
 Each step expands w about the current node to order p = `ORDER` with the
 kind's coefficient recurrence (`equations.series_fn`), bound once when
-`integrate` or `step` is entered, and evaluates that polynomial at
+`integrate` is entered, and evaluates that polynomial at
 z + h*d.  The step length follows Jorba and Zou (Exp. Math. 14 (2005)):
 
     h = 0.5 * min over k = p-3 .. p of ((abs + rel |w|) / |a_k|)^(1/k),
@@ -45,13 +45,12 @@ from .equations import (
     ScalarField,
     constraint_c,
     ensure_kind_params,
-    is_finite_scalar,
     residual2,
     rhs3,  # noqa: F401 -- unused here; perfbench/tracing.py patches integrator.rhs3
     series_fn,
     _rhs2_scalar,
 )
-from .errors import InvalidInitialData, NonFiniteState, OutOfSpan
+from .errors import InvalidInitialData, OutOfSpan
 
 logger = logging.getLogger(__name__)
 
@@ -234,7 +233,7 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     if init.mode == "raw" and kind is not EquationKind.SQRT_PIV0:
         return Jet3(z0, w0, w1, conv(init.w2_0 if init.w2_0 is not None else 0.0))
     w2 = _rhs2_scalar(kind, p, z0, w0, w1)
-    if not is_finite_scalar(w2):
+    if not isfinite(w2):
         raise InvalidInitialData(f"w0: w'' completed from the equation is not finite ({w2!r})")
     return Jet3(z0, w0, w1, w2)
 
@@ -273,31 +272,6 @@ def _step_length(coeffs, bound: float) -> float | None:
 
 def _tail_error(coeffs, h: float, bound: float) -> float:
     return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
-
-
-def step(
-    kind: EquationKind,
-    p: Params,
-    j: Jet3,
-    h: float,
-    tol: Tolerances = Tolerances(),
-) -> tuple[Jet3, float]:
-    """One Taylor step of the advanced system from jet j, of the given length.
-
-    h is a signed real step in z (the path direction is sign(h); complex jet
-    entries are allowed).  Returns the new jet and the tail estimate
-    max |a_k| |h|^k, k = p-3 .. p, in units of abs + rel |w|; the step rule
-    of `integrate` keeps that below 0.5^(p-3).  Raises NonFiniteState if a
-    coefficient or the new state is not finite.
-    """
-    if h == 0:
-        raise ValueError("h: step size must be nonzero")
-    coeffs = series_fn(kind, p)(j.z, j.w, j.w1, j.w2)
-    # a non-finite coefficient makes the new state non-finite too
-    w, w1, w2 = taylor_jet(coeffs, h)
-    if not (isfinite(w) and isfinite(w1) and isfinite(w2)):
-        raise NonFiniteState(f"non-finite state advancing from z = {j.z!r} with h = {h!r}")
-    return Jet3(j.z + h, w, w1, w2), _tail_error(coeffs, abs(h), tol.abs + tol.rel * abs(j.w))
 
 
 def _pole_estimate(kind: EquationKind, j: Jet3) -> Scalar:
@@ -353,7 +327,7 @@ def integrate(
       STEP_BUDGET     _MAX_STEPS steps did not cover the span.
     """
     ensure_kind_params(kind, p)
-    if not (span != 0 and is_finite_scalar(span) and not isinstance(span, complex)):
+    if not (span != 0 and isfinite(span) and not isinstance(span, complex)):
         raise ValueError(f"span: must be a nonzero finite real, got {span!r}")
     if not (w_bound > 0):
         raise ValueError(f"w_bound: must be positive, got {w_bound!r}")

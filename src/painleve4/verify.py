@@ -25,7 +25,7 @@ from .equations import (
     EquationKind,
     Jet3,
     Params,
-    constraint_c,
+    constraint_c,  # noqa: F401 -- unused here; perfbench/tracing.py patches verify.constraint_c
     jet_identities,
     residual2,
 )

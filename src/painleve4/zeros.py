@@ -72,10 +72,9 @@ class ZeroEvent:
     curvature_nonzero: bool | None = None
 
 
-def _classify(slope: Scalar, beta: float, res2: Scalar, real_mode: bool) -> ZeroBranch:
-    # at a zero, res2 (C on piv/piv0) reduces to beta^2 - w'^2: the slope may sit
-    # at +-beta or at the +-sqrt(beta^2 - res2*) the drifted monitor allows
-    target = math.sqrt(max(beta * beta - res2, 0.0)) if real_mode else cmath.sqrt(beta * beta - res2)
+def _classify(slope: Scalar, beta: float, slope2: Scalar, real_mode: bool) -> ZeroBranch:
+    # the slope may sit at +-beta or at the +-sqrt(slope2) the drifted monitor allows
+    target = math.sqrt(max(slope2, 0.0)) if real_mode else cmath.sqrt(slope2)
     miss = min(abs(slope - beta), abs(slope + beta), abs(slope - target), abs(slope + target))
     if miss > SLOPE_TOL * max(1.0, abs(beta)):
         return ZeroBranch.UNRESOLVED
@@ -200,12 +199,12 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     the step's own polynomial gives every candidate (see the module
     docstring); a candidate is kept only if ``|w| < tol.abs`` at it.  Slope
     and curvature are read from the jet there.  The slope must lie within
-    ``SLOPE_TOL * max(1, |beta|)`` of +-beta or of +-sqrt(beta^2 - res2*),
+    ``SLOPE_TOL * max(1, |beta|)`` of +-beta or of +-sqrt(k - res2*),
     where res2* is the monitor of the node closing the interval (of the
     node itself for a node zero); the branch is then the nearer of +-beta,
-    and UNRESOLVED otherwise.  On piv and piv0 res2* is the drifted C*; on
-    xvii and xxix it is the kind's own first integral, which reduces to
-    -w'^2 at a zero.
+    and UNRESOLVED otherwise.  At a zero res2 reduces to k - w'^2: on piv
+    and piv0 it is C, with k = beta^2; on xvii and xxix it is the kind's
+    own first integral with k = 0, and on xxxii with k = 1.
 
     The identically-zero trajectory yields no events (its zeros are not
     isolated); callers can detect it through ``max_abs_w() == 0``.
@@ -217,6 +216,8 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     real_mode = traj.field is ScalarField.REAL
     beta = traj.params.beta
     abs_tol = traj.tol.abs
+    # sqrt-piv0, parameter free, keeps k = beta^2 = 0 as well
+    k = 1.0 if traj.kind is EquationKind.XXXII else beta * beta
 
     # each candidate carries the node whose res2 judges it
     candidates = [(nodes[0].jet, nodes[0])] if nodes[0].jet.w == 0 else []
@@ -230,7 +231,7 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     for jet, node in candidates:
         if abs(jet.w) >= abs_tol:
             continue  # a |w| minimum off the zero set
-        branch = _classify(jet.w1, beta, node.res2, real_mode)
+        branch = _classify(jet.w1, beta, k - node.res2, real_mode)
         curvature_nonzero = (abs(jet.w2) > CURV_FLOOR) if beta == 0.0 else None
         events.append(ZeroEvent(jet.z, jet.w1, jet.w2, branch, curvature_nonzero))
     return tuple(events)

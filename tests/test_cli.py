@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from painleve4 import EquationKind, InitialData, Params, Tolerances, TrajectoryStatus, integrate
+from painleve4 import EquationKind, InitialData, Params, Tolerances, TrajectoryStatus, integrate, locate_zeros
+from painleve4 import cli
 from painleve4.cli import (
     CSV_HEADER,
     build_parser,
@@ -248,6 +249,8 @@ class TestZerosCommand:
         assert abs(a_values[0] + 0.5) < 1e-8 and abs(a_values[1] - 0.5) < 1e-8
         slopes = sorted(e["slope"] for e in doc["events"])
         assert abs(slopes[0] + 1.0) < 1e-8 and abs(slopes[1] - 1.0) < 1e-8
+        # at a zero xxxii's res2 reduces to 1 - w'^2, which allows slopes -+1
+        assert [e["branch"] for e in doc["events"]] == ["plus_beta", "plus_beta"]
         assert doc["curvature_report"] is None  # xxxii is not piv
 
     def test_both_roots_of_one_exact_step(self, tmp_path):
@@ -530,6 +533,50 @@ def test_summary_ends_with_the_step_counters(tmp_path):
     first = summary.read_bytes()
     assert main(argv) == 0
     assert summary.read_bytes() == first
+
+
+def _same_bits(doc_value, value) -> bool:
+    """A JSON number, or [re, im] pair, holds exactly the float or complex value, sign of zero included."""
+    want = [value.real, value.imag] if isinstance(value, complex) else [value]
+    got = doc_value if isinstance(doc_value, list) else [doc_value]
+    return [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+@pytest.mark.parametrize(
+    "argv,n_events",
+    [
+        (["zeros", "--eq", "piv", "--alpha", "1", "--beta", "0.7", "--z0", "-2", "--w0", "0.5", "--w1", "1",
+          "--span", "4"], 2),
+        (["integrate", "--eq", "xxix", "--z0", "0", "--w0", "1", "--w1", "1", "--span", "2",
+          "--field", "complex", "--dir-re", "1", "--dir-im", "0"], 0),
+    ],
+    ids=["zeros-pole-run", "complex-integrate-pole-run"],
+)  # fmt: skip
+def test_summary_json_parse_back_is_exact(argv, n_events, tmp_path, monkeypatch):
+    # the JSON counterpart of acceptance criterion 9's CSV parse-back: every
+    # number of a written summary reads back as the bits the run computed
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    summary = tmp_path / "s.json"
+    assert main(argv + ["--out", str(tmp_path / "out"), "--summary", str(summary)]) == 0
+    (traj,) = runs
+    events = locate_zeros(traj)
+    doc = json.loads(summary.read_text(encoding="utf-8"))
+    assert doc["status"] == "pole"
+    assert _same_bits(doc["pole_estimate"], traj.pole_estimate)
+    assert _same_bits(doc["max_abs_c"], max(abs(n.c) for n in traj.nodes))
+    assert _same_bits(doc["max_abs_res2"], max(abs(n.res2) for n in traj.nodes))
+    assert len(doc["events"]) == len(events) == n_events
+    for got, e in zip(doc["events"], events):
+        for key in ("a", "slope", "curvature"):
+            assert _same_bits(got[key], getattr(e, key))
+    for key in ("h_min", "h_max"):
+        assert _same_bits(doc["stats"][key], getattr(traj.stats, key))
 
 
 def test_summary_json_shape_complex():

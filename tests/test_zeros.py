@@ -49,8 +49,9 @@ def test_sign_change_zeros_of_quadratic(xxxii_through_two_roots):
     assert abs(events[1].a - 0.5) < 1e-9
     assert abs(events[0].slope - (-1.0)) < 1e-9
     assert abs(events[1].slope - 1.0) < 1e-9
-    # beta defaults to 0 here, so slopes +-1 match neither branch
-    assert all(e.branch is ZeroBranch.UNRESOLVED for e in events)
+    # at a zero xxxii's res2 = 2 w w'' - w'^2 + 1 reduces to 1 - w'^2, so slopes
+    # +-1 are the ones it allows; with beta = 0 both are the nearer, plus_beta
+    assert all(e.branch is ZeroBranch.PLUS_BETA for e in events)
 
 
 def test_refined_points_sit_on_zeros(xxxii_through_two_roots):
