@@ -9,9 +9,8 @@ sweep       grid of independent integrations over (alpha, beta)
 
 CSV numbers are written at 17 significant digits and JSON numbers at their
 shortest round-trip repr, so parsing either back reproduces the binary
-values exactly.  The piv parameters
-follow the beta^2 convention of Ince's form XXXI throughout; there is no
-conversion flag.
+values exactly.  The piv parameters follow the beta^2 convention of Ince's
+form XXXI throughout; there is no conversion flag.
 
 Environment: PAINLEVE_LOG = error|warn|info|debug (default warn).
 """
