@@ -25,6 +25,18 @@ no step is retried.
 Each node keeps the coefficients of the step that reached it, so dense
 output evaluates that step's own polynomial, and the zero search reads the
 same polynomial; nothing is recomputed after `integrate`.
+
+A movable pole is a simple root of u = 1/(w + z) for piv and piv0 (their
+Laurent series w = e/(z - a) - a + O(z - a), e = +-1, makes
+u = e (z - a) + O((z - a)^3)), of u = 1/(f^2 + t) for sqrt-piv0 and of
+u = 1/w for xxix.  At each node with |w| > `_SERIES_POLE_FROM` (|f^2| for
+sqrt-piv0) the series of u is divided out of the step's series, and
+Newton's method finds its root near the node.  The run ends POLE at that
+root, with no further step, when the root lies within the Jorba-Zou step
+that u's own coefficients allow and ahead on the path within the span left
+(Fornberg and Weideman, J. Comput. Phys. 230 (2011), read poles off the
+same local expansions).  Otherwise the run steps on, and a step that takes
+|w| above `pole_cutoff` ends it as a backstop.
 """
 
 import logging
@@ -55,6 +67,13 @@ from .errors import InvalidInitialData, OutOfSpan
 logger = logging.getLogger(__name__)
 
 _MAX_STEPS = 1_000_000
+
+# |w| (|f^2| for sqrt-piv0) above which each node's series is searched for
+# the pole, which is then about 1/|w| away; a run that stores no |w| above it,
+# such as a verify draw capped at 3 or 10, never searches
+_SERIES_POLE_FROM = 10.0
+# Newton iterations before a root search gives up
+_NEWTON_STEPS = 30
 
 # k = 1 .. p: the factors that turn coefficients of w into those of its derivative
 _DERIVATIVE_FACTORS = range(1, ORDER + 1)
@@ -171,8 +190,9 @@ class TrajectoryStats:
     """Deterministic step counts of one integration.
 
     accepted      steps taken; each is stored as a node, except the one that
-                  ends a run POLE or W_BOUND, so len(nodes) = 1 + accepted
-                  less that step
+                  crosses pole_cutoff or w_bound, so len(nodes) = 1 + accepted
+                  less that step.  A run ended at the root of its series
+                  takes no step to the pole.
     h_min, h_max  the range of h over those steps; None if there is none
     """
 
@@ -274,8 +294,74 @@ def _tail_error(coeffs, h: float, bound: float) -> float:
     return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
 
 
+def _reciprocal(v) -> list:
+    """Taylor coefficients u_0 .. u_p of 1/v from v_0 .. v_p, v_0 != 0."""
+    inv = 1.0 / v[0]
+    u = [inv]
+    for k in range(1, ORDER + 1):
+        # sum_{i=0..k} v_i u_{k-i} = 0
+        u.append(-inv * sum(map(mul, v[1 : k + 1], u[::-1])))
+    return u
+
+
+def _newton_root(u, t: Scalar = 0.0) -> Scalar | None:
+    """The root of sum u_k t^k that Newton's method reaches from t; None if it does not settle."""
+    du = derivative(u)
+    for _ in range(_NEWTON_STEPS):
+        pw = powers(t)
+        slope = sum(map(mul, du, pw))
+        if slope == 0:
+            return None
+        dt = sum(map(mul, u, pw)) / slope
+        t -= dt
+        # quadratic convergence: the next step would be below rounding
+        if abs(dt) <= 1e-13 * abs(t):
+            return t
+    return None
+
+
+def _pole_coordinate(kind: EquationKind, coeffs, z: Scalar) -> list | None:
+    """Taylor coefficients of u = 1/v about the point z of a step's series; None where v vanishes there.
+
+    v = w + z for piv and piv0, f^2 + t for sqrt-piv0 (one Cauchy product)
+    and w for xxix: u has a simple root at each pole.  xvii and xxxii
+    solutions are quadratics, with no poles: None.
+    """
+    if kind in (EquationKind.XVII, EquationKind.XXXII):
+        return None
+    if kind is EquationKind.XXIX:
+        v = coeffs
+    else:
+        if kind is EquationKind.SQRT_PIV0:
+            coeffs = [sum(map(mul, coeffs, coeffs[k::-1])) for k in range(ORDER + 1)]
+        v = [coeffs[0] + z, coeffs[1] + 1.0, *coeffs[2:]]
+    return None if v[0] == 0 else _reciprocal(v)
+
+
+def _series_pole(kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, tol: Tolerances) -> Scalar | None:
+    """Offset r from the node at z to the pole at z + r, read off the node's series; None where it is not trusted.
+
+    u = 1/v with v = w + z (piv, piv0), f^2 + t (sqrt-piv0) or w (xxix),
+    in powers of z' - z.  r is accepted only when it lies within the
+    Jorba-Zou step of u at the run's tolerances, so the neglected tail of u
+    is below them there, and ahead on the path: r/d in (0, left] and, on a
+    complex path, within 1/pole_cutoff of it.
+    """
+    u = _pole_coordinate(kind, coeffs, z)
+    h = None if u is None else _step_length(u, tol.abs + tol.rel * abs(u[0]))
+    if h is None:
+        return None
+    r = _newton_root(u)
+    if r is None or not abs(r) <= h:
+        return None
+    t = r / d
+    if 0.0 < t.real <= left and abs(t.imag) <= 1.0 / tol.pole_cutoff:
+        return r
+    return None
+
+
 def _pole_estimate(kind: EquationKind, j: Jet3) -> Scalar:
-    """One Newton step from the jet j onto a simple zero u(a) = 0 at the pole a.
+    """One Newton step from the jet j onto a simple zero u(a) = 0 at the pole a; where the cutoff backstop starts.
 
     piv and piv0 use u = 1/(w + z): their Laurent series
     w = e/(z - a) - a + O(z - a), e = +-1, makes u = e (z - a) + O((z - a)^3),
@@ -290,6 +376,19 @@ def _pole_estimate(kind: EquationKind, j: Jet3) -> Scalar:
     shifted = kind in (EquationKind.PIV, EquationKind.PIV0, EquationKind.SQRT_PIV0)
     num, den = (w + z, w1 + 1.0) if shifted else (w, w1)
     return z if den == 0 else z + num / den
+
+
+def _backstop_pole(kind: EquationKind, coeffs, z: Scalar, crossing: Jet3) -> Scalar:
+    """The pole estimate of a run whose step from z reached |w| > pole_cutoff at the jet `crossing`.
+
+    `_pole_estimate` from the crossing jet, refined by Newton's method on
+    u's series about z (`_pole_coordinate`); it stands unrefined where that
+    series does not exist or the refinement does not settle.
+    """
+    estimate = _pole_estimate(kind, crossing)
+    u = _pole_coordinate(kind, coeffs, z)
+    r = None if u is None else _newton_root(u, estimate - z)
+    return estimate if r is None else z + r
 
 
 def integrate(
@@ -314,9 +413,16 @@ def integrate(
 
     Termination:
       COMPLETED       the requested span was covered,
-      POLE(z_est)     a step took |w| above pole_cutoff (|f^2| for
-                      sqrt-piv0); z_est is one Newton step from that step's
-                      jet (`_pole_estimate`), which is not stored as a node,
+      POLE(z_est)     at a node with |w| > 10 (|f^2| for sqrt-piv0) the
+                      series of u = 1/(w + z) (1/(f^2 + t), 1/w for xxix)
+                      has a root within u's own step, ahead on the path
+                      within the span left (`_series_pole`); z_est is that
+                      root, and that node is the last one stored.  As a
+                      backstop, a step that takes |w| above pole_cutoff
+                      ends the run too; z_est is then the root of u's
+                      series for that step, reached by Newton's method from
+                      the step's end (`_backstop_pole`), which is not
+                      stored as a node,
       W_BOUND         a step took |w| above w_bound (|f| for sqrt-piv0, as
                       `Trajectory.max_abs_w` measures) but not above
                       pole_cutoff; that step is not stored either, so every
@@ -360,7 +466,9 @@ def integrate(
     jet = j0
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
-    h = 0.0
+    pole_how = ""
+    unstored_h = None
+    mag = abs(j0.w * j0.w if squared else j0.w)
     s = 0.0
     n_steps = 0
 
@@ -370,6 +478,13 @@ def integrate(
             status = TrajectoryStatus.STEP_BUDGET
             break
         coeffs = series(jet.z, jet.w, jet.w1, jet.w2)
+        if mag > _SERIES_POLE_FROM:
+            r = _series_pole(kind, coeffs, jet.z, d, total - s, tol)
+            if r is not None:
+                status = TrajectoryStatus.POLE
+                pole_estimate = jet.z + r
+                pole_how = f"series root at distance {abs(r):.3g} from node {len(nodes) - 1}"
+                break
         bound = abs_tol + rel_tol * abs(jet.w)
         h = _step_length(coeffs, bound)
         if h is None:
@@ -388,9 +503,11 @@ def integrate(
         s_new = total if hit_end else s + h
         mag = abs(w * w if squared else w)
         if mag > stop:
+            unstored_h = h
             if mag > tol.pole_cutoff:
                 status = TrajectoryStatus.POLE
-                pole_estimate = _pole_estimate(kind, Jet3(z0 + s_new * d, w, w1, w2))
+                pole_estimate = _backstop_pole(kind, coeffs, jet.z, Jet3(z0 + s_new * d, w, w1, w2))
+                pole_how = "cutoff backstop"
             else:
                 status = TrajectoryStatus.W_BOUND
             break
@@ -402,28 +519,29 @@ def integrate(
         nodes.append(TrajectoryNode(jet, h, _tail_error(coeffs, h, bound), c, res2, s_new, tuple(coeffs)))
         s = s_new
 
-    stats = _stats(nodes, status, h)
+    stats = _stats(nodes, unstored_h)
     logger.info(
-        "integrate %s: %d nodes, status %s, span %.6g of %.6g; %s",
+        "integrate %s: %d nodes, status %s, span %.6g of %.6g; %s%s",
         kind.value,
         len(nodes),
         status.value,
         nodes[-1].s,
         total,
         stats,
+        f"; pole by {pole_how}" if pole_how else "",
     )
     return Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, stats, pole_estimate)
 
 
-def _stats(nodes: list, status: TrajectoryStatus, h: float) -> TrajectoryStats:
+def _stats(nodes: list, unstored_h: float | None) -> TrajectoryStats:
     """The step counts of a finished `integrate` loop, derived once instead of per step.
 
-    h is the last step length the loop set, which a POLE or W_BOUND run
-    took but did not store.
+    unstored_h is the length of the step that crossed pole_cutoff or
+    w_bound, which the run took but did not store; None if there was none.
     """
     hs = [node.h for node in nodes[1:]]
-    if status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND):
-        hs.append(h)
+    if unstored_h is not None:
+        hs.append(unstored_h)
     return TrajectoryStats(len(hs), min(hs, default=None), max(hs, default=None))
 
 

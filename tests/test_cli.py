@@ -217,11 +217,13 @@ class TestValidation:
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1
 
     def test_exit_code_2_on_step_underflow(self, tmp_path, monkeypatch):
-        # force underflow through the library (the CLI pins h_min at 1e-12)
+        # force underflow through the library (the CLI pins h_min at 1e-12):
+        # on the way to the pole of 1/(1 - z) the step falls below 0.03 at
+        # |w| = 4.8, before the pole can be read off the series at |w| > 10
         import painleve4.cli as cli
 
         def tiny_h(**kwargs):
-            return Tolerances(rel=kwargs["rel"], abs=kwargs["abs"], pole_cutoff=kwargs["pole_cutoff"], h_min=9e-4)
+            return Tolerances(rel=kwargs["rel"], abs=kwargs["abs"], pole_cutoff=kwargs["pole_cutoff"], h_min=0.03)
 
         monkeypatch.setattr(cli, "_build_tolerances", lambda ns: tiny_h(rel=ns.rel, abs=ns.abs, pole_cutoff=ns.pole_cutoff))
         code = main(["integrate", "--eq", "xxix", "--w0", "1", "--w1", "1", "--span", "2",
@@ -475,8 +477,9 @@ class TestSweepCommand:
         rows = list(csv.DictReader(lines))
         assert {r["status"] for r in rows} == {"completed", "pole"}
         for r in rows:
-            unstored = r["status"] == "pole"
-            assert int(r["accepted"]) == int(r["node_count"]) - 1 + unstored
+            # a pole cell ends at the root of its last node's series: every
+            # step it took is stored
+            assert int(r["accepted"]) == int(r["node_count"]) - 1
             assert 0.0 < float(r["h_min"]) <= float(r["h_max"])
 
     def test_errored_cell_leaves_the_step_counters_empty(self, tmp_path):
@@ -527,8 +530,8 @@ def test_summary_ends_with_the_step_counters(tmp_path):
     assert list(doc)[-1] == "stats"
     stats = doc["stats"]
     assert list(stats) == ["accepted", "h_min", "h_max"]
-    # a pole run does not store the step that crossed the cutoff
-    assert stats["accepted"] == doc["node_count"]
+    # the pole is the root of the last node's series, and no step is taken to it
+    assert stats["accepted"] == doc["node_count"] - 1
     assert 0.0 < stats["h_min"] <= stats["h_max"]
     first = summary.read_bytes()
     assert main(argv) == 0

@@ -276,7 +276,8 @@ class TestIntegrate:
             assert drift <= 1e3 * tol.rel * 2.0
 
     def test_step_underflow_status(self):
-        tol = Tolerances(rel=1e-10, abs=1e-10, h_min=9e-4)
+        # the step falls below h_min at |w| = 4.8, before the series finds the pole
+        tol = Tolerances(rel=1e-10, abs=1e-10, h_min=0.03)
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, tol)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
 
@@ -370,8 +371,10 @@ _STATS_RUNS = {
         K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_min=0.1), math.inf, None,
     ),
     "xxix-pole-rejection": (
-        K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, Tolerances(h_min=9e-4), math.inf, None,
+        K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, Tolerances(h_min=0.03), math.inf, None,
     ),
+    # |w| passes the 1e4 cutoff before the series rule accepts a root
+    "piv-cutoff-backstop": (K.PIV, Params(), InitialData.nonzero(0.0, 5000.0, 0.0), 1.0, Tolerances(), math.inf, None),
 }  # fmt: skip
 
 
@@ -386,14 +389,19 @@ def _run_stats_case(name, monkeypatch):
 
 class TestStats:
     @pytest.mark.parametrize("name", list(_STATS_RUNS))
-    def test_counts_match_the_trial_steps_and_rhs_calls(self, name, series_builds, monkeypatch):
+    def test_counts_match_the_trial_steps_and_rhs_calls(self, name, series_builds, monkeypatch, caplog):
         # each trial step evaluates the right-hand side once, on series: one
-        # build; a step the rule refuses ends the run STEP_UNDERFLOW
-        t = _run_stats_case(name, monkeypatch)
+        # build; a step the rule refuses ends the run STEP_UNDERFLOW, and a
+        # pole read off the last node's series ends it with no step taken
+        with caplog.at_level("INFO", logger="painleve4.integrator"):
+            t = _run_stats_case(name, monkeypatch)
+        by_root = "pole by series root" in caplog.text
+        assert by_root == (name == "piv-pole")
+        assert ("pole by cutoff backstop" in caplog.text) == (name == "piv-cutoff-backstop")
         st = t.stats
-        assert series_builds[0] == st.accepted + (t.status is TrajectoryStatus.STEP_UNDERFLOW)
-        # the step that ends a run POLE or W_BOUND is taken but not stored
-        unstored = t.status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND)
+        assert series_builds[0] == st.accepted + (t.status is TrajectoryStatus.STEP_UNDERFLOW or by_root)
+        # the step that crosses the cutoff or the bound is taken but not stored
+        unstored = t.status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND) and not by_root
         assert len(t.nodes) == 1 + st.accepted - unstored
         hs = [n.h for n in t.nodes[1:]]
         if hs:
