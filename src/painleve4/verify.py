@@ -118,8 +118,8 @@ def _draw_bounded_run(rng: random.Random, draw, w_cap: float, max_attempts: int,
     """First (trajectory, draw) of fresh ``draw(rng)`` = (kind, params, init, span) completing with max|w| <= w_cap.
 
     Each run is integrated with ``w_bound=w_cap``, so a draw that leaves
-    |w| <= w_cap stops there (status ``w_bound``) instead of stepping on to
-    the pole cutoff.  Such a run would be rejected anyway, so the draws, the
+    |w| <= w_cap stops there (status ``w_bound``) instead of stepping on
+    toward a pole.  Such a run would be rejected anyway, so the draws, the
     accepted trajectories and every suite result are as without the bound.
     """
     for _ in range(max_attempts):

@@ -85,7 +85,7 @@ class TestIntegrateCommand:
         assert (code, piv0["status"]) == (0, "pole")
         code, sq = run("sqrt-piv0", "0.7071067811865476")
         assert (code, sq["status"]) == (0, "pole")
-        assert abs(sq["pole_estimate"] - piv0["pole_estimate"]) < 1e-10
+        assert abs(sq["pole_estimate"] - piv0["pole_estimate"]) < 1e-12
         assert abs(sq["pole_estimate"] + 1.2362138137) < 1e-9
 
     def test_csv_round_trip_is_exact(self, tmp_path):

@@ -33,6 +33,16 @@ def quadratic_jet(z):
     return Jet3(z, z * z + 3 * z + 2, 2 * z + 3, 2.0)
 
 
+def _reference_pole(kind, p, init, estimate):
+    """An independent pole location: one Newton step on u = 1/(w + z) from the end
+    of a rel = abs = 1e-13 run that stops 1e-7 short of `estimate` on the real line."""
+    span = estimate - init.z0
+    tight = Tolerances(rel=1e-13, abs=1e-13, pole_cutoff=1e9)
+    ref = integrate(kind, p, init, span - math.copysign(1e-7, span), tight)
+    assert ref.status is TrajectoryStatus.COMPLETED
+    return _pole_estimate(kind, ref.nodes[-1].jet)
+
+
 def taylor_step(kind, j, h):
     """One Taylor step of signed length h from j: the new jet, and the tail error in units of the default tolerance."""
     coeffs = series_fn(kind, Params())(j.z, j.w, j.w1, j.w2)
@@ -210,22 +220,31 @@ class TestIntegrate:
         assert _pole_estimate(K.PIV, Jet3(0.5, 2e4, -1.0, 0.0)) == 0.5
 
     def test_piv_pole_estimates_match_tight_reference(self):
-        # cells of the README 11 x 11 sweep (z0 = -1, w0 = 0.5, span 2) with
-        # alpha in [-1.2, 0]; beta enters only as beta^2, so beta >= 0 suffices
+        # every pole cell of the README 11 x 11 sweep (z0 = -1, w0 = 0.5, span 2)
         grid = [-2.0 + 4.0 * i / 10 for i in range(11)]
         init = InitialData.nonzero(-1.0, 0.5, 0.0)
-        ref_tol = Tolerances(rel=1e-13, abs=1e-13, pole_cutoff=1e6)
         poles = 0
-        for alpha in grid[2:6]:
-            for beta in grid[5:]:
+        for alpha in grid:
+            for beta in grid:
                 t = integrate(K.PIV, Params(alpha, beta), init, 2.0)
                 if t.status is not TrajectoryStatus.POLE:
                     continue
                 poles += 1
-                ref = integrate(K.PIV, Params(alpha, beta), init, 2.0, ref_tol)
-                assert ref.status is TrajectoryStatus.POLE
-                assert abs(t.pole_estimate - ref.pole_estimate) < 1e-10
-        assert poles == 13
+                assert abs(t.pole_estimate - _reference_pole(K.PIV, Params(alpha, beta), init, t.pole_estimate)) < 1e-12
+        assert poles == 52
+
+    @pytest.mark.parametrize("w0, backstop", [(1000.0, False), (5000.0, True)])
+    def test_large_amplitude_pole_matches_tight_reference(self, w0, backstop, caplog):
+        # from a turning point within a factor 10 of the cutoff the jet is far
+        # from the Laurent regime: at 5000 |w| passes the cutoff before the
+        # series rule trusts a root, and the backstop refines its estimate on
+        # the crossing step's series
+        init = InitialData.nonzero(0.0, w0, 0.0)
+        with caplog.at_level("INFO", logger="painleve4.integrator"):
+            t = integrate(K.PIV, Params(), init, 1.0)
+        assert t.status is TrajectoryStatus.POLE
+        assert ("pole by cutoff backstop" in caplog.text) == backstop
+        assert abs(t.pole_estimate - _reference_pole(K.PIV, Params(), init, t.pole_estimate)) < 1e-12
 
     def test_monotone_nodes_and_metadata(self):
         t = integrate(K.PIV, Params(0.5, 0.5), InitialData.nonzero(0.0, 1.0, 0.0), -0.8)
@@ -438,6 +457,8 @@ class TestStats:
         assert f"{len(t.nodes)} nodes, status pole" in msg
         assert f"accepted={t.stats.accepted}," in msg
         assert f"h_max={t.stats.h_max!r}" in msg
+        r = abs(t.pole_estimate - t.nodes[-1].jet.z)
+        assert msg.endswith(f"; pole by series root at distance {r:.3g} from node {len(t.nodes) - 1}")
 
 
 def _node_bits(node):
@@ -545,6 +566,37 @@ class TestWBound:
 
 
 class TestComplexMode:
+    D = complex(math.cos(0.3), math.sin(0.3))
+
+    def _xxix_run(self, c, z0):
+        j = xxix_pole_family(c, z0)
+        init = InitialData.raw(j.z, j.w, j.w1, j.w2, field=ScalarField.COMPLEX, direction=self.D)
+        return integrate(K.XXIX, Params(), init, 1.0)
+
+    def test_path_past_a_pole_ends_as_without_the_series_rule(self, monkeypatch):
+        # the path passes the pole of 1/(c - z) at distance 1e-2, so |w|
+        # reaches 100 and u = c - z has its root 1e-2 off the path
+        import painleve4.integrator as integrator
+
+        c = 0.5 * self.D + 0.01j * self.D
+        t = self._xxix_run(c, 0j)
+        assert t.status is TrajectoryStatus.COMPLETED
+        assert 50.0 < t.max_abs_w() <= t.tol.pole_cutoff
+        monkeypatch.setattr(integrator, "_SERIES_POLE_FROM", math.inf)
+        without = self._xxix_run(c, 0j)
+        assert (t.status, t.nodes, t.pole_estimate, t.stats) == (
+            without.status, without.nodes, without.pole_estimate, without.stats
+        )
+
+    def test_path_through_a_pole_ends_at_it(self):
+        c = 0.2 + 0.1j
+        t = self._xxix_run(c, c - 0.5 * self.D)
+        assert t.status is TrajectoryStatus.POLE
+        assert abs(t.pole_estimate - c) < 1e-12
+        # ended at the series root of a stored node, with no step taken to the pole
+        assert 10.0 < abs(t.nodes[-1].jet.w) < 100.0
+        assert t.stats.accepted == len(t.nodes) - 1
+
     def test_straight_path_constraint_conserved(self):
         d = complex(math.cos(0.3), math.sin(0.3))
         init = InitialData.raw(0.0, 0.7, -0.1, 0.4, field=ScalarField.COMPLEX, direction=d)
