@@ -34,8 +34,10 @@ Because every third-order right-hand side is a polynomial, the Taylor
 coefficients of a solution follow from its jet by Cauchy-product
 recurrences, with no division by w and no right-hand side calls (Jorba and
 Zou, Exp. Math. 14 (2005); Fornberg and Weideman, J. Comput. Phys. 230
-(2011)).  `series_fn` binds the recurrence of one kind; `rhs3` evaluates
-the right-hand side itself at one point.
+(2011)).  `series_fn` binds the recurrence of one kind, a straight-line
+kernel compiled on first use (`series_kernel`) whose Cauchy sums are written
+out term by term and added left to right on every interpreter; `rhs3`
+evaluates the right-hand side itself at one point.
 
 Note on parameters: the ``beta**2`` convention above is Ince's XXXI form.
 The standalone Painleve IV convention relabels beta^2 as -2*beta; no
@@ -45,7 +47,7 @@ conversion is offered anywhere in this package.
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul
+from functools import cache, partial
 
 from .errors import SingularInput
 
@@ -125,61 +127,56 @@ def ensure_kind_params(kind: EquationKind, p: Params) -> None:
 #: order p of the Taylor series that `series_fn` builds: coefficients a_0 .. a_p
 ORDER = 20
 
-
-def _piv_series(alpha: float):
-    def series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
-        # w''' = P w' + 4 (w + z) w with P = 6 w^2 + 12 z w + 4 (z^2 - alpha)
-        a = [w, w1, 0.5 * w2]
-        dw = [w1, w2]  # (w')_k = (k + 1) a_{k+1}
-        poly = (4.0 * (z * z - alpha), 8.0 * z, 4.0)  # 4 (z^2 - alpha) in powers of z - z0
-        ps = []
-        for k in range(ORDER - 2):
-            # (w^2)_k: map stops at the shorter list, pairing a_i with a_{k-i}
-            sq = sum(map(mul, a, a[k::-1]))
-            zw = z * a[k] + a[k - 1] if k else z * w
-            ps.append(6.0 * sq + 12.0 * zw + poly[k] if k < 3 else 6.0 * sq + 12.0 * zw)
-            r = sum(map(mul, ps, dw[k::-1])) + 4.0 * (sq + zw)
-            a.append(r / ((k + 1) * (k + 2) * (k + 3)))
-            dw.append((k + 3) * a[-1])
-        return a
-
-    return series
+def written_sum(terms) -> str:
+    """The terms as one sum, added left to right from 0: the order of `sum()` before Python 3.12 compensated it."""
+    return "(0" + "".join(f" + {term}" for term in terms) + ")"
 
 
-def _xxix_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
-    # w''' = 6 w^2 w'
-    a = [w, w1, 0.5 * w2]
-    dw = [w1, w2]
-    sqs = []
+def compile_kernel(name: str, args: str, lines):
+    """The function `def name(args):` with the given body lines, compiled."""
+    namespace: dict = {}
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, f"<painleve4 kernel {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# Each kind's recurrence at order k.  a_k, d_k and s_k are the coefficients of
+# w, w' and w^2 (f, f', f^2 for sqrt-piv0), p_k those of piv's
+# P = 6 w^2 + 12 z w + 4 (z^2 - alpha), q_k those of sqrt-piv0's
+# 15 f^4 + 24 t f^2 + 4 t^2, and c_k those of 4 (z^2 - alpha) or 4 t^2, all in
+# powers of z - z0.  {xy} is the Cauchy sum x_0 y_k + ... + x_k y_0, {zx} the
+# coefficient z x_k + x_{k-1} of z x, and {c} adds c_k while k < 3.  The lines
+# set r, coefficient k of the right-hand side; a_{k+3} and d_{k+2} follow.
+_SERIES_TEMPLATES = {
+    "piv": ("alpha, z, w, w1, w2", ("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
+            ("s{k} = {aa}", "p{k} = 6.0 * s{k} + 12.0 * {za}{c}", "r = {pd} + 4.0 * (s{k} + {za})")),
+    "xxix": ("z, w, w1, w2", (), ("s{k} = {aa}", "r = 6.0 * {sd}")),
+    "sqrt-piv0": ("z, w, w1, w2", ("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
+                  ("s{k} = {aa}", "q{k} = 15.0 * {ss} + 24.0 * {zs}{c}", "r = 2.0 * ({as} + {za}) + 0.25 * {qd}")),
+}
+
+
+@cache
+def series_kernel(name: str):
+    """The recurrence `_SERIES_TEMPLATES[name]` written out to a_p and compiled, once per process."""
+    args, head, body = _SERIES_TEMPLATES[name]
+    lines = ["a0, a1, a2, d0, d1 = w, w1, 0.5 * w2, w1, w2", *head]
     for k in range(ORDER - 2):
-        sqs.append(sum(map(mul, a, a[k::-1])))
-        a.append(6.0 * sum(map(mul, sqs, dw[k::-1])) / ((k + 1) * (k + 2) * (k + 3)))
-        dw.append((k + 3) * a[-1])
-    return a
+        fields = {x + y: written_sum(f"{x}{i} * {y}{k - i}" for i in range(k + 1))
+                  for x, y in ("aa", "pd", "sd", "ss", "as", "qd")}
+        for x in "as":
+            fields["z" + x] = f"(z * {x}{k} + {x}{k - 1})" if k else f"(z * {x}0)"
+        fields["c"] = f" + {('c0', 'c1', '4.0')[k]}" if k < 3 else ""
+        lines += [line.format(k=k, **fields) for line in body]
+        # a_{k+3} = r / ((k+1)(k+2)(k+3)) and d_{k+2} = (k+3) a_{k+3}, the factors as float literals
+        lines += [f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}", f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"]
+    lines.append(f"return [{', '.join(f'a{i}' for i in range(ORDER + 1))}]")
+    return compile_kernel(name.replace("-", "_"), args, lines)
 
 
 def _quadratic_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
     # w''' = 0: the series ends at the quadratic term
     return [w, w1, 0.5 * w2] + [0.0] * (ORDER - 2)
-
-
-def _sqrt_piv0_series(t: Scalar, f: Scalar, f1: Scalar, f2: Scalar) -> list:
-    # f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4, from f^2, f^4 = (f^2)^2 and t f^2
-    a = [f, f1, 0.5 * f2]
-    df = [f1, f2]
-    poly = (4.0 * t * t, 8.0 * t, 4.0)  # 4 t^2 in powers of t - t0
-    sqs, qs = [], []
-    for k in range(ORDER - 2):
-        sqs.append(sum(map(mul, a, a[k::-1])))
-        tsq = t * sqs[k] + sqs[k - 1] if k else t * sqs[0]
-        tf = t * a[k] + a[k - 1] if k else t * f
-        qk = 15.0 * sum(map(mul, sqs, sqs[::-1])) + 24.0 * tsq
-        qs.append(qk + poly[k] if k < 3 else qk)
-        cube = sum(map(mul, a, sqs[::-1]))
-        r = 2.0 * (cube + tf) + 0.25 * sum(map(mul, qs, df[k::-1]))
-        a.append(r / ((k + 1) * (k + 2) * (k + 3)))
-        df.append((k + 3) * a[-1])
-    return a
 
 
 def series_fn(kind: EquationKind, p: Params):
@@ -193,15 +190,19 @@ def series_fn(kind: EquationKind, p: Params):
     no division by w.  xvii and xxxii have w''' = 0, so their a_k vanish
     for k >= 3.  The parameters are validated here, once, so the bound
     function does no dispatch or checking per call.
+
+    The other recurrences are written out term by term, as Jorba and Zou's
+    `taylor` translator emits them, since a loop over the orders spends most
+    of its time on interpreter overhead; each sum is added left to right
+    from 0 (`written_sum`), the same bits on every interpreter.  A kernel is
+    compiled when first bound; piv and piv0 share one that takes alpha.
     """
     ensure_kind_params(kind, p)
-    if kind is EquationKind.SQRT_PIV0:
-        return _sqrt_piv0_series
-    if kind is EquationKind.XXIX:
-        return _xxix_series
     if kind in (EquationKind.XVII, EquationKind.XXXII):
         return _quadratic_series
-    return _piv_series(p.alpha)
+    if kind in (EquationKind.PIV, EquationKind.PIV0):
+        return partial(series_kernel("piv"), p.alpha)
+    return series_kernel(kind.value)
 
 
 def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:

@@ -36,7 +36,8 @@ root, with no further step, when the root lies within the Jorba-Zou step
 that u's own coefficients allow and ahead on the path within the span left
 (Fornberg and Weideman, J. Comput. Phys. 230 (2011), read poles off the
 same local expansions).  Otherwise the run steps on, and a step that takes
-|w| above `pole_cutoff` ends it as a backstop.
+|w| above `pole_cutoff` ends it as a backstop; xvii and xxxii have no poles
+and no backstop.
 """
 
 import logging
@@ -44,6 +45,7 @@ import math
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
@@ -55,11 +57,13 @@ from .equations import (
     Params,
     Scalar,
     ScalarField,
+    compile_kernel,
     constraint_c,
     ensure_kind_params,
     residual2,
     rhs3,  # noqa: F401 -- unused here; perfbench/tracing.py patches integrator.rhs3
     series_fn,
+    written_sum,
     _rhs2_scalar,
 )
 from .errors import InvalidInitialData, OutOfSpan
@@ -72,6 +76,8 @@ _MAX_STEPS = 1_000_000
 # the pole, which is then about 1/|w| away; a run that stores no |w| above it,
 # such as a verify draw capped at 3 or 10, never searches
 _SERIES_POLE_FROM = 10.0
+# the kinds whose solutions are quadratics, with no poles
+_POLE_FREE = (EquationKind.XVII, EquationKind.XXXII)
 # Newton iterations before a root search gives up
 _NEWTON_STEPS = 30
 
@@ -268,11 +274,26 @@ def derivative(coeffs) -> list:
     return list(map(mul, coeffs[1:], _DERIVATIVE_FACTORS))
 
 
+@cache
+def _jet_kernel():
+    """`taylor_jet` written out and compiled, once per process: p_k = `powers`, b_k and e_k = `derivative`, twice."""
+    sums = (("a", 0, ORDER + 1), ("b", 1, ORDER), ("e", 1, ORDER - 1))  # name, first index, terms
+    return compile_kernel("taylor_jet", "coeffs, t", [
+        f"{', '.join(f'a{k}' for k in range(ORDER + 1))} = coeffs",
+        "p0 = 1.0",
+        *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1)),
+        *(f"b{k} = a{k} * {k}" for k in range(1, ORDER + 1)),
+        *(f"e{k} = b{k + 1} * {k}" for k in range(1, ORDER)),
+        "return " + ", ".join(written_sum(f"{x}{k + i} * p{k}" for k in range(n)) for x, i, n in sums),
+    ])
+
+
 def taylor_jet(coeffs, t: Scalar) -> tuple[Scalar, Scalar, Scalar]:
-    """(w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k."""
-    pw = powers(t)
-    dw = derivative(coeffs)
-    return sum(map(mul, coeffs, pw)), sum(map(mul, dw, pw)), sum(map(mul, derivative(dw), pw))
+    """(w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k.
+
+    Each of the three sums of the compiled `_jet_kernel` is added left to right from 0.
+    """
+    return _jet_kernel()(coeffs, t)
 
 
 def _step_length(coeffs, bound: float) -> float | None:
@@ -327,7 +348,7 @@ def _pole_coordinate(kind: EquationKind, coeffs, z: Scalar) -> list | None:
     and w for xxix: u has a simple root at each pole.  xvii and xxxii
     solutions are quadratics, with no poles: None.
     """
-    if kind in (EquationKind.XVII, EquationKind.XXXII):
+    if kind in _POLE_FREE:
         return None
     if kind is EquationKind.XXIX:
         v = coeffs
@@ -419,13 +440,14 @@ def integrate(
                       within the span left (`_series_pole`); z_est is that
                       root, and that node is the last one stored.  As a
                       backstop, a step that takes |w| above pole_cutoff
-                      ends the run too; z_est is then the root of u's
-                      series for that step, reached by Newton's method from
-                      the step's end (`_backstop_pole`), which is not
+                      ends the run too, except on xvii and xxxii, whose
+                      quadratics have no pole; z_est is then the root of
+                      u's series for that step, reached by Newton's method
+                      from the step's end (`_backstop_pole`), which is not
                       stored as a node,
       W_BOUND         a step took |w| above w_bound (|f| for sqrt-piv0, as
-                      `Trajectory.max_abs_w` measures) but not above
-                      pole_cutoff; that step is not stored either, so every
+                      `Trajectory.max_abs_w` measures) but did not end the
+                      run POLE; that step is not stored either, so every
                       stored |w| is at most w_bound; a caller that rejects
                       any run leaving |w| <= w_bound stops it here,
       STEP_UNDERFLOW  the step rule asked for h below h_min, or a
@@ -450,8 +472,10 @@ def integrate(
     res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
     # sqrt-piv0's f squares to the piv0 solution that has the pole
     squared = kind is EquationKind.SQRT_PIV0
+    # xvii and xxxii solutions are quadratics: no |w| they reach is a pole
+    cutoff = math.inf if kind in _POLE_FREE else tol.pole_cutoff
     # one comparison per step serves both the cutoff and the bound
-    stop = min(tol.pole_cutoff, w_bound * w_bound if squared else w_bound)
+    stop = min(cutoff, w_bound * w_bound if squared else w_bound)
 
     try:
         j0 = complete_initial_data(kind, p, init)
@@ -463,6 +487,7 @@ def integrate(
     z0 = j0.z
     h_min, abs_tol, rel_tol = tol.h_min, tol.abs, tol.rel
     series = series_fn(kind, p)
+    jet_at = _jet_kernel()
     jet = j0
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
@@ -496,7 +521,7 @@ def integrate(
         elif h < h_min:
             status = TrajectoryStatus.STEP_UNDERFLOW
             break
-        w, w1, w2 = taylor_jet(coeffs, h * d)
+        w, w1, w2 = jet_at(coeffs, h * d)
         if not (isfinite(w) and isfinite(w1) and isfinite(w2)):
             status = TrajectoryStatus.STEP_UNDERFLOW
             break
@@ -504,7 +529,7 @@ def integrate(
         mag = abs(w * w if squared else w)
         if mag > stop:
             unstored_h = h
-            if mag > tol.pole_cutoff:
+            if mag > cutoff:
                 status = TrajectoryStatus.POLE
                 pole_estimate = _backstop_pole(kind, coeffs, jet.z, Jet3(z0 + s_new * d, w, w1, w2))
                 pole_how = "cutoff backstop"
