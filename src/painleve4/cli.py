@@ -380,7 +380,7 @@ def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
     sub.add_argument("--rel", type=float, default=1e-10, help="relative tolerance")
     sub.add_argument("--abs", type=float, default=1e-10, help="absolute tolerance")
     sub.add_argument(
-        "--pole-cutoff", type=float, default=1e4, help="backstop |w| threshold declaring a pole, in [1e3, 1e9]"
+        "--pole-cutoff", type=float, default=1e4, help="backstop |w| declaring a pole, in [1e3, 1e9]; none on xvii/xxxii"
     )
     sub.add_argument("--out", default=None, help="primary output file")
     if not sweep:

@@ -146,7 +146,7 @@ def compile_kernel(name: str, args: str, lines):
 # 15 f^4 + 24 t f^2 + 4 t^2, and c_k those of 4 (z^2 - alpha) or 4 t^2, all in
 # powers of z - z0.  {xy} is the Cauchy sum x_0 y_k + ... + x_k y_0, {zx} the
 # coefficient z x_k + x_{k-1} of z x, and {c} adds c_k while k < 3.  The lines
-# set r, coefficient k of the right-hand side; a_{k+3} and d_{k+2} follow.
+# set r, coefficient k of the right-hand side.
 _SERIES_TEMPLATES = {
     "piv": ("alpha, z, w, w1, w2", ("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
             ("s{k} = {aa}", "p{k} = 6.0 * s{k} + 12.0 * {za}{c}", "r = {pd} + 4.0 * (s{k} + {za})")),

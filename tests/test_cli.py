@@ -57,6 +57,20 @@ class TestIntegrateCommand:
         for key in ("params", "field", "pole_estimate", "max_abs_c", "max_abs_res2"):
             assert key in doc
 
+    @pytest.mark.parametrize(
+        "eq, w0, w1, span, w_end",
+        [("xxxii", "2", "3", "200", 40602.0), ("xvii", "1", "4", "100", 40401.0)],
+    )
+    def test_quadratic_past_the_cutoff_completes(self, eq, w0, w1, span, w_end, tmp_path):
+        # one exact step takes |w| past the 1e4 cutoff; a quadratic has no pole
+        out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code = main(["integrate", "--eq", eq, "--z0", "0", "--w0", w0, "--w1", w1, "--span", span,
+                     "--out", str(out), "--summary", str(summary)])
+        assert code == 0
+        doc = json.loads(summary.read_text(encoding="utf-8"))
+        assert (doc["status"], doc["node_count"], doc["pole_estimate"]) == ("completed", 2, None)
+        assert read_trajectory_csv(out)[-1]["w_re"] == w_end
+
     def test_pole_run_exits_zero_with_estimate(self, tmp_path):
         code = main(
             [

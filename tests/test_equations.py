@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from painleve4 import (
     residual2,
     rhs3,
 )
+from painleve4 import equations
 from painleve4.equations import ORDER, _rhs2_scalar, series_fn
 from painleve4.oracles import square_push, xxix_pole_family
 
@@ -232,3 +237,37 @@ def test_series_ends_at_the_quadratic_only_where_the_third_derivative_vanishes(k
     coeffs = series_fn(kind, p)(0.4, 0.8, -0.3, 0.5)
     assert coeffs[:3] == [0.8, -0.3, 0.25]
     assert (max(map(abs, coeffs[3:])) == 0.0) == (kind in (K.XVII, K.XXXII))
+
+
+_LAZY_KERNELS = """
+import painleve4, painleve4.cli
+from painleve4 import equations, integrator
+from painleve4.equations import EquationKind as K, Params, series_fn
+
+def built():
+    return equations.series_kernel.cache_info().currsize, integrator._jet_kernel.cache_info().currsize
+
+assert built() == (0, 0), built()
+coeffs = series_fn(K.PIV, Params(0.5, 0.1))(0.0, 0.3, 0.2, 0.1)
+assert built() == (1, 0), built()
+series_fn(K.PIV, Params(-0.7, 0.2))(0.0, 0.3, 0.2, 0.1)
+series_fn(K.PIV0, Params())(0.0, 0.3, 0.2, 0.1)
+series_fn(K.XVII, Params())(0.0, 0.3, 0.2, 0.1)
+assert built() == (1, 0), built()
+assert equations.series_kernel.cache_info().misses == 1
+series_fn(K.XXIX, Params())
+assert built() == (2, 0), built()
+integrator.taylor_jet(coeffs, 0.1)
+integrator.taylor_jet(coeffs, 0.2)
+assert built() == (2, 1), built()
+"""
+
+
+def test_kernels_compile_on_first_use():
+    # in a fresh interpreter: importing the package builds no kernel, the
+    # first binding of a kind builds exactly one, and piv at another alpha,
+    # piv0 and the quadratic kinds reuse or need none
+    src = Path(equations.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_KERNELS], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 import math
 import random
 from cmath import isfinite
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
@@ -190,6 +192,21 @@ class TestIntegrate:
         assert t.nodes[-1].jet.z == 4.0
         worst = max(abs(n.jet.w - (n.jet.z ** 2 + 3 * n.jet.z + 2)) for n in t.nodes)
         assert worst < 1e-9
+
+    @pytest.mark.parametrize(
+        "kind, init, span, w_end",
+        [
+            (K.XXXII, InitialData.nonzero(0.0, 2.0, 3.0), 200.0, 40602.0),  # w = z^2 + 3z + 2
+            (K.XVII, InitialData.nonzero(0.0, 1.0, 4.0), 100.0, 40401.0),  # w = (2z + 1)^2
+        ],
+    )
+    def test_quadratic_kinds_have_no_pole_backstop(self, kind, init, span, w_end):
+        # one exact step takes |w| past pole_cutoff = 1e4: no pole, and w_bound still stops the run
+        t = integrate(kind, Params(), init, span)
+        assert (t.status, t.pole_estimate, len(t.nodes)) == (TrajectoryStatus.COMPLETED, None, 2)
+        assert (t.nodes[-1].jet.z, t.nodes[-1].jet.w) == (span, w_end)
+        t = integrate(kind, Params(), init, span, w_bound=1e3)
+        assert (t.status, t.pole_estimate, len(t.nodes)) == (TrajectoryStatus.W_BOUND, None, 1)
 
     def test_piv_zero_seed_residual_both_sides(self):
         p = Params(0.0, 1.0)
@@ -700,11 +717,16 @@ def test_constraint_is_conserved_even_off_the_zero_set():
 
 # A plain reference for the series kernels: the right-hand side of each kind
 # expanded term by term with a generic Cauchy product, in the order the
-# kernels sum, so the two agree bit for bit.
+# kernels sum, so the two agree bit for bit.  Its sums add left to right from
+# 0 with reduce(): from Python 3.12 on, sum() of floats is compensated.
+
+
+def _left_sum(terms):
+    return reduce(add, terms, 0)
 
 
 def _cauchy(x, y, k):
-    return sum(map(lambda i: x[i] * y[k - i], range(k + 1)))
+    return _left_sum(x[i] * y[k - i] for i in range(k + 1))
 
 
 def reference_series(kind, p, z, w, w1, w2):
@@ -755,32 +777,47 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         x = rng.uniform(-1.5, 1.5)
         return complex(x, rng.uniform(-1.5, 1.5)) if complex_jet else x
 
+    def edge():
+        # signed zeros, and entries near 1e40 whose products overflow to inf and nan
+        x = rng.choice([0.0, -0.0, rng.uniform(-1.5, 1.5), rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(39.0, 41.0)])
+        return complex(x, rng.choice([0.0, -0.0, rng.uniform(-1.5, 1.5)])) if complex_jet else x
+
+    def direction(sign):
+        if not complex_dir:
+            return sign
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        return sign * complex(math.cos(theta), math.sin(theta))
+
+    def params():
+        return Params(rng.uniform(-1, 1), rng.uniform(-1, 1)) if kind is K.PIV else Params()
+
+    def same_bits(p, z0, y, t):
+        got = series_fn(kind, p)(z0, *y)
+        want = reference_series(kind, p, z0, *y)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        # the step: the polynomial at z0 + t, with its derivatives
+        pw = [1.0]
+        for _ in range(ORDER):
+            pw.append(pw[-1] * t)
+        dw = [k * v for k, v in enumerate(want) if k]
+        ddw = [k * v for k, v in enumerate(dw) if k]
+        ref = [_left_sum(map(mul, cs, pw)) for cs in (want, dw, ddw)]
+        assert [_bits(v) for v in taylor_jet(got, t)] == [_bits(v) for v in ref]
+        return got
+
     for sign in (1.0, -1.0):
         for _ in range(20):
-            p = Params(rng.uniform(-1, 1), rng.uniform(-1, 1)) if kind is K.PIV else Params()
-            z0 = draw()
-            if complex_dir:
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                d = sign * complex(math.cos(theta), math.sin(theta))
-            else:
-                d = sign
+            p, z0 = params(), draw()
+            d = direction(sign)
             y = (draw(), draw(), draw())
-            h = 10.0 ** rng.uniform(-4.0, -0.5)
-            got = series_fn(kind, p)(z0, *y)
-            want = reference_series(kind, p, z0, *y)
-            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            got = same_bits(p, z0, y, 10.0 ** rng.uniform(-4.0, -0.5) * d)
             # 6 a_3 is the right-hand side at the jet
             w3 = rhs3(kind, p, z0, y[0], y[1])
             assert abs(6.0 * got[3] - w3) <= 1e-14 * (1.0 + abs(w3) + sum(abs(v) for v in y) ** 5)
-            # the step: the polynomial at z0 + h d, with its derivatives
-            t = h * d
-            pw = [1.0]
-            for _ in range(ORDER):
-                pw.append(pw[-1] * t)
-            dw = [k * v for k, v in enumerate(want) if k]
-            ddw = [k * v for k, v in enumerate(dw) if k]
-            ref = [sum(map(lambda c, q: c * q, cs, pw)) for cs in (want, dw, ddw)]
-            assert [_bits(v) for v in taylor_jet(got, t)] == [_bits(v) for v in ref]
+    for sign in (1.0, -1.0):
+        for _ in range(20):
+            h = rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-4.0, -0.5), 10.0 ** rng.uniform(1.0, 3.0)])
+            same_bits(params(), edge(), (edge(), edge(), edge()), h * direction(sign))
 
 
 def test_nan_error_component_is_not_accepted(monkeypatch):
