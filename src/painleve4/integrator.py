@@ -46,7 +46,6 @@ from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -83,6 +82,8 @@ _NEWTON_STEPS = 30
 
 # k = 1 .. p: the factors that turn coefficients of w into those of its derivative
 _DERIVATIVE_FACTORS = range(1, ORDER + 1)
+# kernel lines that set p_k = t^k for k = 0 .. p, as p0 = 1.0 and p_k = p_(k-1) * t
+_POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
 
 
 @dataclass(frozen=True)
@@ -264,24 +265,36 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     return Jet3(z0, w0, w1, w2)
 
 
-def powers(t: Scalar) -> list:
-    """[1, t, t^2, ..., t^p] for p = `ORDER`."""
-    return list(accumulate(repeat(t, ORDER), mul, initial=1.0))
-
-
 def derivative(coeffs) -> list:
     """Coefficients of the derivative of the polynomial with the given coefficients."""
     return list(map(mul, coeffs[1:], _DERIVATIVE_FACTORS))
 
 
+def _names(x: str, n: int = ORDER + 1) -> str:
+    """'x0, x1, ..., x(n-1), ': the names a kernel unpacks or returns."""
+    return "".join(f"{x}{k}, " for k in range(n))
+
+
+@cache
+def value_kernel(n: int):
+    """c_0 + c_1 t + ... + c_(n-1) t^(n-1) from (cs, t), written out, added left to right from 0; built once per n."""
+    value = written_sum(f"c{k} * p{k}" for k in range(n))
+    return compile_kernel(f"value{n}", "cs, t", [f"{_names('c', n)}= cs", *_POWERS[:n], f"return {value}"])
+
+
+@cache
+def skip_bound_kernel():
+    """|a_0| - (|a_1| h + ... + |a_p| h^p) from (coeffs, t = h), written out like `value_kernel`; compiled once."""
+    terms = written_sum(f"abs(a{k}) * p{k}" for k in range(1, ORDER + 1))
+    return compile_kernel("skip_bound", "coeffs, t", [f"{_names('a')}= coeffs", *_POWERS, f"return abs(a0) - {terms}"])
+
+
 @cache
 def _jet_kernel():
-    """`taylor_jet` written out and compiled, once per process: p_k = `powers`, b_k and e_k = `derivative`, twice."""
+    """`taylor_jet` written out and compiled, once per process: p_k = t^k, b_k and e_k = `derivative`, twice."""
     sums = (("a", 0, ORDER + 1), ("b", 1, ORDER), ("e", 1, ORDER - 1))  # name, first index, terms
     return compile_kernel("taylor_jet", "coeffs, t", [
-        f"{', '.join(f'a{k}' for k in range(ORDER + 1))} = coeffs",
-        "p0 = 1.0",
-        *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1)),
+        f"{_names('a')}= coeffs", *_POWERS,
         *(f"b{k} = a{k} * {k}" for k in range(1, ORDER + 1)),
         *(f"e{k} = b{k + 1} * {k}" for k in range(1, ORDER)),
         "return " + ", ".join(written_sum(f"{x}{k + i} * p{k}" for k in range(n)) for x, i, n in sums),
@@ -315,25 +328,28 @@ def _tail_error(coeffs, h: float, bound: float) -> float:
     return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
 
 
-def _reciprocal(v) -> list:
-    """Taylor coefficients u_0 .. u_p of 1/v from v_0 .. v_p, v_0 != 0."""
-    inv = 1.0 / v[0]
-    u = [inv]
-    for k in range(1, ORDER + 1):
-        # sum_{i=0..k} v_i u_{k-i} = 0
-        u.append(-inv * sum(map(mul, v[1 : k + 1], u[::-1])))
-    return u
+@cache
+def _reciprocal():
+    """The kernel v -> u = 1/v (v_0 != 0): u_k = -u_0 (0 + v_1 u_(k-1) + ... + v_k u_0), written out; built once."""
+    rows = (f"u{k} = -u0 * {written_sum(f'v{i} * u{k - i}' for i in range(1, k + 1))}" for k in range(1, ORDER + 1))
+    return compile_kernel("reciprocal", "v", [f"{_names('v')}= v", "u0 = 1.0 / v0", *rows, f"return [{_names('u')}]"])
+
+
+@cache
+def _cauchy_square():
+    """The kernel f_0 .. f_p -> the first p + 1 coefficients of f^2, each Cauchy sum written out; compiled once."""
+    squares = (written_sum(f"f{i} * f{k - i}" for i in range(k + 1)) for k in range(ORDER + 1))
+    return compile_kernel("cauchy_square", "f", [f"{_names('f')}= f", f"return [{', '.join(squares)}]"])
 
 
 def _newton_root(u, t: Scalar = 0.0) -> Scalar | None:
-    """The root of sum u_k t^k that Newton's method reaches from t; None if it does not settle."""
-    du = derivative(u)
+    """The root of sum u_k t^k that Newton's method reaches from t, u and u' read by `value_kernel`; or None."""
+    du, value, slope_at = derivative(u), value_kernel(ORDER + 1), value_kernel(ORDER)
     for _ in range(_NEWTON_STEPS):
-        pw = powers(t)
-        slope = sum(map(mul, du, pw))
+        slope = slope_at(du, t)
         if slope == 0:
             return None
-        dt = sum(map(mul, u, pw)) / slope
+        dt = value(u, t) / slope
         t -= dt
         # quadratic convergence: the next step would be below rounding
         if abs(dt) <= 1e-13 * abs(t):
@@ -354,9 +370,9 @@ def _pole_coordinate(kind: EquationKind, coeffs, z: Scalar) -> list | None:
         v = coeffs
     else:
         if kind is EquationKind.SQRT_PIV0:
-            coeffs = [sum(map(mul, coeffs, coeffs[k::-1])) for k in range(ORDER + 1)]
+            coeffs = _cauchy_square()(coeffs)
         v = [coeffs[0] + z, coeffs[1] + 1.0, *coeffs[2:]]
-    return None if v[0] == 0 else _reciprocal(v)
+    return None if v[0] == 0 else _reciprocal()(v)
 
 
 def _series_pole(kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, tol: Tolerances) -> Scalar | None:

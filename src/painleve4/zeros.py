@@ -9,10 +9,11 @@ third-order uniqueness theorem would force w to vanish identically near a).
 
 Between two nodes, w is the Taylor polynomial of the step that joins them
 (`TrajectoryNode.series`), so every root of w in a node interval is found
-on that interval's own polynomial; a long step may hold several.  The
-polynomial is only ever evaluated pointwise: its expanded products are
-noisy near multiple roots.  An interval is skipped at once when
-|w_0| - sum_k |a_k| h^k >= abs_tol.  Otherwise it is halved, at most
+on that interval's own polynomial; a long step may hold several.  It is
+only ever evaluated pointwise (its expanded products are noisy near
+multiple roots), by the kernels `integrator.value_kernel` writes out, so
+the bits do not depend on the interpreter.  An interval is skipped at once
+when |w_0| - sum_k |a_k| h^k >= abs_tol.  Otherwise it is halved, at most
 `_MAX_DEPTH` times, wherever the lower bound |w(c)| - |w'(c)| r - M r^2/2
 of |w| on a piece of centre c and radius r (M bounds |w''| on the
 interval) stays below abs_tol; the surviving pieces form clusters.
@@ -36,11 +37,10 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul
 
-from .equations import EquationKind, Scalar, ScalarField
+from .equations import ORDER, EquationKind, Scalar, ScalarField
 from .errors import WrongKind
-from .integrator import Trajectory, TrajectoryNode, dense_eval_param, derivative, powers
+from .integrator import Trajectory, TrajectoryNode, dense_eval_param, derivative, skip_bound_kernel, value_kernel
 
 logger = logging.getLogger(__name__)
 
@@ -164,15 +164,15 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
     """Arc parameters of the candidate zeros strictly inside one node interval."""
     coeffs = right.series
     s0, s1 = left.s, right.s
-    span_pw = powers(s1 - s0)
-    if abs(coeffs[0]) - sum(map(mul, map(abs, coeffs[1:]), span_pw[1:])) >= abs_tol:
+    if skip_bound_kernel()(coeffs, s1 - s0) >= abs_tol:
         return []
     dw = derivative(coeffs)
-    bound2 = sum(map(mul, map(abs, derivative(dw)), span_pw))
+    bound2 = value_kernel(ORDER - 1)([abs(e) for e in derivative(dw)], s1 - s0)
 
     def on_step(cs, at_end):
         # the closing node's own value at s1, so that both intervals it joins read one sign there
-        return lambda s: at_end if s == s1 else sum(map(mul, cs, powers((s - s0) * d)))
+        value = value_kernel(len(cs))
+        return lambda s: at_end if s == s1 else value(cs, (s - s0) * d)
 
     w_at, slope_at = on_step(coeffs, right.jet.w), on_step(dw, right.jet.w1)
     clusters = _clusters(lambda s: (w_at(s), slope_at(s)), s0, s1, bound2, abs_tol, real_mode)
@@ -206,6 +206,12 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     and piv0 it is C, with k = beta^2; on xvii and xxix it is the kind's
     own first integral with k = 0, and on xxxii with k = 1.
 
+    sqrt-piv0 has f'' = 0 and a free slope at its zeros, so each is judged
+    on the piv0 solution w = f^2 instead: its slope w' = 2 f f' against 0
+    and +-sqrt(-C*), where C* = f^3 res2* is piv0's C at the closing node's
+    squared jet, and its curvature w'' = 2 f'^2 + 2 f f''.  The event
+    reports f's own slope and curvature.
+
     The identically-zero trajectory yields no events (its zeros are not
     isolated); callers can detect it through ``max_abs_w() == 0``.
     """
@@ -216,7 +222,6 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     real_mode = traj.field is ScalarField.REAL
     beta = traj.params.beta
     abs_tol = traj.tol.abs
-    # sqrt-piv0, parameter free, keeps k = beta^2 = 0 as well
     k = 1.0 if traj.kind is EquationKind.XXXII else beta * beta
 
     # each candidate carries the node whose res2 judges it
@@ -231,8 +236,12 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     for jet, node in candidates:
         if abs(jet.w) >= abs_tol:
             continue  # a |w| minimum off the zero set
-        branch = _classify(jet.w1, beta, k - node.res2, real_mode)
-        curvature_nonzero = (abs(jet.w2) > CURV_FLOOR) if beta == 0.0 else None
+        slope, curvature, slope2 = jet.w1, jet.w2, k - node.res2
+        if traj.kind is EquationKind.SQRT_PIV0:  # judged on w = f^2, whose C at the closing node is f^3 res2
+            (f, f1, f2), g = (jet.w, jet.w1, jet.w2), node.jet.w
+            slope, curvature, slope2 = 2.0 * f * f1, 2.0 * f1 * f1 + 2.0 * f * f2, -g * g * g * node.res2
+        branch = _classify(slope, beta, slope2, real_mode)
+        curvature_nonzero = (abs(curvature) > CURV_FLOOR) if beta == 0.0 else None
         events.append(ZeroEvent(jet.z, jet.w1, jet.w2, branch, curvature_nonzero))
     return tuple(events)
 

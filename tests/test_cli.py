@@ -509,6 +509,28 @@ class TestSweepCommand:
         assert sum(c.zero_count for c in cells) == 106
         assert sum(c.status == "pole" for c in cells) == 52
 
+    def test_readme_sweep_node_counts_do_not_depend_on_the_interpreter(self, tmp_path):
+        # the zero search and the series pole rule add every sum left to right
+        # from 0; with sum(), which is compensated from Python 3.12 on, the
+        # cells (-2, -1.6) and (-2, 1.6) stored 23 nodes each there
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep",
+                "--eq", "piv",
+                "--alpha-min", "-2", "--alpha-max", "2", "--alpha-steps", "11",
+                "--beta-min", "-2", "--beta-max", "2", "--beta-steps", "11",
+                "--z0", "-1", "--w0", "0.5", "--span", "2",
+                "--out", str(out),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+        assert len(rows) == 121
+        assert sum(int(r["node_count"]) for r in rows) == 2136
+        nodes = {(float(r["alpha"]), float(r["beta"])): int(r["node_count"]) for r in rows}
+        assert nodes[-2.0, -1.6] == nodes[-2.0, 1.6] == 22
+
     def test_deterministic_output(self, tmp_path):
         args = [
             "sweep",

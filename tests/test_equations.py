@@ -241,13 +241,19 @@ def test_series_ends_at_the_quadratic_only_where_the_third_derivative_vanishes(k
 
 _LAZY_KERNELS = """
 import painleve4, painleve4.cli
-from painleve4 import equations, integrator
+from painleve4 import equations, integrator, zeros
 from painleve4.equations import EquationKind as K, Params, series_fn
+from painleve4.integrator import InitialData, integrate
 
 def built():
     return equations.series_kernel.cache_info().currsize, integrator._jet_kernel.cache_info().currsize
 
+def built_readers():
+    kernels = (integrator.value_kernel, integrator.skip_bound_kernel, integrator._reciprocal, integrator._cauchy_square)
+    return tuple(kernel.cache_info().currsize for kernel in kernels)
+
 assert built() == (0, 0), built()
+assert built_readers() == (0, 0, 0, 0), built_readers()
 coeffs = series_fn(K.PIV, Params(0.5, 0.1))(0.0, 0.3, 0.2, 0.1)
 assert built() == (1, 0), built()
 series_fn(K.PIV, Params(-0.7, 0.2))(0.0, 0.3, 0.2, 0.1)
@@ -260,13 +266,33 @@ assert built() == (2, 0), built()
 integrator.taylor_jet(coeffs, 0.1)
 integrator.taylor_jet(coeffs, 0.2)
 assert built() == (2, 1), built()
+assert built_readers() == (0, 0, 0, 0), built_readers()
+
+# w = z^2 - 1/4 on xxxii: two roots, w and w' at n = p + 1 and p terms, the curvature bound at p - 1
+quadratic = integrate(K.XXXII, Params(), InitialData.nonzero(-2.0, 3.75, -4.0), 4.0)
+assert built_readers() == (0, 0, 0, 0), built_readers()
+assert len(zeros.locate_zeros(quadratic)) == 2
+assert built_readers() == (3, 1, 0, 0), built_readers()
+zeros.locate_zeros(quadratic)
+assert integrator.value_kernel.cache_info().misses == 3
+
+# the series pole rule: xxix ends at the root of 1/w's series, piv at 1/(w + z)'s
+for kind in (K.XXIX, K.PIV):
+    assert integrate(kind, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0).pole_estimate is not None
+    assert built_readers() == (3, 1, 1, 0), built_readers()
+assert integrator._reciprocal.cache_info().misses == 1
+# sqrt-piv0 squares f's series first
+for _ in range(2):
+    assert integrate(K.SQRT_PIV0, Params(), InitialData.nonzero(-3.0, 0.7, 0.0), 6.0).pole_estimate is not None
+    assert built_readers() == (3, 1, 1, 1), built_readers()
 """
 
 
 def test_kernels_compile_on_first_use():
     # in a fresh interpreter: importing the package builds no kernel, the
     # first binding of a kind builds exactly one, and piv at another alpha,
-    # piv0 and the quadratic kinds reuse or need none
+    # piv0 and the quadratic kinds reuse or need none; the zero search and
+    # the series pole rule build theirs on first use, once
     src = Path(equations.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _LAZY_KERNELS], env=env, capture_output=True, text=True, timeout=60)

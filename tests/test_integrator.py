@@ -24,7 +24,16 @@ from painleve4 import (
     residual2,
 )
 from painleve4.equations import ORDER, rhs3, series_fn
-from painleve4.integrator import _pole_estimate, _step_length, _tail_error, taylor_jet
+from painleve4.integrator import (
+    _cauchy_square,
+    _pole_estimate,
+    _reciprocal,
+    _step_length,
+    _tail_error,
+    skip_bound_kernel,
+    taylor_jet,
+    value_kernel,
+)
 from painleve4.oracles import xxix_pole_family
 
 K = EquationKind
@@ -803,6 +812,27 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         ddw = [k * v for k, v in enumerate(dw) if k]
         ref = [_left_sum(map(mul, cs, pw)) for cs in (want, dw, ddw)]
         assert [_bits(v) for v in taylor_jet(got, t)] == [_bits(v) for v in ref]
+        # the zero search: w and w' at t, and the interval bounds over a step of length |t|
+        value, slope = value_kernel(ORDER + 1), value_kernel(ORDER)
+        assert [_bits(value(got, t)), _bits(slope(dw, t))] == [_bits(v) for v in ref[:2]]
+        h = abs(t)
+        ph = [1.0]
+        for _ in range(ORDER):
+            ph.append(ph[-1] * h)
+        skip = abs(want[0]) - _left_sum(abs(c) * q for c, q in zip(want[1:], ph[1:]))
+        bound2 = _left_sum(abs(c) * q for c, q in zip(ddw, ph))
+        got_bounds = skip_bound_kernel()(got, h), value_kernel(ORDER - 1)([abs(c) for c in ddw], h)
+        assert [_bits(v) for v in got_bounds] == [_bits(skip), _bits(bound2)]
+        # the series pole rule: the Cauchy square, the reciprocal, and u and u' at t
+        assert [_bits(v) for v in _cauchy_square()(got)] == [_bits(_cauchy(want, want, k)) for k in range(ORDER + 1)]
+        if want[0] != 0:
+            u = [1.0 / want[0]]
+            for k in range(1, ORDER + 1):
+                u.append(-u[0] * _left_sum(want[i] * u[k - i] for i in range(1, k + 1)))
+            assert [_bits(v) for v in _reciprocal()(got)] == [_bits(v) for v in u]
+            du = [k * v for k, v in enumerate(u) if k]
+            ref = [_left_sum(map(mul, cs, pw)) for cs in (u, du)]
+            assert [_bits(value(u, t)), _bits(slope(du, t))] == [_bits(v) for v in ref]
         return got
 
     for sign in (1.0, -1.0):

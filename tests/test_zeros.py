@@ -322,6 +322,19 @@ def test_zero_resolved_at_the_slope_its_first_integral_allows(kind, init, span):
     assert events[0].branch is ZeroBranch.PLUS_BETA
 
 
+def test_sqrt_piv0_zero_is_judged_on_its_square():
+    # 4 f'' = f (3 f^2 + 2t)(f^2 + 2t) vanishes with f, and f' is free there;
+    # the piv0 solution w = f^2 has slope 2 f f' = 0 and curvature 2 f'^2 != 0
+    t = integrate(K.SQRT_PIV0, Params(), InitialData.raw(0.0, -0.3, 1.0, 0.0), 1.0)
+    events = locate_zeros(t)
+    assert len(events) == 1
+    e = events[0]
+    assert abs(e.a - 0.30015) < 1e-5
+    # the event reports f's own slope and curvature
+    assert abs(e.slope - 0.99899) < 1e-5 and abs(e.curvature) < 1e-12
+    assert e.branch is ZeroBranch.PLUS_BETA and e.curvature_nonzero is True
+
+
 def test_verdict_reads_the_stored_monitor():
     # raw piv0 data off the solution set crosses zero at slope -sqrt(-res2*);
     # with the stored monitor blinded to 0 the same slope is unresolved
