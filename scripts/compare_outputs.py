@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Byte identity of a fixed list of CLI outputs, on one source tree or two.
+
+Each output is one `painleve4` command, run by this interpreter in a fresh
+process on the package under TREE/src, in an empty temporary directory.
+Its artifacts are the files the command writes and its exit code with its
+standard output (`stdout`), which is all that `verify` writes.
+
+Usage:
+    python scripts/compare_outputs.py TREE            one sha256 per artifact
+    python scripts/compare_outputs.py PARENT CHANGE   identical or differs per artifact
+
+With two trees, such as a `git archive` of the parent commit and the
+working tree, the exit code is 1 when any artifact differs and 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_SUITES = ("identities", "constraint", "closed-forms", "xxix-integrals", "sqrt")
+_SEEDS = (0, 7, 1000)
+_README_SWEEP = (
+    "sweep --eq piv --alpha-min -2 --alpha-max 2 --alpha-steps 11 "
+    "--beta-min -2 --beta-max 2 --beta-steps 11 --z0 -1 --w0 0.5 --span 2 --out sweep.csv"
+)
+_TRAJECTORY = ("trajectory.csv", "summary.json")
+
+# name -> (command line, files it writes); integrate and zeros write their default file names
+OUTPUTS = {
+    "sweep-readme": (_README_SWEEP, ("sweep.csv",)),
+    **{
+        f"verify-{suite}-seed-{seed}": (f"verify --suite {suite} --seed {seed}", ())
+        for suite in _SUITES
+        for seed in _SEEDS
+    },
+    "integrate-readme-xxxii": ("integrate --eq xxxii --z0 0 --w0 2 --w1 3 --span 4", _TRAJECTORY),
+    "integrate-readme-zero-seed": (
+        "integrate --eq piv --alpha 0 --beta 1 --zero-branch plus --w2 0 --z0 0 --span 1", _TRAJECTORY,
+    ),
+    "integrate-readme-xxix-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 2", _TRAJECTORY),
+    "zeros-readme-piv0": ("zeros --eq piv0 --w2 1 --z0 0 --span 1", ("events.json", "summary.json")),
+    "integrate-piv0-pole": ("integrate --eq piv0 --z0 -3 --w0 0.5 --span 6", _TRAJECTORY),
+    "integrate-piv-w0-1000": ("integrate --eq piv --z0 0 --w0 1000 --w1 0 --span 1", _TRAJECTORY),
+    "integrate-piv-w0-5000": ("integrate --eq piv --z0 0 --w0 5000 --w1 0 --span 1", _TRAJECTORY),
+    "integrate-sqrt-piv0-pole": ("integrate --eq sqrt-piv0 --z0 -3 --w0 0.7071067811865476 --span 6", _TRAJECTORY),
+    "integrate-complex-piv": (
+        "integrate --eq piv --alpha 0.5 --beta 0.25 --z0 0 --w0 0.7 --w1 -0.1 --w2 0.4 --span 1 "
+        "--field complex --dir-re 0.955336489125606 --dir-im 0.29552020666133955",
+        _TRAJECTORY,
+    ),
+    # the path passes the pole of 1/(1 - z) at distance 5e-3, outside the band
+    # in which a series root ends a complex run
+    "integrate-complex-xxix-past-pole": (
+        "integrate --eq xxix --z0 0 --w0 1 --w1 1 --w2 2 --span 2 "
+        "--field complex --dir-re 0.9999875000260416 --dir-im 0.004999979166692708",
+        _TRAJECTORY,
+    ),
+}  # fmt: skip
+
+
+def digests(tree: Path) -> dict[str, str]:
+    """'output/artifact' -> sha256 hex digest, or 'missing' for a file the command did not write."""
+    env = {**os.environ, "PYTHONPATH": str((tree / "src").resolve())}
+    result = {}
+    for name, (command, files) in OUTPUTS.items():
+        with tempfile.TemporaryDirectory() as work:
+            run = subprocess.run(
+                [sys.executable, "-m", "painleve4.cli", *command.split()],
+                cwd=work, env=env, capture_output=True, check=False,
+            )
+            result[f"{name}/stdout"] = hashlib.sha256(b"exit %d\n" % run.returncode + run.stdout).hexdigest()
+            for file in files:
+                path = Path(work) / file
+                result[f"{name}/{file}"] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("trees", nargs="+", type=Path, metavar="TREE", help="one or two source trees, each with src/")
+    args = parser.parse_args(argv)
+    if len(args.trees) > 2:
+        parser.error("give one tree, or two to compare")
+    runs = [digests(tree) for tree in args.trees]
+    if len(runs) == 1:
+        for artifact, digest in runs[0].items():
+            print(f"{digest}  {artifact}")
+        return 0
+    before, after = runs
+    differing = [artifact for artifact in before if before[artifact] != after[artifact]]
+    for artifact in before:
+        print(f"{'differs' if artifact in differing else 'identical':9s}  {artifact}")
+    print(f"{len(before) - len(differing)} of {len(before)} identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

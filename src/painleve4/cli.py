@@ -146,10 +146,10 @@ class RunSpec:
 
 def _build_tolerances(ns) -> Tolerances:
     try:
-        return Tolerances(rel=ns.rel, abs=ns.abs, pole_cutoff=ns.pole_cutoff)
+        return Tolerances(rel=ns.rel, abs=ns.abs)
     except ValueError as exc:
         # Tolerances messages already lead with the offending field name
-        raise ValueError(f"--{str(exc).replace('_', '-', 1)}") from None
+        raise ValueError(f"--{exc}") from None
 
 
 def _build_initial(ns, field: ScalarField, direction: Scalar) -> InitialData:
@@ -379,9 +379,6 @@ def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
     sub.add_argument("--span", type=float, default=None, help="signed integration span (arc length in COMPLEX mode)")
     sub.add_argument("--rel", type=float, default=1e-10, help="relative tolerance")
     sub.add_argument("--abs", type=float, default=1e-10, help="absolute tolerance")
-    sub.add_argument(
-        "--pole-cutoff", type=float, default=1e4, help="backstop |w| declaring a pole, in [1e3, 1e9]; none on xvii/xxxii"
-    )
     sub.add_argument("--out", default=None, help="primary output file")
     if not sweep:
         sub.add_argument("--summary", default=None, help="summary JSON file")

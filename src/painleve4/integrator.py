@@ -35,9 +35,9 @@ Newton's method finds its root near the node.  The run ends POLE at that
 root, with no further step, when the root lies within the Jorba-Zou step
 that u's own coefficients allow and ahead on the path within the span left
 (Fornberg and Weideman, J. Comput. Phys. 230 (2011), read poles off the
-same local expansions).  Otherwise the run steps on, and a step that takes
-|w| above `pole_cutoff` ends it as a backstop; xvii and xxxii have no poles
-and no backstop.
+same local expansions).  Otherwise the run steps on; xvii and xxxii have no
+poles.  This is the only pole rule: the third-order form is regular at the
+zeros of w, so no other point ends a run.
 """
 
 import logging
@@ -79,6 +79,11 @@ _SERIES_POLE_FROM = 10.0
 _POLE_FREE = (EquationKind.XVII, EquationKind.XXXII)
 # Newton iterations before a root search gives up
 _NEWTON_STEPS = 30
+# how far off a complex path (|Im| of r/d) a series root may lie and still end
+# the run there: passing a pole at distance delta takes |w| on the path to
+# about 1/delta, so a root within 1e-4 is a pole the path runs into, while a
+# root farther off is a pole the path passes, and the steps integrate past it
+_OFF_PATH = 1e-4
 
 # k = 1 .. p: the factors that turn coefficients of w into those of its derivative
 _DERIVATIVE_FACTORS = range(1, ORDER + 1)
@@ -93,7 +98,6 @@ class Tolerances:
     rel: float = 1e-10
     abs: float = 1e-10
     h_min: float = 1e-12
-    pole_cutoff: float = 1e4
 
     def __post_init__(self):
         # comparisons chained this way are false for NaN as well as for inf
@@ -103,8 +107,6 @@ class Tolerances:
             raise ValueError(f"abs: must be finite and in [1e-14, 1], got {self.abs}")
         if not (0 < self.h_min < math.inf):
             raise ValueError(f"h_min: must be positive and finite, got {self.h_min}")
-        if not (1e3 <= self.pole_cutoff <= 1e9):
-            raise ValueError(f"pole_cutoff: must lie in [1e3, 1e9], got {self.pole_cutoff}")
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,9 @@ class TrajectoryStats:
     """Deterministic step counts of one integration.
 
     accepted      steps taken; each is stored as a node, except the one that
-                  crosses pole_cutoff or w_bound, so len(nodes) = 1 + accepted
-                  less that step.  A run ended at the root of its series
-                  takes no step to the pole.
+                  crosses w_bound, so len(nodes) = 1 + accepted less that
+                  step.  A run ended at the root of its series takes no step
+                  to the pole.
     h_min, h_max  the range of h over those steps; None if there is none
     """
 
@@ -342,9 +344,10 @@ def _cauchy_square():
     return compile_kernel("cauchy_square", "f", [f"{_names('f')}= f", f"return [{', '.join(squares)}]"])
 
 
-def _newton_root(u, t: Scalar = 0.0) -> Scalar | None:
-    """The root of sum u_k t^k that Newton's method reaches from t, u and u' read by `value_kernel`; or None."""
+def _newton_root(u) -> Scalar | None:
+    """The root of sum u_k t^k that Newton's method reaches from t = 0, u and u' read by `value_kernel`; or None."""
     du, value, slope_at = derivative(u), value_kernel(ORDER + 1), value_kernel(ORDER)
+    t = 0.0
     for _ in range(_NEWTON_STEPS):
         slope = slope_at(du, t)
         if slope == 0:
@@ -382,7 +385,7 @@ def _series_pole(kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, 
     in powers of z' - z.  r is accepted only when it lies within the
     Jorba-Zou step of u at the run's tolerances, so the neglected tail of u
     is below them there, and ahead on the path: r/d in (0, left] and, on a
-    complex path, within 1/pole_cutoff of it.
+    complex path, within `_OFF_PATH` of it.
     """
     u = _pole_coordinate(kind, coeffs, z)
     h = None if u is None else _step_length(u, tol.abs + tol.rel * abs(u[0]))
@@ -392,40 +395,9 @@ def _series_pole(kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, 
     if r is None or not abs(r) <= h:
         return None
     t = r / d
-    if 0.0 < t.real <= left and abs(t.imag) <= 1.0 / tol.pole_cutoff:
+    if 0.0 < t.real <= left and abs(t.imag) <= _OFF_PATH:
         return r
     return None
-
-
-def _pole_estimate(kind: EquationKind, j: Jet3) -> Scalar:
-    """One Newton step from the jet j onto a simple zero u(a) = 0 at the pole a; where the cutoff backstop starts.
-
-    piv and piv0 use u = 1/(w + z): their Laurent series
-    w = e/(z - a) - a + O(z - a), e = +-1, makes u = e (z - a) + O((z - a)^3),
-    so a = z + (w + z)/(w' + 1) is off by O((z - a)^3).  sqrt-piv0 takes the
-    same step on the piv0 solution it squares to, w = f^2 and w' = 2 f f'.
-    Every other kind uses u = 1/w, a = z + w/w', exact on the xxix family
-    1/(c - z).  Where the step is undefined (u' = 0) the estimate is z.
-    """
-    z, w, w1 = j.z, j.w, j.w1
-    if kind is EquationKind.SQRT_PIV0:
-        w, w1 = w * w, 2.0 * w * w1
-    shifted = kind in (EquationKind.PIV, EquationKind.PIV0, EquationKind.SQRT_PIV0)
-    num, den = (w + z, w1 + 1.0) if shifted else (w, w1)
-    return z if den == 0 else z + num / den
-
-
-def _backstop_pole(kind: EquationKind, coeffs, z: Scalar, crossing: Jet3) -> Scalar:
-    """The pole estimate of a run whose step from z reached |w| > pole_cutoff at the jet `crossing`.
-
-    `_pole_estimate` from the crossing jet, refined by Newton's method on
-    u's series about z (`_pole_coordinate`); it stands unrefined where that
-    series does not exist or the refinement does not settle.
-    """
-    estimate = _pole_estimate(kind, crossing)
-    u = _pole_coordinate(kind, coeffs, z)
-    r = None if u is None else _newton_root(u, estimate - z)
-    return estimate if r is None else z + r
 
 
 def integrate(
@@ -454,20 +426,18 @@ def integrate(
                       series of u = 1/(w + z) (1/(f^2 + t), 1/w for xxix)
                       has a root within u's own step, ahead on the path
                       within the span left (`_series_pole`); z_est is that
-                      root, and that node is the last one stored.  As a
-                      backstop, a step that takes |w| above pole_cutoff
-                      ends the run too, except on xvii and xxxii, whose
-                      quadratics have no pole; z_est is then the root of
-                      u's series for that step, reached by Newton's method
-                      from the step's end (`_backstop_pole`), which is not
-                      stored as a node,
+                      root, and that node is the last one stored; xvii
+                      and xxxii, whose quadratics have no pole, never end
+                      here,
       W_BOUND         a step took |w| above w_bound (|f| for sqrt-piv0, as
-                      `Trajectory.max_abs_w` measures) but did not end the
-                      run POLE; that step is not stored either, so every
-                      stored |w| is at most w_bound; a caller that rejects
-                      any run leaving |w| <= w_bound stops it here,
+                      `Trajectory.max_abs_w` measures); that step is not
+                      stored, so every stored |w| is at most w_bound; a
+                      caller that rejects any run leaving |w| <= w_bound
+                      stops it here,
       STEP_UNDERFLOW  the step rule asked for h below h_min, or a
-                      coefficient or the new state was not finite,
+                      coefficient or the new state was not finite; a run
+                      that nears a pole whose series root it never trusts
+                      ends here,
       STEP_BUDGET     _MAX_STEPS steps did not cover the span.
     """
     ensure_kind_params(kind, p)
@@ -488,10 +458,8 @@ def integrate(
     res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
     # sqrt-piv0's f squares to the piv0 solution that has the pole
     squared = kind is EquationKind.SQRT_PIV0
-    # xvii and xxxii solutions are quadratics: no |w| they reach is a pole
-    cutoff = math.inf if kind in _POLE_FREE else tol.pole_cutoff
-    # one comparison per step serves both the cutoff and the bound
-    stop = min(cutoff, w_bound * w_bound if squared else w_bound)
+    # mag is |f^2| for sqrt-piv0, so its bound on |f| is squared
+    stop = w_bound * w_bound if squared else w_bound
 
     try:
         j0 = complete_initial_data(kind, p, init)
@@ -507,7 +475,6 @@ def integrate(
     jet = j0
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
-    pole_how = ""
     unstored_h = None
     mag = abs(j0.w * j0.w if squared else j0.w)
     s = 0.0
@@ -524,7 +491,6 @@ def integrate(
             if r is not None:
                 status = TrajectoryStatus.POLE
                 pole_estimate = jet.z + r
-                pole_how = f"series root at distance {abs(r):.3g} from node {len(nodes) - 1}"
                 break
         bound = abs_tol + rel_tol * abs(jet.w)
         h = _step_length(coeffs, bound)
@@ -545,12 +511,7 @@ def integrate(
         mag = abs(w * w if squared else w)
         if mag > stop:
             unstored_h = h
-            if mag > cutoff:
-                status = TrajectoryStatus.POLE
-                pole_estimate = _backstop_pole(kind, coeffs, jet.z, Jet3(z0 + s_new * d, w, w1, w2))
-                pole_how = "cutoff backstop"
-            else:
-                status = TrajectoryStatus.W_BOUND
+            status = TrajectoryStatus.W_BOUND
             break
 
         # constraint_c and residual2 stay module-global lookups, so a tracer can wrap them
@@ -569,7 +530,8 @@ def integrate(
         nodes[-1].s,
         total,
         stats,
-        f"; pole by {pole_how}" if pole_how else "",
+        "" if pole_estimate is None else
+        f"; pole by series root at distance {abs(pole_estimate - nodes[-1].jet.z):.3g} from node {len(nodes) - 1}",
     )
     return Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, stats, pole_estimate)
 
@@ -577,8 +539,8 @@ def integrate(
 def _stats(nodes: list, unstored_h: float | None) -> TrajectoryStats:
     """The step counts of a finished `integrate` loop, derived once instead of per step.
 
-    unstored_h is the length of the step that crossed pole_cutoff or
-    w_bound, which the run took but did not store; None if there was none.
+    unstored_h is the length of the step that crossed w_bound, which the
+    run took but did not store; None if there was none.
     """
     hs = [node.h for node in nodes[1:]]
     if unstored_h is not None:

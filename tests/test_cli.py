@@ -62,7 +62,7 @@ class TestIntegrateCommand:
         [("xxxii", "2", "3", "200", 40602.0), ("xvii", "1", "4", "100", 40401.0)],
     )
     def test_quadratic_past_the_cutoff_completes(self, eq, w0, w1, span, w_end, tmp_path):
-        # one exact step takes |w| past the 1e4 cutoff; a quadratic has no pole
+        # one exact step takes |w| past 1e4; a quadratic has no pole
         out, summary = tmp_path / "t.csv", tmp_path / "s.json"
         code = main(["integrate", "--eq", eq, "--z0", "0", "--w0", w0, "--w1", w1, "--span", span,
                      "--out", str(out), "--summary", str(summary)])
@@ -88,7 +88,7 @@ class TestIntegrateCommand:
 
     def test_sqrt_pole_run_exits_zero_at_the_piv0_pole(self, tmp_path):
         # f^2 is the piv0 solution with w0 = 0.5, w1 = 0; |f| only grows like
-        # |z - a|^(-1/2), so the cutoff is tested against f^2
+        # |z - a|^(-1/2), so the pole rule reads f^2
         def run(eq, w0):
             summary = tmp_path / f"{eq}.json"
             code = main(["integrate", "--eq", eq, "--z0", "-3", "--w0", w0, "--span", "6",
@@ -166,7 +166,8 @@ class TestValidation:
             (["integrate", "--eq", "piv", "--w0", "1"], "--span"),
             (["integrate", "--eq", "piv", "--w0", "0", "--span", "1"], "--w0"),
             (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--rel", "1e-20"], "rel"),
-            (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--pole-cutoff", "10"], "pole-cutoff"),
+            # a run ends `pole` only at its series root: no subcommand sets a threshold
+            (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--pole-cutoff", "1e4"], "pole-cutoff"),
             (["integrate", "--eq", "piv0", "--alpha", "1", "--w0", "1", "--span", "1"], "alpha"),
             (["integrate", "--eq", "piv", "--zero-branch", "plus", "--w0", "1", "--span", "1"], "--zero-branch"),
             (["zeros", "--eq", "piv", "--w0", "1", "--span", "1", "--field", "complex"], "--field"),
@@ -174,7 +175,7 @@ class TestValidation:
               "--dir-re", "2"], "--dir-re"),
             (["integrate", "--eq", "xxxii", "--zero-branch", "plus", "--span", "1"], "zero"),
             (["integrate", "--w0", "1", "--span", "1"], "--eq"),
-            (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--pole-cutoff", "1e10"], "--pole-cutoff"),
+            (["zeros", "--eq", "piv", "--w0", "1", "--span", "1", "--pole-cutoff", "1e4"], "--pole-cutoff"),
             (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--field", "complex",
               "--dir-re", "nan"], "--dir-re"),
             (["zeros", "--eq", "xvii", "--beta", "2", "--z0", "0", "--w0", "1", "--w1", "-2", "--span", "2"],
@@ -236,10 +237,7 @@ class TestValidation:
         # |w| = 4.8, before the pole can be read off the series at |w| > 10
         import painleve4.cli as cli
 
-        def tiny_h(**kwargs):
-            return Tolerances(rel=kwargs["rel"], abs=kwargs["abs"], pole_cutoff=kwargs["pole_cutoff"], h_min=0.03)
-
-        monkeypatch.setattr(cli, "_build_tolerances", lambda ns: tiny_h(rel=ns.rel, abs=ns.abs, pole_cutoff=ns.pole_cutoff))
+        monkeypatch.setattr(cli, "_build_tolerances", lambda ns: Tolerances(rel=ns.rel, abs=ns.abs, h_min=0.03))
         code = main(["integrate", "--eq", "xxix", "--w0", "1", "--w1", "1", "--span", "2",
                      "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
         assert code == 2
@@ -649,7 +647,6 @@ _CAPPED = {
     "span": st.floats(-1.0, 1.0),
     "rel": st.sampled_from([1e-10, 1e-6, 1e-14]),
     "abs": st.sampled_from([1e-10, 1e-6, 1e-14]),
-    "pole_cutoff": st.sampled_from([1e3, 1e4, 1e9]),
     "alpha_steps": st.integers(1, 3),
     "beta_steps": st.integers(1, 3),
     "count": st.integers(1, 3),

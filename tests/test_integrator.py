@@ -26,7 +26,6 @@ from painleve4 import (
 from painleve4.equations import ORDER, rhs3, series_fn
 from painleve4.integrator import (
     _cauchy_square,
-    _pole_estimate,
     _reciprocal,
     _step_length,
     _tail_error,
@@ -44,14 +43,31 @@ def quadratic_jet(z):
     return Jet3(z, z * z + 3 * z + 2, 2 * z + 3, 2.0)
 
 
+def _newton_step_to_pole(kind, j):
+    """One Newton step from the jet j onto the simple zero u(a) = 0 at the pole a.
+
+    piv and piv0 use u = 1/(w + z): their Laurent series
+    w = e/(z - a) - a + O(z - a), e = +-1, makes u = e (z - a) + O((z - a)^3),
+    so a = z + (w + z)/(w' + 1) is off by O((z - a)^3).  sqrt-piv0 takes the
+    same step on the piv0 solution it squares to, w = f^2 and w' = 2 f f'.
+    xxix uses u = 1/w, a = z + w/w', exact on its family 1/(c - z).
+    """
+    z, w, w1 = j.z, j.w, j.w1
+    if kind is K.SQRT_PIV0:
+        w, w1 = w * w, 2.0 * w * w1
+    if kind is K.XXIX:
+        return z + w / w1
+    return z + (w + z) / (w1 + 1.0)
+
+
 def _reference_pole(kind, p, init, estimate):
-    """An independent pole location: one Newton step on u = 1/(w + z) from the end
-    of a rel = abs = 1e-13 run that stops 1e-7 short of `estimate` on the real line."""
+    """An independent pole location: `_newton_step_to_pole` from the end of a
+    rel = abs = 1e-13 run that stops 1e-7 short of `estimate` on the real line."""
     span = estimate - init.z0
-    tight = Tolerances(rel=1e-13, abs=1e-13, pole_cutoff=1e9)
+    tight = Tolerances(rel=1e-13, abs=1e-13)
     ref = integrate(kind, p, init, span - math.copysign(1e-7, span), tight)
     assert ref.status is TrajectoryStatus.COMPLETED
-    return _pole_estimate(kind, ref.nodes[-1].jet)
+    return _newton_step_to_pole(kind, ref.nodes[-1].jet)
 
 
 def taylor_step(kind, j, h):
@@ -64,7 +80,10 @@ def taylor_step(kind, j, h):
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert (t.rel, t.abs, t.h_min, t.pole_cutoff) == (1e-10, 1e-10, 1e-12, 1e4)
+        assert (t.rel, t.abs, t.h_min) == (1e-10, 1e-10, 1e-12)
+        # no pole threshold to set: a run ends `pole` only at its series root
+        with pytest.raises(TypeError):
+            Tolerances(pole_cutoff=1e4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -73,8 +92,8 @@ class TestTolerances:
             {"abs": 0.0},
             {"h_min": 0.0},
             {"h_min": -1.0},
-            {"pole_cutoff": 10.0},
-            {"pole_cutoff": 1e10},
+            {"rel": math.nan},
+            {"h_min": math.inf},
             {"rel": math.inf},
             {"abs": math.inf},
             {"abs": 2.0},
@@ -210,7 +229,7 @@ class TestIntegrate:
         ],
     )
     def test_quadratic_kinds_have_no_pole_backstop(self, kind, init, span, w_end):
-        # one exact step takes |w| past pole_cutoff = 1e4: no pole, and w_bound still stops the run
+        # one exact step takes |w| past 1e4: a quadratic has no pole, and w_bound still stops the run
         t = integrate(kind, Params(), init, span)
         assert (t.status, t.pole_estimate, len(t.nodes)) == (TrajectoryStatus.COMPLETED, None, 2)
         assert (t.nodes[-1].jet.z, t.nodes[-1].jet.w) == (span, w_end)
@@ -228,22 +247,21 @@ class TestIntegrate:
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
         assert t.status is TrajectoryStatus.POLE
         assert abs(t.pole_estimate - 1.0) < 1e-10
-        assert all(abs(n.jet.w) <= t.tol.pole_cutoff for n in t.nodes)
 
     @pytest.mark.parametrize("c", [0.7, -1.3, 1.0 + 0.5j])
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_pole_estimate_exact_on_xxix_family(self, c, side):
         # one Newton step on 1/w is exact on w = 1/(c - z)
-        assert abs(_pole_estimate(K.XXIX, xxix_pole_family(c, c - side * 1e-4)) - c) < 1e-14
+        assert abs(_newton_step_to_pole(K.XXIX, xxix_pole_family(c, c - side * 1e-4)) - c) < 1e-14
 
-    def test_pole_estimate_without_a_newton_step_is_the_jet(self):
-        # a constant xxix jet above the cutoff: u = 1/w has u' = 0
+    def test_constant_xxix_jet_completes(self):
+        # w = 2e4 is a constant solution of the third-order form: u = 1/w has
+        # no root, so no large |w| alone ends a run
         t = integrate(K.XXIX, Params(), InitialData.raw(0.0, 2e4, 0.0, 0.0), 1.0)
-        assert t.status is TrajectoryStatus.POLE
+        assert (t.status, t.pole_estimate) == (TrajectoryStatus.COMPLETED, None)
         # the constant series is exact: one step to the end of the span
-        assert len(t.nodes) == 1 and t.stats.accepted == 1
-        assert t.pole_estimate == 1.0
-        assert _pole_estimate(K.PIV, Jet3(0.5, 2e4, -1.0, 0.0)) == 0.5
+        assert len(t.nodes) == 2 and t.stats.accepted == 1
+        assert (t.nodes[-1].jet.z, t.nodes[-1].jet.w) == (1.0, 2e4)
 
     def test_piv_pole_estimates_match_tight_reference(self):
         # every pole cell of the README 11 x 11 sweep (z0 = -1, w0 = 0.5, span 2)
@@ -259,18 +277,21 @@ class TestIntegrate:
                 assert abs(t.pole_estimate - _reference_pole(K.PIV, Params(alpha, beta), init, t.pole_estimate)) < 1e-12
         assert poles == 52
 
-    @pytest.mark.parametrize("w0, backstop", [(1000.0, False), (5000.0, True)])
-    def test_large_amplitude_pole_matches_tight_reference(self, w0, backstop, caplog):
-        # from a turning point within a factor 10 of the cutoff the jet is far
-        # from the Laurent regime: at 5000 |w| passes the cutoff before the
-        # series rule trusts a root, and the backstop refines its estimate on
-        # the crossing step's series
-        init = InitialData.nonzero(0.0, w0, 0.0)
+    @pytest.mark.parametrize(
+        "eq, w0", [("piv", 1000.0), ("piv", 5000.0), ("piv", 8000.0), ("piv", 1e4), ("piv", 1e5), ("sqrt-piv0", 100.0)]
+    )
+    def test_large_amplitude_pole_matches_tight_reference(self, eq, w0, caplog):
+        # from a turning point (f' = f'' = 0 for sqrt-piv0, whose f^2 starts
+        # at 1e4) the jet is far from the Laurent regime: from 5000 on |w|
+        # passes 1e4 before the series rule trusts a root, and the run steps
+        # on until it does
+        kind = K(eq)
+        init = InitialData.raw(0.0, w0, 0.0, 0.0) if kind is K.SQRT_PIV0 else InitialData.nonzero(0.0, w0, 0.0)
         with caplog.at_level("INFO", logger="painleve4.integrator"):
-            t = integrate(K.PIV, Params(), init, 1.0)
+            t = integrate(kind, Params(), init, 1.0)
         assert t.status is TrajectoryStatus.POLE
-        assert ("pole by cutoff backstop" in caplog.text) == backstop
-        assert abs(t.pole_estimate - _reference_pole(K.PIV, Params(), init, t.pole_estimate)) < 1e-12
+        assert "pole by series root" in caplog.text
+        assert abs(t.pole_estimate - _reference_pole(kind, Params(), init, t.pole_estimate)) < 1e-12
 
     def test_monotone_nodes_and_metadata(self):
         t = integrate(K.PIV, Params(0.5, 0.5), InitialData.nonzero(0.0, 1.0, 0.0), -0.8)
@@ -418,8 +439,10 @@ _STATS_RUNS = {
     "xxix-pole-rejection": (
         K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, Tolerances(h_min=0.03), math.inf, None,
     ),
-    # |w| passes the 1e4 cutoff before the series rule accepts a root
-    "piv-cutoff-backstop": (K.PIV, Params(), InitialData.nonzero(0.0, 5000.0, 0.0), 1.0, Tolerances(), math.inf, None),
+    # |w| passes 1e4 before the series rule accepts a root
+    "piv-large-amplitude-pole": (
+        K.PIV, Params(), InitialData.nonzero(0.0, 5000.0, 0.0), 1.0, Tolerances(), math.inf, None,
+    ),
 }  # fmt: skip
 
 
@@ -441,12 +464,13 @@ class TestStats:
         with caplog.at_level("INFO", logger="painleve4.integrator"):
             t = _run_stats_case(name, monkeypatch)
         by_root = "pole by series root" in caplog.text
-        assert by_root == (name == "piv-pole")
-        assert ("pole by cutoff backstop" in caplog.text) == (name == "piv-cutoff-backstop")
+        assert by_root == (t.status is TrajectoryStatus.POLE) == (name in ("piv-pole", "piv-large-amplitude-pole"))
         st = t.stats
         assert series_builds[0] == st.accepted + (t.status is TrajectoryStatus.STEP_UNDERFLOW or by_root)
-        # the step that crosses the cutoff or the bound is taken but not stored
-        unstored = t.status in (TrajectoryStatus.POLE, TrajectoryStatus.W_BOUND) and not by_root
+        if name == "piv-large-amplitude-pole":
+            assert (st.accepted, len(t.nodes)) == (8, 9)
+        # the step that crosses the bound is taken but not stored
+        unstored = t.status is TrajectoryStatus.W_BOUND
         assert len(t.nodes) == 1 + st.accepted - unstored
         hs = [n.h for n in t.nodes[1:]]
         if hs:
@@ -535,7 +559,7 @@ def test_nodes_are_immutable_and_hashable():
 
 
 class TestWBound:
-    # a README-sweep pole cell: |w| passes 3 well before the 1e4 cutoff
+    # a README-sweep pole cell: |w| passes 3 well before its series root
     P = Params(-1.2, 2.0)
     INIT = InitialData.nonzero(-1.0, 0.5, 0.0)
 
@@ -570,15 +594,17 @@ class TestWBound:
         # stored |f| passes sqrt(3): the bound is not applied to f^2
         assert math.sqrt(3.0) < bounded.max_abs_w() <= 3.0
         assert abs(full.nodes[n].jet.w) > 3.0
-        # |f| = 200 lies beyond the cutoff f^2 = 1e4, so the pole ends the run
+        # the pole rule reads f^2, so the run ends at its series root long
+        # before |f| reaches a bound of 200
         t = integrate(K.SQRT_PIV0, Params(), init, 2.0, w_bound=200.0)
         assert (t.status, t.nodes, t.pole_estimate) == (full.status, full.nodes, full.pole_estimate)
 
     def test_step_crossing_bound_and_cutoff_ends_pole(self):
         full = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
         assert full.status is TrajectoryStatus.POLE
-        last = abs(full.nodes[-1].jet.w)
-        bound = 0.5 * (last + full.tol.pole_cutoff)
+        # a bound just above the last stored |w|: the series root ends the run
+        # at that node, before any step could cross the bound
+        bound = 1.01 * abs(full.nodes[-1].jet.w)
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, w_bound=bound)
         assert t.status is TrajectoryStatus.POLE
         assert t.pole_estimate == full.pole_estimate
@@ -607,7 +633,7 @@ class TestComplexMode:
         c = 0.5 * self.D + 0.01j * self.D
         t = self._xxix_run(c, 0j)
         assert t.status is TrajectoryStatus.COMPLETED
-        assert 50.0 < t.max_abs_w() <= t.tol.pole_cutoff
+        assert 50.0 < t.max_abs_w() <= 200.0
         monkeypatch.setattr(integrator, "_SERIES_POLE_FROM", math.inf)
         without = self._xxix_run(c, 0j)
         assert (t.status, t.nodes, t.pole_estimate, t.stats) == (
