@@ -33,7 +33,6 @@ from .integrator import (
     Tolerances,
     Trajectory,
     TrajectoryNode,
-    TrajectoryStats,
     TrajectoryStatus,
     complete_initial_data,
     dense_eval,
@@ -86,7 +85,6 @@ __all__ = [
     "Tolerances",
     "Trajectory",
     "TrajectoryNode",
-    "TrajectoryStats",
     "TrajectoryStatus",
     "complete_initial_data",
     "dense_eval",

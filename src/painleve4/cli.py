@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .equations import EquationKind, Params, Scalar, ScalarField
@@ -30,7 +30,6 @@ from .integrator import (
     InitialData,
     Tolerances,
     Trajectory,
-    TrajectoryStats,
     TrajectoryStatus,
     dense_eval,  # noqa: F401 -- unused here; perfbench/tracing.py patches cli.dense_eval
     integrate,
@@ -126,22 +125,8 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
         "max_abs_c": max(abs(n.c) for n in traj.nodes),
         "max_abs_res2": max(abs(n.res2) for n in traj.nodes),
         "events": [_event_json(e) for e in events],
-        "stats": asdict(traj.stats),
+        "stats": traj.stats,
     }
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Validated inputs of one integration-backed command."""
-
-    kind: EquationKind
-    params: Params
-    field: ScalarField
-    init: InitialData
-    span: float
-    tol: Tolerances
-    out: Path
-    summary: Path
 
 
 def _build_tolerances(ns) -> Tolerances:
@@ -167,7 +152,8 @@ def _build_initial(ns, field: ScalarField, direction: Scalar) -> InitialData:
     raise ValueError("--w0: initial data required (--w0 [--w1], or --w2 for a raw jet, or --zero-branch)")
 
 
-def _build_runspec(ns, default_out: str) -> RunSpec:
+def _build_runspec(ns) -> tuple:
+    """`integrate`'s (kind, params, init, span, tol), validated from the parsed arguments."""
     kind = EquationKind(ns.eq)
     try:
         params = Params(ns.alpha, ns.beta)
@@ -182,52 +168,41 @@ def _build_runspec(ns, default_out: str) -> RunSpec:
     if ns.span is None or ns.span == 0:
         raise ValueError("--span: a nonzero span is required")
     tol = _build_tolerances(ns)
-    try:
-        init = _build_initial(ns, field, direction)
-    except PainleveError as exc:
-        raise ValueError(str(exc)) from None
-    return RunSpec(
-        kind=kind,
-        params=params,
-        field=field,
-        init=init,
-        span=ns.span,
-        tol=tol,
-        out=Path(ns.out) if ns.out else Path(default_out),
-        summary=Path(ns.summary) if ns.summary else Path("summary.json"),
-    )
+    return kind, params, _build_initial(ns, field, direction), ns.span, tol
 
 
 def _exit_code(traj: Trajectory) -> int:
     return 0 if traj.status in (TrajectoryStatus.COMPLETED, TrajectoryStatus.POLE) else 2
 
 
-def cmd_integrate(spec: RunSpec) -> int:
-    traj = integrate(spec.kind, spec.params, spec.init, spec.span, spec.tol)
-    write_trajectory_csv(spec.out, traj)
-    spec.summary.write_text(json_dumps(summary_json(traj)) + "\n", encoding="utf-8")
-    print(f"{traj.status.value}: {len(traj.nodes)} nodes -> {spec.out}, summary -> {spec.summary}")
+def cmd_integrate(ns) -> int:
+    traj = integrate(*_build_runspec(ns))
+    out, summary = Path(ns.out or "trajectory.csv"), Path(ns.summary or "summary.json")
+    write_trajectory_csv(out, traj)
+    summary.write_text(json_dumps(summary_json(traj)) + "\n", encoding="utf-8")
+    print(f"{traj.status.value}: {len(traj.nodes)} nodes -> {out}, summary -> {summary}")
     return _exit_code(traj)
 
 
-def cmd_zeros(spec: RunSpec) -> int:
-    traj = integrate(spec.kind, spec.params, spec.init, spec.span, spec.tol)
+def cmd_zeros(ns) -> int:
+    traj = integrate(*_build_runspec(ns))
     events = locate_zeros(traj)
     identically_zero = traj.max_abs_w() == 0.0
     if identically_zero:
         logger.warning("identically zero trajectory: zeros are not isolated, no events reported")
     report = None
     if (
-        spec.kind in (EquationKind.PIV, EquationKind.PIV0)
-        and spec.params.beta == 0.0
+        traj.kind in (EquationKind.PIV, EquationKind.PIV0)
+        and traj.params.beta == 0.0
         and not identically_zero
     ):
         report = check_curvature_theorem(events, traj)
     summary = summary_json(traj, events)
     payload = {**summary, "identically_zero": identically_zero, "curvature_report": _report_json(report)}
-    spec.out.write_text(json_dumps(payload) + "\n", encoding="utf-8")
-    spec.summary.write_text(json_dumps(summary) + "\n", encoding="utf-8")
-    print(f"{traj.status.value}: {len(events)} zero event(s) -> {spec.out}")
+    out = Path(ns.out or "events.json")
+    out.write_text(json_dumps(payload) + "\n", encoding="utf-8")
+    Path(ns.summary or "summary.json").write_text(json_dumps(summary) + "\n", encoding="utf-8")
+    print(f"{traj.status.value}: {len(events)} zero event(s) -> {out}")
     return _exit_code(traj)
 
 
@@ -249,7 +224,7 @@ class SweepCell:
     max_c_drift: float | None
     events: tuple[ZeroEvent, ...]
     error: str = ""
-    stats: TrajectoryStats | None = None
+    stats: dict | None = None
 
 
 def run_sweep(
@@ -300,11 +275,11 @@ def _grid(name: str, lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _stats_cells(stats: TrajectoryStats | None) -> list:
+def _stats_cells(stats: dict | None) -> list:
     # an errored cell has no trajectory: its three step-counter columns stay empty
     if stats is None:
         return [""] * 3
-    return [stats.accepted, *("" if h is None else fmt_float(h) for h in (stats.h_min, stats.h_max))]
+    return [stats["accepted"], *("" if h is None else fmt_float(h) for h in (stats["h_min"], stats["h_max"]))]
 
 
 def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
@@ -439,9 +414,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if ns.command == "integrate":
-            return cmd_integrate(_build_runspec(ns, "trajectory.csv"))
+            return cmd_integrate(ns)
         if ns.command == "zeros":
-            return cmd_zeros(_build_runspec(ns, "events.json"))
+            return cmd_zeros(ns)
         if ns.command == "verify":
             return cmd_verify(ns.suite, ns.seed, ns.count)
         if ns.command == "sweep":

@@ -18,9 +18,9 @@ sparsity (piv at beta = 1 from the zero jet w = 0, w' = 1, w'' = 0 has
 a_18 = a_19 = a_20 = 0) would otherwise read as exact.  Only when all four
 vanish is h unbounded, which is the exact xvii/xxxii case (a_k = 0 for
 k >= 3), so those kinds cross any span in one step.  A step is rejected
-when the rule asks for h below h_min (on error) or a coefficient or the
-state is not finite; the first rejection ends the run STEP_UNDERFLOW, and
-no step is retried.
+when the rule asks for h below `_H_MIN` = 1e-12 (on error) or a
+coefficient or the state is not finite; the first rejection ends the run
+STEP_UNDERFLOW, and no step is retried.
 
 Each node keeps the coefficients of the step that reached it, so dense
 output evaluates that step's own polynomial, and the zero search reads the
@@ -70,6 +70,8 @@ from .errors import InvalidInitialData, OutOfSpan
 logger = logging.getLogger(__name__)
 
 _MAX_STEPS = 1_000_000
+# the shortest step the rule may ask for; a span left below it counts as covered
+_H_MIN = 1e-12
 
 # |w| (|f^2| for sqrt-piv0) above which each node's series is searched for
 # the pole, which is then about 1/|w| away; a run that stores no |w| above it,
@@ -93,11 +95,10 @@ _POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Step rule and termination thresholds."""
+    """The step rule's relative and absolute tolerances; the shortest step is the constant `_H_MIN`."""
 
     rel: float = 1e-10
     abs: float = 1e-10
-    h_min: float = 1e-12
 
     def __post_init__(self):
         # comparisons chained this way are false for NaN as well as for inf
@@ -105,8 +106,6 @@ class Tolerances:
             raise ValueError(f"rel: must be finite and in [1e-14, 1], got {self.rel}")
         if not (1e-14 <= self.abs <= 1.0):
             raise ValueError(f"abs: must be finite and in [1e-14, 1], got {self.abs}")
-        if not (0 < self.h_min < math.inf):
-            raise ValueError(f"h_min: must be positive and finite, got {self.h_min}")
 
 
 @dataclass(frozen=True)
@@ -195,22 +194,6 @@ class TrajectoryNode(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TrajectoryStats:
-    """Deterministic step counts of one integration.
-
-    accepted      steps taken; each is stored as a node, except the one that
-                  crosses w_bound, so len(nodes) = 1 + accepted less that
-                  step.  A run ended at the root of its series takes no step
-                  to the pole.
-    h_min, h_max  the range of h over those steps; None if there is none
-    """
-
-    accepted: int
-    h_min: float | None
-    h_max: float | None
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Ordered nodes of one integration, plus terminal status."""
 
@@ -221,7 +204,6 @@ class Trajectory:
     tol: Tolerances
     nodes: tuple[TrajectoryNode, ...]
     status: TrajectoryStatus
-    stats: TrajectoryStats
     pole_estimate: Scalar | None = None
 
     @property
@@ -232,6 +214,12 @@ class Trajectory:
     def span(self) -> float:
         """Covered arc length along the path parameter."""
         return self.nodes[-1].s
+
+    @property
+    def stats(self) -> dict:
+        """Step counters from the nodes: the len(nodes) - 1 stored steps and the range of their h (None if none)."""
+        hs = [node.h for node in self.nodes[1:]]
+        return {"accepted": len(hs), "h_min": min(hs, default=None), "h_max": max(hs, default=None)}
 
     def max_abs_w(self) -> float:
         return max(abs(n.jet.w) for n in self.nodes)
@@ -417,8 +405,8 @@ def integrate(
     C, the division-free residual of the selected second-order equation,
     and the coefficients of the step that reached it.
 
-    The returned `Trajectory.stats` counts the steps and the range of h;
-    they are deterministic, like the nodes.
+    The returned `Trajectory.stats` counts the stored steps and the range
+    of their h; they are read off the nodes, so they are as deterministic.
 
     Termination:
       COMPLETED       the requested span was covered,
@@ -430,11 +418,11 @@ def integrate(
                       and xxxii, whose quadratics have no pole, never end
                       here,
       W_BOUND         a step took |w| above w_bound (|f| for sqrt-piv0, as
-                      `Trajectory.max_abs_w` measures); that step is not
-                      stored, so every stored |w| is at most w_bound; a
-                      caller that rejects any run leaving |w| <= w_bound
-                      stops it here,
-      STEP_UNDERFLOW  the step rule asked for h below h_min, or a
+                      `Trajectory.max_abs_w` measures); that step is
+                      neither stored nor counted, so every stored |w| is
+                      at most w_bound; a caller that rejects any run
+                      leaving |w| <= w_bound stops it here,
+      STEP_UNDERFLOW  the step rule asked for h below _H_MIN, or a
                       coefficient or the new state was not finite; a run
                       that nears a pole whose series root it never trusts
                       ends here,
@@ -469,13 +457,12 @@ def integrate(
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)
     z0 = j0.z
-    h_min, abs_tol, rel_tol = tol.h_min, tol.abs, tol.rel
+    h_min, abs_tol, rel_tol = _H_MIN, tol.abs, tol.rel
     series = series_fn(kind, p)
     jet_at = _jet_kernel()
     jet = j0
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
-    unstored_h = None
     mag = abs(j0.w * j0.w if squared else j0.w)
     s = 0.0
     n_steps = 0
@@ -510,7 +497,6 @@ def integrate(
         s_new = total if hit_end else s + h
         mag = abs(w * w if squared else w)
         if mag > stop:
-            unstored_h = h
             status = TrajectoryStatus.W_BOUND
             break
 
@@ -521,7 +507,7 @@ def integrate(
         nodes.append(TrajectoryNode(jet, h, _tail_error(coeffs, h, bound), c, res2, s_new, tuple(coeffs)))
         s = s_new
 
-    stats = _stats(nodes, unstored_h)
+    traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate)
     logger.info(
         "integrate %s: %d nodes, status %s, span %.6g of %.6g; %s%s",
         kind.value,
@@ -529,23 +515,11 @@ def integrate(
         status.value,
         nodes[-1].s,
         total,
-        stats,
+        traj.stats,
         "" if pole_estimate is None else
         f"; pole by series root at distance {abs(pole_estimate - nodes[-1].jet.z):.3g} from node {len(nodes) - 1}",
     )
-    return Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, stats, pole_estimate)
-
-
-def _stats(nodes: list, unstored_h: float | None) -> TrajectoryStats:
-    """The step counts of a finished `integrate` loop, derived once instead of per step.
-
-    unstored_h is the length of the step that crossed w_bound, which the
-    run took but did not store; None if there was none.
-    """
-    hs = [node.h for node in nodes[1:]]
-    if unstored_h is not None:
-        hs.append(unstored_h)
-    return TrajectoryStats(len(hs), min(hs, default=None), max(hs, default=None))
+    return traj
 
 
 def dense_eval_param(traj: Trajectory, s: float) -> Jet3:

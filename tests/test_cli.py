@@ -232,12 +232,13 @@ class TestValidation:
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1
 
     def test_exit_code_2_on_step_underflow(self, tmp_path, monkeypatch):
-        # force underflow through the library (the CLI pins h_min at 1e-12):
-        # on the way to the pole of 1/(1 - z) the step falls below 0.03 at
-        # |w| = 4.8, before the pole can be read off the series at |w| > 10
-        import painleve4.cli as cli
+        # force underflow through the library (its shortest step is the
+        # constant 1e-12): on the way to the pole of 1/(1 - z) the step falls
+        # below 0.03 at |w| = 4.8, before the pole can be read off the series
+        # at |w| > 10
+        import painleve4.integrator as integrator
 
-        monkeypatch.setattr(cli, "_build_tolerances", lambda ns: Tolerances(rel=ns.rel, abs=ns.abs, h_min=0.03))
+        monkeypatch.setattr(integrator, "_H_MIN", 0.03)
         code = main(["integrate", "--eq", "xxix", "--w0", "1", "--w1", "1", "--span", "2",
                      "--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")])
         assert code == 2
@@ -613,7 +614,7 @@ def test_summary_json_parse_back_is_exact(argv, n_events, tmp_path, monkeypatch)
         for key in ("a", "slope", "curvature"):
             assert _same_bits(got[key], getattr(e, key))
     for key in ("h_min", "h_max"):
-        assert _same_bits(doc["stats"][key], getattr(traj.stats, key))
+        assert _same_bits(doc["stats"][key], traj.stats[key])
 
 
 def test_summary_json_shape_complex():

