@@ -53,6 +53,13 @@ OUTPUTS = {
         "--field complex --dir-re 0.955336489125606 --dir-im 0.29552020666133955",
         _TRAJECTORY,
     ),
+    # the same data on a path aimed at the solution's pole near -1.2321 + 1.5804i:
+    # the run ends at its series root, accepted by the pole bound in complex arithmetic
+    "integrate-complex-piv-pole": (
+        "integrate --eq piv --alpha 0.5 --beta 0.25 --z0 0 --w0 0.7 --w1 -0.1 --w2 0.4 --span 2.5 "
+        "--field complex --dir-re -0.6148324884232922 --dir-im 0.7886577275214022",
+        _TRAJECTORY,
+    ),
     # the path passes the pole of 1/(1 - z) at distance 5e-3, outside the band
     # in which a series root ends a complex run
     "integrate-complex-xxix-past-pole": (

@@ -121,6 +121,7 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
         "field": traj.field.value,
         "status": traj.status.value,
         "pole_estimate": _scalar_json(traj.pole_estimate),
+        "pole_bound": traj.pole_bound,
         "node_count": len(traj.nodes),
         "max_abs_c": max(abs(n.c) for n in traj.nodes),
         "max_abs_res2": max(abs(n.res2) for n in traj.nodes),

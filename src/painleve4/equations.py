@@ -132,9 +132,9 @@ def written_sum(terms) -> str:
     return "(0" + "".join(f" + {term}" for term in terms) + ")"
 
 
-def compile_kernel(name: str, args: str, lines):
-    """The function `def name(args):` with the given body lines, compiled."""
-    namespace: dict = {}
+def compile_kernel(name: str, args: str, lines, **names):
+    """The function `def name(args):` with the given body lines, compiled; `names` are its globals."""
+    namespace: dict = names
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
     exec(compile(source, f"<painleve4 kernel {name}>", "exec"), namespace)
     return namespace[name]

@@ -8,8 +8,10 @@ direction otherwise, so a single code path serves both modes.
 
 Each step expands w about the current node to order p = `ORDER` with the
 kind's coefficient recurrence (`equations.series_fn`), bound once when
-`integrate` is entered, and evaluates that polynomial at
-z + h*d.  The step length follows Jorba and Zou (Exp. Math. 14 (2005)):
+`integrate` is entered, and evaluates that polynomial at z + h*d; the step
+rule, that evaluation and err_est are one written-out kernel
+(`_step_kernel`).  The step length follows Jorba and Zou (Exp. Math. 14
+(2005)):
 
     h = 0.5 * min over k = p-3 .. p of ((abs + rel |w|) / |a_k|)^(1/k),
 
@@ -31,13 +33,18 @@ Laurent series w = e/(z - a) - a + O(z - a), e = +-1, makes
 u = e (z - a) + O((z - a)^3)), of u = 1/(f^2 + t) for sqrt-piv0 and of
 u = 1/w for xxix.  At each node with |w| > `_SERIES_POLE_FROM` (|f^2| for
 sqrt-piv0) the series of u is divided out of the step's series, and
-Newton's method finds its root near the node.  The run ends POLE at that
-root, with no further step, when the root lies within the Jorba-Zou step
-that u's own coefficients allow and ahead on the path within the span left
-(Fornberg and Weideman, J. Comput. Phys. 230 (2011), read poles off the
-same local expansions).  Otherwise the run steps on; xvii and xxxii have no
-poles.  This is the only pole rule: the third-order form is regular at the
-zeros of w, so no other point ends a run.
+Newton's method finds its root r near the node.  The run ends POLE at that
+root, with no further step, when it lies ahead on the path within the span
+left and u's neglected tail moves it by at most the run's tolerances:
+
+    max over k = p-3 .. p of |u_k| |r|^k / |u'(r)| <= abs + rel |z + r|,
+
+which the trajectory reports as `pole_bound`; it bounds the truncation of
+u's series, not the error the node's jet carries (Fornberg and Weideman,
+J. Comput. Phys. 230 (2011), read poles off the same local expansions).
+Otherwise the run steps on; xvii and xxxii have no poles.  This is the
+only pole rule: the third-order form is regular at the zeros of w, so no
+other point ends a run.
 """
 
 import logging
@@ -75,8 +82,9 @@ _H_MIN = 1e-12
 
 # |w| (|f^2| for sqrt-piv0) above which each node's series is searched for
 # the pole, which is then about 1/|w| away; a run that stores no |w| above it,
-# such as a verify draw capped at 3 or 10, never searches
-_SERIES_POLE_FROM = 10.0
+# such as a verify draw capped at 3, never searches.  3 runs the README sweep
+# fastest: a lower threshold adds more searches than it saves steps
+_SERIES_POLE_FROM = 3.0
 # the kinds whose solutions are quadratics, with no poles
 _POLE_FREE = (EquationKind.XVII, EquationKind.XXXII)
 # Newton iterations before a root search gives up
@@ -89,8 +97,20 @@ _OFF_PATH = 1e-4
 
 # k = 1 .. p: the factors that turn coefficients of w into those of its derivative
 _DERIVATIVE_FACTORS = range(1, ORDER + 1)
+# the orders k = p-3 .. p whose terms the step rule, err_est and the pole bound read
+_TAIL = range(ORDER - 3, ORDER + 1)
 # kernel lines that set p_k = t^k for k = 0 .. p, as p0 = 1.0 and p_k = p_(k-1) * t
 _POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
+# kernel lines that set b_k and e_k from a_k, the coefficients of w' and w'' (`derivative`, twice)
+_DERIVATIVES = [
+    *(f"b{k} = a{k} * {k}" for k in range(1, ORDER + 1)),
+    *(f"e{k} = b{k + 1} * {k}" for k in range(1, ORDER)),
+]
+# (w, w', w'') at t from a_k, b_k, e_k and p_k, each sum added left to right from 0
+_JET_SUMS = ", ".join(
+    written_sum(f"{x}{k + i} * p{k}" for k in range(n))
+    for x, i, n in (("a", 0, ORDER + 1), ("b", 1, ORDER), ("e", 1, ORDER - 1))  # name, first index, terms
+)
 
 
 @dataclass(frozen=True)
@@ -205,6 +225,8 @@ class Trajectory:
     nodes: tuple[TrajectoryNode, ...]
     status: TrajectoryStatus
     pole_estimate: Scalar | None = None
+    # how far the neglected tail of u's series can move pole_estimate (`_series_pole`)
+    pole_bound: float | None = None
 
     @property
     def z0(self) -> Scalar:
@@ -282,13 +304,41 @@ def skip_bound_kernel():
 @cache
 def _jet_kernel():
     """`taylor_jet` written out and compiled, once per process: p_k = t^k, b_k and e_k = `derivative`, twice."""
-    sums = (("a", 0, ORDER + 1), ("b", 1, ORDER), ("e", 1, ORDER - 1))  # name, first index, terms
-    return compile_kernel("taylor_jet", "coeffs, t", [
-        f"{_names('a')}= coeffs", *_POWERS,
-        *(f"b{k} = a{k} * {k}" for k in range(1, ORDER + 1)),
-        *(f"e{k} = b{k + 1} * {k}" for k in range(1, ORDER)),
-        "return " + ", ".join(written_sum(f"{x}{k + i} * p{k}" for k in range(n)) for x, i, n in sums),
-    ])
+    lines = [f"{_names('a')}= coeffs", *_POWERS, *_DERIVATIVES, f"return {_JET_SUMS}"]
+    return compile_kernel("taylor_jet", "coeffs, t", lines)
+
+
+@cache
+def _step_kernel():
+    """One step of `integrate` from a node's series, written out and compiled once per process.
+
+    (coeffs, s, total, d, h_min, abs, rel) -> (s_new, h, err_est, w, w', w'')
+    at z_prev + h d, or None where the step is refused: a tail coefficient
+    or the new state is not finite, or the Jorba-Zou step (`_step_length`)
+    is below h_min short of the span's end.  It does `_step_length`'s,
+    `taylor_jet`'s and err_est's float operations in their order, so its
+    bits are theirs.
+    """
+    return compile_kernel("step", "coeffs, s, total, d, h_min, abs_tol, rel_tol", [
+        f"{_names('a')}= coeffs",
+        "bound = abs_tol + rel_tol * abs(a0)",
+        *(f"m{k} = abs(a{k})" for k in _TAIL),
+        f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return None",
+        "h = inf",
+        *(f"if m{k}: h = min(h, (bound / m{k}) ** {1.0 / k!r})" for k in _TAIL),
+        "h = 0.5 * h",
+        "left = total - s",
+        "hit_end = h >= left",
+        "if hit_end: h = left",
+        "elif h < h_min: return None",
+        "t = h * d",
+        *_POWERS,
+        *_DERIVATIVES,
+        f"w, w1, w2 = {_JET_SUMS}",
+        "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return None",
+        f"err = max({', '.join(f'm{k} * h ** {k}' for k in _TAIL)}) / bound",
+        "return (total if hit_end else s + h), h, err, w, w1, w2",
+    ], inf=math.inf, isfinite=isfinite)
 
 
 def taylor_jet(coeffs, t: Scalar) -> tuple[Scalar, Scalar, Scalar]:
@@ -305,17 +355,13 @@ def _step_length(coeffs, bound: float) -> float | None:
     inf when all four coefficients vanish: the series ends below them.
     """
     h = math.inf
-    for k in range(ORDER - 3, ORDER + 1):
+    for k in _TAIL:
         m = abs(coeffs[k])
         if not m < math.inf:
             return None
         if m:
             h = min(h, (bound / m) ** (1.0 / k))
     return 0.5 * h
-
-
-def _tail_error(coeffs, h: float, bound: float) -> float:
-    return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
 
 
 @cache
@@ -332,9 +378,12 @@ def _cauchy_square():
     return compile_kernel("cauchy_square", "f", [f"{_names('f')}= f", f"return [{', '.join(squares)}]"])
 
 
-def _newton_root(u) -> Scalar | None:
-    """The root of sum u_k t^k that Newton's method reaches from t = 0, u and u' read by `value_kernel`; or None."""
-    du, value, slope_at = derivative(u), value_kernel(ORDER + 1), value_kernel(ORDER)
+def _newton_root(u, du) -> Scalar | None:
+    """The root of sum u_k t^k that Newton's method reaches from t = 0, u and its derivative du read by `value_kernel`.
+
+    None where a slope vanishes or the iteration does not settle.
+    """
+    value, slope_at = value_kernel(ORDER + 1), value_kernel(ORDER)
     t = 0.0
     for _ in range(_NEWTON_STEPS):
         slope = slope_at(du, t)
@@ -348,44 +397,57 @@ def _newton_root(u) -> Scalar | None:
     return None
 
 
-def _pole_coordinate(kind: EquationKind, coeffs, z: Scalar) -> list | None:
-    """Taylor coefficients of u = 1/v about the point z of a step's series; None where v vanishes there.
+def _pole_denominator(kind: EquationKind, coeffs, z: Scalar) -> list | None:
+    """Taylor coefficients of v about the point z of a step's series, where u = 1/v has a simple root at each pole.
 
     v = w + z for piv and piv0, f^2 + t for sqrt-piv0 (one Cauchy product)
-    and w for xxix: u has a simple root at each pole.  xvii and xxxii
-    solutions are quadratics, with no poles: None.
+    and w for xxix.  xvii and xxxii solutions are quadratics, with no
+    poles: None.
     """
     if kind in _POLE_FREE:
         return None
     if kind is EquationKind.XXIX:
-        v = coeffs
-    else:
-        if kind is EquationKind.SQRT_PIV0:
-            coeffs = _cauchy_square()(coeffs)
-        v = [coeffs[0] + z, coeffs[1] + 1.0, *coeffs[2:]]
-    return None if v[0] == 0 else _reciprocal()(v)
+        return coeffs
+    if kind is EquationKind.SQRT_PIV0:
+        coeffs = _cauchy_square()(coeffs)
+    return [coeffs[0] + z, coeffs[1] + 1.0, *coeffs[2:]]
 
 
-def _series_pole(kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, tol: Tolerances) -> Scalar | None:
-    """Offset r from the node at z to the pole at z + r, read off the node's series; None where it is not trusted.
+def _series_pole(
+    kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, tol: Tolerances
+) -> tuple[Scalar, float] | None:
+    """Offset r from the node at z to the pole at z + r, read off the node's series, and its bound; or None.
 
     u = 1/v with v = w + z (piv, piv0), f^2 + t (sqrt-piv0) or w (xxix),
-    in powers of z' - z.  r is accepted only when it lies within the
-    Jorba-Zou step of u at the run's tolerances, so the neglected tail of u
-    is below them there, and ahead on the path: r/d in (0, left] and, on a
-    complex path, within `_OFF_PATH` of it.
+    in powers of z' - z.  Newton's root r of u is accepted when it lies
+    ahead on the path, r/d in (0, left] and on a complex path within
+    `_OFF_PATH` of it, and when u's neglected tail can move it by no more
+    than the run's tolerances: the bound max over k = p-3 .. p of
+    |u_k| |r|^k, divided by |u'(r)|, is at most abs + rel |z + r|.  Near
+    a pole Newton's first iterate v_0/v_1 is already close to r, so Newton
+    is not run where that iterate lies behind the node, past the span
+    left, or beyond twice u's Jorba-Zou step.
     """
-    u = _pole_coordinate(kind, coeffs, z)
-    h = None if u is None else _step_length(u, tol.abs + tol.rel * abs(u[0]))
-    if h is None:
+    v = _pole_denominator(kind, coeffs, z)
+    if v is None or v[1] == 0:
         return None
-    r = _newton_root(u)
-    if r is None or not abs(r) <= h:
+    first = v[0] / v[1]
+    if not 0.0 < (first / d).real <= left:
+        return None
+    u = _reciprocal()(v)
+    h = _step_length(u, tol.abs + tol.rel * abs(u[0]))
+    if h is None or not abs(first) <= 2.0 * h:
+        return None
+    du = derivative(u)
+    r = _newton_root(u, du)
+    if r is None:
         return None
     t = r / d
-    if 0.0 < t.real <= left and abs(t.imag) <= _OFF_PATH:
-        return r
-    return None
+    if not (0.0 < t.real <= left and abs(t.imag) <= _OFF_PATH):
+        return None
+    slope = abs(value_kernel(ORDER)(du, r))
+    bound = max(abs(u[k]) * abs(r) ** k for k in _TAIL) / slope if slope else math.inf
+    return (r, bound) if bound <= tol.abs + tol.rel * abs(z + r) else None
 
 
 def integrate(
@@ -410,13 +472,14 @@ def integrate(
 
     Termination:
       COMPLETED       the requested span was covered,
-      POLE(z_est)     at a node with |w| > 10 (|f^2| for sqrt-piv0) the
+      POLE(z_est)     at a node with |w| > 3 (|f^2| for sqrt-piv0) the
                       series of u = 1/(w + z) (1/(f^2 + t), 1/w for xxix)
-                      has a root within u's own step, ahead on the path
-                      within the span left (`_series_pole`); z_est is that
-                      root, and that node is the last one stored; xvii
-                      and xxxii, whose quadratics have no pole, never end
-                      here,
+                      has a root ahead on the path within the span left,
+                      which u's neglected tail moves by at most the run's
+                      tolerances (`_series_pole`); z_est is that root,
+                      `Trajectory.pole_bound` that tail's bound, and that
+                      node is the last one stored; xvii and xxxii, whose
+                      quadratics have no pole, never end here,
       W_BOUND         a step took |w| above w_bound (|f| for sqrt-piv0, as
                       `Trajectory.max_abs_w` measures); that step is
                       neither stored nor counted, so every stored |w| is
@@ -459,10 +522,11 @@ def integrate(
     z0 = j0.z
     h_min, abs_tol, rel_tol = _H_MIN, tol.abs, tol.rel
     series = series_fn(kind, p)
-    jet_at = _jet_kernel()
+    step = _step_kernel()
     jet = j0
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
+    pole_bound: float | None = None
     mag = abs(j0.w * j0.w if squared else j0.w)
     s = 0.0
     n_steps = 0
@@ -474,27 +538,17 @@ def integrate(
             break
         coeffs = series(jet.z, jet.w, jet.w1, jet.w2)
         if mag > _SERIES_POLE_FROM:
-            r = _series_pole(kind, coeffs, jet.z, d, total - s, tol)
-            if r is not None:
+            pole = _series_pole(kind, coeffs, jet.z, d, total - s, tol)
+            if pole is not None:
                 status = TrajectoryStatus.POLE
+                r, pole_bound = pole
                 pole_estimate = jet.z + r
                 break
-        bound = abs_tol + rel_tol * abs(jet.w)
-        h = _step_length(coeffs, bound)
-        if h is None:
+        taken = step(coeffs, s, total, d, h_min, abs_tol, rel_tol)
+        if taken is None:
             status = TrajectoryStatus.STEP_UNDERFLOW
             break
-        hit_end = h >= total - s
-        if hit_end:
-            h = total - s
-        elif h < h_min:
-            status = TrajectoryStatus.STEP_UNDERFLOW
-            break
-        w, w1, w2 = jet_at(coeffs, h * d)
-        if not (isfinite(w) and isfinite(w1) and isfinite(w2)):
-            status = TrajectoryStatus.STEP_UNDERFLOW
-            break
-        s_new = total if hit_end else s + h
+        s_new, h, err_est, w, w1, w2 = taken
         mag = abs(w * w if squared else w)
         if mag > stop:
             status = TrajectoryStatus.W_BOUND
@@ -504,10 +558,10 @@ def integrate(
         jet = Jet3(z0 + s_new * d, w, w1, w2)
         c = constraint_c(p, jet)
         res2 = c if res2_is_c else residual2(kind, p, jet)
-        nodes.append(TrajectoryNode(jet, h, _tail_error(coeffs, h, bound), c, res2, s_new, tuple(coeffs)))
+        nodes.append(TrajectoryNode(jet, h, err_est, c, res2, s_new, tuple(coeffs)))
         s = s_new
 
-    traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate)
+    traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate, pole_bound)
     logger.info(
         "integrate %s: %d nodes, status %s, span %.6g of %.6g; %s%s",
         kind.value,
@@ -517,7 +571,8 @@ def integrate(
         total,
         traj.stats,
         "" if pole_estimate is None else
-        f"; pole by series root at distance {abs(pole_estimate - nodes[-1].jet.z):.3g} from node {len(nodes) - 1}",
+        f"; pole by series root at distance {abs(pole_estimate - nodes[-1].jet.z):.3g} from node {len(nodes) - 1}"
+        f", within {pole_bound:.3g}",
     )
     return traj
 

@@ -246,30 +246,33 @@ from painleve4.equations import EquationKind as K, Params, series_fn
 from painleve4.integrator import InitialData, integrate
 
 def built():
-    return equations.series_kernel.cache_info().currsize, integrator._jet_kernel.cache_info().currsize
+    kernels = (equations.series_kernel, integrator._jet_kernel, integrator._step_kernel)
+    return tuple(kernel.cache_info().currsize for kernel in kernels)
 
 def built_readers():
     kernels = (integrator.value_kernel, integrator.skip_bound_kernel, integrator._reciprocal, integrator._cauchy_square)
     return tuple(kernel.cache_info().currsize for kernel in kernels)
 
-assert built() == (0, 0), built()
+assert built() == (0, 0, 0), built()
 assert built_readers() == (0, 0, 0, 0), built_readers()
 coeffs = series_fn(K.PIV, Params(0.5, 0.1))(0.0, 0.3, 0.2, 0.1)
-assert built() == (1, 0), built()
+assert built() == (1, 0, 0), built()
 series_fn(K.PIV, Params(-0.7, 0.2))(0.0, 0.3, 0.2, 0.1)
 series_fn(K.PIV0, Params())(0.0, 0.3, 0.2, 0.1)
 series_fn(K.XVII, Params())(0.0, 0.3, 0.2, 0.1)
-assert built() == (1, 0), built()
+assert built() == (1, 0, 0), built()
 assert equations.series_kernel.cache_info().misses == 1
 series_fn(K.XXIX, Params())
-assert built() == (2, 0), built()
+assert built() == (2, 0, 0), built()
 integrator.taylor_jet(coeffs, 0.1)
 integrator.taylor_jet(coeffs, 0.2)
-assert built() == (2, 1), built()
+assert built() == (2, 1, 0), built()
 assert built_readers() == (0, 0, 0, 0), built_readers()
 
 # w = z^2 - 1/4 on xxxii: two roots, w and w' at n = p + 1 and p terms, the curvature bound at p - 1
+# integrate builds the step kernel, and no reader
 quadratic = integrate(K.XXXII, Params(), InitialData.nonzero(-2.0, 3.75, -4.0), 4.0)
+assert built() == (2, 1, 1), built()
 assert built_readers() == (0, 0, 0, 0), built_readers()
 assert len(zeros.locate_zeros(quadratic)) == 2
 assert built_readers() == (3, 1, 0, 0), built_readers()
@@ -285,14 +288,16 @@ assert integrator._reciprocal.cache_info().misses == 1
 for _ in range(2):
     assert integrate(K.SQRT_PIV0, Params(), InitialData.nonzero(-3.0, 0.7, 0.0), 6.0).pole_estimate is not None
     assert built_readers() == (3, 1, 1, 1), built_readers()
+assert integrator._step_kernel.cache_info().misses == 1
 """
 
 
 def test_kernels_compile_on_first_use():
     # in a fresh interpreter: importing the package builds no kernel, the
     # first binding of a kind builds exactly one, and piv at another alpha,
-    # piv0 and the quadratic kinds reuse or need none; the zero search and
-    # the series pole rule build theirs on first use, once
+    # piv0 and the quadratic kinds reuse or need none; the step of
+    # `integrate`, the zero search and the series pole rule build theirs on
+    # first use, once
     src = Path(equations.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _LAZY_KERNELS], env=env, capture_output=True, text=True, timeout=60)

@@ -25,10 +25,11 @@ from painleve4 import (
 )
 from painleve4.equations import ORDER, rhs3, series_fn
 from painleve4.integrator import (
+    _H_MIN,
     _cauchy_square,
     _reciprocal,
+    _step_kernel,
     _step_length,
-    _tail_error,
     skip_bound_kernel,
     taylor_jet,
     value_kernel,
@@ -72,6 +73,28 @@ def _reference_pole(kind, p, init, estimate):
     ref = integrate(kind, p, init, short, tight)
     assert ref.status is TrajectoryStatus.COMPLETED
     return _newton_step_to_pole(kind, ref.nodes[-1].jet)
+
+
+def _tail_error(coeffs, h, bound):
+    """err_est: the largest tail term |a_k| h^k, k = p-3 .. p, over bound."""
+    return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
+
+
+def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
+    """A step as three calls, `_step_length`, `taylor_jet` and `_tail_error`: the reference for `_step_kernel`."""
+    bound = abs_tol + rel_tol * abs(coeffs[0])
+    h = _step_length(coeffs, bound)
+    if h is None:
+        return None
+    hit_end = h >= total - s
+    if hit_end:
+        h = total - s
+    elif h < h_min:
+        return None
+    w, w1, w2 = taylor_jet(coeffs, h * d)
+    if not (isfinite(w) and isfinite(w1) and isfinite(w2)):
+        return None
+    return (total if hit_end else s + h), h, _tail_error(coeffs, h, bound), w, w1, w2
 
 
 def taylor_step(kind, j, h):
@@ -279,7 +302,10 @@ class TestIntegrate:
                 if t.status is not TrajectoryStatus.POLE:
                     continue
                 poles += 1
-                assert abs(t.pole_estimate - _reference_pole(K.PIV, Params(alpha, beta), init, t.pole_estimate)) < 1e-12
+                error = abs(t.pole_estimate - _reference_pole(K.PIV, Params(alpha, beta), init, t.pole_estimate))
+                assert error < 1e-12
+                # the estimate carries its own bound
+                assert error <= t.pole_bound <= t.tol.abs + t.tol.rel * abs(t.pole_estimate)
         assert poles == 52
 
     @pytest.mark.parametrize(
@@ -300,7 +326,9 @@ class TestIntegrate:
             t = integrate(kind, Params(), init, 1.0)
         assert t.status is TrajectoryStatus.POLE
         assert "pole by series root" in caplog.text
-        assert abs(t.pole_estimate - _reference_pole(kind, Params(), init, t.pole_estimate)) < 1e-12
+        error = abs(t.pole_estimate - _reference_pole(kind, Params(), init, t.pole_estimate))
+        assert error < 1e-12
+        assert error <= t.pole_bound
 
     def test_monotone_nodes_and_metadata(self):
         t = integrate(K.PIV, Params(0.5, 0.5), InitialData.nonzero(0.0, 1.0, 0.0), -0.8)
@@ -351,10 +379,10 @@ class TestIntegrate:
             assert drift <= 1e3 * tol.rel * 2.0
 
     def test_step_underflow_status(self, monkeypatch):
-        # the step falls below an h_min of 0.03 at |w| = 4.8, before the series finds the pole
+        # the step falls below an h_min of 0.05 at |w| = 2.7, before the series is searched for the pole
         import painleve4.integrator as integrator
 
-        monkeypatch.setattr(integrator, "_H_MIN", 0.03)
+        monkeypatch.setattr(integrator, "_H_MIN", 0.05)
         t = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
 
@@ -444,8 +472,8 @@ _STATS_RUNS = {
     # rejected on error: the step the tolerance asks for falls below _H_MIN,
     # on a regular run and on the way to the pole of 1/(1 - z)
     "piv-error-rejection": (K.PIV, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, 0.1, math.inf, None),
-    "xxix-pole-rejection": (K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, 0.03, math.inf, None),
-    # |w| passes 1e4 before the series rule accepts a root
+    "xxix-pole-rejection": (K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0, 0.05, math.inf, None),
+    # the series rule accepts a root only at the sixth node, |w| = 7515
     "piv-large-amplitude-pole": (K.PIV, Params(), InitialData.nonzero(0.0, 5000.0, 0.0), 1.0, None, math.inf, None),
 }  # fmt: skip
 
@@ -478,7 +506,7 @@ class TestStats:
         unstored = t.status in (TrajectoryStatus.STEP_UNDERFLOW, TrajectoryStatus.W_BOUND) or by_root
         assert series_builds[0] == t.stats["accepted"] + unstored
         if name == "piv-large-amplitude-pole":
-            assert len(t.nodes) == 9
+            assert len(t.nodes) == 6
 
     @pytest.mark.parametrize(
         "name, error, non_finite",
@@ -509,7 +537,8 @@ class TestStats:
         assert f"{len(t.nodes)} nodes, status pole" in msg
         assert f"; {t.stats!r}; " in msg
         r = abs(t.pole_estimate - t.nodes[-1].jet.z)
-        assert msg.endswith(f"; pole by series root at distance {r:.3g} from node {len(t.nodes) - 1}")
+        n = len(t.nodes) - 1
+        assert msg.endswith(f"; pole by series root at distance {r:.3g} from node {n}, within {t.pole_bound:.3g}")
 
 
 def _node_bits(node):
@@ -592,13 +621,14 @@ class TestWBound:
         init = InitialData.raw(0.0, 1.0, 0.0, 0.0)
         full = integrate(K.SQRT_PIV0, Params(), init, 2.0)
         assert full.status is TrajectoryStatus.POLE
-        bounded = integrate(K.SQRT_PIV0, Params(), init, 2.0, w_bound=3.0)
+        # the series root ends the full run at |f| = 1.8, |f^2| = 3.2
+        bounded = integrate(K.SQRT_PIV0, Params(), init, 2.0, w_bound=1.7)
         assert bounded.status is TrajectoryStatus.W_BOUND
         n = len(bounded.nodes)
         assert bounded.nodes == full.nodes[:n]
-        # stored |f| passes sqrt(3): the bound is not applied to f^2
-        assert math.sqrt(3.0) < bounded.max_abs_w() <= 3.0
-        assert abs(full.nodes[n].jet.w) > 3.0
+        # stored |f| passes sqrt(1.7): the bound is not applied to f^2
+        assert math.sqrt(1.7) < bounded.max_abs_w() <= 1.7
+        assert abs(full.nodes[n].jet.w) > 1.7
         # the pole rule reads f^2, so the run ends at its series root long
         # before |f| reaches a bound of 200
         t = integrate(K.SQRT_PIV0, Params(), init, 2.0, w_bound=200.0)
@@ -648,8 +678,8 @@ class TestComplexMode:
         t = self._xxix_run(c, c - 0.5 * self.D)
         assert t.status is TrajectoryStatus.POLE
         assert abs(t.pole_estimate - c) < 1e-12
-        # ended at the series root of a stored node, with no step taken to the pole
-        assert 10.0 < abs(t.nodes[-1].jet.w) < 100.0
+        # ended at the series root of the first stored node with |w| > 3, with no step taken to the pole
+        assert 3.0 < abs(t.nodes[-1].jet.w) < 10.0
 
     def test_straight_path_constraint_conserved(self):
         d = complex(math.cos(0.3), math.sin(0.3))
@@ -828,7 +858,8 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
     def params():
         return Params(rng.uniform(-1, 1), rng.uniform(-1, 1)) if kind is K.PIV else Params()
 
-    def same_bits(p, z0, y, t):
+    def same_bits(p, z0, y, h, d):
+        t = h * d
         got = series_fn(kind, p)(z0, *y)
         want = reference_series(kind, p, z0, *y)
         assert [_bits(v) for v in got] == [_bits(v) for v in want]
@@ -861,6 +892,14 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             du = [k * v for k, v in enumerate(u) if k]
             ref = [_left_sum(map(mul, cs, pw)) for cs in (u, du)]
             assert [_bits(value(u, t)), _bits(slope(du, t))] == [_bits(v) for v in ref]
+        # the step kernel from s = 0.5 with |h| of the span left: at its end,
+        # before it, and refused where h_min is half the span left
+        for h_min in (_H_MIN, 0.5 * h):
+            args = (got, 0.5, 0.5 + h, d, h_min, 1e-10, 1e-10)
+            step, want_step = _step_kernel()(*args), _reference_step(*args)
+            assert (step is None) == (want_step is None)
+            if step is not None:
+                assert [_bits(v) for v in step] == [_bits(v) for v in want_step]
         return got
 
     for sign in (1.0, -1.0):
@@ -868,14 +907,14 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             p, z0 = params(), draw()
             d = direction(sign)
             y = (draw(), draw(), draw())
-            got = same_bits(p, z0, y, 10.0 ** rng.uniform(-4.0, -0.5) * d)
+            got = same_bits(p, z0, y, 10.0 ** rng.uniform(-4.0, -0.5), d)
             # 6 a_3 is the right-hand side at the jet
             w3 = rhs3(kind, p, z0, y[0], y[1])
             assert abs(6.0 * got[3] - w3) <= 1e-14 * (1.0 + abs(w3) + sum(abs(v) for v in y) ** 5)
     for sign in (1.0, -1.0):
         for _ in range(20):
             h = rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-4.0, -0.5), 10.0 ** rng.uniform(1.0, 3.0)])
-            same_bits(params(), edge(), (edge(), edge(), edge()), h * direction(sign))
+            same_bits(params(), edge(), (edge(), edge(), edge()), h, direction(sign))
 
 
 def test_nan_error_component_is_not_accepted(monkeypatch):

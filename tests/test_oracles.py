@@ -70,15 +70,22 @@ class TestQuadratics:
     # b^2 - 4ac is off by 1.8e-12 here, for xxxii at sign = 1 and xvii at sign = -1
     @example(z0=1.9020967278524434, w0=0.1, w1=3.0, sign=1.0)
     @example(z0=1.9020967278524434, w0=0.1, w1=3.0, sign=-1.0)
+    # xvii's a = w1^2 / (4 w) is subnormal here, and b^2 - 4ac = -2e-323
+    @example(z0=0.0, w0=2.0, w1=1.3147143510523162e-158, sign=1.0)
+    @example(z0=0.0, w0=2.0, w1=1.3147143510523162e-158, sign=-1.0)
     def test_fitted_discriminant_holds(self, z0, w0, w1, sign):
         # b^2 - 4ac of the fitted (a, b, c) carries rounding in proportion to
         # the terms that cancel, with |c| <= |w| + |a| z0^2 + |b z0|; over
-        # 200,000 fits drawn from this domain it stayed below 2 eps times them
+        # 200,000 fits drawn from this domain it stayed below 2 eps times them.
+        # Gradual underflow adds up to 2^-1075 to each product or quotient
+        # whatever its scale: to a = w1 w1 / (2w) / 2 at three operations,
+        # which 4ac scales by 4|c|, and to b b and (4a) c at one each
         w = sign * w0
         for kind, target in ((K.XXXII, 1.0), (K.XVII, 0.0)):
             q = fit_quadratic(kind, Jet3(z0, w, w1, 0.0))
             terms = q.b * q.b + 4.0 * abs(q.a) * (abs(w) + abs(q.a) * z0 * z0 + abs(q.b * z0))
-            assert abs(q.discriminant - target) <= 8.0 * 2.0 ** -52 * terms
+            underflow = 2.0 ** -1074 * (1.0 + 2.0 * abs(q.c) * (1.5 + 0.25 / abs(w)))
+            assert abs(q.discriminant - target) <= 8.0 * 2.0 ** -52 * terms + underflow
 
     def test_eval_quadratic(self):
         q = fit_quadratic(K.XXXII, Jet3(0.0, 2.0, 3.0, 0.0))
