@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .equations import EquationKind, Params, Scalar, ScalarField
@@ -394,6 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parse_args reads it and keeps nothing from one call to the next."""
+    return build_parser()
+
+
 def log_level_from_env(value: str | None = None) -> int:
     if value is None:
         value = os.environ.get("PAINLEVE_LOG", "warn")
@@ -408,9 +415,8 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -109,6 +109,27 @@ class Jet3:
                 _check_finite(name, getattr(self, name))
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted_jet(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Jet3:
+    """`Jet3(z, w, w1, w2)` without `__post_init__`'s finiteness check, for values the caller has already checked.
+
+    The fields are set as the generated `__init__` sets them, so the jet
+    compares, hashes, reads through `vars()` and `asdict`, and refuses
+    assignment as one built by `Jet3`; only the check is skipped.  Writing
+    `jet.__dict__` instead is cheaper to build, but on CPython 3.11 it moves
+    the attributes into a dict that every later read pays for.
+    """
+    jet = _new_object(Jet3)
+    _set_field(jet, "z", z)
+    _set_field(jet, "w", w)
+    _set_field(jet, "w1", w1)
+    _set_field(jet, "w2", w2)
+    return jet
+
+
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:
     """Reject nonzero (alpha, beta) for every kind but piv.
 

@@ -26,7 +26,11 @@ STEP_UNDERFLOW, and no step is retried.
 
 Each node keeps the coefficients of the step that reached it, so dense
 output evaluates that step's own polynomial, and the zero search reads the
-same polynomial; nothing is recomputed after `integrate`.
+same polynomial; nothing is recomputed after `integrate`.  The node jets,
+and the jets dense output builds on them, skip `Jet3`'s finiteness check
+(`equations._trusted_jet`): the step kernel has refused every non-finite
+state, and an arc parameter that is not within the covered span, NaN
+included, raises OutOfSpan.
 
 A movable pole is a simple root of u = 1/(w + z) for piv and piv0 (their
 Laurent series w = e/(z - a) - a + O(z - a), e = +-1, makes
@@ -49,11 +53,12 @@ other point ends a run.
 
 import logging
 import math
+from bisect import bisect_right
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from operator import mul
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .equations import (
@@ -71,6 +76,7 @@ from .equations import (
     series_fn,
     written_sum,
     _rhs2_scalar,
+    _trusted_jet,
 )
 from .errors import InvalidInitialData, OutOfSpan
 
@@ -94,6 +100,9 @@ _NEWTON_STEPS = 30
 # about 1/delta, so a root within 1e-4 is a pole the path runs into, while a
 # root farther off is a pole the path passes, and the steps integrate past it
 _OFF_PATH = 1e-4
+
+# a node's arc parameter, the key `dense_eval_param` bisects the nodes on
+_ARC = attrgetter("s")
 
 # k = 1 .. p: the factors that turn coefficients of w into those of its derivative
 _DERIVATIVE_FACTORS = range(1, ORDER + 1)
@@ -469,6 +478,8 @@ def integrate(
 
     The returned `Trajectory.stats` counts the stored steps and the range
     of their h; they are read off the nodes, so they are as deterministic.
+    The end-of-run INFO line that carries them is built only when INFO is
+    enabled.
 
     Termination:
       COMPLETED       the requested span was covered,
@@ -554,14 +565,17 @@ def integrate(
             status = TrajectoryStatus.W_BOUND
             break
 
+        # the kernel refused a non-finite state, so the jet skips Jet3's check;
         # constraint_c and residual2 stay module-global lookups, so a tracer can wrap them
-        jet = Jet3(z0 + s_new * d, w, w1, w2)
+        jet = _trusted_jet(z0 + s_new * d, w, w1, w2)
         c = constraint_c(p, jet)
         res2 = c if res2_is_c else residual2(kind, p, jet)
         nodes.append(TrajectoryNode(jet, h, err_est, c, res2, s_new, tuple(coeffs)))
         s = s_new
 
     traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate, pole_bound)
+    if not logger.isEnabledFor(logging.INFO):
+        return traj
     logger.info(
         "integrate %s: %d nodes, status %s, span %.6g of %.6g; %s%s",
         kind.value,
@@ -578,27 +592,30 @@ def integrate(
 
 
 def dense_eval_param(traj: Trajectory, s: float) -> Jet3:
-    """Jet at arc parameter s in [0, covered span], on the polynomial of the step that covers s."""
+    """Jet at arc parameter s in [0, covered span], on the polynomial of the step that covers s.
+
+    s may lie up to 1e-12 max(1, span) outside and is clamped; any other s,
+    NaN included, raises OutOfSpan.  The jet skips Jet3's finiteness check:
+    the step that stored the covering node found its polynomial's tail and
+    end point finite.
+    """
     nodes = traj.nodes
     s_end = nodes[-1].s
     pad = 1e-12 * max(1.0, s_end)
-    if s < -pad or s > s_end + pad:
+    # false for NaN as well as outside the padded span
+    if not (-pad <= s <= s_end + pad):
         raise OutOfSpan(f"s = {s!r} outside covered span [0, {s_end!r}]")
     s = min(max(s, 0.0), s_end)
-    lo, hi = 0, len(nodes) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if nodes[mid].s <= s:
-            lo = mid
-        else:
-            hi = mid
-    if nodes[lo].s == s:
-        return nodes[lo].jet
-    if nodes[hi].s == s:
-        return nodes[hi].jet
-    left = nodes[lo]
+    # nodes[i - 1] is the last node at or before s, the last one excluded; the step to nodes[i] covers s
+    i = bisect_right(nodes, s, 1, len(nodes) - 1, key=_ARC)
+    left = nodes[i - 1]
+    if left.s == s:
+        return left.jet
+    right = nodes[i]
+    if right.s == s:
+        return right.jet
     t = (s - left.s) * traj.direction
-    return Jet3(left.jet.z + t, *taylor_jet(nodes[hi].series, t))
+    return _trusted_jet(left.jet.z + t, *_jet_kernel()(right.series, t))
 
 
 def dense_eval(traj: Trajectory, z) -> Jet3:

@@ -2,6 +2,10 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -547,6 +551,49 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _fresh_process(argv, cwd):
+    """`painleve4 argv` run in a new interpreter in cwd, on the package these tests import."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "painleve4.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)  # fmt: skip
+    return proc.returncode, proc.stdout
+
+
+class TestOneParserPerProcess:
+    # main parses with one parser built once per process; what one call
+    # parses must not reach the next, so a command run after another prints
+    # and writes what it does in a fresh process
+    def test_main_reuses_its_parser_and_build_parser_makes_a_new_one(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser() and build_parser() is not cli._parser()
+
+    def test_verify_after_another_count_matches_a_fresh_process(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "sqrt", "--count", "3"]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--suite", "sqrt"])
+        assert (code, capsys.readouterr().out) == _fresh_process(["verify", "--suite", "sqrt"], tmp_path)
+
+    def test_zeros_after_a_complex_integrate_matches_a_fresh_process(self, tmp_path, monkeypatch, capsys):
+        # integrate sets --field complex and a direction; zeros has no such
+        # options and must run on its own default, the real line
+        zeros_argv = ["zeros", "--eq", "piv", "--alpha", "1", "--beta", "0.7", "--z0", "-2", "--w0", "0.5",
+                      "--w1", "1", "--span", "4"]  # fmt: skip
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(reused)
+        assert main(["integrate", "--eq", "piv", "--alpha", "0.5", "--beta", "0.25", "--w0", "0.7", "--w1", "-0.1",
+                     "--w2", "0.4", "--span", "1", "--field", "complex", "--dir-re", "0.955336489125606",
+                     "--dir-im", "0.29552020666133955", "--out", "complex.csv", "--summary", "complex.json"]) == 0  # fmt: skip
+        capsys.readouterr()
+        code = main(zeros_argv)
+        assert (code, capsys.readouterr().out) == _fresh_process(zeros_argv, fresh)
+        for name in ("events.json", "summary.json"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        assert json.loads((reused / "summary.json").read_text(encoding="utf-8"))["field"] == "real"
 
 
 def test_log_level_env_mapping():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,26 @@ def test_jets_reject_non_finite():
         Jet3(0.0, math.inf, 0.0, 0.0)
     with pytest.raises(ValueError):
         Params(math.inf, 0.0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0.5, -1.25, 3.0, 1e-300), (0.0, -0.0, 0.0, 5.0), (complex(0.1, 0.2), 1j, complex(-3.0, 4.0), 0j)],
+    ids=["real", "signed-zeros", "complex"],
+)
+def test_trusted_jet_is_the_validated_jet(values):
+    # integrate and dense output build their jets without Jet3's check; the
+    # benchmark fingerprints vars(node.jet), so every view of the two must agree
+    trusted, checked = equations._trusted_jet(*values), Jet3(*values)
+    assert type(trusted) is Jet3
+    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+    assert list(vars(trusted).items()) == list(vars(checked).items())
+    assert asdict(trusted) == asdict(checked)
+    with pytest.raises(FrozenInstanceError):
+        trusted.w = 1.0
+    with pytest.raises(FrozenInstanceError):
+        del trusted.w1
+    assert trusted == checked
 
 
 def test_constraint_hand_values():

@@ -97,6 +97,31 @@ def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
     return (total if hit_end else s + h), h, _tail_error(coeffs, h, bound), w, w1, w2
 
 
+def _reference_dense_eval_param(traj, s):
+    """`dense_eval_param` before it bisected and built its jet unchecked: a binary
+    search, `taylor_jet` and the validating `Jet3`; the reference for the new one."""
+    nodes = traj.nodes
+    s_end = nodes[-1].s
+    pad = 1e-12 * max(1.0, s_end)
+    if s < -pad or s > s_end + pad:
+        raise OutOfSpan(f"s = {s!r} outside covered span [0, {s_end!r}]")
+    s = min(max(s, 0.0), s_end)
+    lo, hi = 0, len(nodes) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if nodes[mid].s <= s:
+            lo = mid
+        else:
+            hi = mid
+    if nodes[lo].s == s:
+        return nodes[lo].jet
+    if nodes[hi].s == s:
+        return nodes[hi].jet
+    left = nodes[lo]
+    t = (s - left.s) * traj.direction
+    return Jet3(left.jet.z + t, *taylor_jet(nodes[hi].series, t))
+
+
 def taylor_step(kind, j, h):
     """One Taylor step of signed length h from j: the new jet, and the tail error in units of the default tolerance."""
     coeffs = series_fn(kind, Params())(j.z, j.w, j.w1, j.w2)
@@ -541,6 +566,20 @@ class TestStats:
         assert msg.endswith(f"; pole by series root at distance {r:.3g} from node {n}, within {t.pole_bound:.3g}")
 
 
+    def test_warning_level_never_reads_the_stats(self, monkeypatch, caplog):
+        # the end-of-run INFO line, stats included, is only built when INFO is enabled
+        import painleve4.integrator as integrator
+
+        def unread(traj):
+            raise AssertionError("Trajectory.stats read with INFO disabled")
+
+        monkeypatch.setattr(integrator.Trajectory, "stats", property(unread))
+        with caplog.at_level("WARNING", logger="painleve4.integrator"):
+            t = integrate(K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0)
+        assert t.status is TrajectoryStatus.POLE
+        assert not [r for r in caplog.records if r.name == "painleve4.integrator"]
+
+
 def _node_bits(node):
     j = node.jet
     return [_bits(v) for v in (j.z, j.w, j.w1, j.w2, node.h, node.err_est, node.c, node.res2, node.s)]
@@ -709,6 +748,24 @@ class TestComplexMode:
             integrate(K.PIV0, Params(), init, -1.0)
 
 
+# name -> a trajectory; dense output is checked against `_reference_dense_eval_param` on each
+_DENSE_RUNS = {
+    "piv-forward": lambda: integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5),
+    "piv-backward": lambda: integrate(K.PIV, Params(), InitialData.nonzero(1.0, 0.5, 0.0), -2.0),
+    "piv-pole": lambda: integrate(K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0),
+    "piv-complex-path": lambda: integrate(
+        K.PIV, Params(0.5, 0.25),
+        InitialData.raw(0.0, 0.7, -0.1, 0.4, field=ScalarField.COMPLEX, direction=complex(math.cos(0.3), math.sin(0.3))),
+        1.0,
+    ),
+    "sqrt-piv0": lambda: integrate(K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0),
+    # the first step's coefficients overflow: the run ends STEP_UNDERFLOW at its seed
+    "one-node-underflow": lambda: integrate(
+        K.XXIX, Params(), InitialData.raw(*vars(xxix_pole_family(1e-20, 0.0)).values()), 1.0
+    ),
+}  # fmt: skip
+
+
 class TestDenseEval:
     def test_nodes_reproduced_exactly(self):
         t = integrate(K.PIV, Params(0, 1), InitialData.zero(0.0, +1, 0.0), 1.0)
@@ -753,6 +810,39 @@ class TestDenseEval:
         for s in (0.1, 0.37, 0.5, 0.93):
             assert dense_eval(t, s) == dense_eval_param(t, s)
             assert abs(dense_eval(t, s).z - s * d) < 1e-14
+
+    @pytest.mark.parametrize("name", list(_DENSE_RUNS))
+    def test_same_jets_as_the_reference(self, name):
+        # at every node, at random points within each step and across the
+        # span, and at the padded ends, the bisected lookup and the unchecked
+        # jet give what the binary search and the validating Jet3 gave
+        t = _DENSE_RUNS[name]()
+        if name == "one-node-underflow":
+            assert t.status is TrajectoryStatus.STEP_UNDERFLOW and len(t.nodes) == 1
+        rng = random.Random(name)
+        s_end = t.nodes[-1].s
+        pad = 1e-12 * max(1.0, s_end)
+        points = [n.s for n in t.nodes] + [-0.5 * pad, s_end + 0.5 * pad]
+        points += [rng.uniform(0.0, s_end) for _ in range(50)]
+        for left, right in zip(t.nodes, t.nodes[1:]):
+            points += [rng.uniform(left.s, right.s) for _ in range(3)]
+        for s in points:
+            new, ref = dense_eval_param(t, s), _reference_dense_eval_param(t, s)
+            assert new == ref and hash(new) == hash(ref), s
+            assert [_bits(v) for v in vars(new).values()] == [_bits(v) for v in vars(ref).values()], s
+        # the nodes' own jets, built unchecked by integrate, are validated ones
+        for n in t.nodes:
+            checked = Jet3(**vars(n.jet))
+            assert n.jet == checked and hash(n.jet) == hash(checked)
+
+    @pytest.mark.parametrize("name", ["piv-forward", "piv-complex-path"])
+    def test_nan_arc_parameter_is_out_of_span(self, name):
+        # NaN fails every comparison, so the span check is written to be false for it
+        t = _DENSE_RUNS[name]()
+        with pytest.raises(OutOfSpan, match="s = nan outside"):
+            dense_eval_param(t, math.nan)
+        with pytest.raises(OutOfSpan, match="nan outside"):
+            dense_eval(t, math.nan)
 
     def test_backward_span_lookup(self):
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), -2.0)
