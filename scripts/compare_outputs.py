@@ -29,6 +29,7 @@ _README_SWEEP = (
     "--beta-min -2 --beta-max 2 --beta-steps 11 --z0 -1 --w0 0.5 --span 2 --out sweep.csv"
 )
 _TRAJECTORY = ("trajectory.csv", "summary.json")
+_EVENTS = ("events.json", "summary.json")
 
 # name -> (command line, files it writes); integrate and zeros write their default file names
 OUTPUTS = {
@@ -43,7 +44,13 @@ OUTPUTS = {
         "integrate --eq piv --alpha 0 --beta 1 --zero-branch plus --w2 0 --z0 0 --span 1", _TRAJECTORY,
     ),
     "integrate-readme-xxix-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 2", _TRAJECTORY),
-    "zeros-readme-piv0": ("zeros --eq piv0 --w2 1 --z0 0 --span 1", ("events.json", "summary.json")),
+    "zeros-readme-piv0": ("zeros --eq piv0 --w2 1 --z0 0 --span 1", _EVENTS),
+    # a crossing refined on a backward run (d = -1), at a = -0.91943...
+    "zeros-piv-backward-crossing": (
+        "zeros --eq piv --alpha 1 --beta 1 --zero-branch plus --w2 0.5 --z0 0.5 --span -1.5", _EVENTS,
+    ),
+    # the README sweep cell alpha = 2, beta = 0: a tangential zero, refined as a root of w', at a = 0.12660...
+    "zeros-readme-sweep-tangency": ("zeros --eq piv --alpha 2 --beta 0 --z0 -1 --w0 0.5 --span 2", _EVENTS),
     "integrate-piv0-pole": ("integrate --eq piv0 --z0 -3 --w0 0.5 --span 6", _TRAJECTORY),
     "integrate-piv-w0-1000": ("integrate --eq piv --z0 0 --w0 1000 --w1 0 --span 1", _TRAJECTORY),
     "integrate-piv-w0-5000": ("integrate --eq piv --z0 0 --w0 5000 --w1 0 --span 1", _TRAJECTORY),

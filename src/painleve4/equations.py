@@ -149,8 +149,13 @@ def ensure_kind_params(kind: EquationKind, p: Params) -> None:
 ORDER = 20
 
 def written_sum(terms) -> str:
-    """The terms as one sum, added left to right from 0: the order of `sum()` before Python 3.12 compensated it."""
-    return "(0" + "".join(f" + {term}" for term in terms) + ")"
+    """The terms as one sum, added left to right from 0.0: the order of `sum()` before Python 3.12 compensated it.
+
+    The start is the float 0.0, not the int 0, so that every addition is
+    float + float, which CPython 3.11 and later specialise; the bits are the
+    same, since both starts turn -0.0 into +0.0 and leave inf and NaN alone.
+    """
+    return "(0.0" + "".join(f" + {term}" for term in terms) + ")"
 
 
 def compile_kernel(name: str, args: str, lines, **names):
@@ -167,10 +172,11 @@ def compile_kernel(name: str, args: str, lines, **names):
 # 15 f^4 + 24 t f^2 + 4 t^2, and c_k those of 4 (z^2 - alpha) or 4 t^2, all in
 # powers of z - z0.  {xy} is the Cauchy sum x_0 y_k + ... + x_k y_0, {zx} the
 # coefficient z x_k + x_{k-1} of z x, and {c} adds c_k while k < 3.  The lines
-# set r, coefficient k of the right-hand side.
+# set r, coefficient k of the right-hand side; piv reads its {za} twice, so it
+# computes it once per order, as za.
 _SERIES_TEMPLATES = {
     "piv": ("alpha, z, w, w1, w2", ("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
-            ("s{k} = {aa}", "p{k} = 6.0 * s{k} + 12.0 * {za}{c}", "r = {pd} + 4.0 * (s{k} + {za})")),
+            ("s{k} = {aa}", "za = {za}", "p{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {pd} + 4.0 * (s{k} + za)")),
     "xxix": ("z, w, w1, w2", (), ("s{k} = {aa}", "r = 6.0 * {sd}")),
     "sqrt-piv0": ("z, w, w1, w2", ("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
                   ("s{k} = {aa}", "q{k} = 15.0 * {ss} + 24.0 * {zs}{c}", "r = 2.0 * ({as} + {za}) + 0.25 * {qd}")),

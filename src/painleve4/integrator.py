@@ -104,18 +104,19 @@ _OFF_PATH = 1e-4
 # a node's arc parameter, the key `dense_eval_param` bisects the nodes on
 _ARC = attrgetter("s")
 
-# k = 1 .. p: the factors that turn coefficients of w into those of its derivative
-_DERIVATIVE_FACTORS = range(1, ORDER + 1)
+# k = 1 .. p as floats: the factors that turn coefficients of w into those of its derivative
+_DERIVATIVE_FACTORS = tuple(map(float, range(1, ORDER + 1)))
 # the orders k = p-3 .. p whose terms the step rule, err_est and the pole bound read
 _TAIL = range(ORDER - 3, ORDER + 1)
 # kernel lines that set p_k = t^k for k = 0 .. p, as p0 = 1.0 and p_k = p_(k-1) * t
 _POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
-# kernel lines that set b_k and e_k from a_k, the coefficients of w' and w'' (`derivative`, twice)
+# kernel lines that set b_k and e_k from a_k, the coefficients of w' and w'' (`derivative`, twice),
+# the factors as float literals
 _DERIVATIVES = [
-    *(f"b{k} = a{k} * {k}" for k in range(1, ORDER + 1)),
-    *(f"e{k} = b{k + 1} * {k}" for k in range(1, ORDER)),
+    *(f"b{k} = a{k} * {float(k)!r}" for k in range(1, ORDER + 1)),
+    *(f"e{k} = b{k + 1} * {float(k)!r}" for k in range(1, ORDER)),
 ]
-# (w, w', w'') at t from a_k, b_k, e_k and p_k, each sum added left to right from 0
+# (w, w', w'') at t from a_k, b_k, e_k and p_k, each sum added left to right from 0.0
 _JET_SUMS = ", ".join(
     written_sum(f"{x}{k + i} * p{k}" for k in range(n))
     for x, i, n in (("a", 0, ORDER + 1), ("b", 1, ORDER), ("e", 1, ORDER - 1))  # name, first index, terms
@@ -298,7 +299,7 @@ def _names(x: str, n: int = ORDER + 1) -> str:
 
 @cache
 def value_kernel(n: int):
-    """c_0 + c_1 t + ... + c_(n-1) t^(n-1) from (cs, t), written out, added left to right from 0; built once per n."""
+    """c_0 + c_1 t + ... + c_(n-1) t^(n-1) from (cs, t), written out, added left to right from 0.0; built once per n."""
     value = written_sum(f"c{k} * p{k}" for k in range(n))
     return compile_kernel(f"value{n}", "cs, t", [f"{_names('c', n)}= cs", *_POWERS[:n], f"return {value}"])
 
@@ -312,9 +313,13 @@ def skip_bound_kernel():
 
 @cache
 def _jet_kernel():
-    """`taylor_jet` written out and compiled, once per process: p_k = t^k, b_k and e_k = `derivative`, twice."""
+    """(coeffs, t) -> (w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k, compiled once per process.
+
+    Written out: p_k = t^k, b_k and e_k = `derivative`, twice, and each of
+    the three sums added left to right from 0.0.
+    """
     lines = [f"{_names('a')}= coeffs", *_POWERS, *_DERIVATIVES, f"return {_JET_SUMS}"]
-    return compile_kernel("taylor_jet", "coeffs, t", lines)
+    return compile_kernel("jet", "coeffs, t", lines)
 
 
 @cache
@@ -325,7 +330,7 @@ def _step_kernel():
     at z_prev + h d, or None where the step is refused: a tail coefficient
     or the new state is not finite, or the Jorba-Zou step (`_step_length`)
     is below h_min short of the span's end.  It does `_step_length`'s,
-    `taylor_jet`'s and err_est's float operations in their order, so its
+    `_jet_kernel`'s and err_est's float operations in their order, so its
     bits are theirs.
     """
     return compile_kernel("step", "coeffs, s, total, d, h_min, abs_tol, rel_tol", [
@@ -345,17 +350,9 @@ def _step_kernel():
         *_DERIVATIVES,
         f"w, w1, w2 = {_JET_SUMS}",
         "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return None",
-        f"err = max({', '.join(f'm{k} * h ** {k}' for k in _TAIL)}) / bound",
+        f"err = max({', '.join(f'm{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
         "return (total if hit_end else s + h), h, err, w, w1, w2",
     ], inf=math.inf, isfinite=isfinite)
-
-
-def taylor_jet(coeffs, t: Scalar) -> tuple[Scalar, Scalar, Scalar]:
-    """(w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k.
-
-    Each of the three sums of the compiled `_jet_kernel` is added left to right from 0.
-    """
-    return _jet_kernel()(coeffs, t)
 
 
 def _step_length(coeffs, bound: float) -> float | None:

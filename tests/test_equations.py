@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, asdict
@@ -285,22 +286,24 @@ assert built() == (1, 0, 0), built()
 assert equations.series_kernel.cache_info().misses == 1
 series_fn(K.XXIX, Params())
 assert built() == (2, 0, 0), built()
-integrator.taylor_jet(coeffs, 0.1)
-integrator.taylor_jet(coeffs, 0.2)
-assert built() == (2, 1, 0), built()
-assert built_readers() == (0, 0, 0, 0), built_readers()
 
-# w = z^2 - 1/4 on xxxii: two roots, w and w' at n = p + 1 and p terms, the curvature bound at p - 1
+# w = z^2 - 1/4 on xxxii: two roots
 # integrate builds the step kernel, and no reader
 quadratic = integrate(K.XXXII, Params(), InitialData.nonzero(-2.0, 3.75, -4.0), 4.0)
-assert built() == (2, 1, 1), built()
+assert built() == (2, 0, 1), built()
 assert built_readers() == (0, 0, 0, 0), built_readers()
+# the zero search reads w and its derivatives through the jet kernel, and its
+# skip bound and curvature bound, the latter a value kernel at p - 1 terms
 assert len(zeros.locate_zeros(quadratic)) == 2
-assert built_readers() == (3, 1, 0, 0), built_readers()
+assert built() == (2, 1, 1), built()
+assert built_readers() == (1, 1, 0, 0), built_readers()
 zeros.locate_zeros(quadratic)
-assert integrator.value_kernel.cache_info().misses == 3
+integrator._jet_kernel()(coeffs, 0.2)
+assert integrator._jet_kernel.cache_info().misses == 1
+assert integrator.value_kernel.cache_info().misses == 1
 
-# the series pole rule: xxix ends at the root of 1/w's series, piv at 1/(w + z)'s
+# the series pole rule: xxix ends at the root of 1/w's series, piv at 1/(w + z)'s;
+# Newton reads u and u' through value kernels at p + 1 and p terms
 for kind in (K.XXIX, K.PIV):
     assert integrate(kind, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0).pole_estimate is not None
     assert built_readers() == (3, 1, 1, 0), built_readers()
@@ -323,3 +326,38 @@ def test_kernels_compile_on_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _LAZY_KERNELS], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _raw_bits(v) -> tuple:
+    # every bit of each part, the sign of a zero and of a NaN included
+    return tuple(struct.pack("<d", x) for x in ((v.real, v.imag) if isinstance(v, complex) else (v,)))
+
+
+_NAN = math.nan
+# signed zeros, infinities and NaNs, alone and as parts of complex values
+_EDGE_VALUES = [
+    0.0, -0.0, 1.5, -2.75, math.inf, -math.inf, _NAN, -_NAN,
+    complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), complex(1.5, -0.0), complex(-0.0, -2.75),
+    complex(math.inf, -0.0), complex(-0.0, -math.inf), complex(_NAN, -0.0), complex(-0.0, _NAN), complex(math.inf, _NAN),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("x", _EDGE_VALUES, ids=repr)
+def test_float_typed_kernels_give_the_bits_of_int_typed_ones(x):
+    # the kernels start each written sum at 0.0 and multiply by float
+    # factors, so that CPython specialises their arithmetic; with the int 0
+    # and int factors they had, every value keeps every bit on every interpreter
+    from painleve4 import integrator
+
+    factors = integrator._DERIVATIVE_FACTORS
+    assert factors == tuple(range(1, ORDER + 1)) and all(type(f) is float for f in factors)
+    for y in (-0.0, 2.5, complex(-0.0, -0.0), complex(_NAN, 1.0)):
+        for terms in (["x"], ["x", "y"], ["y", "x"], ["x * y"]):
+            as_int = "(0" + "".join(f" + {term}" for term in terms) + ")"
+            assert _raw_bits(eval(equations.written_sum(terms))) == _raw_bits(eval(as_int)), (y, terms)
+        for k, factor in zip(range(1, ORDER + 1), factors):
+            assert _raw_bits(x * factor) == _raw_bits(x * k), k
+            assert _raw_bits(y * x * factor) == _raw_bits(y * x * k), (y, k)
+    if not isinstance(x, complex):  # the step kernel's powers h ** k of a real step length
+        for k in range(ORDER - 3, ORDER + 1):
+            assert _raw_bits(abs(x) ** float(k)) == _raw_bits(abs(x) ** k), k

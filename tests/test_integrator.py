@@ -27,11 +27,11 @@ from painleve4.equations import ORDER, rhs3, series_fn
 from painleve4.integrator import (
     _H_MIN,
     _cauchy_square,
+    _jet_kernel,
     _reciprocal,
     _step_kernel,
     _step_length,
     skip_bound_kernel,
-    taylor_jet,
     value_kernel,
 )
 from painleve4.oracles import xxix_pole_family
@@ -81,7 +81,7 @@ def _tail_error(coeffs, h, bound):
 
 
 def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
-    """A step as three calls, `_step_length`, `taylor_jet` and `_tail_error`: the reference for `_step_kernel`."""
+    """A step as three calls, `_step_length`, `_jet_kernel` and `_tail_error`: the reference for `_step_kernel`."""
     bound = abs_tol + rel_tol * abs(coeffs[0])
     h = _step_length(coeffs, bound)
     if h is None:
@@ -91,7 +91,7 @@ def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
         h = total - s
     elif h < h_min:
         return None
-    w, w1, w2 = taylor_jet(coeffs, h * d)
+    w, w1, w2 = _jet_kernel()(coeffs, h * d)
     if not (isfinite(w) and isfinite(w1) and isfinite(w2)):
         return None
     return (total if hit_end else s + h), h, _tail_error(coeffs, h, bound), w, w1, w2
@@ -99,7 +99,7 @@ def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
 
 def _reference_dense_eval_param(traj, s):
     """`dense_eval_param` before it bisected and built its jet unchecked: a binary
-    search, `taylor_jet` and the validating `Jet3`; the reference for the new one."""
+    search, `_jet_kernel` and the validating `Jet3`; the reference for the new one."""
     nodes = traj.nodes
     s_end = nodes[-1].s
     pad = 1e-12 * max(1.0, s_end)
@@ -119,14 +119,14 @@ def _reference_dense_eval_param(traj, s):
         return nodes[hi].jet
     left = nodes[lo]
     t = (s - left.s) * traj.direction
-    return Jet3(left.jet.z + t, *taylor_jet(nodes[hi].series, t))
+    return Jet3(left.jet.z + t, *_jet_kernel()(nodes[hi].series, t))
 
 
 def taylor_step(kind, j, h):
     """One Taylor step of signed length h from j: the new jet, and the tail error in units of the default tolerance."""
     coeffs = series_fn(kind, Params())(j.z, j.w, j.w1, j.w2)
     tol = Tolerances()
-    return Jet3(j.z + h, *taylor_jet(coeffs, h)), _tail_error(coeffs, abs(h), tol.abs + tol.rel * abs(j.w))
+    return Jet3(j.z + h, *_jet_kernel()(coeffs, h)), _tail_error(coeffs, abs(h), tol.abs + tol.rel * abs(j.w))
 
 
 class TestTolerances:
@@ -228,7 +228,7 @@ class TestStep:
             coeffs = series_fn(kind, Params())(jet.z, jet.w, jet.w1, jet.w2)
             for h in (10.0, -10.0):
                 assert _step_length(coeffs, 1e-10) is None
-                assert not all(map(isfinite, taylor_jet(coeffs, h)))
+                assert not all(map(isfinite, _jet_kernel()(coeffs, h)))
 
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_sqrt_residual_is_conserved(self, h):
@@ -617,7 +617,7 @@ def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name, monkeypat
         j = left.jet
         fresh = series(j.z, j.w, j.w1, j.w2)
         assert [_bits(v) for v in node.series] == [_bits(v) for v in fresh]
-        end = taylor_jet(fresh, node.h * t.direction)
+        end = _jet_kernel()(fresh, node.h * t.direction)
         assert [_bits(v) for v in end] == [_bits(v) for v in (node.jet.w, node.jet.w1, node.jet.w2)]
 
 
@@ -953,15 +953,15 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         got = series_fn(kind, p)(z0, *y)
         want = reference_series(kind, p, z0, *y)
         assert [_bits(v) for v in got] == [_bits(v) for v in want]
-        # the step: the polynomial at z0 + t, with its derivatives
+        # the step and the zero search: the polynomial at z0 + t, with its derivatives
         pw = [1.0]
         for _ in range(ORDER):
             pw.append(pw[-1] * t)
         dw = [k * v for k, v in enumerate(want) if k]
         ddw = [k * v for k, v in enumerate(dw) if k]
         ref = [_left_sum(map(mul, cs, pw)) for cs in (want, dw, ddw)]
-        assert [_bits(v) for v in taylor_jet(got, t)] == [_bits(v) for v in ref]
-        # the zero search: w and w' at t, and the interval bounds over a step of length |t|
+        assert [_bits(v) for v in _jet_kernel()(got, t)] == [_bits(v) for v in ref]
+        # the value kernels, which the pole rule reads, and the zero search's bounds over a step of length |t|
         value, slope = value_kernel(ORDER + 1), value_kernel(ORDER)
         assert [_bits(value(got, t)), _bits(slope(dw, t))] == [_bits(v) for v in ref[:2]]
         h = abs(t)

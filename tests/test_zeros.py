@@ -1,23 +1,33 @@
 import cmath
+import contextlib
 import dataclasses
 import math
 import random
+from typing import NamedTuple
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from painleve4 import (
     EquationKind,
     InitialData,
     Params,
     ScalarField,
+    Tolerances,
     TrajectoryStatus,
     WrongKind,
     ZeroBranch,
     check_curvature_theorem,
+    cli,
     dense_eval,
+    dense_eval_param,
     integrate,
     locate_zeros,
+    zeros,
 )
+from painleve4.equations import series_fn
+from painleve4.integrator import _jet_kernel
 
 K = EquationKind
 
@@ -438,3 +448,203 @@ def test_beta_zero_tangency_of_the_readme_sweep_is_one_event():
     assert len(events) == 1
     assert abs(events[0].slope) < 5e-9
     assert events[0].branch is ZeroBranch.PLUS_BETA and events[0].curvature_nonzero
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The zero search's root refinement before safeguarded Newton: the reference for `zeros._refine`.
+
+    Bisects a sign change of f on [lo, hi] until the midpoint is an
+    endpoint; returns an exact zero of f if one is met, otherwise the final
+    endpoint with the smaller |f|.
+    """
+    for _ in range(zeros._BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        v = f(mid)
+        if v == 0:
+            return mid
+        if (v < 0) == (f_lo < 0):
+            lo, f_lo = mid, v
+        else:
+            hi, f_hi = mid, v
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+class _Refinement(NamedTuple):
+    """One root the zero search refined: what f was, the new routine's double, the reference's, and the trial points read."""
+
+    f: object
+    got: float
+    want: float
+    trials: int
+
+
+@contextlib.contextmanager
+def _beside_the_reference():
+    """Record every `zeros._refine` call of the zero search, run again by `_bisect` on the same bracket."""
+    calls = []
+    refine = zeros._refine
+
+    def both(f, lo, hi, at_lo, at_hi):
+        trials = 0
+
+        def counted(s):
+            nonlocal trials
+            trials += 1
+            return f(s)
+
+        got = refine(counted, lo, hi, at_lo, at_hi)
+        calls.append(_Refinement(f, got, _bisect(lambda s: f(s)[0], lo, hi, at_lo[0], at_hi[0]), trials))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_refine", both)
+        yield calls
+
+
+def _ends_a_sign_change(f, x: float) -> bool:
+    """x is an exact zero of f, or f's sign differs at x and at one of its neighbouring doubles."""
+    v = f(x)[0]
+    return v == 0 or any((f(math.nextafter(x, y))[0] < 0) != (v < 0) for y in (-math.inf, math.inf))
+
+
+def _lands_as_the_reference(c: _Refinement) -> bool:
+    """The new routine's double is the reference's; or else rounding flips f's sign more than once
+    within 64 doubles, and both end one of those sign changes."""
+    if c.got == c.want:
+        return True
+    lo, hi = sorted((c.got, c.want))
+    xs = [math.nextafter(lo, -math.inf)]
+    while xs[-1] <= hi and len(xs) < 66:
+        xs.append(math.nextafter(xs[-1], math.inf))
+    signs = [c.f(x)[0] < 0 for x in xs]
+    flips = sum(a != b for a, b in zip(signs, signs[1:]))
+    return xs[-1] > hi and flips >= 2 and _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want)
+
+
+def _refinements_through(p: Params, z_event, at_event: tuple, r: float, d, field=ScalarField.REAL):
+    """The run that starts r before the jet at_event = (w, w', w'') at z_event, on the polynomial of
+    piv's series there, and crosses it on the path z0 + s d; and the refinements its zero search makes."""
+    start = _jet_kernel()(series_fn(K.PIV, p)(z_event, *at_event), -r * d)
+    init = InitialData.raw(z_event - r * d, *start, field=field, direction=d)
+    t = integrate(K.PIV, p, init, -2.0 * r if d == -1.0 else 2.0 * r)
+    with _beside_the_reference() as calls:
+        locate_zeros(t)
+    return t, calls
+
+
+def _check_simple_roots(calls) -> None:
+    for c in calls:
+        assert _lands_as_the_reference(c), c
+        # simple roots: Newton settles in a few steps where halving took about 50
+        assert c.trials <= 8, c
+
+
+_unit = st.floats(-1.0, 1.0)
+_event_step = st.floats(0.05, 0.5)  # how far before the event the run starts
+_slope = st.floats(0.2, 2.0)
+_sign = st.sampled_from((1.0, -1.0))
+_depth = st.floats(-1e-11, 1e-11)  # |w| at a tangential extremum, below the default abs = 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_unit, beta=_unit, z=_unit, r=_event_step, slope=_slope, sign=_sign, w2=st.floats(-2.0, 2.0))
+def test_simple_crossing_refines_to_the_reference_double(alpha, beta, z, r, slope, sign, w2):
+    _, calls = _refinements_through(Params(alpha, beta), z, (0.0, sign * slope, w2), r, 1.0)
+    crossings = [c for c in calls if c.f.__name__ == "w_rate"]
+    assume(crossings)
+    _check_simple_roots(crossings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_unit, z=_unit, r=_event_step, depth=_depth, curvature=_slope, sign=_sign)
+def test_tangential_extremum_refines_to_the_reference_double(alpha, z, r, depth, curvature, sign):
+    t, calls = _refinements_through(Params(alpha, 0.0), z, (depth, 0.0, sign * curvature), r, 1.0)
+    extrema = [c for c in calls if c.f.__name__ == "slope_rate" and abs(dense_eval_param(t, c.got).w) < t.tol.abs]
+    assume(extrema)
+    _check_simple_roots(extrema)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_unit, beta=_unit, z=_unit, r=_event_step, size=_slope, sign=_sign, depth=_depth, tangential=st.booleans())
+def test_backward_run_refines_to_the_reference_double(alpha, beta, z, r, size, sign, depth, tangential):
+    # d = -1: f's s-derivative is -w' for w and -w'' for w', so a sign slip there shows
+    if tangential:
+        t, calls = _refinements_through(Params(alpha, 0.0), z, (depth, 0.0, sign * size), r, -1.0)
+        roots = [c for c in calls if c.f.__name__ == "slope_rate" and abs(dense_eval_param(t, c.got).w) < t.tol.abs]
+    else:
+        t, calls = _refinements_through(Params(alpha, beta), z, (0.0, sign * size, 0.5), r, -1.0)
+        roots = [c for c in calls if c.f.__name__ == "w_rate"]
+    assume(roots)
+    assert t.direction == -1.0
+    _check_simple_roots(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=_unit, beta=_unit, z=st.complex_numbers(max_magnitude=1.0), r=_event_step, depth=st.complex_numbers(max_magnitude=1e-11),
+    slope=_slope, slope_angle=st.floats(0.0, 2.0 * math.pi), w2=st.complex_numbers(max_magnitude=2.0),
+    path_angle=st.floats(0.0, 2.0 * math.pi),
+)  # fmt: skip
+def test_complex_path_minimum_refines_to_the_reference_double(alpha, beta, z, r, depth, slope, slope_angle, w2, path_angle):
+    # q = Re(conj(w) w' d) rises through 0 at the minimum of |w| on the path
+    d = cmath.exp(1j * path_angle)
+    at_event = (complex(depth), cmath.rect(slope, slope_angle), complex(w2))
+    _, calls = _refinements_through(Params(alpha, beta), complex(z), at_event, r, d, ScalarField.COMPLEX)
+    minima = [c for c in calls if c.f.__name__ == "q_rate"]
+    assume(minima)
+    _check_simple_roots(minima)
+
+
+def test_readme_sweep_events_land_on_the_reference_doubles():
+    # every root the zero search refines in the README sweep is the double the
+    # halving reference returns, so all 106 events keep every bit
+    grid = cli._grid("alpha", -2.0, 2.0, 11)
+    with _beside_the_reference() as calls:
+        cells = cli.run_sweep(K.PIV, grid, grid, InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances())
+    assert sum(cell.zero_count for cell in cells) == 106
+    assert [c.got.hex() for c in calls] == [c.want.hex() for c in calls]
+    assert max(c.trials for c in calls) <= 8
+    assert sum(c.trials for c in calls) <= 6 * len(calls)
+
+
+def _newton_misled(s):
+    # f = s - 0.3 with a rate that points Newton the wrong way, and then nowhere
+    return s - 0.3, (-1.0 if s < 0.5 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "f,lo,hi",
+    [
+        (lambda s: (s * s - 2.0, 2.0 * s), 1.0, 2.0),
+        (lambda s: (s - 0.75, 1.0), 0.5, 1.0),  # an exact zero, met on the first trial
+        (_newton_misled, 0.0, 1.0),
+        (lambda s: (math.copysign(1.0, s - 0.1), 0.0), 0.0, 1.0),  # a step: no rate at all
+    ],
+    ids=["sqrt2", "exact-zero", "misleading-rate", "step"],
+)
+def test_refine_keeps_the_bisection_contract(f, lo, hi):
+    # an exact zero, or adjacent doubles and the endpoint with the smaller |f|,
+    # within _BISECT_ITERS trials, however poor the rate is
+    trials = 0
+
+    def counted(s):
+        nonlocal trials
+        trials += 1
+        return f(s)
+
+    got = zeros._refine(counted, lo, hi, f(lo), f(hi))
+    assert trials <= zeros._BISECT_ITERS
+    assert got == _bisect(lambda s: f(s)[0], lo, hi, f(lo)[0], f(hi)[0])
+    assert _ends_a_sign_change(f, got)
+
+
+def test_refine_reaches_a_root_that_halving_runs_out_before():
+    # a root at 1e-300 is about 1,000 halvings from [-1, 1]: bisection stops
+    # after _BISECT_ITERS of them, on the endpoint 0.0, while Newton lands on it
+    def f(s):
+        return s - 1e-300, 1.0
+
+    assert _bisect(lambda s: f(s)[0], -1.0, 1.0, -1.0, 1.0) == 0.0
+    assert zeros._refine(f, -1.0, 1.0, f(-1.0), f(1.0)) == 1e-300
