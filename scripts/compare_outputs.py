@@ -54,6 +54,12 @@ OUTPUTS = {
     "integrate-piv0-pole": ("integrate --eq piv0 --z0 -3 --w0 0.5 --span 6", _TRAJECTORY),
     "integrate-piv-w0-1000": ("integrate --eq piv --z0 0 --w0 1000 --w1 0 --span 1", _TRAJECTORY),
     "integrate-piv-w0-5000": ("integrate --eq piv --z0 0 --w0 5000 --w1 0 --span 1", _TRAJECTORY),
+    # w' + 1 = 1.1e-16 puts the pole search's first iterate 3.6e16 ahead, where
+    # the powers in u's tail overflow: that root is rejected, and the run ends
+    # at the pole 0.35 ahead after 8 nodes
+    "integrate-piv-span-1e20": (
+        "integrate --eq piv --z0 0 --w0 4 --w1 -0.9999999999999999 --span 1e20", _TRAJECTORY,
+    ),
     "integrate-sqrt-piv0-pole": ("integrate --eq sqrt-piv0 --z0 -3 --w0 0.7071067811865476 --span 6", _TRAJECTORY),
     "integrate-complex-piv": (
         "integrate --eq piv --alpha 0.5 --beta 0.25 --z0 0 --w0 0.7 --w1 -0.1 --w2 0.4 --span 1 "

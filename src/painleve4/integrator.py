@@ -58,7 +58,7 @@ from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import NamedTuple
 
 from .equations import (
@@ -104,13 +104,11 @@ _OFF_PATH = 1e-4
 # a node's arc parameter, the key `dense_eval_param` bisects the nodes on
 _ARC = attrgetter("s")
 
-# k = 1 .. p as floats: the factors that turn coefficients of w into those of its derivative
-_DERIVATIVE_FACTORS = tuple(map(float, range(1, ORDER + 1)))
-# the orders k = p-3 .. p whose terms the step rule, err_est and the pole bound read
+# the orders k = p-3 .. p whose terms the step rule, err_est and `_tail` read
 _TAIL = range(ORDER - 3, ORDER + 1)
 # kernel lines that set p_k = t^k for k = 0 .. p, as p0 = 1.0 and p_k = p_(k-1) * t
 _POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
-# kernel lines that set b_k and e_k from a_k, the coefficients of w' and w'' (`derivative`, twice),
+# kernel lines that set b_k = k a_k and e_k = k b_(k+1), the coefficients of w' and w'',
 # the factors as float literals
 _DERIVATIVES = [
     *(f"b{k} = a{k} * {float(k)!r}" for k in range(1, ORDER + 1)),
@@ -287,26 +285,14 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     return Jet3(z0, w0, w1, w2)
 
 
-def derivative(coeffs) -> list:
-    """Coefficients of the derivative of the polynomial with the given coefficients."""
-    return list(map(mul, coeffs[1:], _DERIVATIVE_FACTORS))
-
-
-def _names(x: str, n: int = ORDER + 1) -> str:
-    """'x0, x1, ..., x(n-1), ': the names a kernel unpacks or returns."""
-    return "".join(f"{x}{k}, " for k in range(n))
-
-
-@cache
-def value_kernel(n: int):
-    """c_0 + c_1 t + ... + c_(n-1) t^(n-1) from (cs, t), written out, added left to right from 0.0; built once per n."""
-    value = written_sum(f"c{k} * p{k}" for k in range(n))
-    return compile_kernel(f"value{n}", "cs, t", [f"{_names('c', n)}= cs", *_POWERS[:n], f"return {value}"])
+def _names(x: str) -> str:
+    """'x0, x1, ..., xp, ': the names a kernel unpacks or returns."""
+    return "".join(f"{x}{k}, " for k in range(ORDER + 1))
 
 
 @cache
 def skip_bound_kernel():
-    """|a_0| - (|a_1| h + ... + |a_p| h^p) from (coeffs, t = h), written out like `value_kernel`; compiled once."""
+    """|a_0| - (|a_1| h + ... + |a_p| h^p) from (coeffs, t = h), written out like `_jet_kernel`; compiled once."""
     terms = written_sum(f"abs(a{k}) * p{k}" for k in range(1, ORDER + 1))
     return compile_kernel("skip_bound", "coeffs, t", [f"{_names('a')}= coeffs", *_POWERS, f"return abs(a0) - {terms}"])
 
@@ -315,7 +301,7 @@ def skip_bound_kernel():
 def _jet_kernel():
     """(coeffs, t) -> (w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k, compiled once per process.
 
-    Written out: p_k = t^k, b_k and e_k = `derivative`, twice, and each of
+    Written out: p_k = t^k, b_k = k a_k and e_k = k b_(k+1), and each of
     the three sums added left to right from 0.0.
     """
     lines = [f"{_names('a')}= coeffs", *_POWERS, *_DERIVATIVES, f"return {_JET_SUMS}"]
@@ -328,10 +314,10 @@ def _step_kernel():
 
     (coeffs, s, total, d, h_min, abs, rel) -> (s_new, h, err_est, w, w', w'')
     at z_prev + h d, or None where the step is refused: a tail coefficient
-    or the new state is not finite, or the Jorba-Zou step (`_step_length`)
-    is below h_min short of the span's end.  It does `_step_length`'s,
-    `_jet_kernel`'s and err_est's float operations in their order, so its
-    bits are theirs.
+    or the new state is not finite, or the Jorba-Zou step
+    0.5 min_k (bound / |a_k|)^(1/k), k = p-3 .. p, is below h_min short of
+    the span's end.  It does `_jet_kernel`'s float operations in their
+    order, so its w, w' and w'' are that kernel's bits.
     """
     return compile_kernel("step", "coeffs, s, total, d, h_min, abs_tol, rel_tol", [
         f"{_names('a')}= coeffs",
@@ -355,21 +341,6 @@ def _step_kernel():
     ], inf=math.inf, isfinite=isfinite)
 
 
-def _step_length(coeffs, bound: float) -> float | None:
-    """Jorba-Zou step 0.5 min_k (bound / |a_k|)^(1/k) over k = p-3 .. p; None if a coefficient is not finite.
-
-    inf when all four coefficients vanish: the series ends below them.
-    """
-    h = math.inf
-    for k in _TAIL:
-        m = abs(coeffs[k])
-        if not m < math.inf:
-            return None
-        if m:
-            h = min(h, (bound / m) ** (1.0 / k))
-    return 0.5 * h
-
-
 @cache
 def _reciprocal():
     """The kernel v -> u = 1/v (v_0 != 0): u_k = -u_0 (0 + v_1 u_(k-1) + ... + v_k u_0), written out; built once."""
@@ -384,18 +355,32 @@ def _cauchy_square():
     return compile_kernel("cauchy_square", "f", [f"{_names('f')}= f", f"return [{', '.join(squares)}]"])
 
 
-def _newton_root(u, du) -> Scalar | None:
-    """The root of sum u_k t^k that Newton's method reaches from t = 0, u and its derivative du read by `value_kernel`.
+def _tail(u, x: float) -> float:
+    """max over k = p-3 .. p of |u_k| x^k: the terms of u's series that a step of length x neglects.
+
+    inf where a coefficient is not finite or a power overflows, and 0.0
+    where all four coefficients vanish.
+    """
+    try:
+        terms = [abs(u[k]) * x ** k for k in _TAIL]
+    except OverflowError:
+        return math.inf
+    # max() would pass over a NaN term
+    return max(terms) if all(m < math.inf for m in terms) else math.inf
+
+
+def _newton_root(u) -> Scalar | None:
+    """The root of sum u_k t^k that Newton's method reaches from t = 0, u and u' at t read by `_jet_kernel`.
 
     None where a slope vanishes or the iteration does not settle.
     """
-    value, slope_at = value_kernel(ORDER + 1), value_kernel(ORDER)
+    jet = _jet_kernel()
     t = 0.0
     for _ in range(_NEWTON_STEPS):
-        slope = slope_at(du, t)
+        value, slope, _ = jet(u, t)
         if slope == 0:
             return None
-        dt = value(u, t) / slope
+        dt = value / slope
         t -= dt
         # quadratic convergence: the next step would be below rounding
         if abs(dt) <= 1e-13 * abs(t):
@@ -429,10 +414,11 @@ def _series_pole(
     ahead on the path, r/d in (0, left] and on a complex path within
     `_OFF_PATH` of it, and when u's neglected tail can move it by no more
     than the run's tolerances: the bound max over k = p-3 .. p of
-    |u_k| |r|^k, divided by |u'(r)|, is at most abs + rel |z + r|.  Near
-    a pole Newton's first iterate v_0/v_1 is already close to r, so Newton
-    is not run where that iterate lies behind the node, past the span
-    left, or beyond twice u's Jorba-Zou step.
+    |u_k| |r|^k (`_tail`), divided by |u'(r)|, is at most abs + rel |z + r|.
+    Near a pole Newton's first iterate v_0/v_1 is already close to r, so
+    Newton is not run where that iterate lies behind the node or past the
+    span left, or where u's tail at its distance exceeds abs + rel |u_0|,
+    which is where it lies beyond twice u's Jorba-Zou step.
     """
     v = _pole_denominator(kind, coeffs, z)
     if v is None or v[1] == 0:
@@ -441,18 +427,16 @@ def _series_pole(
     if not 0.0 < (first / d).real <= left:
         return None
     u = _reciprocal()(v)
-    h = _step_length(u, tol.abs + tol.rel * abs(u[0]))
-    if h is None or not abs(first) <= 2.0 * h:
+    if not _tail(u, abs(first)) <= tol.abs + tol.rel * abs(u[0]):
         return None
-    du = derivative(u)
-    r = _newton_root(u, du)
+    r = _newton_root(u)
     if r is None:
         return None
     t = r / d
     if not (0.0 < t.real <= left and abs(t.imag) <= _OFF_PATH):
         return None
-    slope = abs(value_kernel(ORDER)(du, r))
-    bound = max(abs(u[k]) * abs(r) ** k for k in _TAIL) / slope if slope else math.inf
+    slope = abs(_jet_kernel()(u, r)[1])
+    bound = _tail(u, abs(r)) / slope if slope else math.inf
     return (r, bound) if bound <= tol.abs + tol.rel * abs(z + r) else None
 
 

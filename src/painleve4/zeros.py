@@ -15,8 +15,9 @@ multiple roots), w with w' and w'' by the written-out `integrator._jet_kernel`,
 so the bits do not depend on the interpreter.  An interval is skipped at once
 when |w_0| - sum_k |a_k| h^k >= abs_tol.  Otherwise it is halved, at most
 `_MAX_DEPTH` times, wherever the lower bound |w(c)| - |w'(c)| r - M r^2/2
-of |w| on a piece of centre c and radius r (M bounds |w''| on the
-interval) stays below abs_tol; the surviving pieces form clusters.
+of |w| on a piece of centre c and radius r (M, the same kernel's w'' at h
+on the coefficients |a_k|, bounds |w''| on the interval) stays below
+abs_tol; the surviving pieces form clusters.
 
 On the real line, a piece where |w'(c)| > M r holds no root of w', so w is
 monotone there.  The roots of w' in the other pieces cut each cluster into
@@ -47,10 +48,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .equations import ORDER, EquationKind, Scalar, ScalarField
+from .equations import EquationKind, Scalar, ScalarField
 from .errors import WrongKind
-from .integrator import Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param
-from .integrator import derivative, skip_bound_kernel, value_kernel
+from .integrator import Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param, skip_bound_kernel
 
 logger = logging.getLogger(__name__)
 
@@ -217,8 +217,8 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
     s0, s1 = left.s, right.s
     if skip_bound_kernel()(coeffs, s1 - s0) >= abs_tol:
         return []
-    bound2 = value_kernel(ORDER - 1)([abs(e) for e in derivative(derivative(coeffs))], s1 - s0)
     jet = _jet_kernel()
+    bound2 = jet([abs(a) for a in coeffs], s1 - s0)[2]
     end = right.jet.w, right.jet.w1, right.jet.w2
 
     def jet_at(s: float) -> tuple:

@@ -236,6 +236,18 @@ class TestValidation:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads(summary.read_text())["status"] == "step_budget"
 
+    def test_a_span_of_1e20_ends_at_the_pole(self, tmp_path, capsys):
+        # at the first node v = w + z has v_1 = w' + 1 = 1.1e-16, so the pole
+        # search's first iterate v_0/v_1 lies 3.6e16 ahead, where the powers
+        # in u's tail terms overflow; the search rejects it and the run steps on
+        summary = tmp_path / "s.json"
+        code = main(["integrate", "--eq", "piv", "--z0", "0", "--w0", "4", "--w1", "-0.9999999999999999",
+                     "--span", "1e20", "--out", str(tmp_path / "t.csv"), "--summary", str(summary)])  # fmt: skip
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(summary.read_text())
+        assert (doc["status"], doc["node_count"]) == ("pole", 8)
+
     def test_unknown_equation_exits_1(self, capsys):
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1
 

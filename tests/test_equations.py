@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -272,11 +273,11 @@ def built():
     return tuple(kernel.cache_info().currsize for kernel in kernels)
 
 def built_readers():
-    kernels = (integrator.value_kernel, integrator.skip_bound_kernel, integrator._reciprocal, integrator._cauchy_square)
+    kernels = (integrator.skip_bound_kernel, integrator._reciprocal, integrator._cauchy_square)
     return tuple(kernel.cache_info().currsize for kernel in kernels)
 
 assert built() == (0, 0, 0), built()
-assert built_readers() == (0, 0, 0, 0), built_readers()
+assert built_readers() == (0, 0, 0), built_readers()
 coeffs = series_fn(K.PIV, Params(0.5, 0.1))(0.0, 0.3, 0.2, 0.1)
 assert built() == (1, 0, 0), built()
 series_fn(K.PIV, Params(-0.7, 0.2))(0.0, 0.3, 0.2, 0.1)
@@ -291,27 +292,30 @@ assert built() == (2, 0, 0), built()
 # integrate builds the step kernel, and no reader
 quadratic = integrate(K.XXXII, Params(), InitialData.nonzero(-2.0, 3.75, -4.0), 4.0)
 assert built() == (2, 0, 1), built()
-assert built_readers() == (0, 0, 0, 0), built_readers()
-# the zero search reads w and its derivatives through the jet kernel, and its
-# skip bound and curvature bound, the latter a value kernel at p - 1 terms
-assert len(zeros.locate_zeros(quadratic)) == 2
-assert built() == (2, 1, 1), built()
-assert built_readers() == (1, 1, 0, 0), built_readers()
-zeros.locate_zeros(quadratic)
-integrator._jet_kernel()(coeffs, 0.2)
-assert integrator._jet_kernel.cache_info().misses == 1
-assert integrator.value_kernel.cache_info().misses == 1
+assert built_readers() == (0, 0, 0), built_readers()
 
 # the series pole rule: xxix ends at the root of 1/w's series, piv at 1/(w + z)'s;
-# Newton reads u and u' through value kernels at p + 1 and p terms
+# the first pole run builds the jet kernel, which Newton reads u and u' through
 for kind in (K.XXIX, K.PIV):
     assert integrate(kind, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0).pole_estimate is not None
-    assert built_readers() == (3, 1, 1, 0), built_readers()
+    assert built() == (2, 1, 1), built()
+    assert built_readers() == (0, 1, 0), built_readers()
 assert integrator._reciprocal.cache_info().misses == 1
 # sqrt-piv0 squares f's series first
 for _ in range(2):
     assert integrate(K.SQRT_PIV0, Params(), InitialData.nonzero(-3.0, 0.7, 0.0), 6.0).pole_estimate is not None
-    assert built_readers() == (3, 1, 1, 1), built_readers()
+    assert built_readers() == (0, 1, 1), built_readers()
+# and has a series kernel of its own
+assert built() == (3, 1, 1), built()
+
+# the zero search reads w and its derivatives, and its curvature bound, through
+# the jet kernel, and builds the skip bound's
+assert len(zeros.locate_zeros(quadratic)) == 2
+assert built() == (3, 1, 1), built()
+assert built_readers() == (1, 1, 1), built_readers()
+zeros.locate_zeros(quadratic)
+integrator._jet_kernel()(coeffs, 0.2)
+assert integrator._jet_kernel.cache_info().misses == 1
 assert integrator._step_kernel.cache_info().misses == 1
 """
 
@@ -349,13 +353,14 @@ def test_float_typed_kernels_give_the_bits_of_int_typed_ones(x):
     # and int factors they had, every value keeps every bit on every interpreter
     from painleve4 import integrator
 
-    factors = integrator._DERIVATIVE_FACTORS
-    assert factors == tuple(range(1, ORDER + 1)) and all(type(f) is float for f in factors)
+    # the literal each line of b_k = a_k * k and e_k = b_(k+1) * k multiplies by
+    factors = [ast.literal_eval(line.rsplit(" * ", 1)[1]) for line in integrator._DERIVATIVES]
+    assert factors == [*range(1, ORDER + 1), *range(1, ORDER)] and all(type(f) is float for f in factors)
     for y in (-0.0, 2.5, complex(-0.0, -0.0), complex(_NAN, 1.0)):
         for terms in (["x"], ["x", "y"], ["y", "x"], ["x * y"]):
             as_int = "(0" + "".join(f" + {term}" for term in terms) + ")"
             assert _raw_bits(eval(equations.written_sum(terms))) == _raw_bits(eval(as_int)), (y, terms)
-        for k, factor in zip(range(1, ORDER + 1), factors):
+        for k, factor in zip(range(1, ORDER + 1), factors[:ORDER]):
             assert _raw_bits(x * factor) == _raw_bits(x * k), k
             assert _raw_bits(y * x * factor) == _raw_bits(y * x * k), (y, k)
     if not isinstance(x, complex):  # the step kernel's powers h ** k of a real step length

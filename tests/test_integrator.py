@@ -30,9 +30,8 @@ from painleve4.integrator import (
     _jet_kernel,
     _reciprocal,
     _step_kernel,
-    _step_length,
+    _tail,
     skip_bound_kernel,
-    value_kernel,
 )
 from painleve4.oracles import xxix_pole_family
 
@@ -78,6 +77,21 @@ def _reference_pole(kind, p, init, estimate):
 def _tail_error(coeffs, h, bound):
     """err_est: the largest tail term |a_k| h^k, k = p-3 .. p, over bound."""
     return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
+
+
+def _step_length(coeffs, bound: float) -> float | None:
+    """Jorba-Zou step 0.5 min_k (bound / |a_k|)^(1/k) over k = p-3 .. p; None if a coefficient is not finite.
+
+    inf when all four coefficients vanish: the series ends below them.
+    """
+    h = math.inf
+    for k in range(ORDER - 3, ORDER + 1):
+        m = abs(coeffs[k])
+        if not m < math.inf:
+            return None
+        if m:
+            h = min(h, (bound / m) ** (1.0 / k))
+    return 0.5 * h
 
 
 def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
@@ -539,7 +553,8 @@ class TestStats:
     )
     def test_rejections_of_the_rejected_step_runs(self, name, error, non_finite, monkeypatch):
         # the one rejected step that ends each run, read off its last node:
-        # on error the rule's h is below _H_MIN, non-finite it gives no h
+        # on error the rule's h is below _H_MIN, non-finite it gives no h;
+        # the kernel refuses both, and the test-local rule tells them apart
         import painleve4.integrator as integrator
 
         t = _run_stats_case(name, monkeypatch)
@@ -548,6 +563,7 @@ class TestStats:
         coeffs = series_fn(t.kind, t.params)(j.z, j.w, j.w1, j.w2)
         h = _step_length(coeffs, t.tol.abs + t.tol.rel * abs(j.w))
         assert (int(h is not None and h < integrator._H_MIN), int(h is None)) == (error, non_finite)
+        assert _step_kernel()(coeffs, 0.0, 1.0, t.direction, integrator._H_MIN, t.tol.abs, t.tol.rel) is None
 
     def test_a_rerun_has_the_same_stats(self):
         runs = [integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5) for _ in range(2)]
@@ -961,16 +977,16 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         ddw = [k * v for k, v in enumerate(dw) if k]
         ref = [_left_sum(map(mul, cs, pw)) for cs in (want, dw, ddw)]
         assert [_bits(v) for v in _jet_kernel()(got, t)] == [_bits(v) for v in ref]
-        # the value kernels, which the pole rule reads, and the zero search's bounds over a step of length |t|
-        value, slope = value_kernel(ORDER + 1), value_kernel(ORDER)
-        assert [_bits(value(got, t)), _bits(slope(dw, t))] == [_bits(v) for v in ref[:2]]
+        # the zero search's bounds over a step of length |t|: the skip bound, and
+        # the curvature bound, w'' of the polynomial on |a_k|
         h = abs(t)
         ph = [1.0]
         for _ in range(ORDER):
             ph.append(ph[-1] * h)
         skip = abs(want[0]) - _left_sum(abs(c) * q for c, q in zip(want[1:], ph[1:]))
-        bound2 = _left_sum(abs(c) * q for c, q in zip(ddw, ph))
-        got_bounds = skip_bound_kernel()(got, h), value_kernel(ORDER - 1)([abs(c) for c in ddw], h)
+        dw_abs = [k * abs(v) for k, v in enumerate(want) if k]
+        bound2 = _left_sum(map(mul, [k * v for k, v in enumerate(dw_abs) if k], ph))
+        got_bounds = skip_bound_kernel()(got, h), _jet_kernel()([abs(c) for c in got], h)[2]
         assert [_bits(v) for v in got_bounds] == [_bits(skip), _bits(bound2)]
         # the series pole rule: the Cauchy square, the reciprocal, and u and u' at t
         assert [_bits(v) for v in _cauchy_square()(got)] == [_bits(_cauchy(want, want, k)) for k in range(ORDER + 1)]
@@ -981,7 +997,7 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             assert [_bits(v) for v in _reciprocal()(got)] == [_bits(v) for v in u]
             du = [k * v for k, v in enumerate(u) if k]
             ref = [_left_sum(map(mul, cs, pw)) for cs in (u, du)]
-            assert [_bits(value(u, t)), _bits(slope(du, t))] == [_bits(v) for v in ref]
+            assert [_bits(v) for v in _jet_kernel()(u, t)[:2]] == [_bits(v) for v in ref]
         # the step kernel from s = 0.5 with |h| of the span left: at its end,
         # before it, and refused where h_min is half the span left
         for h_min in (_H_MIN, 0.5 * h):
@@ -1013,12 +1029,13 @@ def test_nan_error_component_is_not_accepted(monkeypatch):
     import painleve4.integrator as integrator
 
     exact = [1.0, 0.5, 0.25] + [0.0] * (ORDER - 2)
-    assert _step_length(exact, 1e-10) == math.inf
+    args = (0.0, 5.0, 1.0, _H_MIN, 1e-10, 1e-10)  # s, total, d, h_min, abs, rel
+    assert _step_kernel()(exact, *args)[:2] == (5.0, 5.0)
     for k in range(ORDER - 3, ORDER + 1):
         for bad in (math.nan, math.inf, complex(0.0, math.nan)):
             coeffs = list(exact)
             coeffs[k] = bad
-            assert _step_length(coeffs, 1e-10) is None
+            assert _step_kernel()(coeffs, *args) is None
 
     def nan_tail(kind, p):
         return lambda z, w, w1, w2: [w, w1, 0.5 * w2] + [0.0] * (ORDER - 3) + [math.nan]
@@ -1033,10 +1050,57 @@ def test_step_rule_reads_four_tail_coefficients():
     # is nonzero, so a rule on the last two orders would take the whole span
     coeffs = series_fn(K.PIV, Params(0.0, 1.0))(0.0, 0.0, 1.0, 0.0)
     assert coeffs[ORDER - 3] != 0.0 and coeffs[ORDER - 2:] == [0.0, 0.0, 0.0]
-    h = _step_length(coeffs, 1e-10)
+    # w = 0 at the seed, so the bound abs + rel |w| is abs
+    h = _step_kernel()(coeffs, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)[1]
     assert h == 0.5 * (1e-10 / abs(coeffs[ORDER - 3])) ** (1.0 / (ORDER - 3)) < 1.0
     t = integrate(K.PIV, Params(0.0, 1.0), InitialData.zero(0.0, +1, 0.0), 1.0)
     assert t.nodes[1].h == h and len(t.nodes) > 3
+
+
+def test_tail_vanishes_below_the_series_and_is_inf_where_it_is_not_finite():
+    # the pole search passes a root where u's tail is 0.0 (u = c - z on xxix
+    # is exact) and rejects one where a tail coefficient, or a power of the
+    # root's distance, is not finite
+    tail = range(ORDER - 3, ORDER + 1)
+    exact = [0.7, -1.0] + [0.0] * (ORDER - 1)
+    assert _tail(exact, 0.0) == _tail(exact, 1e3) == 0.0
+    for k in tail:
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            u = list(exact)
+            u[k] = bad
+            assert _tail(u, 0.5) == math.inf, (k, bad)
+    # 1e20 ** 17 overflows a float
+    assert _tail([1.0] * (ORDER + 1), 1e20) == math.inf
+    assert _tail([1.0] * (ORDER + 1), 0.5) == 0.5 ** (ORDER - 3)
+
+
+def test_tail_screen_is_twice_the_jorba_zou_step_of_u():
+    # u's tail at Newton's first iterate v_0/v_1 is within abs + rel |u_0|
+    # exactly where that iterate lies within twice u's Jorba-Zou step, on the
+    # series of u = 1/v that the pole search divides out near a pole
+    rng = random.Random(23)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        kind = rng.choice([K.PIV, K.PIV0, K.XXIX])
+        complex_pole = rng.random() < 0.5
+        turn = complex(math.cos(theta := rng.uniform(0.0, 2.0 * math.pi)), math.sin(theta))
+        a = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) if complex_pole else rng.uniform(-2.0, 2.0)
+        z = a - rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 0.3) * (turn if complex_pole else 1.0)
+        e = rng.choice([1.0, -1.0])
+        # near the Laurent jet of w = e/(z - a) - a
+        w, w1, w2 = e / (z - a) - a + rng.gauss(0.0, 0.1), -e / (z - a) ** 2 + rng.gauss(0.0, 0.1), 2.0 * e / (z - a) ** 3
+        p = Params(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) if kind is K.PIV else Params()
+        v = series_fn(kind, p)(z, w, w1, w2)
+        if kind is not K.XXIX:
+            v = [v[0] + z, v[1] + 1.0, *v[2:]]
+        first, u = v[0] / v[1], _reciprocal()(v)
+        for tol in (1e-8, 1e-10, 1e-14):
+            bound = tol + tol * abs(u[0])
+            passes = _tail(u, abs(first)) <= bound
+            h = _step_length(u, bound)
+            assert passes == (h is not None and abs(first) <= 2.0 * h), (kind, z, w, w1, w2, tol)
+            outcomes[passes] += 1
+    assert min(outcomes.values()) > 200, outcomes
 
 
 @pytest.mark.parametrize("c", [0.7, -1.3, 1.0 + 0.5j])
