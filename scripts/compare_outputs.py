@@ -44,6 +44,9 @@ OUTPUTS = {
         "integrate --eq piv --alpha 0 --beta 1 --zero-branch plus --w2 0 --z0 0 --span 1", _TRAJECTORY,
     ),
     "integrate-readme-xxix-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 2", _TRAJECTORY),
+    # a raw xvii jet on which the piv constraint's w ** 4 would overflow; its own
+    # residual's products overflow to inf (and inf - inf to nan), and the run completes
+    "integrate-xvii-overflowing-monitor": ("integrate --eq xvii --w1 1e200 --w2 1e200 --span 0.5", _TRAJECTORY),
     "zeros-readme-piv0": ("zeros --eq piv0 --w2 1 --z0 0 --span 1", _EVENTS),
     # a crossing refined on a backward run (d = -1), at a = -0.91943...
     "zeros-piv-backward-crossing": (

@@ -82,9 +82,9 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         wr, wi = _parts(node.jet.w)
         w1r, w1i = _parts(node.jet.w1)
         w2r, w2i = _parts(node.jet.w2)
-        cr, ci = _parts(node.c)
         rr, ri = _parts(node.res2)
-        values = (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, cr, ci, rr, ri)
+        # the C_* columns repeat res2_*, which on piv and piv0 is C
+        values = (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, rr, ri, rr, ri)
         lines.append(",".join(fmt_float(v) for v in values))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -124,7 +124,6 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
         "pole_estimate": _scalar_json(traj.pole_estimate),
         "pole_bound": traj.pole_bound,
         "node_count": len(traj.nodes),
-        "max_abs_c": max(abs(n.c) for n in traj.nodes),
         "max_abs_res2": max(abs(n.res2) for n in traj.nodes),
         "events": [_event_json(e) for e in events],
         "stats": traj.stats,
@@ -249,8 +248,8 @@ def run_sweep(
                 params = Params(alpha, beta)
                 traj = integrate(kind, params, init, span, tol)
                 events = locate_zeros(traj)
-                c0 = traj.nodes[0].c
-                drift = max(abs(n.c - c0) for n in traj.nodes)
+                r0 = traj.nodes[0].res2
+                drift = max(abs(n.res2 - r0) for n in traj.nodes)
                 cells.append(
                     SweepCell(
                         alpha=alpha,

@@ -27,8 +27,9 @@ sqrt-piv0 has no denominator to clear; differentiating it once gives
     f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4.
 
 Every kind is advanced through its third-order form; the second-order
-equation survives only as the cleared-denominator residual monitor
-`residual2` and the conserved constraint `constraint_c`.
+equation survives only as the cleared-denominator residual `residual2`, a
+first integral of that form and the one monitor an integration node
+stores.  On piv and piv0 it is the conserved constraint C (`constraint_c`).
 
 Because every third-order right-hand side is a polynomial, the Taylor
 coefficients of a solution follow from its jet by Cauchy-product
@@ -277,18 +278,6 @@ def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Sca
     return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - p.alpha)) * w1 + 4.0 * (w + z) * w
 
 
-def _piv_poly(alpha: float, beta: float, z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Scalar:
-    # shared by constraint_c and residual2(piv) so the two agree bit for bit
-    return (
-        2.0 * w * w2
-        - w1 * w1
-        - 3.0 * w ** 4
-        - 8.0 * z * w ** 3
-        - 4.0 * (z * z - alpha) * w * w
-        + beta * beta
-    )
-
-
 def constraint_c(p: Params, j: Jet3) -> Scalar:
     """Conserved constraint C = 2 w w'' - w'^2 - 3 w^4 - 8 z w^3 - 4 (z^2 - alpha) w^2 + beta^2.
 
@@ -296,9 +285,17 @@ def constraint_c(p: Params, j: Jet3) -> Scalar:
     equation, including the w = 0 limit case where it reduces to
     w'^2 = beta^2.  Along any solution of the third-order form the total
     derivative of C vanishes identically, so C is a first integral of that
-    flow whatever its initial value.
+    flow whatever its initial value.  It is `residual2` of piv and piv0.
     """
-    return _piv_poly(p.alpha, p.beta, j.z, j.w, j.w1, j.w2)
+    z, w = j.z, j.w
+    return (
+        2.0 * w * j.w2
+        - j.w1 * j.w1
+        - 3.0 * w ** 4
+        - 8.0 * z * w ** 3
+        - 4.0 * (z * z - p.alpha) * w * w
+        + p.beta * p.beta
+    )
 
 
 def residual2(kind: EquationKind, p: Params, j: Jet3) -> Scalar:
@@ -311,10 +308,10 @@ def residual2(kind: EquationKind, p: Params, j: Jet3) -> Scalar:
     4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t) with the jet read as (t, f, f', f''),
     a first integral of the sqrt-piv0 third-order flow.
     """
-    z, w, w1, w2 = j.z, j.w, j.w1, j.w2
     if kind in (EquationKind.PIV, EquationKind.PIV0):
         ensure_kind_params(kind, p)
-        return _piv_poly(p.alpha, p.beta, z, w, w1, w2)
+        return constraint_c(p, j)
+    z, w, w1, w2 = j.z, j.w, j.w1, j.w2
     if kind is EquationKind.XVII:
         return 2.0 * w * w2 - w1 * w1
     if kind is EquationKind.XXIX:

@@ -57,7 +57,7 @@ from bisect import bisect_right
 from cmath import isfinite  # takes real and complex values alike
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -200,8 +200,10 @@ class TrajectoryStatus(Enum):
 
 
 class TrajectoryNode(NamedTuple):
-    """One integration node with the step that reached it and its monitor values.
+    """One integration node with the step that reached it and its one monitor.
 
+    res2 is the kind's cleared residual (`equations.residual2`), a first
+    integral of the third-order flow; on piv and piv0 it is the constraint C.
     h, err_est and series describe the step from the previous node:
     series holds its Taylor coefficients a_0 .. a_p in powers of z - z_prev
     (`equations.series_fn`), so w between the two nodes is that polynomial,
@@ -215,10 +217,14 @@ class TrajectoryNode(NamedTuple):
     jet: Jet3
     h: float
     err_est: float
-    c: Scalar
     res2: Scalar
     s: float
     series: tuple = ()
+
+    @property
+    def c(self) -> Scalar:
+        """`res2` under the name perfbench reads; it goes once perfbench reads `res2`."""
+        return self.res2
 
 
 @dataclass(frozen=True)
@@ -358,11 +364,11 @@ def _cauchy_square():
 def _tail(u, x: float) -> float:
     """max over k = p-3 .. p of |u_k| x^k: the terms of u's series that a step of length x neglects.
 
-    inf where a coefficient is not finite or a power overflows, and 0.0
-    where all four coefficients vanish.
+    inf where a coefficient is not finite or the power of a nonzero one
+    overflows; a zero coefficient adds 0.0 at any x, its power not taken.
     """
     try:
-        terms = [abs(u[k]) * x ** k for k in _TAIL]
+        terms = [abs(u[k]) * x ** k if u[k] else 0.0 for k in _TAIL]
     except OverflowError:
         return math.inf
     # max() would pass over a NaN term
@@ -453,9 +459,10 @@ def integrate(
 
     REAL mode integrates from z0 to z0 + span (span may be negative);
     COMPLEX mode walks the straight path z = z0 + s * direction for
-    s in [0, span] with span > 0.  Every node records the constraint value
-    C, the division-free residual of the selected second-order equation,
-    and the coefficients of the step that reached it.
+    s in [0, span] with span > 0.  Every node records one monitor, the
+    division-free residual `res2` of the selected second-order equation (the
+    constraint C on piv and piv0), and the coefficients of the step that
+    reached it.
 
     The returned `Trajectory.stats` counts the stored steps and the range
     of their h; they are read off the nodes, so they are as deterministic.
@@ -497,8 +504,9 @@ def integrate(
     else:
         d = 1.0 if span > 0 else -1.0
 
-    # residual2 of piv/piv0 is the constraint polynomial itself
-    res2_is_c = kind in (EquationKind.PIV, EquationKind.PIV0)
+    # one monitor per node, looked up here as a module global so that a tracer
+    # can wrap it: residual2 of piv and piv0 is constraint_c
+    monitor = partial(constraint_c, p) if kind in (EquationKind.PIV, EquationKind.PIV0) else partial(residual2, kind, p)
     # sqrt-piv0's f squares to the piv0 solution that has the pole
     squared = kind is EquationKind.SQRT_PIV0
     # mag is |f^2| for sqrt-piv0, so its bound on |f| is squared
@@ -506,8 +514,7 @@ def integrate(
 
     try:
         j0 = complete_initial_data(kind, p, init)
-        c = constraint_c(p, j0)
-        nodes = [TrajectoryNode(j0, 0.0, 0.0, c, c if res2_is_c else residual2(kind, p, j0), 0.0)]
+        nodes = [TrajectoryNode(j0, 0.0, 0.0, monitor(j0), 0.0)]
     except OverflowError:
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)
@@ -546,12 +553,9 @@ def integrate(
             status = TrajectoryStatus.W_BOUND
             break
 
-        # the kernel refused a non-finite state, so the jet skips Jet3's check;
-        # constraint_c and residual2 stay module-global lookups, so a tracer can wrap them
+        # the kernel refused a non-finite state, so the jet skips Jet3's check
         jet = _trusted_jet(z0 + s_new * d, w, w1, w2)
-        c = constraint_c(p, jet)
-        res2 = c if res2_is_c else residual2(kind, p, jet)
-        nodes.append(TrajectoryNode(jet, h, err_est, c, res2, s_new, tuple(coeffs)))
+        nodes.append(TrajectoryNode(jet, h, err_est, monitor(jet), s_new, tuple(coeffs)))
         s = s_new
 
     traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate, pole_bound)

@@ -49,16 +49,6 @@ from .oracles import (
 
 logger = logging.getLogger(__name__)
 
-SUITE_NAMES = ("identities", "constraint", "closed-forms", "xxix-integrals", "sqrt")
-
-DEFAULT_COUNTS = {
-    "identities": 1000,
-    "constraint": 50,
-    "closed-forms": 200,
-    "xxix-integrals": 200,
-    "sqrt": 25,
-}
-
 _VERIFY_TOL = Tolerances(rel=1e-10, abs=1e-10)
 
 #: interior points per closed-form run at which dense output is checked too
@@ -144,10 +134,11 @@ def suite_constraint(seed: int, count: int) -> list[PropertyResult]:
     off_manifold = 0
     for _ in range(count):
         traj, _ = _draw_bounded_run(rng, _constraint_draw, 3.0, 400, "constraint")
-        c0 = traj.nodes[0].c
+        # res2 of piv is the constraint C
+        c0 = traj.nodes[0].res2
         if abs(c0) > 1e-6:
             off_manifold += 1
-        drift = max(abs(n.c - c0) for n in traj.nodes)
+        drift = max(abs(n.res2 - c0) for n in traj.nodes)
         worst = max(worst, drift)
     budget = 1e-7
     note = f"{off_manifold}/{count} runs started off the C = 0 set"
@@ -279,22 +270,26 @@ def suite_sqrt(seed: int, count: int) -> list[PropertyResult]:
     ]
 
 
+# name -> (suite, default count), in the order the CLI lists them
 _SUITES = {
-    "identities": suite_identities,
-    "constraint": suite_constraint,
-    "closed-forms": suite_closed_forms,
-    "xxix-integrals": suite_xxix_integrals,
-    "sqrt": suite_sqrt,
+    "identities": (suite_identities, 1000),
+    "constraint": (suite_constraint, 50),
+    "closed-forms": (suite_closed_forms, 200),
+    "xxix-integrals": (suite_xxix_integrals, 200),
+    "sqrt": (suite_sqrt, 25),
 }
+SUITE_NAMES = tuple(_SUITES)
+DEFAULT_COUNTS = {name: count for name, (_, count) in _SUITES.items()}
 
 
 def run_suite(suite: str, seed: int, count: int | None = None) -> list[PropertyResult]:
     if suite not in _SUITES:
         raise ValueError(f"suite: unknown suite {suite!r}; expected one of {', '.join(SUITE_NAMES)}")
-    n = count if count is not None else DEFAULT_COUNTS[suite]
+    run, default = _SUITES[suite]
+    n = count if count is not None else default
     if n <= 0:
         raise ValueError(f"count: must be positive, got {n}")
-    results = _SUITES[suite](seed, n)
+    results = run(seed, n)
     for r in results:
         logger.info("%s", r.line())
     return results

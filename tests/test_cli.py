@@ -11,7 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from painleve4 import EquationKind, InitialData, Params, Tolerances, TrajectoryStatus, integrate, locate_zeros
+from painleve4 import (
+    EquationKind,
+    InitialData,
+    Params,
+    Tolerances,
+    TrajectoryStatus,
+    constraint_c,
+    integrate,
+    locate_zeros,
+)
 from painleve4 import cli
 from painleve4.cli import (
     CSV_HEADER,
@@ -58,8 +67,10 @@ class TestIntegrateCommand:
         assert doc["convention"] == "Ince XXXI β² convention"
         assert doc["node_count"] == len(rows)
         assert doc["events"] == []
-        for key in ("params", "field", "pole_estimate", "max_abs_c", "max_abs_res2"):
+        for key in ("params", "field", "pole_estimate", "max_abs_res2"):
             assert key in doc
+        # res2 is the one monitor: the piv constraint's maximum is not reported
+        assert "max_abs_c" not in doc
         # the pole's bound follows its estimate, null on a run without a pole
         keys = list(doc)
         assert keys[keys.index("pole_estimate") + 1] == "pole_bound" and doc["pole_bound"] is None
@@ -565,12 +576,16 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _fresh_process(argv, cwd):
+def _fresh_run(argv, cwd) -> subprocess.CompletedProcess:
     """`painleve4 argv` run in a new interpreter in cwd, on the package these tests import."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "painleve4.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "painleve4.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)  # fmt: skip
+
+
+def _fresh_process(argv, cwd):
+    proc = _fresh_run(argv, cwd)
     return proc.returncode, proc.stdout
 
 
@@ -672,8 +687,11 @@ def test_summary_json_parse_back_is_exact(argv, n_events, tmp_path, monkeypatch)
     assert doc["status"] == "pole"
     assert _same_bits(doc["pole_estimate"], traj.pole_estimate)
     assert _same_bits(doc["pole_bound"], traj.pole_bound)
-    assert _same_bits(doc["max_abs_c"], max(abs(n.c) for n in traj.nodes))
+    assert "max_abs_c" not in doc
     assert _same_bits(doc["max_abs_res2"], max(abs(n.res2) for n in traj.nodes))
+    if traj.kind is K.PIV:
+        # on piv res2 is the constraint C, bit for bit
+        assert _same_bits(doc["max_abs_res2"], max(abs(constraint_c(traj.params, n.jet)) for n in traj.nodes))
     assert len(doc["events"]) == len(events) == n_events
     for got, e in zip(doc["events"], events):
         for key in ("a", "slope", "curvature"):
@@ -694,7 +712,8 @@ def test_summary_json_shape_complex():
     )
     doc = summary_json(t)
     assert doc["field"] == "complex"
-    assert isinstance(doc["max_abs_c"], float)
+    assert "max_abs_c" not in doc
+    assert _same_bits(doc["max_abs_res2"], max(abs(constraint_c(t.params, n.jet)) for n in t.nodes))
 
 
 def _fuzz_options():
@@ -752,4 +771,41 @@ def test_fuzzed_argv_exits_0_to_3_without_traceback(argv, tmp_path, capsys):
     if argv[0] in ("integrate", "zeros"):
         argv += [f"--summary={tmp_path / 's'}"]
     assert main(argv) in (0, 1, 2, 3), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "integrate --eq xvii --w1 1e200 --w2 1e200 --span 0.5",
+        "zeros --eq xxxii --z0 1e200 --w0 -1 --w1 1e308 --w2 1e200 --span 0.5",
+    ],
+)
+def test_overflowing_monitor_completes_without_traceback(argv, tmp_path):
+    # the piv constraint's w ** 4 overflows on these raw jets; xvii and xxxii
+    # read only their own residual, whose products overflow to inf
+    proc = _fresh_run(argv.split(), tmp_path)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "completed"
+
+
+_EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, 1e-320, 1e200, 1e308]
+_EXTREME_FLAGS = ("z0", "w0", "w1", "w2", "rel", "abs")
+
+
+@given(
+    command=st.sampled_from(["integrate", "zeros"]),
+    eq=st.sampled_from([k.value for k in K]),
+    values=st.fixed_dictionaries({flag: st.none() | st.sampled_from(_EXTREMES) for flag in _EXTREME_FLAGS}),
+    span=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-320]) | st.floats(-1.0, 1.0),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_extreme_initial_data_exits_without_traceback(command, eq, values, span, tmp_path, capsys):
+    # every kind, with each flag omitted or set to a signed zero, a unit, a
+    # subnormal, a value whose powers overflow, or a non-finite value; |span|
+    # is at most 1, so that no run steps for long
+    argv = [command, f"--eq={eq}", f"--span={span}", f"--out={tmp_path / 'o'}", f"--summary={tmp_path / 's'}"]
+    argv += [f"--{flag}={value}" for flag, value in values.items() if value is not None]
+    assert main(argv) in (0, 1, 2), argv
     assert "Traceback" not in capsys.readouterr().err, argv

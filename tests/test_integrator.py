@@ -15,6 +15,7 @@ from painleve4 import (
     Params,
     ScalarField,
     Tolerances,
+    TrajectoryNode,
     TrajectoryStatus,
     complete_initial_data,
     constraint_c,
@@ -647,6 +648,53 @@ def test_nodes_are_immutable_and_hashable():
     assert hash(node) == hash(t.nodes[-1]) and node in set(t.nodes)
 
 
+# one run per kind: name -> (kind, params, initial data, span)
+_MONITOR_RUNS = {
+    "piv": (K.PIV, Params(-1.2, 0.4), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0),
+    "piv0": (K.PIV0, Params(), InitialData.nonzero(-3.0, 0.5, 0.0), 6.0),
+    "xvii": (K.XVII, Params(), InitialData.nonzero(0.0, 1.0, 4.0), 2.0),
+    "xxix": (K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0),
+    "xxxii": (K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0),
+    "sqrt-piv0": (K.SQRT_PIV0, Params(), InitialData.raw(0.0, 1.0, 0.0, 0.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_MONITOR_RUNS))
+def test_each_node_stores_one_monitor(name):
+    # res2 is the only stored monitor; c reads it, and off piv/piv0 it is the
+    # kind's own residual, not the piv constraint
+    kind, p, init, span = _MONITOR_RUNS[name]
+    t = integrate(kind, p, init, span)
+    assert TrajectoryNode._fields == ("jet", "h", "err_est", "res2", "s", "series")
+    for node in t.nodes:
+        assert node.c is node.res2
+        monitor = constraint_c(p, node.jet) if kind in (K.PIV, K.PIV0) else residual2(kind, p, node.jet)
+        assert _bits(node.res2) == _bits(monitor)
+
+
+@pytest.mark.parametrize("name, calls", [("piv", (1, 0)), ("xxix", (0, 1))])
+def test_one_monitor_call_per_node(name, calls, monkeypatch):
+    # piv reads constraint_c, every other kind residual2, once per stored node
+    import painleve4.integrator as integrator
+
+    counts = {"constraint_c": 0, "residual2": 0}
+
+    def counting(fn_name):
+        fn = getattr(integrator, fn_name)
+
+        def wrapped(*args):
+            counts[fn_name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for fn_name in counts:
+        monkeypatch.setattr(integrator, fn_name, counting(fn_name))
+    t = integrate(*_MONITOR_RUNS[name])
+    assert len(t.nodes) > 3
+    assert (counts["constraint_c"], counts["residual2"]) == tuple(n * len(t.nodes) for n in calls)
+
+
 class TestWBound:
     # a README-sweep pole cell: |w| passes 3 well before its series root
     P = Params(-1.2, 2.0)
@@ -1072,6 +1120,30 @@ def test_tail_vanishes_below_the_series_and_is_inf_where_it_is_not_finite():
     # 1e20 ** 17 overflows a float
     assert _tail([1.0] * (ORDER + 1), 1e20) == math.inf
     assert _tail([1.0] * (ORDER + 1), 0.5) == 0.5 ** (ORDER - 3)
+
+
+@pytest.mark.parametrize("x", [1e20, 1e200, 1e308, math.inf])
+def test_tail_of_zero_coefficients_takes_no_power(x):
+    # a zero coefficient adds 0.0 at any distance, however far x ** k
+    # overflows; a non-finite coefficient still reads inf there
+    exact = [0.7, -1.0] + [0.0] * (ORDER - 1)
+    assert _tail(exact, x) == 0.0
+    assert _tail([0.0] * (ORDER + 1), x) == 0.0
+    for k in range(ORDER - 3, ORDER + 1):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.nan, math.nan)):
+            u = list(exact)
+            u[k] = bad
+            assert _tail(u, x) == math.inf, (k, bad)
+
+
+def test_tail_skips_only_the_zero_terms_whose_power_overflows():
+    # 1e18 ** 17 = 1e306 is finite and 1e18 ** 18 overflows: with u_18 .. u_20
+    # zero, the tail is u_17's term alone
+    u = [1.0, -1.0] + [0.0] * (ORDER - 1)
+    u[ORDER - 3] = 1e-300
+    assert _tail(u, 1e18) == 1e-300 * 1e18 ** (ORDER - 3)
+    u[ORDER] = 1e-300
+    assert _tail(u, 1e18) == math.inf
 
 
 def test_tail_screen_is_twice_the_jorba_zou_step_of_u():

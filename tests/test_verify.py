@@ -7,8 +7,12 @@ from painleve4.verify import _VERIFY_TOL, DEFAULT_COUNTS, SUITE_NAMES, _constrai
 
 
 def test_suite_names_cover_cli_contract():
-    assert set(SUITE_NAMES) == {"identities", "constraint", "closed-forms", "xxix-integrals", "sqrt"}
-    assert set(DEFAULT_COUNTS) == set(SUITE_NAMES)
+    # both are read off one table: the CLI lists the suites, and prints the
+    # counts in its help, in this order
+    assert SUITE_NAMES == ("identities", "constraint", "closed-forms", "xxix-integrals", "sqrt")
+    assert list(DEFAULT_COUNTS.items()) == [
+        ("identities", 1000), ("constraint", 50), ("closed-forms", 200), ("xxix-integrals", 200), ("sqrt", 25),
+    ]
 
 
 @pytest.mark.parametrize(
