@@ -21,9 +21,9 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .equations import EquationKind, Params, Scalar, ScalarField
 from .errors import PainleveError
@@ -214,13 +214,11 @@ def cmd_verify(suite: str, seed: int, count: int | None) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     alpha: float
     beta: float
     status: str
     node_count: int
-    zero_count: int
     pole_estimate: Scalar | None
     max_c_drift: float | None
     events: tuple[ZeroEvent, ...]
@@ -256,7 +254,6 @@ def run_sweep(
                         beta=beta,
                         status=traj.status.value,
                         node_count=len(traj.nodes),
-                        zero_count=len(events),
                         pole_estimate=traj.pole_estimate,
                         max_c_drift=drift,
                         events=events,
@@ -264,7 +261,7 @@ def run_sweep(
                     )
                 )
             except Exception as exc:  # noqa: BLE001  (per-cell isolation is the contract)
-                cells.append(SweepCell(alpha, beta, "error", 0, 0, None, None, (), str(exc)))
+                cells.append(SweepCell(alpha, beta, "error", 0, None, None, (), str(exc)))
     return cells
 
 
@@ -301,7 +298,7 @@ def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
                     fmt_float(cell.beta),
                     cell.status,
                     cell.node_count,
-                    cell.zero_count,
+                    len(cell.events),
                     pole_re,
                     pole_im,
                     "" if cell.max_c_drift is None else fmt_float(cell.max_c_drift),

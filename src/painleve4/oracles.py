@@ -21,7 +21,7 @@ pictures.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equations import (
     EquationKind,
@@ -46,8 +46,7 @@ _DISC_FIT_TOL = 1e-10
 _ZERO_PARAMS = Params(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class QuadraticSolution:
+class QuadraticSolution(NamedTuple):
     """Quadratic w = a z^2 + b z + c solving xvii (disc 0) or xxxii (disc 1)."""
 
     a: Scalar
@@ -89,11 +88,11 @@ def fit_quadratic(kind: EquationKind, j: Jet3) -> QuadraticSolution:
 
 def eval_quadratic(q: QuadraticSolution, z: Scalar) -> Jet3:
     """Exact jet of the quadratic at z."""
-    return Jet3(z, (q.a * z + q.b) * z + q.c, 2.0 * q.a * z + q.b, 2.0 * q.a)
+    a, b, c, _ = q
+    return Jet3(z, (a * z + b) * z + c, 2.0 * a * z + b, 2.0 * a)
 
 
-@dataclass(frozen=True)
-class XXIXIntegrals:
+class XXIXIntegrals(NamedTuple):
     """Integration constants (k, K, L) of the xxix reduction at a single jet.
 
     K = 2k on any jet by the derivation chain, and L = 0 exactly on jets
@@ -140,21 +139,18 @@ def xxxii_u_integral(j: Jet3) -> float:
     return (j.w1 * j.w1 - 1.0) / (4.0 * j.w)
 
 
-@dataclass(frozen=True)
-class SqrtSample:
+class SqrtSample(NamedTuple):
     t: float
     f: float
     fdot: float
 
 
-@dataclass(frozen=True)
-class SqrtLiftResult:
+class SqrtLiftResult(NamedTuple):
     """Sign-switching square root of a piv0 trajectory over an interval."""
 
     samples: tuple[SqrtSample, ...]
     zero_t: float | None
     fdot_jump: float | None
-    interval: tuple[float, float]
 
 
 def _lift_point(jet: Jet3, zero_t: float | None, abs_tol: float) -> SqrtSample:
@@ -257,7 +253,7 @@ def sqrt_lift(
         right = _lift_point(dense_eval_param(traj, (zero_t + eps - z0) * d), zero_t, abs_tol)
         fdot_jump = abs(right.fdot - left.fdot)
 
-    return SqrtLiftResult(tuple(samples), zero_t, fdot_jump, (lo, hi))
+    return SqrtLiftResult(tuple(samples), zero_t, fdot_jump)
 
 
 def square_push(t: float, f: float, fdot: float) -> Jet3:

@@ -19,7 +19,7 @@ cap, so rejection costs only the nodes below the cap.
 
 import logging
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .equations import (
     EquationKind,
@@ -55,13 +55,16 @@ _VERIFY_TOL = Tolerances(rel=1e-10, abs=1e-10)
 _DENSE_POINTS = 8
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
-    passed: bool
     worst: float
     budget: float
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """False for a NaN worst as well as for one at or above the budget."""
+        return self.worst < self.budget
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -99,8 +102,8 @@ def suite_identities(seed: int, count: int) -> list[PropertyResult]:
         worst2 = max(worst2, abs(d2) / scale2)
     budget = 1e-12
     return [
-        PropertyResult("derivative of (2*w*w'' - w'^2) equals 2*w*w'''", worst1 < budget, worst1, budget),
-        PropertyResult("derivative of (w'^2/w) equals (w'/w^2)*(2*w*w'' - w'^2)", worst2 < budget, worst2, budget),
+        PropertyResult("derivative of (2*w*w'' - w'^2) equals 2*w*w'''", worst1, budget),
+        PropertyResult("derivative of (w'^2/w) equals (w'/w^2)*(2*w*w'' - w'^2)", worst2, budget),
     ]
 
 
@@ -142,7 +145,7 @@ def suite_constraint(seed: int, count: int) -> list[PropertyResult]:
         worst = max(worst, drift)
     budget = 1e-7
     note = f"{off_manifold}/{count} runs started off the C = 0 set"
-    return [PropertyResult("constraint C conserved along the third-order flow", worst < budget, worst, budget, note)]
+    return [PropertyResult("constraint C conserved along the third-order flow", worst, budget, note)]
 
 
 def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
@@ -178,10 +181,10 @@ def suite_closed_forms(seed: int, count: int) -> list[PropertyResult]:
     w32, disc32, k32 = _quadratic_closure(EquationKind.XXXII, rng, each)
     w17, disc17, _ = _quadratic_closure(EquationKind.XVII, rng, each)
     return [
-        PropertyResult("xxxii trajectories reproduce their fitted quadratic", w32 < 1e-9, w32, 1e-9),
-        PropertyResult("xvii trajectories reproduce their fitted quadratic", w17 < 1e-9, w17, 1e-9),
-        PropertyResult("fitted discriminants hit 1 (xxxii) and 0 (xvii)", max(disc32, disc17) < 1e-12, max(disc32, disc17), 1e-12),
-        PropertyResult("u-substitution integral equals the leading coefficient", k32 < 1e-8, k32, 1e-8),
+        PropertyResult("xxxii trajectories reproduce their fitted quadratic", w32, 1e-9),
+        PropertyResult("xvii trajectories reproduce their fitted quadratic", w17, 1e-9),
+        PropertyResult("fitted discriminants hit 1 (xxxii) and 0 (xvii)", max(disc32, disc17), 1e-12),
+        PropertyResult("u-substitution integral equals the leading coefficient", k32, 1e-8),
     ]
 
 
@@ -226,9 +229,9 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
         worst_res = max(worst_res, abs(residual2(EquationKind.XXIX, Params(), jet)))
 
     return [
-        PropertyResult("L vanishes on jets satisfying the xxix equation", worst_l < 1e-8, worst_l, 1e-8),
-        PropertyResult("(k, K, L) constant along integrated xxix trajectories", worst_drift < 1e-7, worst_drift, 1e-7),
-        PropertyResult("pole family 1/(c - z) has zero xxix residual", worst_res < 1e-10, worst_res, 1e-10),
+        PropertyResult("L vanishes on jets satisfying the xxix equation", worst_l, 1e-8),
+        PropertyResult("(k, K, L) constant along integrated xxix trajectories", worst_drift, 1e-7),
+        PropertyResult("pole family 1/(c - z) has zero xxix residual", worst_res, 1e-10),
     ]
 
 
@@ -265,8 +268,8 @@ def suite_sqrt(seed: int, count: int) -> list[PropertyResult]:
                 worst_round = max(worst_round, abs(w_here - node.jet.w ** 2))
 
     return [
-        PropertyResult("squared sqrt-piv0 samples satisfy the piv0 residual", worst_res < 1e-8, worst_res, 1e-8),
-        PropertyResult("piv0 run matches the square of the sqrt-piv0 run", worst_round < 1e-7, worst_round, 1e-7),
+        PropertyResult("squared sqrt-piv0 samples satisfy the piv0 residual", worst_res, 1e-8),
+        PropertyResult("piv0 run matches the square of the sqrt-piv0 run", worst_round, 1e-7),
     ]
 
 

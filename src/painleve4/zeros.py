@@ -45,8 +45,8 @@ trial points per root where halving read about 50.
 import cmath
 import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .equations import EquationKind, Scalar, ScalarField
 from .errors import WrongKind
@@ -72,8 +72,7 @@ class ZeroBranch(Enum):
     UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class ZeroEvent:
+class ZeroEvent(NamedTuple):
     """A located zero of w: refined position, slope, curvature, branch."""
 
     a: Scalar
@@ -299,8 +298,7 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     return tuple(events)
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """The beta = 0 events that are UNRESOLVED or have vanishing curvature."""
 
     violations: tuple[ZeroEvent, ...]

@@ -603,7 +603,7 @@ def test_readme_sweep_events_land_on_the_reference_doubles():
     grid = cli._grid("alpha", -2.0, 2.0, 11)
     with _beside_the_reference() as calls:
         cells = cli.run_sweep(K.PIV, grid, grid, InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances())
-    assert sum(cell.zero_count for cell in cells) == 106
+    assert sum(len(cell.events) for cell in cells) == 106
     assert [c.got.hex() for c in calls] == [c.want.hex() for c in calls]
     assert max(c.trials for c in calls) <= 8
     assert sum(c.trials for c in calls) <= 6 * len(calls)
