@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from functools import cache
@@ -35,7 +36,7 @@ from .integrator import (
     dense_eval,  # noqa: F401 -- unused here; perfbench/tracing.py patches cli.dense_eval
     integrate,
 )
-from .verify import DEFAULT_COUNTS, SUITE_NAMES, run_suite
+from .verify import DEFAULT_COUNTS, SUITE_NAMES, nan_max, run_suite
 from .zeros import CurvatureReport, ZeroEvent, check_curvature_theorem, locate_zeros
 
 logger = logging.getLogger(__name__)
@@ -63,16 +64,18 @@ def _parts(x: Scalar) -> tuple[float, float]:
 
 
 def _scalar_json(x: Scalar | None):
+    """None, a float, or [re, im]; a non-finite float as the string "inf", "-inf" or "nan", which float() reads back."""
     if x is None:
         return None
     if isinstance(x, complex):
-        return [x.real, x.imag]
-    return float(x)
+        return [_scalar_json(x.real), _scalar_json(x.imag)]
+    x = float(x)
+    return x if math.isfinite(x) else str(x)
 
 
 def json_dumps(obj) -> str:
-    """JSON text indented by two spaces, keys in insertion order, floats at their shortest round-trip repr."""
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+    """Strict JSON text indented by two spaces, keys in insertion order, floats at their shortest round-trip repr."""
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -86,7 +89,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         # the C_* columns repeat res2_*, which on piv and piv0 is C
         values = (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, rr, ri, rr, ri)
         lines.append(",".join(fmt_float(v) for v in values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_trajectory_csv(path: Path) -> list[dict[str, float]]:
@@ -122,9 +125,9 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
         "field": traj.field.value,
         "status": traj.status.value,
         "pole_estimate": _scalar_json(traj.pole_estimate),
-        "pole_bound": traj.pole_bound,
+        "pole_bound": _scalar_json(traj.pole_bound),
         "node_count": len(traj.nodes),
-        "max_abs_res2": max(abs(n.res2) for n in traj.nodes),
+        "max_abs_res2": _scalar_json(nan_max(*[abs(n.res2) for n in traj.nodes])),
         "events": [_event_json(e) for e in events],
         "stats": traj.stats,
     }
@@ -180,7 +183,7 @@ def cmd_integrate(ns) -> int:
     traj = integrate(*_build_runspec(ns))
     out, summary = Path(ns.out or "trajectory.csv"), Path(ns.summary or "summary.json")
     write_trajectory_csv(out, traj)
-    summary.write_text(json_dumps(summary_json(traj)) + "\n", encoding="utf-8")
+    summary.write_text(json_dumps(summary_json(traj)) + "\n", encoding="utf-8", newline="\n")
     print(f"{traj.status.value}: {len(traj.nodes)} nodes -> {out}, summary -> {summary}")
     return _exit_code(traj)
 
@@ -201,8 +204,8 @@ def cmd_zeros(ns) -> int:
     summary = summary_json(traj, events)
     payload = {**summary, "identically_zero": identically_zero, "curvature_report": _report_json(report)}
     out = Path(ns.out or "events.json")
-    out.write_text(json_dumps(payload) + "\n", encoding="utf-8")
-    Path(ns.summary or "summary.json").write_text(json_dumps(summary) + "\n", encoding="utf-8")
+    out.write_text(json_dumps(payload) + "\n", encoding="utf-8", newline="\n")
+    Path(ns.summary or "summary.json").write_text(json_dumps(summary) + "\n", encoding="utf-8", newline="\n")
     print(f"{traj.status.value}: {len(events)} zero event(s) -> {out}")
     return _exit_code(traj)
 
@@ -247,7 +250,7 @@ def run_sweep(
                 traj = integrate(kind, params, init, span, tol)
                 events = locate_zeros(traj)
                 r0 = traj.nodes[0].res2
-                drift = max(abs(n.res2 - r0) for n in traj.nodes)
+                drift = nan_max(*[abs(n.res2 - r0) for n in traj.nodes])
                 cells.append(
                     SweepCell(
                         alpha=alpha,

@@ -74,6 +74,20 @@ class PropertyResult(NamedTuple):
         return text
 
 
+def nan_max(*values: float) -> float:
+    """The largest of values, or a NaN among them: max() keeps a NaN only when it comes first.
+
+    Star a list, not a generator: CPython starts a tuple built from a
+    generator at a guessed size and frees it onto the free list of its final
+    size, from which the next such tuple is not taken, so over a long run
+    those lists fill with megabytes of cached tuples.
+    """
+    for x in values:
+        if x != x:
+            return x
+    return max(values)
+
+
 def _draw_w(rng: random.Random, lo: float = -10.0, hi: float = 10.0) -> float:
     # excludes the division-by-w neighbourhood
     while True:
@@ -94,12 +108,12 @@ def suite_identities(seed: int, count: int) -> list[PropertyResult]:
         w3 = rng.uniform(-10.0, 10.0)
         d1, d2 = jet_identities(Jet3(z, w, w1, w2), w3)
         scale1 = max(1.0, abs(2.0 * w1 * w2) + abs(2.0 * w * w3))
-        worst1 = max(worst1, abs(d1) / scale1)
+        worst1 = nan_max(worst1, abs(d1) / scale1)
         scale2 = max(
             1.0,
             abs(2.0 * w1 * w2 / w) + abs(w1 ** 3 / (w * w)) + abs((w1 / (w * w)) * (2.0 * w * w2 - w1 * w1)),
         )
-        worst2 = max(worst2, abs(d2) / scale2)
+        worst2 = nan_max(worst2, abs(d2) / scale2)
     budget = 1e-12
     return [
         PropertyResult("derivative of (2*w*w'' - w'^2) equals 2*w*w'''", worst1, budget),
@@ -141,8 +155,7 @@ def suite_constraint(seed: int, count: int) -> list[PropertyResult]:
         c0 = traj.nodes[0].res2
         if abs(c0) > 1e-6:
             off_manifold += 1
-        drift = max(abs(n.res2 - c0) for n in traj.nodes)
-        worst = max(worst, drift)
+        worst = nan_max(worst, *[abs(n.res2 - c0) for n in traj.nodes])
     budget = 1e-7
     note = f"{off_manifold}/{count} runs started off the C = 0 set"
     return [PropertyResult("constraint C conserved along the third-order flow", worst, budget, note)]
@@ -162,16 +175,16 @@ def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
         span = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 3.0)
         traj = integrate(kind, Params(), InitialData.nonzero(z0, w0, w1), span, _VERIFY_TOL)
         q = fit_quadratic(kind, traj.nodes[0].jet)
-        worst_disc = max(worst_disc, abs(q.discriminant - q.target_discriminant))
+        worst_disc = nan_max(worst_disc, abs(q.discriminant - q.target_discriminant))
         for node in traj.nodes:
             exact = eval_quadratic(q, node.jet.z)
-            worst_w = max(worst_w, abs(node.jet.w - exact.w))
+            worst_w = nan_max(worst_w, abs(node.jet.w - exact.w))
             if has_k and node.jet.w > 1e-3:
-                worst_k = max(worst_k, abs(xxxii_u_integral(node.jet) - q.a))
+                worst_k = nan_max(worst_k, abs(xxxii_u_integral(node.jet) - q.a))
         # one exact step spans the run, so its nodes are only the two ends
         for k in range(_DENSE_POINTS):
             z = z0 + span * (k + 0.5) / _DENSE_POINTS
-            worst_w = max(worst_w, abs(dense_eval(traj, z).w - eval_quadratic(q, z).w))
+            worst_w = nan_max(worst_w, abs(dense_eval(traj, z).w - eval_quadratic(q, z).w))
     return worst_w, worst_disc, worst_k
 
 
@@ -183,7 +196,7 @@ def suite_closed_forms(seed: int, count: int) -> list[PropertyResult]:
     return [
         PropertyResult("xxxii trajectories reproduce their fitted quadratic", w32, 1e-9),
         PropertyResult("xvii trajectories reproduce their fitted quadratic", w17, 1e-9),
-        PropertyResult("fitted discriminants hit 1 (xxxii) and 0 (xvii)", max(disc32, disc17), 1e-12),
+        PropertyResult("fitted discriminants hit 1 (xxxii) and 0 (xvii)", nan_max(disc32, disc17), 1e-12),
         PropertyResult("u-substitution integral equals the leading coefficient", k32, 1e-8),
     ]
 
@@ -204,7 +217,7 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
         w1 = rng.uniform(-10.0, 10.0)
         init = InitialData.nonzero(z0, w0, w1)
         jet = complete_initial_data(EquationKind.XXIX, Params(), init)
-        worst_l = max(worst_l, abs(xxix_integrals(jet).L))
+        worst_l = nan_max(worst_l, abs(xxix_integrals(jet).L))
 
     worst_drift = 0.0
     runs = max(1, count // 10)
@@ -213,20 +226,20 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
         first = xxix_integrals(traj.nodes[0].jet)
         for node in traj.nodes:
             vals = xxix_integrals(node.jet)
-            worst_drift = max(
+            worst_drift = nan_max(
                 worst_drift,
                 abs(vals.k - first.k),
                 abs(vals.K - first.K),
                 abs(vals.L - first.L),
             )
-            worst_l = max(worst_l, abs(vals.L))
+            worst_l = nan_max(worst_l, abs(vals.L))
 
     worst_res = 0.0
     for _ in range(count):
         c = rng.uniform(-2.0, 2.0)
         z = c + rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 2.0)
         jet = xxix_pole_family(c, z)
-        worst_res = max(worst_res, abs(residual2(EquationKind.XXIX, Params(), jet)))
+        worst_res = nan_max(worst_res, abs(residual2(EquationKind.XXIX, Params(), jet)))
 
     return [
         PropertyResult("L vanishes on jets satisfying the xxix equation", worst_l, 1e-8),
@@ -253,7 +266,7 @@ def suite_sqrt(seed: int, count: int) -> list[PropertyResult]:
         pushed0 = square_push(traj.nodes[0].jet.z, traj.nodes[0].jet.w, traj.nodes[0].jet.w1)
         for node in traj.nodes:
             pushed = square_push(node.jet.z, node.jet.w, node.jet.w1)
-            worst_res = max(worst_res, abs(residual2(EquationKind.PIV0, Params(), pushed)))
+            worst_res = nan_max(worst_res, abs(residual2(EquationKind.PIV0, Params(), pushed)))
 
         lifted = integrate(
             EquationKind.PIV0,
@@ -265,7 +278,7 @@ def suite_sqrt(seed: int, count: int) -> list[PropertyResult]:
         if lifted.status is TrajectoryStatus.COMPLETED:
             for node in traj.nodes:
                 w_here = dense_eval(lifted, node.jet.z).w
-                worst_round = max(worst_round, abs(w_here - node.jet.w ** 2))
+                worst_round = nan_max(worst_round, abs(w_here - node.jet.w ** 2))
 
     return [
         PropertyResult("squared sqrt-piv0 samples satisfy the piv0 residual", worst_res, 1e-8),

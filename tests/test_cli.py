@@ -412,6 +412,16 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "identities"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_a_nan_deviation_fails(self, monkeypatch, capsys):
+        # max(0.0, nan) is 0.0, so a worst kept by max() read PASS here
+        import painleve4.verify as verify
+
+        monkeypatch.setattr(verify, "jet_identities", lambda jet, w3: (math.nan, 0.0))
+        assert main(["verify", "--suite", "identities", "--count", "10"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert ": FAIL (worst nan, budget" in lines[0]
+        assert ": PASS (worst 0.000e+00," in lines[1]
+
 
 class TestRemovedFlags:
     @pytest.mark.parametrize("command", ["integrate", "zeros", "sweep"])
@@ -788,6 +798,66 @@ def test_overflowing_monitor_completes_without_traceback(argv, tmp_path):
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert summary["status"] == "completed"
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not a JSON value")
+
+
+def _overflowing_monitor_run(tmp_path) -> Path:
+    """The summary of an xvii run whose node 0 stores res2 = -inf and node 1 res2 = nan."""
+    out, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    argv = "integrate --eq xvii --w1 1e200 --w2 1e200 --span 0.5".split()
+    assert main(argv + ["--out", str(out), "--summary", str(summary)]) == 0
+    rows = read_trajectory_csv(out)
+    assert rows[0]["res2_re"] == -math.inf and math.isnan(rows[1]["res2_re"])
+    return summary
+
+
+def test_overflowing_monitor_summary_keeps_the_nan(tmp_path):
+    # max() keeps a NaN only when it comes first, and read Infinity here
+    doc = json.loads(_overflowing_monitor_run(tmp_path).read_text(encoding="utf-8"))
+    assert math.isnan(float(doc["max_abs_res2"]))
+
+
+def test_overflowing_monitor_summary_is_strict_json(tmp_path):
+    doc = json.loads(_overflowing_monitor_run(tmp_path).read_text(encoding="utf-8"), parse_constant=_reject)
+    assert doc["max_abs_res2"] == "nan"
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (complex(math.inf, -0.5), ["inf", -0.5]),
+     (complex(1.5, math.nan), [1.5, "nan"]), (2.5, 2.5), (None, None)],
+)  # fmt: skip
+def test_scalar_json_writes_non_finite_numbers_as_strings(value, want):
+    got = cli._scalar_json(value)
+    assert repr(got) == repr(want)
+    if value is not None:
+        # float() reads each string back as the number it stands for
+        assert repr(complex(*map(float, got)) if isinstance(got, list) else float(got)) == repr(value)
+
+
+def test_json_dumps_refuses_a_bare_non_finite_number():
+    with pytest.raises(ValueError):
+        cli.json_dumps({"worst": math.nan})
+
+
+def test_every_file_integrate_and_zeros_write_has_newline_line_endings(tmp_path, monkeypatch):
+    written = []
+    write_text = Path.write_text
+
+    def recorded(self, data, *args, **kwargs):
+        written.append((self.name, kwargs.get("newline")))
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recorded)
+    run = ["--z0", "0", "--w0", "2", "--w1", "3", "--span", "4"]
+    assert main(["integrate", "--eq", "xxxii", *run, "--out", str(tmp_path / "t.csv"),
+                 "--summary", str(tmp_path / "s.json")]) == 0  # fmt: skip
+    assert main(["zeros", "--eq", "xxxii", *run, "--out", str(tmp_path / "e.json"),
+                 "--summary", str(tmp_path / "z.json")]) == 0  # fmt: skip
+    assert written == [("t.csv", "\n"), ("s.json", "\n"), ("e.json", "\n"), ("z.json", "\n")]
 
 
 _EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, 1e-320, 1e200, 1e308]
