@@ -54,6 +54,15 @@ OUTPUTS = {
     ),
     # the README sweep cell alpha = 2, beta = 0: a tangential zero, refined as a root of w', at a = 0.12660...
     "zeros-readme-sweep-tangency": ("zeros --eq piv --alpha 2 --beta 0 --z0 -1 --w0 0.5 --span 2", _EVENTS),
+    # one zeros output per other kind, each judged by that kind's zero-slope constant k:
+    # w = z^2/4 touches zero tangentially at 0, slope 0 (k = 0)
+    "zeros-xvii-tangency": ("zeros --eq xvii --z0 -2 --w0 1 --w1 -1 --span 4", _EVENTS),
+    # a raw xxix jet off its residual: the crossing at 0.4828 is resolved through the drifted monitor, slope -1.0897
+    "zeros-xxix-drifted-crossing": ("zeros --eq xxix --z0 0 --w0 0.5 --w1 -1 --w2 0 --span 2", _EVENTS),
+    # w = z^2 - 1/4: zeros at -1/2 and 1/2 with slopes -+1, k = 1
+    "zeros-xxxii-quadratic": ("zeros --eq xxxii --z0 -2 --w0 3.75 --w1 -4 --span 4", _EVENTS),
+    # f's zero at -0.4767, judged on w = f^2
+    "zeros-sqrt-piv0": ("zeros --eq sqrt-piv0 --z0 -1 --w0 0.5 --w1 -1 --span 2", _EVENTS),
     "integrate-piv0-pole": ("integrate --eq piv0 --z0 -3 --w0 0.5 --span 6", _TRAJECTORY),
     "integrate-piv-w0-1000": ("integrate --eq piv --z0 0 --w0 1000 --w1 0 --span 1", _TRAJECTORY),
     "integrate-piv-w0-5000": ("integrate --eq piv --z0 0 --w0 5000 --w1 0 --span 1", _TRAJECTORY),
