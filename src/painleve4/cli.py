@@ -26,7 +26,7 @@ from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .equations import EquationKind, Params, Scalar, ScalarField
+from .equations import KINDS, EquationKind, Params, Scalar, ScalarField
 from .errors import PainleveError
 from .integrator import (
     InitialData,
@@ -195,11 +195,7 @@ def cmd_zeros(ns) -> int:
     if identically_zero:
         logger.warning("identically zero trajectory: zeros are not isolated, no events reported")
     report = None
-    if (
-        traj.kind in (EquationKind.PIV, EquationKind.PIV0)
-        and traj.params.beta == 0.0
-        and not identically_zero
-    ):
+    if KINDS[traj.kind].res2_is_c and traj.params.beta == 0.0 and not identically_zero:
         report = check_curvature_theorem(events, traj)
     summary = summary_json(traj, events)
     payload = {**summary, "identically_zero": identically_zero, "curvature_report": _report_json(report)}

@@ -46,9 +46,11 @@ conversion is offered anywhere in this package.
 """
 
 from cmath import isfinite  # takes real and complex values alike
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
+from typing import NamedTuple
 
 from .errors import SingularInput
 
@@ -132,14 +134,12 @@ def _trusted_jet(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Jet3:
 
 
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:
-    """Reject nonzero (alpha, beta) for every kind but piv.
+    """Reject nonzero (alpha, beta) where the kind's row does not take them: on every kind but piv.
 
-    piv0 is piv at alpha = beta = 0; sqrt-piv0 is derived from piv0 and is
-    equally parameter free.  xvii, xxix and xxxii carry no parameters, so
-    a nonzero value would be ignored by the equation yet still read by the
+    Such a value would be ignored by the equation yet still read by the
     zero classification (its slope target +-beta).
     """
-    if kind is not EquationKind.PIV:
+    if not KINDS[kind].params:
         for name in ("alpha", "beta"):
             value = getattr(p, name)
             if value != 0.0:
@@ -174,32 +174,45 @@ def compile_kernel(name: str, args: str, lines, **names):
 # powers of z - z0.  {xy} is the Cauchy sum x_0 y_k + ... + x_k y_0, {zx} the
 # coefficient z x_k + x_{k-1} of z x, and {c} adds c_k while k < 3.  The lines
 # set r, coefficient k of the right-hand side; piv reads its {za} twice, so it
-# computes it once per order, as za.
+# computes it once per order, as za.  r at order 0 is `rhs3`; only piv reads alpha.
 _SERIES_TEMPLATES = {
-    "piv": ("alpha, z, w, w1, w2", ("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
+    "piv": (("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
             ("s{k} = {aa}", "za = {za}", "p{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {pd} + 4.0 * (s{k} + za)")),
-    "xxix": ("z, w, w1, w2", (), ("s{k} = {aa}", "r = 6.0 * {sd}")),
-    "sqrt-piv0": ("z, w, w1, w2", ("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
+    "xxix": ((), ("s{k} = {aa}", "r = 6.0 * {sd}")),
+    "sqrt-piv0": (("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
                   ("s{k} = {aa}", "q{k} = 15.0 * {ss} + 24.0 * {zs}{c}", "r = 2.0 * ({as} + {za}) + 0.25 * {qd}")),
 }
+
+
+def _order_lines(body, k: int) -> list[str]:
+    """A template's lines at order k, each Cauchy sum written out."""
+    fields = {x + y: written_sum(f"{x}{i} * {y}{k - i}" for i in range(k + 1))
+              for x, y in ("aa", "pd", "sd", "ss", "as", "qd")}
+    for x in "as":
+        fields["z" + x] = f"(z * {x}{k} + {x}{k - 1})" if k else f"(z * {x}0)"
+    fields["c"] = f" + {('c0', 'c1', '4.0')[k]}" if k < 3 else ""
+    return [line.format(k=k, **fields) for line in body]
 
 
 @cache
 def series_kernel(name: str):
     """The recurrence `_SERIES_TEMPLATES[name]` written out to a_p and compiled, once per process."""
-    args, head, body = _SERIES_TEMPLATES[name]
+    head, body = _SERIES_TEMPLATES[name]
     lines = ["a0, a1, a2, d0, d1 = w, w1, 0.5 * w2, w1, w2", *head]
     for k in range(ORDER - 2):
-        fields = {x + y: written_sum(f"{x}{i} * {y}{k - i}" for i in range(k + 1))
-                  for x, y in ("aa", "pd", "sd", "ss", "as", "qd")}
-        for x in "as":
-            fields["z" + x] = f"(z * {x}{k} + {x}{k - 1})" if k else f"(z * {x}0)"
-        fields["c"] = f" + {('c0', 'c1', '4.0')[k]}" if k < 3 else ""
-        lines += [line.format(k=k, **fields) for line in body]
+        lines += _order_lines(body, k)
         # a_{k+3} = r / ((k+1)(k+2)(k+3)) and d_{k+2} = (k+3) a_{k+3}, the factors as float literals
         lines += [f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}", f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"]
     lines.append(f"return [{', '.join(f'a{i}' for i in range(ORDER + 1))}]")
-    return compile_kernel(name.replace("-", "_"), args, lines)
+    return compile_kernel(name.replace("-", "_"), "alpha, z, w, w1, w2", lines)
+
+
+@cache
+def _rhs3_kernel(name: str):
+    """(alpha, z, w, w') -> the right-hand side: the template's r at order 0, compiled once per process."""
+    head, body = _SERIES_TEMPLATES[name]
+    lines = [*head, *_order_lines(body, 0), "return r"]
+    return compile_kernel(name.replace("-", "_") + "_rhs3", "alpha, z, a0, d0", lines)
 
 
 def _quadratic_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
@@ -223,36 +236,11 @@ def series_fn(kind: EquationKind, p: Params):
     `taylor` translator emits them, since a loop over the orders spends most
     of its time on interpreter overhead; each sum is added left to right
     from 0 (`written_sum`), the same bits on every interpreter.  A kernel is
-    compiled when first bound; piv and piv0 share one that takes alpha.
+    compiled when first bound; piv and piv0 share one.
     """
     ensure_kind_params(kind, p)
-    if kind in (EquationKind.XVII, EquationKind.XXXII):
-        return _quadratic_series
-    if kind in (EquationKind.PIV, EquationKind.PIV0):
-        return partial(series_kernel("piv"), p.alpha)
-    return series_kernel(kind.value)
-
-
-def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
-    if kind is EquationKind.SQRT_PIV0:
-        ensure_kind_params(kind, p)
-        return w * (3.0 * w * w + 2.0 * z) * (w * w + 2.0 * z) * 0.25
-    if w == 0:
-        raise SingularInput(f"{kind.value}: w = 0 is outside the second-order form's domain")
-    if kind is EquationKind.XVII:
-        return w1 * w1 / (2.0 * w)
-    if kind is EquationKind.XXIX:
-        return w1 * w1 / (2.0 * w) + 1.5 * w ** 3
-    if kind is EquationKind.XXXII:
-        return (w1 * w1 - 1.0) / (2.0 * w)
-    ensure_kind_params(kind, p)
-    return (
-        w1 * w1 / (2.0 * w)
-        + 1.5 * w ** 3
-        + 4.0 * z * w * w
-        + 2.0 * (z * z - p.alpha) * w
-        - p.beta * p.beta / (2.0 * w)
-    )
+    name = KINDS[kind].series
+    return _quadratic_series if name is None else partial(series_kernel(name), p.alpha)
 
 
 def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
@@ -263,19 +251,13 @@ def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Sca
     xvii, xxxii: 0  (2 w w''' = 0 after clearing and differentiating)
     sqrt-piv0:   2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4, read as (t, f, f')
 
-    The second derivative does not appear on the right-hand side: it cancels
-    when the cleared-denominator form is differentiated.
+    Each is r at order 0 of the kind's series template.  The second
+    derivative does not appear on the right-hand side: it cancels when the
+    cleared-denominator form is differentiated.
     """
     ensure_kind_params(kind, p)
-    if kind is EquationKind.SQRT_PIV0:
-        # products, not **: a float ** raises OverflowError where a product gives inf
-        ff = w * w
-        return 2.0 * w * (ff + z) + (15.0 * ff * ff + 24.0 * z * ff + 4.0 * z * z) * w1 * 0.25
-    if kind is EquationKind.XXIX:
-        return 6.0 * w * w * w1
-    if kind in (EquationKind.XVII, EquationKind.XXXII):
-        return 0.0 * w
-    return (6.0 * w * w + 12.0 * z * w + 4.0 * (z * z - p.alpha)) * w1 + 4.0 * (w + z) * w
+    name = KINDS[kind].series
+    return 0.0 * w if name is None else _rhs3_kernel(name)(p.alpha, z, w, w1)
 
 
 def constraint_c(p: Params, j: Jet3) -> Scalar:
@@ -298,27 +280,62 @@ def constraint_c(p: Params, j: Jet3) -> Scalar:
     )
 
 
+class KindRow(NamedTuple):
+    """One kind's row of `KINDS`: every fact about it that other code reads, each stated once."""
+
+    series: str | None  # its `_SERIES_TEMPLATES` key; None for xvii and xxxii, whose w''' = 0
+    rhs2: Callable  # (p, z, w, w') -> w'', the second-order equation
+    res2: Callable  # (p, jet) -> its cleared residual (`residual2`)
+    params: bool = False  # takes (alpha, beta); the other kinds reject nonzero values
+    divides: bool = True  # rhs2 divides by w, so w = 0 is outside its domain
+    res2_is_c: bool = False  # res2 is piv's C: zero seeds, the curvature theorem and `sqrt_lift` apply
+    pole: Callable | None = None  # (coeffs, z) -> v about z, u = 1/v simple at each pole; None: no poles
+    k: float = 0.0  # zero-slope constant, res2 = k + beta^2 - w'^2 at a zero; a quadratic's discriminant
+    squared: bool = False  # read as w = f^2: real paths, f'' completed, |f^2|, zeros and poles on f^2
+
+
+_PIV = KindRow("piv", lambda p, z, w, w1: (
+    w1 * w1 / (2.0 * w) + 1.5 * w ** 3 + 4.0 * z * w * w + 2.0 * (z * z - p.alpha) * w - p.beta * p.beta / (2.0 * w)
+), constraint_c, params=True, res2_is_c=True, pole=lambda v, z: [v[0] + z, v[1] + 1.0, *v[2:]])  # v = w + z
+
+#: one row per kind, the defaults of `KindRow` where a row names no value
+KINDS = {
+    EquationKind.PIV: _PIV,
+    EquationKind.PIV0: _PIV._replace(params=False),
+    EquationKind.XVII: KindRow(
+        None, lambda p, z, w, w1: w1 * w1 / (2.0 * w), lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1
+    ),
+    EquationKind.XXIX: KindRow(
+        "xxix", lambda p, z, w, w1: w1 * w1 / (2.0 * w) + 1.5 * w ** 3,
+        lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 - 3.0 * j.w ** 4, pole=lambda v, z: v,  # v = w
+    ),
+    EquationKind.XXXII: KindRow(
+        None, lambda p, z, w, w1: (w1 * w1 - 1.0) / (2.0 * w), lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 + 1.0, k=1.0
+    ),
+    EquationKind.SQRT_PIV0: KindRow(
+        "sqrt-piv0", lambda p, t, f, f1: f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25,
+        lambda p, j: 4.0 * j.w2 - j.w * (3.0 * j.w * j.w + 2.0 * j.z) * (j.w * j.w + 2.0 * j.z),
+        divides=False, pole=_PIV.pole, squared=True,  # v = f^2 + t
+    ),
+}
+
+
+def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
+    row = KINDS[kind]
+    if row.divides and w == 0:
+        raise SingularInput(f"{kind.value}: w = 0 is outside the second-order form's domain")
+    return row.rhs2(p, z, w, w1)
+
+
 def residual2(kind: EquationKind, p: Params, j: Jet3) -> Scalar:
     """Division-free residual of the selected second-order equation at j.
 
     The equation is multiplied through by 2w (sign convention:
     2w * (LHS - RHS), expanded), so the residual is defined at w = 0 and
-    vanishes exactly on solution jets.  For piv it is the same polynomial
-    as `constraint_c`.  sqrt-piv0 has no denominator; its residual is
-    4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t) with the jet read as (t, f, f', f''),
-    a first integral of the sqrt-piv0 third-order flow.
+    vanishes exactly on solution jets; it is `KindRow.res2`, `constraint_c`
+    on piv and piv0.  sqrt-piv0's is 4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t).
     """
-    if kind in (EquationKind.PIV, EquationKind.PIV0):
-        ensure_kind_params(kind, p)
-        return constraint_c(p, j)
-    z, w, w1, w2 = j.z, j.w, j.w1, j.w2
-    if kind is EquationKind.XVII:
-        return 2.0 * w * w2 - w1 * w1
-    if kind is EquationKind.XXIX:
-        return 2.0 * w * w2 - w1 * w1 - 3.0 * w ** 4
-    if kind is EquationKind.XXXII:
-        return 2.0 * w * w2 - w1 * w1 + 1.0
-    return 4.0 * w2 - w * (3.0 * w * w + 2.0 * z) * (w * w + 2.0 * z)
+    return KINDS[kind].res2(p, j)
 
 
 def jet_identities(j: Jet3, w3: Scalar) -> tuple[Scalar, Scalar | None]:

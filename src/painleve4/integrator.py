@@ -62,6 +62,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .equations import (
+    KINDS,
     ORDER,
     EquationKind,
     Jet3,
@@ -91,8 +92,6 @@ _H_MIN = 1e-12
 # such as a verify draw capped at 3, never searches.  3 runs the README sweep
 # fastest: a lower threshold adds more searches than it saves steps
 _SERIES_POLE_FROM = 3.0
-# the kinds whose solutions are quadratics, with no poles
-_POLE_FREE = (EquationKind.XVII, EquationKind.XXXII)
 # Newton iterations before a root search gives up
 _NEWTON_STEPS = 30
 # how far off a complex path (|Im| of r/d) a series root may lie and still end
@@ -264,26 +263,23 @@ class Trajectory:
 def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> Jet3:
     """Fill in the jet entries the equation determines; pass raw data through.
 
-    For sqrt-piv0 the second derivative is never free data: it is always
-    recomputed from the equation, also in raw mode.  A completed w'' that
-    is not finite is rejected as InvalidInitialData naming w0.
+    For a squared kind (sqrt-piv0) the second derivative is never free data:
+    it is always recomputed from the equation, also in raw mode.  A completed
+    w'' that is not finite is rejected as InvalidInitialData naming w0.
     """
     ensure_kind_params(kind, p)
-    if init.field is ScalarField.COMPLEX:
-        z0 = complex(init.z0)
-        conv = complex
-    else:
-        z0 = float(init.z0)
-        conv = float
+    row = KINDS[kind]
+    conv = complex if init.field is ScalarField.COMPLEX else float
+    z0 = conv(init.z0)
 
     if init.mode == "zero":
-        if kind not in (EquationKind.PIV, EquationKind.PIV0):
+        if not row.res2_is_c:
             raise InvalidInitialData(f"zero-branch: zero mode is only valid for piv/piv0, not {kind.value}")
         return Jet3(z0, conv(0.0), conv(init.branch * p.beta), conv(init.w2_0 if init.w2_0 is not None else 0.0))
 
     w0 = conv(init.w0 if init.w0 is not None else 0.0)
     w1 = conv(init.w1_0 if init.w1_0 is not None else 0.0)
-    if init.mode == "raw" and kind is not EquationKind.SQRT_PIV0:
+    if init.mode == "raw" and not row.squared:
         return Jet3(z0, w0, w1, conv(init.w2_0 if init.w2_0 is not None else 0.0))
     w2 = _rhs2_scalar(kind, p, z0, w0, w1)
     if not isfinite(w2):
@@ -394,30 +390,14 @@ def _newton_root(u) -> Scalar | None:
     return None
 
 
-def _pole_denominator(kind: EquationKind, coeffs, z: Scalar) -> list | None:
-    """Taylor coefficients of v about the point z of a step's series, where u = 1/v has a simple root at each pole.
-
-    v = w + z for piv and piv0, f^2 + t for sqrt-piv0 (one Cauchy product)
-    and w for xxix.  xvii and xxxii solutions are quadratics, with no
-    poles: None.
-    """
-    if kind in _POLE_FREE:
-        return None
-    if kind is EquationKind.XXIX:
-        return coeffs
-    if kind is EquationKind.SQRT_PIV0:
-        coeffs = _cauchy_square()(coeffs)
-    return [coeffs[0] + z, coeffs[1] + 1.0, *coeffs[2:]]
-
-
 def _series_pole(
-    kind: EquationKind, coeffs, z: Scalar, d: Scalar, left: float, tol: Tolerances
+    pole, squared: bool, coeffs, z: Scalar, d: Scalar, left: float, tol: Tolerances
 ) -> tuple[Scalar, float] | None:
     """Offset r from the node at z to the pole at z + r, read off the node's series, and its bound; or None.
 
-    u = 1/v with v = w + z (piv, piv0), f^2 + t (sqrt-piv0) or w (xxix),
-    in powers of z' - z.  Newton's root r of u is accepted when it lies
-    ahead on the path, r/d in (0, left] and on a complex path within
+    u = 1/v with v = pole(coeffs, z) in powers of z' - z (`KindRow.pole`),
+    on the series of f^2 for a squared kind.  Newton's root r of u is
+    accepted when it lies ahead on the path, r/d in (0, left] and on a complex path within
     `_OFF_PATH` of it, and when u's neglected tail can move it by no more
     than the run's tolerances: the bound max over k = p-3 .. p of
     |u_k| |r|^k (`_tail`), divided by |u'(r)|, is at most abs + rel |z + r|.
@@ -426,8 +406,8 @@ def _series_pole(
     span left, or where u's tail at its distance exceeds abs + rel |u_0|,
     which is where it lies beyond twice u's Jorba-Zou step.
     """
-    v = _pole_denominator(kind, coeffs, z)
-    if v is None or v[1] == 0:
+    v = pole(_cauchy_square()(coeffs) if squared else coeffs, z)
+    if v[1] == 0:
         return None
     first = v[0] / v[1]
     if not 0.0 < (first / d).real <= left:
@@ -472,8 +452,8 @@ def integrate(
     Termination:
       COMPLETED       the requested span was covered,
       POLE(z_est)     at a node with |w| > 3 (|f^2| for sqrt-piv0) the
-                      series of u = 1/(w + z) (1/(f^2 + t), 1/w for xxix)
-                      has a root ahead on the path within the span left,
+                      series of u = 1/v (`KindRow.pole`) has a root ahead
+                      on the path within the span left,
                       which u's neglected tail moves by at most the run's
                       tolerances (`_series_pole`); z_est is that root,
                       `Trajectory.pole_bound` that tail's bound, and that
@@ -495,8 +475,10 @@ def integrate(
         raise ValueError(f"span: must be a nonzero finite real, got {span!r}")
     if not (w_bound > 0):
         raise ValueError(f"w_bound: must be positive, got {w_bound!r}")
-    if kind is EquationKind.SQRT_PIV0 and init.field is ScalarField.COMPLEX:
-        raise InvalidInitialData("field: sqrt-piv0 is restricted to REAL mode")
+    row = KINDS[kind]
+    squared = row.squared  # read through w = f^2, which needs a real f
+    if squared and init.field is ScalarField.COMPLEX:
+        raise InvalidInitialData(f"field: {kind.value} is restricted to REAL mode")
     if init.field is ScalarField.COMPLEX:
         if span < 0:
             raise ValueError("span: COMPLEX paths use span > 0 with a direction vector")
@@ -506,11 +488,11 @@ def integrate(
 
     # one monitor per node, looked up here as a module global so that a tracer
     # can wrap it: residual2 of piv and piv0 is constraint_c
-    monitor = partial(constraint_c, p) if kind in (EquationKind.PIV, EquationKind.PIV0) else partial(residual2, kind, p)
-    # sqrt-piv0's f squares to the piv0 solution that has the pole
-    squared = kind is EquationKind.SQRT_PIV0
-    # mag is |f^2| for sqrt-piv0, so its bound on |f| is squared
+    monitor = partial(constraint_c, p) if row.res2_is_c else partial(residual2, kind, p)
+    # mag is |f^2| for a squared kind, so its bound on |f| is squared
     stop = w_bound * w_bound if squared else w_bound
+    pole_v = row.pole  # None on the quadratic kinds, which have no poles: no |w| starts a search
+    pole_from = math.inf if pole_v is None else _SERIES_POLE_FROM
 
     try:
         j0 = complete_initial_data(kind, p, init)
@@ -536,8 +518,8 @@ def integrate(
             status = TrajectoryStatus.STEP_BUDGET
             break
         coeffs = series(jet.z, jet.w, jet.w1, jet.w2)
-        if mag > _SERIES_POLE_FROM:
-            pole = _series_pole(kind, coeffs, jet.z, d, total - s, tol)
+        if mag > pole_from:
+            pole = _series_pole(pole_v, squared, coeffs, jet.z, d, total - s, tol)
             if pole is not None:
                 status = TrajectoryStatus.POLE
                 r, pole_bound = pole

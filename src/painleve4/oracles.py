@@ -24,6 +24,7 @@ import math
 from typing import NamedTuple
 
 from .equations import (
+    KINDS,
     EquationKind,
     Jet3,
     Params,
@@ -60,20 +61,19 @@ class QuadraticSolution(NamedTuple):
 
     @property
     def target_discriminant(self) -> float:
-        return 1.0 if self.kind is EquationKind.XXXII else 0.0
+        return KINDS[self.kind].k
 
 
 def fit_quadratic(kind: EquationKind, j: Jet3) -> QuadraticSolution:
     """Fit the unique quadratic through a regular (w != 0) jet of xvii or xxxii.
 
-    The curvature is read from the equation itself (a = w''/2), so the
-    discriminant constraint holds automatically; a violation beyond 1e-10
-    signals an inconsistent input jet and raises DiscriminantViolation.
+    The curvature is read from the equation itself (a = w''/2), which
+    raises SingularInput at w = 0, so the discriminant constraint holds
+    automatically; a violation beyond 1e-10 signals an inconsistent input
+    jet and raises DiscriminantViolation.
     """
-    if kind not in (EquationKind.XVII, EquationKind.XXXII):
+    if KINDS[kind].series is not None:
         raise WrongKind(f"quadratic reduction applies to xvii/xxxii, not {kind.value}")
-    if j.w == 0:
-        raise SingularInput("fit_quadratic: w = 0 leaves the curvature undetermined")
     z0 = j.z
     a = _rhs2_scalar(kind, _ZERO_PARAMS, z0, j.w, j.w1) / 2.0
     b = j.w1 - 2.0 * a * z0
@@ -193,7 +193,7 @@ def sqrt_lift(
     """
     if traj.field is not ScalarField.REAL:
         raise WrongKind("sqrt_lift requires REAL mode")
-    if traj.kind not in (EquationKind.PIV, EquationKind.PIV0) or traj.params != _ZERO_PARAMS:
+    if not KINDS[traj.kind].res2_is_c or traj.params != _ZERO_PARAMS:
         raise WrongKind("sqrt_lift requires the alpha = beta = 0 equation")
     lo, hi = interval
     if not lo < hi:

@@ -22,6 +22,7 @@ import random
 from typing import NamedTuple
 
 from .equations import (
+    KINDS,
     EquationKind,
     Jet3,
     Params,
@@ -165,7 +166,7 @@ def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
     worst_w = 0.0
     worst_disc = 0.0
     worst_k = 0.0
-    has_k = kind is EquationKind.XXXII
+    has_k = KINDS[kind].k != 0.0  # xxxii, whose k is 1, has the u-substitution integral
     for _ in range(count):
         # |w0| >= 0.25 and |z0| <= 1.5 keep the b^2 - 4ac cancellation within
         # a few hundred eps, compatible with the absolute discriminant budget

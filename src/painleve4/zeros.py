@@ -48,7 +48,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .equations import EquationKind, Scalar, ScalarField
+from .equations import KINDS, Scalar, ScalarField
 from .errors import WrongKind
 from .integrator import Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param, skip_bound_kernel
 
@@ -254,9 +254,9 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     ``SLOPE_TOL * max(1, |beta|)`` of +-beta or of +-sqrt(k - res2*),
     where res2* is the monitor of the node closing the interval (of the
     node itself for a node zero); the branch is then the nearer of +-beta,
-    and UNRESOLVED otherwise.  At a zero res2 reduces to k - w'^2: on piv
-    and piv0 it is C, with k = beta^2; on xvii and xxix it is the kind's
-    own first integral with k = 0, and on xxxii with k = 1.
+    and UNRESOLVED otherwise.  At a zero res2 reduces to k - w'^2, where k
+    is beta^2 plus the kind's zero-slope constant `KindRow.k`: beta^2 on
+    piv and piv0, whose res2 is C, 1 on xxxii and 0 on xvii and xxix.
 
     sqrt-piv0 has f'' = 0 and a free slope at its zeros, so each is judged
     on the piv0 solution w = f^2 instead: its slope w' = 2 f f' against 0
@@ -274,7 +274,8 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     real_mode = traj.field is ScalarField.REAL
     beta = traj.params.beta
     abs_tol = traj.tol.abs
-    k = 1.0 if traj.kind is EquationKind.XXXII else beta * beta
+    row = KINDS[traj.kind]
+    k, squared = row.k + beta * beta, row.squared
 
     # each candidate carries the node whose res2 judges it
     candidates = [(nodes[0].jet, nodes[0])] if nodes[0].jet.w == 0 else []
@@ -289,7 +290,7 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
         if abs(jet.w) >= abs_tol:
             continue  # a |w| minimum off the zero set
         slope, curvature, slope2 = jet.w1, jet.w2, k - node.res2
-        if traj.kind is EquationKind.SQRT_PIV0:  # judged on w = f^2, whose C at the closing node is f^3 res2
+        if squared:  # judged on w = f^2, whose C at the closing node is f^3 res2
             (f, f1, f2), g = (jet.w, jet.w1, jet.w2), node.jet.w
             slope, curvature, slope2 = 2.0 * f * f1, 2.0 * f1 * f1 + 2.0 * f * f2, -g * g * g * node.res2
         branch = _classify(slope, beta, slope2, real_mode)
@@ -320,7 +321,7 @@ def check_curvature_theorem(events, traj: Trajectory) -> CurvatureReport:
     vacuous).  A violation falsifies the integration accuracy or the
     isolation of the zero, never the underlying statement.
     """
-    if traj.kind not in (EquationKind.PIV, EquationKind.PIV0):
+    if not KINDS[traj.kind].res2_is_c:
         raise WrongKind(f"curvature check applies to piv/piv0, not {traj.kind.value}")
     if traj.params.beta != 0.0:
         raise WrongKind(f"curvature check requires beta = 0, got beta = {traj.params.beta}")
