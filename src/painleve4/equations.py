@@ -134,7 +134,7 @@ def _trusted_jet(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Jet3:
 
 
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:
-    """Reject nonzero (alpha, beta) where the kind's row does not take them: on every kind but piv.
+    """Reject nonzero (alpha, beta) on every kind whose row does not take them: all but piv.
 
     Such a value would be ignored by the equation yet still read by the
     zero classification (its slope target +-beta).
@@ -332,8 +332,10 @@ def residual2(kind: EquationKind, p: Params, j: Jet3) -> Scalar:
 
     The equation is multiplied through by 2w (sign convention:
     2w * (LHS - RHS), expanded), so the residual is defined at w = 0 and
-    vanishes exactly on solution jets; it is `KindRow.res2`, `constraint_c`
-    on piv and piv0.  sqrt-piv0's is 4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t).
+    vanishes exactly on solution jets: `KindRow.res2`, `constraint_c` on
+    piv and piv0.  sqrt-piv0 has no denominator; its residual, the jet read
+    as (t, f, f', f''), is 4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t).  p is not
+    checked against the kind here: `integrate` does that once per run.
     """
     return KINDS[kind].res2(p, j)
 

@@ -395,16 +395,16 @@ def _series_pole(
 ) -> tuple[Scalar, float] | None:
     """Offset r from the node at z to the pole at z + r, read off the node's series, and its bound; or None.
 
-    u = 1/v with v = pole(coeffs, z) in powers of z' - z (`KindRow.pole`),
-    on the series of f^2 for a squared kind.  Newton's root r of u is
-    accepted when it lies ahead on the path, r/d in (0, left] and on a complex path within
-    `_OFF_PATH` of it, and when u's neglected tail can move it by no more
-    than the run's tolerances: the bound max over k = p-3 .. p of
-    |u_k| |r|^k (`_tail`), divided by |u'(r)|, is at most abs + rel |z + r|.
-    Near a pole Newton's first iterate v_0/v_1 is already close to r, so
-    Newton is not run where that iterate lies behind the node or past the
-    span left, or where u's tail at its distance exceeds abs + rel |u_0|,
-    which is where it lies beyond twice u's Jorba-Zou step.
+    u = 1/v with v = pole(coeffs, z) in powers of z' - z (`KindRow.pole`), on
+    the series of f^2 for a squared kind.  Newton's root r of u is accepted
+    when it lies ahead on the path, r/d in (0, left] and on a complex path
+    within `_OFF_PATH` of it, and when u's neglected tail can move it by no
+    more than the run's tolerances: the bound max over k = p-3 .. p of |u_k|
+    |r|^k (`_tail`), divided by |u'(r)|, is at most abs + rel |z + r|.  Near a
+    pole Newton's first iterate v_0/v_1 is already close to r, so Newton is not
+    run where that iterate lies behind the node or past the span left, or where
+    u's tail at its distance exceeds abs + rel |u_0|, which is where it lies
+    beyond twice u's Jorba-Zou step.
     """
     v = pole(_cauchy_square()(coeffs) if squared else coeffs, z)
     if v[1] == 0:

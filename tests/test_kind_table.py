@@ -11,9 +11,8 @@ a `verify` draw, is not a comparison.
 import ast
 from pathlib import Path
 
-from painleve4.equations import KINDS, EquationKind
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "painleve4"
+from painleve4 import equations
+from painleve4.equations import EquationKind
 
 
 def _is_member(node: ast.AST) -> bool:
@@ -60,13 +59,14 @@ g = EquationKind(name) is kind
 
 
 def test_no_module_compares_against_kind_members():
+    package = Path(equations.__file__).parent
     hits = [
         f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(package.glob("*.py"))
         for line in kind_comparisons(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert not hits, hits
+    assert not hits, f"{len(hits)} comparisons against EquationKind members: {hits}"
 
 
 def test_every_kind_has_one_row():
-    assert list(KINDS) == list(EquationKind)
+    assert list(equations.KINDS) == list(EquationKind)

@@ -357,6 +357,16 @@ def test_verdict_reads_the_stored_monitor():
     assert check_curvature_theorem(events, blind).violations == events
 
 
+@pytest.mark.parametrize("sign,branch", [(1.0, ZeroBranch.PLUS_BETA), (-1.0, ZeroBranch.MINUS_BETA)])
+def test_slope_tolerance_is_one_part_in_a_million(sign, branch):
+    # at beta = 1 on a consistent jet (slope2 = beta^2), a slope 5e-7 off
+    # +-beta is resolved and one 2e-6 off is not; the offsets are written
+    # out, not read from SLOPE_TOL, so that a changed tolerance fails here
+    for off, want in ((5e-7, branch), (-5e-7, branch), (2e-6, ZeroBranch.UNRESOLVED), (-2e-6, ZeroBranch.UNRESOLVED)):
+        for real_mode in (True, False):
+            assert zeros._classify(sign * (1.0 + off), 1.0, 1.0, real_mode) is want
+
+
 def test_complex_path_meets_zero_between_nodes():
     # built like the complex class of the postprocess benchmark pool
     p = Params(0.3, 1.0)
