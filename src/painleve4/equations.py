@@ -179,7 +179,7 @@ _SERIES_TEMPLATES = {
     "piv": (("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
             ("s{k} = {aa}", "za = {za}", "p{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {pd} + 4.0 * (s{k} + za)")),
     "xxix": ((), ("s{k} = {aa}", "r = 6.0 * {sd}")),
-    "sqrt-piv0": (("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
+    "sqrt_piv0": (("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
                   ("s{k} = {aa}", "q{k} = 15.0 * {ss} + 24.0 * {zs}{c}", "r = 2.0 * ({as} + {za}) + 0.25 * {qd}")),
 }
 
@@ -204,15 +204,14 @@ def series_kernel(name: str):
         # a_{k+3} = r / ((k+1)(k+2)(k+3)) and d_{k+2} = (k+3) a_{k+3}, the factors as float literals
         lines += [f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}", f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"]
     lines.append(f"return [{', '.join(f'a{i}' for i in range(ORDER + 1))}]")
-    return compile_kernel(name.replace("-", "_"), "alpha, z, w, w1, w2", lines)
+    return compile_kernel(name, "alpha, z, w, w1, w2", lines)
 
 
 @cache
 def _rhs3_kernel(name: str):
     """(alpha, z, w, w') -> the right-hand side: the template's r at order 0, compiled once per process."""
     head, body = _SERIES_TEMPLATES[name]
-    lines = [*head, *_order_lines(body, 0), "return r"]
-    return compile_kernel(name.replace("-", "_") + "_rhs3", "alpha, z, a0, d0", lines)
+    return compile_kernel(name + "_rhs3", "alpha, z, a0, d0", [*head, *_order_lines(body, 0), "return r"])
 
 
 def _quadratic_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
@@ -291,7 +290,8 @@ class KindRow(NamedTuple):
     res2_is_c: bool = False  # res2 is piv's C: zero seeds, the curvature theorem and `sqrt_lift` apply
     pole: Callable | None = None  # (coeffs, z) -> v about z, u = 1/v simple at each pole; None: no poles
     k: float = 0.0  # zero-slope constant, res2 = k + beta^2 - w'^2 at a zero; a quadratic's discriminant
-    squared: bool = False  # read as w = f^2: real paths, f'' completed, |f^2|, zeros and poles on f^2
+    # read through the piv0 solution w = f^2: real paths, f'' completed, |f^2| as magnitude, zeros and poles on f^2
+    squared: bool = False
 
 
 _PIV = KindRow("piv", lambda p, z, w, w1: (
@@ -313,7 +313,7 @@ KINDS = {
         None, lambda p, z, w, w1: (w1 * w1 - 1.0) / (2.0 * w), lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 + 1.0, k=1.0
     ),
     EquationKind.SQRT_PIV0: KindRow(
-        "sqrt-piv0", lambda p, t, f, f1: f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25,
+        "sqrt_piv0", lambda p, t, f, f1: f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25,
         lambda p, j: 4.0 * j.w2 - j.w * (3.0 * j.w * j.w + 2.0 * j.z) * (j.w * j.w + 2.0 * j.z),
         divides=False, pole=_PIV.pole, squared=True,  # v = f^2 + t
     ),

@@ -67,10 +67,10 @@ class QuadraticSolution(NamedTuple):
 def fit_quadratic(kind: EquationKind, j: Jet3) -> QuadraticSolution:
     """Fit the unique quadratic through a regular (w != 0) jet of xvii or xxxii.
 
-    The curvature is read from the equation itself (a = w''/2), which
-    raises SingularInput at w = 0, so the discriminant constraint holds
-    automatically; a violation beyond 1e-10 signals an inconsistent input
-    jet and raises DiscriminantViolation.
+    The curvature is read from the equation itself (a = w''/2; SingularInput
+    at w = 0), so the discriminant constraint holds automatically; a
+    violation beyond 1e-10 signals an inconsistent input jet and raises
+    DiscriminantViolation.
     """
     if KINDS[kind].series is not None:
         raise WrongKind(f"quadratic reduction applies to xvii/xxxii, not {kind.value}")
