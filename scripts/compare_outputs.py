@@ -63,6 +63,17 @@ OUTPUTS = {
     "zeros-xxxii-quadratic": ("zeros --eq xxxii --z0 -2 --w0 3.75 --w1 -4 --span 4", _EVENTS),
     # f's zero at -0.4767, judged on w = f^2
     "zeros-sqrt-piv0": ("zeros --eq sqrt-piv0 --z0 -1 --w0 0.5 --w1 -1 --span 2", _EVENTS),
+    # interior piv0 tangencies near 0, with w'' = 8 and w'' = -8 there: each one event, plus_beta
+    "zeros-piv0-tangency-convex": (
+        "zeros --eq piv0 --z0 -0.6 --w0 1.4373088408634251 --w1 -4.801201106102903 --w2 8.549707995476755 "
+        "--span 1.2",
+        _EVENTS,
+    ),
+    "zeros-piv0-tangency-concave": (
+        "zeros --eq piv0 --z0 -0.6 --w0 -1.5640963824861247 --w1 6.351753064673515 --w2 -25.634254203005327 "
+        "--span 1.2",
+        _EVENTS,
+    ),
     "integrate-piv0-pole": ("integrate --eq piv0 --z0 -3 --w0 0.5 --span 6", _TRAJECTORY),
     "integrate-piv-w0-1000": ("integrate --eq piv --z0 0 --w0 1000 --w1 0 --span 1", _TRAJECTORY),
     "integrate-piv-w0-5000": ("integrate --eq piv --z0 0 --w0 5000 --w1 0 --span 1", _TRAJECTORY),
