@@ -26,8 +26,8 @@ from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .equations import KINDS, EquationKind, Params, Scalar, ScalarField
-from .errors import PainleveError
+from .equations import EquationKind, Params, Scalar, ScalarField
+from .errors import PainleveError, WrongKind
 from .integrator import (
     InitialData,
     Tolerances,
@@ -44,6 +44,8 @@ logger = logging.getLogger(__name__)
 CONVENTION_NOTE = "Ince XXXI β² convention"
 
 CSV_HEADER = "z_re,z_im,w_re,w_im,w1_re,w1_im,w2_re,w2_im,h,err_est,C_re,C_im,res2_re,res2_im"
+# one trajectory CSV row: "%.17g" % x is fmt_float(x) for every float x, inf, nan and -0.0 included
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -87,8 +89,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         w2r, w2i = _parts(node.jet.w2)
         rr, ri = _parts(node.res2)
         # the C_* columns repeat res2_*, which on piv and piv0 is C
-        values = (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, rr, ri, rr, ri)
-        lines.append(",".join(fmt_float(v) for v in values))
+        lines.append(_CSV_ROW % (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, rr, ri, rr, ri))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -194,9 +195,10 @@ def cmd_zeros(ns) -> int:
     identically_zero = traj.max_abs_w() == 0.0
     if identically_zero:
         logger.warning("identically zero trajectory: zeros are not isolated, no events reported")
-    report = None
-    if KINDS[traj.kind].res2_is_c and traj.params.beta == 0.0 and not identically_zero:
+    try:
         report = check_curvature_theorem(events, traj)
+    except WrongKind:  # outside the domain the check states, there is no report
+        report = None
     summary = summary_json(traj, events)
     payload = {**summary, "identically_zero": identically_zero, "curvature_report": _report_json(report)}
     out = Path(ns.out or "events.json")

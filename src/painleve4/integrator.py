@@ -568,11 +568,12 @@ def dense_eval_param(traj: Trajectory, s: float) -> Jet3:
     """
     nodes = traj.nodes
     s_end = nodes[-1].s
-    pad = 1e-12 * max(1.0, s_end)
-    # false for NaN as well as outside the padded span
-    if not (-pad <= s <= s_end + pad):
-        raise OutOfSpan(f"s = {s!r} outside covered span [0, {s_end!r}]")
-    s = min(max(s, 0.0), s_end)
+    # false for NaN as well as outside the span; the pad is needed only then
+    if not 0.0 <= s <= s_end:
+        pad = 1e-12 * max(1.0, s_end)
+        if not (-pad <= s <= s_end + pad):
+            raise OutOfSpan(f"s = {s!r} outside covered span [0, {s_end!r}]")
+        s = min(max(s, 0.0), s_end)
     # nodes[i - 1] is the last node at or before s, the last one excluded; the step to nodes[i] covers s
     i = bisect_right(nodes, s, 1, len(nodes) - 1, key=_ARC)
     left = nodes[i - 1]
@@ -594,7 +595,7 @@ def dense_eval(traj: Trajectory, z) -> Jet3:
     """
     if traj.field is ScalarField.COMPLEX:
         return dense_eval_param(traj, float(z))
-    s = (float(z) - traj.z0) * traj.direction
+    s = (float(z) - traj.nodes[0].jet.z) * traj.direction
     try:
         return dense_eval_param(traj, s)
     except OutOfSpan:

@@ -20,9 +20,17 @@ on the coefficients |a_k|, bounds |w''| on the interval) stays below
 abs_tol; the surviving pieces form clusters.
 
 On the real line, a piece where |w'(c)| > M r holds no root of w', so w is
-monotone there.  The roots of w' in the other pieces cut each cluster into
-monotone parts, and each part holds at most one root of w.  An extremum
-where |w| < abs_tol is a tangential zero, reported at the extremum with
+monotone there.  A piece that fails this test is not halved further where
+|w''(c)| > M3 r, M3 (the kernel's w'' at h on the coefficients
+(k+1)|a_(k+1)| of w', read once per interval) bounding |w'''| on the
+interval: w'' keeps its sign on the piece, so w' has at most one root
+there, and as two such pieces side by side share an end where w'' != 0,
+a run of them holds at most one extremum.  At a beta = 0 zero the
+curvature theorem makes w'' != 0, so the pieces around a tangential zero
+stop within a few halvings; `_MAX_DEPTH` stops them only where w' and w''
+vanish together.  The roots of w' in the non-monotone pieces cut each
+cluster into monotone parts, and each part holds at most one root of w.
+An extremum where |w| < abs_tol is a tangential zero, reported there with
 the slope w' = 0 it has there.  A root of w in a part next to such an
 extremum is that zero's, not a second event: a trajectory whose C*
 drifted below 0 crosses twice there, at slopes +-sqrt(-C*), and whose C*
@@ -146,28 +154,33 @@ def _refine(f, lo: float, hi: float, at_lo: tuple, at_hi: tuple) -> float:
     return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
-def _clusters(jet_at, lo: float, hi: float, bound2: float, abs_tol: float, real_mode: bool) -> list:
+def _clusters(jet_at, lo: float, hi: float, bound2: float, bound3, abs_tol: float, real_mode: bool) -> list:
     """Runs of adjacent pieces of [lo, hi] on which |w| may fall below abs_tol, in path order.
 
     Each piece is (lo, hi, monotone); monotone pieces are found in REAL mode
-    only.  bound2 bounds |w''| on [lo, hi].
+    only.  bound2 bounds |w''| on [lo, hi], and bound3() bounds |w'''| there:
+    it is called at most once, when a REAL piece first fails the monotone
+    test, and a piece where |w''(c)| > bound3() r is not split further.
     """
     clusters: list[list] = []
     stack = [(lo, hi, 0)]
+    m3 = None
     while stack:
         a, b, depth = stack.pop()
         c, r = 0.5 * (a + b), 0.5 * (b - a)
-        w, w1, _ = jet_at(c)
+        w, w1, w2 = jet_at(c)
         if abs(w) - abs(w1) * r - 0.5 * bound2 * r * r >= abs_tol:
             continue
-        if real_mode and abs(w1) > bound2 * r:
-            piece = (a, b, True)
-        elif depth < _MAX_DEPTH:
-            stack.append((c, b, depth + 1))
-            stack.append((a, c, depth + 1))
-            continue
-        else:
-            piece = (a, b, False)
+        monotone = real_mode and abs(w1) > bound2 * r
+        if not monotone and depth < _MAX_DEPTH:
+            if real_mode and m3 is None:
+                m3 = bound3()
+            # where w'' keeps its sign on the piece, w' has one root there at most
+            if not (real_mode and abs(w2) > m3 * r):
+                stack.append((c, b, depth + 1))
+                stack.append((a, c, depth + 1))
+                continue
+        piece = (a, b, monotone)
         if clusters and clusters[-1][-1][1] == a:
             clusters[-1].append(piece)
         else:
@@ -214,17 +227,22 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
     """Arc parameters of the candidate zeros strictly inside one node interval."""
     coeffs = right.series
     s0, s1 = left.s, right.s
-    if skip_bound_kernel()(coeffs, s1 - s0) >= abs_tol:
+    h = s1 - s0
+    if skip_bound_kernel()(coeffs, h) >= abs_tol:
         return []
     jet = _jet_kernel()
-    bound2 = jet([abs(a) for a in coeffs], s1 - s0)[2]
+    bound2 = jet([abs(a) for a in coeffs], h)[2]
     end = right.jet.w, right.jet.w1, right.jet.w2
+
+    def bound3() -> float:
+        """|w'''| bound on the interval: w'' at h of w' = sum (k + 1) a_(k+1) t^k, on the coefficients' moduli."""
+        return jet([*(k * abs(a) for k, a in enumerate(coeffs[1:], 1)), 0.0], h)[2]
 
     def jet_at(s: float) -> tuple:
         """(w, w', w'') at s; the closing node's own jet at s1, so that both intervals it joins read one sign there."""
         return end if s == s1 else jet(coeffs, (s - s0) * d)
 
-    clusters = _clusters(jet_at, s0, s1, bound2, abs_tol, real_mode)
+    clusters = _clusters(jet_at, s0, s1, bound2, bound3, abs_tol, real_mode)
     if real_mode:
         return [x for cluster in clusters for x in _real_roots(cluster, jet_at, d, abs_tol)]
 
@@ -315,11 +333,13 @@ def check_curvature_theorem(events, traj: Trajectory) -> CurvatureReport:
     At beta = 0 an isolated zero has slope +-sqrt(-C*), which is 0 on a
     consistent solution, and nonzero curvature.  Both are judged once, by
     `locate_zeros`: an event violates the theorem if its branch is
-    UNRESOLVED or its ``curvature_nonzero`` is false.  Valid for real
-    piv/piv0 trajectories with beta = 0 that are not identically zero (the
-    identically-zero trajectory produces no events, so the report is
-    vacuous).  A violation falsifies the integration accuracy or the
-    isolation of the zero, never the underlying statement.
+    UNRESOLVED or its ``curvature_nonzero`` is false.  The theorem's domain,
+    real piv/piv0 trajectories with beta = 0, is stated here only: any
+    other trajectory raises WrongKind, which is how the ``zeros`` command
+    knows to write no report.  The identically-zero trajectory produces no
+    events, so its report is vacuous.  A violation falsifies the
+    integration accuracy or the isolation of the zero, never the
+    underlying statement.
     """
     if not KINDS[traj.kind].res2_is_c:
         raise WrongKind(f"curvature check applies to piv/piv0, not {traj.kind.value}")

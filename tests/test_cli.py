@@ -1,8 +1,12 @@
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +19,11 @@ from painleve4 import (
     EquationKind,
     InitialData,
     Params,
+    ScalarField,
     Tolerances,
     TrajectoryStatus,
+    WrongKind,
+    check_curvature_theorem,
     constraint_c,
     integrate,
     locate_zeros,
@@ -32,6 +39,7 @@ from painleve4.cli import (
     summary_json,
     write_trajectory_csv,
 )
+from painleve4.equations import _trusted_jet
 
 K = EquationKind
 
@@ -40,6 +48,17 @@ K = EquationKind
 @settings(max_examples=300)
 def test_seventeen_digits_round_trip(x):
     assert float(fmt_float(x)) == x
+
+
+#: doubles a trajectory CSV must write as fmt_float does: signed zero, infinities, NaN and both ends of the range
+_EDGE_DOUBLES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def test_percent_format_is_fmt_float():
+    # write_trajectory_csv formats each row with one "%.17g" template
+    rng = random.Random(0)
+    doubles = [*_EDGE_DOUBLES, *(struct.unpack("<d", rng.randbytes(8))[0] for _ in range(400_000))]
+    assert [x for x in doubles if "%.17g" % x != fmt_float(x)] == []
 
 
 class TestIntegrateCommand:
@@ -136,6 +155,26 @@ class TestIntegrateCommand:
             assert row["err_est"] == node.err_est
             assert row["C_re"] == node.c
             assert row["res2_re"] == node.res2
+
+    @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+    def test_csv_bytes_are_fmt_float_per_value(self, tmp_path, field):
+        init = InitialData.raw(0.0, 0.7, -0.1, 0.4, field, 1.0 if field is ScalarField.REAL else 1j)
+        t = integrate(K.PIV, Params(0.5, 0.25), init, 1.0)
+        edge = itertools.cycle(_EDGE_DOUBLES)
+        value = (lambda: complex(next(edge), next(edge))) if field is ScalarField.COMPLEX else (lambda: next(edge))
+        nodes = tuple(
+            n._replace(jet=_trusted_jet(value(), value(), value(), value()), h=next(edge), err_est=next(edge), res2=value())
+            for n in t.nodes
+        )
+        t = dataclasses.replace(t, nodes=nodes)
+        lines = [CSV_HEADER]
+        for n in t.nodes:
+            res2 = cli._parts(n.res2)
+            parts = (*cli._parts(n.jet.z), *cli._parts(n.jet.w), *cli._parts(n.jet.w1), *cli._parts(n.jet.w2))
+            lines.append(",".join(fmt_float(v) for v in (*parts, n.h, n.err_est, *res2, *res2)))
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(path, t)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_rerun_is_bit_identical(self, tmp_path):
         args = [
@@ -382,6 +421,32 @@ class TestZerosCommand:
         report = doc["curvature_report"]
         assert report == {"ok": True, "violations": []}
         assert doc["events"][0]["curvature_nonzero"] is True
+
+    @pytest.mark.parametrize(
+        "kind,beta,data",
+        [
+            *(pytest.param(k.value, beta, ["--z0", "-1", "--w0", "0.5"], id=f"{k.value}-beta-{beta}")
+              for k in EquationKind for beta in ("0", "1")),
+            pytest.param("piv0", "0", ["--z0", "0", "--w2", "0"], id="identically-zero"),  # a vacuous report
+        ],
+    )
+    def test_curvature_report_exactly_where_the_check_accepts(self, tmp_path, kind, beta, data):
+        argv = ["zeros", "--eq", kind, "--beta", beta, *data, "--span", "1", "--out", str(tmp_path / "e.json"),
+                "--summary", str(tmp_path / "s.json")]  # fmt: skip
+        try:
+            traj = integrate(*cli._build_runspec(build_parser().parse_args(argv)))
+        except ValueError:  # a kind without parameters refuses beta = 1
+            assert main(argv) == 1
+            return
+        try:
+            check_curvature_theorem(locate_zeros(traj), traj)
+            accepted = True
+        except WrongKind:
+            accepted = False
+        assert accepted == (kind in ("piv", "piv0") and beta == "0")
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "e.json").read_text(encoding="utf-8"))
+        assert (doc["curvature_report"] is not None) == accepted
 
 
 class TestVerifyCommand:

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from painleve4 import (
     EquationKind,
     InitialData,
+    Jet3,
     Params,
     ScalarField,
     Tolerances,
+    Trajectory,
+    TrajectoryNode,
     TrajectoryStatus,
     WrongKind,
     ZeroBranch,
@@ -26,7 +29,7 @@ from painleve4 import (
     locate_zeros,
     zeros,
 )
-from painleve4.equations import series_fn
+from painleve4.equations import ORDER, series_fn
 from painleve4.integrator import _jet_kernel
 
 K = EquationKind
@@ -39,12 +42,12 @@ def xxxii_through_two_roots():
     return integrate(K.XXXII, Params(), InitialData.nonzero(z0, z0 * z0 - 0.25, 2 * z0), 4.0)
 
 
-def piv0_through_zero(w2):
-    # tangential zero of piv0 at z = 0, made interior by restarting at z = -0.6
+def piv0_through_zero(w2, d=1.0):
+    # tangential zero of piv0 at z = 0, made interior by restarting at z = -0.6 d
     p = Params()
-    back = integrate(K.PIV0, p, InitialData.raw(0.0, 0.0, 0.0, w2), -0.6)
+    back = integrate(K.PIV0, p, InitialData.raw(0.0, 0.0, 0.0, w2), -0.6 * d)
     j = back.nodes[-1].jet
-    return integrate(K.PIV0, p, InitialData.raw(j.z, j.w, j.w1, j.w2), 1.2)
+    return integrate(K.PIV0, p, InitialData.raw(j.z, j.w, j.w1, j.w2), 1.2 * d)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,14 @@ def test_curvature_check_rejects_complex_path():
     t = integrate(K.PIV0, Params(), init, 0.5)
     with pytest.raises(WrongKind, match="REAL"):
         check_curvature_theorem(locate_zeros(t), t)
+
+
+@pytest.mark.parametrize("w2,nonzero", [(5e-9, False), (2e-8, True)])
+def test_curvature_floor_lies_between_5e_9_and_2e_8(w2, nonzero):
+    t = integrate(K.PIV0, Params(), InitialData.zero(0.0, +1, w2), 0.5)
+    events = locate_zeros(t)
+    assert [(e.a, e.curvature, e.branch) for e in events] == [(0.0, w2, ZeroBranch.PLUS_BETA)]
+    assert events[0].curvature_nonzero is nonzero
 
 
 def test_raw_zero_seed_event_keeps_curvature():
@@ -658,3 +669,101 @@ def test_refine_reaches_a_root_that_halving_runs_out_before():
 
     assert _bisect(lambda s: f(s)[0], -1.0, 1.0, -1.0, 1.0) == 0.0
     assert zeros._refine(f, -1.0, 1.0, f(-1.0), f(1.0)) == 1e-300
+
+
+def _clusters_by_halving(jet_at, lo: float, hi: float, bound2: float, abs_tol: float, real_mode: bool) -> list:
+    """The cluster search before its w'' certificate: the reference for `zeros._clusters`.
+
+    Halves every piece that is not monotone until `_MAX_DEPTH`.
+    """
+    clusters: list[list] = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        w, w1, _ = jet_at(c)
+        if abs(w) - abs(w1) * r - 0.5 * bound2 * r * r >= abs_tol:
+            continue
+        if real_mode and abs(w1) > bound2 * r:
+            piece = (a, b, True)
+        elif depth < zeros._MAX_DEPTH:
+            stack.append((c, b, depth + 1))
+            stack.append((a, c, depth + 1))
+            continue
+        else:
+            piece = (a, b, False)
+        if clusters and clusters[-1][-1][1] == a:
+            clusters[-1].append(piece)
+        else:
+            clusters.append([piece])
+    return clusters
+
+
+def _zero_search(runs, reference: bool) -> tuple[list[str], int]:
+    """Each run's events, and the jet reads of all their zero searches, by `zeros._clusters` or by the reference."""
+    jet = _jet_kernel()
+    reads = 0
+
+    def counted(coeffs, t):
+        nonlocal reads
+        reads += 1
+        return jet(coeffs, t)
+
+    def by_halving(jet_at, lo, hi, bound2, bound3, abs_tol, real_mode):
+        return _clusters_by_halving(jet_at, lo, hi, bound2, abs_tol, real_mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_jet_kernel", lambda: counted)
+        if reference:
+            patch.setattr(zeros, "_clusters", by_halving)
+        events = [repr(locate_zeros(t)) for t in runs]
+    return events, reads
+
+
+def test_certified_pieces_keep_the_events_of_drawn_tangencies():
+    # beta = 0 tangencies as in the benchmark's pool, w'' = +-10^u, crossed both
+    # ways: the w'' certificate stops the halving around each one early
+    rng = random.Random(28)
+    runs = [
+        piv0_through_zero(sign * 10.0 ** rng.uniform(-1.0, 1.0), d)
+        for sign in (1.0, -1.0) for _ in range(50) for d in (1.0, -1.0)
+    ]  # fmt: skip
+    want, reference_reads = _zero_search(runs, reference=True)
+    got, reads = _zero_search(runs, reference=False)
+    assert sum(e != "()" for e in got) == len(runs)
+    assert got == want
+    assert reads <= 0.6 * reference_reads
+
+
+def test_certified_pieces_keep_the_events_of_the_readme_sweep():
+    grid = cli._grid("alpha", -2.0, 2.0, 11)
+    runs = [integrate(K.PIV, Params(a, b), InitialData.nonzero(-1.0, 0.5, 0.0), 2.0) for a in grid for b in grid]
+    want, reference_reads = _zero_search(runs, reference=True)
+    got, reads = _zero_search(runs, reference=False)
+    assert got == want
+    assert reads <= reference_reads
+
+
+def test_pieces_halve_to_max_depth_where_w1_and_w2_vanish_together():
+    # w = (z - 0.3)^4 on one node interval of length 1: at 0.3, w' and w''
+    # vanish together, so neither the monotone test nor the w'' certificate
+    # stops the pieces around it before 12 halvings
+    coeffs = tuple([math.comb(4, k) * (-0.3) ** (4 - k) for k in range(5)] + [0.0] * (ORDER - 4))
+    jet = _jet_kernel()
+    nodes = (
+        TrajectoryNode(Jet3(0.0, *jet(coeffs, 0.0)), 0.0, 0.0, 0.0, 0.0),
+        TrajectoryNode(Jet3(1.0, *jet(coeffs, 1.0)), 1.0, 0.0, 0.0, 1.0, coeffs),
+    )
+    t = Trajectory(K.PIV0, Params(), ScalarField.REAL, 1.0, Tolerances(), nodes, TrajectoryStatus.COMPLETED)
+    pieces = []
+    clusters = zeros._clusters
+
+    def spy(*args):
+        found = clusters(*args)
+        pieces.extend(piece for cluster in found for piece in cluster)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_clusters", spy)
+        locate_zeros(t)
+    assert min(b - a for a, b, _ in pieces) == 1.0 / 4096
