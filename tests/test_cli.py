@@ -51,7 +51,7 @@ def test_seventeen_digits_round_trip(x):
 
 
 #: doubles a trajectory CSV must write as fmt_float does: signed zero, infinities, NaN and both ends of the range
-_EDGE_DOUBLES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+_EDGE_DOUBLES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max)
 
 
 def test_percent_format_is_fmt_float():
@@ -163,7 +163,7 @@ class TestIntegrateCommand:
         edge = itertools.cycle(_EDGE_DOUBLES)
         value = (lambda: complex(next(edge), next(edge))) if field is ScalarField.COMPLEX else (lambda: next(edge))
         nodes = tuple(
-            n._replace(jet=_trusted_jet(value(), value(), value(), value()), h=next(edge), err_est=next(edge), res2=value())
+            n._replace(jet=_trusted_jet(*(value() for _ in range(4))), h=next(edge), err_est=next(edge), res2=value())
             for n in t.nodes
         )
         t = dataclasses.replace(t, nodes=nodes)
