@@ -730,7 +730,7 @@ def test_certified_pieces_keep_the_events_of_drawn_tangencies():
     ]  # fmt: skip
     want, reference_reads = _zero_search(runs, reference=True)
     got, reads = _zero_search(runs, reference=False)
-    assert sum(e != "()" for e in got) == len(runs)
+    assert "()" not in got  # every run finds its tangency
     assert got == want
     assert reads <= 0.6 * reference_reads
 
