@@ -35,10 +35,13 @@ Because every third-order right-hand side is a polynomial, the Taylor
 coefficients of a solution follow from its jet by Cauchy-product
 recurrences, with no division by w and no right-hand side calls (Jorba and
 Zou, Exp. Math. 14 (2005); Fornberg and Weideman, J. Comput. Phys. 230
-(2011)).  `series_fn` binds the recurrence of one kind, a straight-line
-kernel compiled on first use (`series_kernel`) whose Cauchy sums are written
-out term by term and added left to right on every interpreter; `rhs3`
-evaluates the right-hand side itself at one point.
+(2011)).  `series_lines` writes the recurrence of one kind out term by term,
+as Jorba and Zou's `taylor` translator emits it, since a loop over the
+orders spends most of its time on interpreter overhead; each sum is added
+left to right from 0.0 (`written_sum`), the same bits on every interpreter.
+The integrator compiles those lines and the step rule into one kernel per
+recurrence (`integrator._step_kernel`); `rhs3` evaluates the right-hand side
+itself at one point.
 
 Note on parameters: the ``beta**2`` convention above is Ince's XXXI form.
 The standalone Painleve IV convention relabels beta^2 as -2*beta; no
@@ -49,7 +52,7 @@ from cmath import isfinite  # takes real and complex values alike
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple
 
 from .errors import SingularInput
@@ -97,7 +100,7 @@ class Jet3:
     """Point value (z, w, w', w''): the full state of the third-order system.
 
     The third derivative is not stored: the series of each step
-    (`series_fn`) carries it as 6 a_3.
+    (`series_lines`) carries it as 6 a_3.
     """
 
     z: Scalar
@@ -146,7 +149,7 @@ def ensure_kind_params(kind: EquationKind, p: Params) -> None:
                 raise ValueError(f"{name}: {kind.value} requires alpha = beta = 0, got {name} = {value!r}")
 
 
-#: order p of the Taylor series that `series_fn` builds: coefficients a_0 .. a_p
+#: order p of the Taylor series of each step (`series_lines`): coefficients a_0 .. a_p
 ORDER = 20
 
 def written_sum(terms) -> str:
@@ -168,7 +171,7 @@ def compile_kernel(name: str, args: str, lines, **names):
 
 
 # Each kind's recurrence at order k.  a_k, d_k and s_k are the coefficients of
-# w, w' and w^2 (f, f', f^2 for sqrt-piv0), p_k those of piv's
+# w, w' and w^2 (f, f', f^2 for sqrt-piv0), P_k those of piv's
 # P = 6 w^2 + 12 z w + 4 (z^2 - alpha), q_k those of sqrt-piv0's
 # 15 f^4 + 24 t f^2 + 4 t^2, and c_k those of 4 (z^2 - alpha) or 4 t^2, all in
 # powers of z - z0.  {xy} is the Cauchy sum x_0 y_k + ... + x_k y_0, {zx} the
@@ -177,7 +180,7 @@ def compile_kernel(name: str, args: str, lines, **names):
 # computes it once per order, as za.  r at order 0 is `rhs3`; only piv reads alpha.
 _SERIES_TEMPLATES = {
     "piv": (("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
-            ("s{k} = {aa}", "za = {za}", "p{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {pd} + 4.0 * (s{k} + za)")),
+            ("s{k} = {aa}", "za = {za}", "P{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {Pd} + 4.0 * (s{k} + za)")),
     "xxix": ((), ("s{k} = {aa}", "r = 6.0 * {sd}")),
     "sqrt_piv0": (("c0 = 4.0 * z * z", "c1 = 8.0 * z"),
                   ("s{k} = {aa}", "q{k} = 15.0 * {ss} + 24.0 * {zs}{c}", "r = 2.0 * ({as} + {za}) + 0.25 * {qd}")),
@@ -187,24 +190,35 @@ _SERIES_TEMPLATES = {
 def _order_lines(body, k: int) -> list[str]:
     """A template's lines at order k, each Cauchy sum written out."""
     fields = {x + y: written_sum(f"{x}{i} * {y}{k - i}" for i in range(k + 1))
-              for x, y in ("aa", "pd", "sd", "ss", "as", "qd")}
+              for x, y in ("aa", "Pd", "sd", "ss", "as", "qd")}
     for x in "as":
         fields["z" + x] = f"(z * {x}{k} + {x}{k - 1})" if k else f"(z * {x}0)"
     fields["c"] = f" + {('c0', 'c1', '4.0')[k]}" if k < 3 else ""
     return [line.format(k=k, **fields) for line in body]
 
 
-@cache
-def series_kernel(name: str):
-    """The recurrence `_SERIES_TEMPLATES[name]` written out to a_p and compiled, once per process."""
+def series_lines(name: str | None) -> list[str]:
+    """Kernel lines that set a_0 .. a_p, the Taylor coefficients of w about the jet (z, w, w1, w2), and d_2 .. d_(p-1).
+
+    `name` is a kind's `KindRow.series`.  A template's recurrence is written
+    out to a_p: coefficient a_(k+3) comes from coefficient k of the
+    right-hand side, whose products are Cauchy sums over the coefficients
+    already known, so the lines make O(p^2) operations, read alpha, z, w, w1
+    and w2, and never divide by w.  d_k = (k + 1) a_(k+1) is coefficient k
+    of w'.  None stands for xvii and xxxii, whose w''' = 0 ends the series at
+    a_2: their later a_k and d_k are 0.0.  Each step of `integrate` runs
+    these lines (`integrator._step_kernel`).
+    """
+    if name is None:
+        zeros = " = ".join([*(f"a{k}" for k in range(3, ORDER + 1)), *(f"d{k}" for k in range(2, ORDER))])
+        return ["a0, a1, a2 = w, w1, 0.5 * w2", f"{zeros} = 0.0"]
     head, body = _SERIES_TEMPLATES[name]
     lines = ["a0, a1, a2, d0, d1 = w, w1, 0.5 * w2, w1, w2", *head]
     for k in range(ORDER - 2):
         lines += _order_lines(body, k)
         # a_{k+3} = r / ((k+1)(k+2)(k+3)) and d_{k+2} = (k+3) a_{k+3}, the factors as float literals
         lines += [f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}", f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"]
-    lines.append(f"return [{', '.join(f'a{i}' for i in range(ORDER + 1))}]")
-    return compile_kernel(name, "alpha, z, w, w1, w2", lines)
+    return lines
 
 
 @cache
@@ -212,34 +226,6 @@ def _rhs3_kernel(name: str):
     """(alpha, z, w, w') -> the right-hand side: the template's r at order 0, compiled once per process."""
     head, body = _SERIES_TEMPLATES[name]
     return compile_kernel(name + "_rhs3", "alpha, z, a0, d0", [*head, *_order_lines(body, 0), "return r"])
-
-
-def _quadratic_series(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> list:
-    # w''' = 0: the series ends at the quadratic term
-    return [w, w1, 0.5 * w2] + [0.0] * (ORDER - 2)
-
-
-def series_fn(kind: EquationKind, p: Params):
-    """Taylor recurrence of the advanced system bound to one kind.
-
-    The returned function maps a jet (z, w, w', w'') to the list a_0 .. a_p
-    (p = `ORDER`) of Taylor coefficients of w in powers of z - z0, where z0
-    is the jet's point; 6 a_3 is `rhs3` there.  Coefficient a_{k+3} comes
-    from coefficient k of the right-hand side, whose products are Cauchy
-    sums over the coefficients already known: O(p^2) operations in all and
-    no division by w.  xvii and xxxii have w''' = 0, so their a_k vanish
-    for k >= 3.  The parameters are validated here, once, so the bound
-    function does no dispatch or checking per call.
-
-    The other recurrences are written out term by term, as Jorba and Zou's
-    `taylor` translator emits them, since a loop over the orders spends most
-    of its time on interpreter overhead; each sum is added left to right
-    from 0 (`written_sum`), the same bits on every interpreter.  A kernel is
-    compiled when first bound; piv and piv0 share one.
-    """
-    ensure_kind_params(kind, p)
-    name = KINDS[kind].series
-    return _quadratic_series if name is None else partial(series_kernel(name), p.alpha)
 
 
 def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:

@@ -7,11 +7,13 @@ z(s) = z0 + s*d where d is +-1 on the real line and a unit complex
 direction otherwise, so a single code path serves both modes.
 
 Each step expands w about the current node to order p = `ORDER` with the
-kind's coefficient recurrence (`equations.series_fn`), bound once when
-`integrate` is entered, and evaluates that polynomial at z + h*d; the step
-rule, that evaluation and err_est are one written-out kernel
-(`_step_kernel`).  The step length follows Jorba and Zou (Exp. Math. 14
-(2005)):
+kind's coefficient recurrence (`equations.series_lines`) and evaluates that
+polynomial at z + h*d.  The recurrence, the step rule, that evaluation and
+err_est are one written-out kernel per recurrence (`_step_kernel`), looked
+up once when `integrate` is entered; it returns the coefficients with the
+step, so at a node where the pole search runs (below) the search reads them
+before the step is used.  The step length follows Jorba and Zou (Exp. Math.
+14 (2005)):
 
     h = 0.5 * min over k = p-3 .. p of ((abs + rel |w|) / |a_k|)^(1/k),
 
@@ -74,7 +76,7 @@ from .equations import (
     ensure_kind_params,
     residual2,
     rhs3,  # noqa: F401 -- unused here; perfbench/tracing.py patches integrator.rhs3
-    series_fn,
+    series_lines,
     written_sum,
     _rhs2_scalar,
     _trusted_jet,
@@ -107,17 +109,37 @@ _ARC = attrgetter("s")
 _TAIL = range(ORDER - 3, ORDER + 1)
 # kernel lines that set p_k = t^k for k = 0 .. p, as p0 = 1.0 and p_k = p_(k-1) * t
 _POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
-# kernel lines that set b_k = k a_k and e_k = k b_(k+1), the coefficients of w' and w'',
-# the factors as float literals
-_DERIVATIVES = [
-    *(f"b{k} = a{k} * {float(k)!r}" for k in range(1, ORDER + 1)),
-    *(f"e{k} = b{k + 1} * {float(k)!r}" for k in range(1, ORDER)),
-]
-# (w, w', w'') at t from a_k, b_k, e_k and p_k, each sum added left to right from 0.0
-_JET_SUMS = ", ".join(
-    written_sum(f"{x}{k + i} * p{k}" for k in range(n))
-    for x, i, n in (("a", 0, ORDER + 1), ("b", 1, ORDER), ("e", 1, ORDER - 1))  # name, first index, terms
-)
+
+
+def _b(k: int, reused: bool) -> str:
+    """The name of b_k = k a_k: b_k, or in a step kernel from k = 3 on the series' d_(k-1) = k a_k, the same product."""
+    return f"d{k - 1}" if reused and k >= 3 else f"b{k}"
+
+
+def _derivatives(reused: bool) -> list[str]:
+    """Kernel lines that set b_k = k a_k, where `_b` names it b_k, and e_k = k b_(k+1): the coefficients of w' and w''.
+
+    The factors are float literals.
+    """
+    return [
+        *(f"b{k} = a{k} * {float(k)!r}" for k in range(1, 3 if reused else ORDER + 1)),
+        *(f"e{k} = {_b(k + 1, reused)} * {float(k)!r}" for k in range(1, ORDER)),
+    ]
+
+
+def _jet_sums(reused: bool) -> str:
+    """(w, w', w'') at t from a_k, b_k (named by `_b`), e_k and p_k, each sum added left to right from 0.0."""
+    return ", ".join((
+        written_sum(f"a{k} * p{k}" for k in range(ORDER + 1)),
+        written_sum(f"{_b(k + 1, reused)} * p{k}" for k in range(ORDER)),
+        written_sum(f"e{k + 1} * p{k}" for k in range(ORDER - 1)),
+    ))
+
+
+_DERIVATIVES = _derivatives(False)
+_JET_SUMS = _jet_sums(False)
+# what a step kernel takes: alpha and the jet (z, w, w', w'') its series expands about, then the step's state and rule
+_STEP_ARGS = "alpha, z, w, w1, w2, s, total, d, h_min, abs_tol, rel_tol"
 
 
 @dataclass(frozen=True)
@@ -205,7 +227,7 @@ class TrajectoryNode(NamedTuple):
     integral of the third-order flow; on piv and piv0 it is the constraint C.
     h, err_est and series describe the step from the previous node:
     series holds its Taylor coefficients a_0 .. a_p in powers of z - z_prev
-    (`equations.series_fn`), so w between the two nodes is that polynomial,
+    (`equations.series_lines`), so w between the two nodes is that polynomial,
     and err_est is its largest tail term |a_k| h^k, k = p-3 .. p, in units of
     abs + rel |w_prev|.  Node 0 has h = err_est = 0 and no series.
 
@@ -310,37 +332,54 @@ def _jet_kernel():
     return compile_kernel("jet", "coeffs, t", lines)
 
 
-@cache
-def _step_kernel():
-    """One step of `integrate` from a node's series, written out and compiled once per process.
-
-    (coeffs, s, total, d, h_min, abs, rel) -> (s_new, h, err_est, w, w', w'')
-    at z_prev + h d, or None where the step is refused: a tail coefficient
-    or the new state is not finite, or the Jorba-Zou step
-    0.5 min_k (bound / |a_k|)^(1/k), k = p-3 .. p, is below h_min short of
-    the span's end.  It does `_jet_kernel`'s float operations in their
-    order, so its w, w' and w'' are that kernel's bits.
-    """
-    return compile_kernel("step", "coeffs, s, total, d, h_min, abs_tol, rel_tol", [
-        f"{_names('a')}= coeffs",
+def _step_lines(name: str | None) -> list[str]:
+    """The lines of `_step_kernel(name)`: the series, then the step rule and the polynomial at the step's end."""
+    rule = [
         "bound = abs_tol + rel_tol * abs(a0)",
         *(f"m{k} = abs(a{k})" for k in _TAIL),
-        f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return None",
+        f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return coeffs, None",
         "h = inf",
         *(f"if m{k}: h = min(h, (bound / m{k}) ** {1.0 / k!r})" for k in _TAIL),
         "h = 0.5 * h",
         "left = total - s",
         "hit_end = h >= left",
         "if hit_end: h = left",
-        "elif h < h_min: return None",
+        "elif h < h_min: return coeffs, None",
         "t = h * d",
         *_POWERS,
-        *_DERIVATIVES,
-        f"w, w1, w2 = {_JET_SUMS}",
-        "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return None",
+        *_derivatives(True),
+        f"w, w1, w2 = {_jet_sums(True)}",
+        "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return coeffs, None",
         f"err = max({', '.join(f'm{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
-        "return (total if hit_end else s + h), h, err, w, w1, w2",
-    ], inf=math.inf, isfinite=isfinite)
+        "return coeffs, ((total if hit_end else s + h), h, err, w, w1, w2)",
+    ]
+    return [
+        *series_lines(name),
+        f"coeffs = ({_names('a')})",
+        "try:",
+        *(f"    {line}" for line in rule),
+        # |a_k| of a complex coefficient, or h^k, past the largest double: refused like a coefficient that is not finite
+        "except OverflowError:",
+        "    return coeffs, None",
+    ]
+
+
+@cache
+def _step_kernel(name: str | None):
+    """One step of `integrate` for the series template `name` (`KindRow.series`), written out and compiled once per process.
+
+    (alpha, z, w, w', w'', s, total, d, h_min, abs, rel) -> (coeffs, step).
+    coeffs is the tuple a_0 .. a_p of the series of w about the jet
+    (`equations.series_lines`).  step is (s_new, h, err_est, w, w', w'') at
+    z + h d, or None where the step is refused: a tail coefficient or the
+    new state is not finite, or the Jorba-Zou step 0.5 min_k (bound /
+    |a_k|)^(1/k), k = p-3 .. p, is below h_min short of the span's end.
+    The step reads b_k = k a_k, k >= 3, off the recurrence's d_(k-1) =
+    k a_k, the same product, and otherwise does `_jet_kernel`'s float
+    operations in their order, so its w, w' and w'' are that kernel's bits
+    on coeffs.  piv and piv0 share one kernel, and so do xvii and xxxii.
+    """
+    return compile_kernel("step", _STEP_ARGS, _step_lines(name), inf=math.inf, isfinite=isfinite)
 
 
 @cache
@@ -501,14 +540,13 @@ def integrate(
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)
     z0 = j0.z
-    h_min, abs_tol, rel_tol = _H_MIN, tol.abs, tol.rel
-    series = series_fn(kind, p)
-    step = _step_kernel()
-    jet = j0
+    h_min, abs_tol, rel_tol, alpha = _H_MIN, tol.abs, tol.rel, p.alpha
+    step = _step_kernel(row.series)
+    z, w, w1, w2 = z0, j0.w, j0.w1, j0.w2
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
     pole_bound: float | None = None
-    mag = abs(j0.w * j0.w if squared else j0.w)
+    mag = abs(w * w if squared else w)
     s = 0.0
     n_steps = 0
 
@@ -517,15 +555,15 @@ def integrate(
         if n_steps > _MAX_STEPS:
             status = TrajectoryStatus.STEP_BUDGET
             break
-        coeffs = series(jet.z, jet.w, jet.w1, jet.w2)
+        coeffs, taken = step(alpha, z, w, w1, w2, s, total, d, h_min, abs_tol, rel_tol)
+        # the pole search reads the node's series before its step is used
         if mag > pole_from:
-            pole = _series_pole(pole_v, squared, coeffs, jet.z, d, total - s, tol)
+            pole = _series_pole(pole_v, squared, coeffs, z, d, total - s, tol)
             if pole is not None:
                 status = TrajectoryStatus.POLE
                 r, pole_bound = pole
-                pole_estimate = jet.z + r
+                pole_estimate = z + r
                 break
-        taken = step(coeffs, s, total, d, h_min, abs_tol, rel_tol)
         if taken is None:
             status = TrajectoryStatus.STEP_UNDERFLOW
             break
@@ -536,8 +574,9 @@ def integrate(
             break
 
         # the kernel refused a non-finite state, so the jet skips Jet3's check
-        jet = _trusted_jet(z0 + s_new * d, w, w1, w2)
-        nodes.append(TrajectoryNode(jet, h, err_est, monitor(jet), s_new, tuple(coeffs)))
+        z = z0 + s_new * d
+        jet = _trusted_jet(z, w, w1, w2)
+        nodes.append(TrajectoryNode(jet, h, err_est, monitor(jet), s_new, coeffs))
         s = s_new
 
     traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate, pole_bound)

@@ -26,13 +26,19 @@ from painleve4 import (
     rhs3,
 )
 from painleve4 import equations
-from painleve4.equations import ORDER, _rhs2_scalar, series_fn
+from painleve4.equations import KINDS, ORDER, _rhs2_scalar
+from painleve4.integrator import _H_MIN, _step_kernel
 from painleve4.oracles import square_push, xxix_pole_family
 
 K = EquationKind
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 nonzero_w = st.floats(min_value=-10.0, max_value=10.0).filter(lambda w: abs(w) >= 1e-3)
+
+
+def coefficients(kind, p, z, w, w1, w2):
+    """a_0 .. a_p of the kind's series about the jet (z, w, w', w''), as its step kernel returns them."""
+    return _step_kernel(KINDS[kind].series)(p.alpha, z, w, w1, w2, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)[0]
 
 
 def completed_w2(kind, p, z, w, w1):
@@ -234,7 +240,7 @@ def test_xxix_closure(w, w1):
 def test_xxix_series_of_the_pole_family(c, z0):
     # w = 1/(c - z) = sum over k of (c - z0)^-(k+1) (z - z0)^k
     j = xxix_pole_family(c, z0)
-    coeffs = series_fn(K.XXIX, Params())(j.z, j.w, j.w1, j.w2)
+    coeffs = coefficients(K.XXIX, Params(), j.z, j.w, j.w1, j.w2)
     assert len(coeffs) == ORDER + 1
     u = 1.0 / (c - z0)
     for k, a in enumerate(coeffs):
@@ -246,10 +252,10 @@ def test_sqrt_series_squares_to_the_piv0_series(t0, f0, f1):
     # f^2 solves piv0, so the square of the sqrt-piv0 series is the piv0 series
     # of the squared jet
     f2 = _rhs2_scalar(K.SQRT_PIV0, Params(), t0, f0, f1)
-    f = series_fn(K.SQRT_PIV0, Params())(t0, f0, f1, f2)
+    f = coefficients(K.SQRT_PIV0, Params(), t0, f0, f1, f2)
     squared = [sum(f[i] * f[k - i] for i in range(k + 1)) for k in range(ORDER + 1)]
     j = square_push(t0, f0, f1)
-    want = series_fn(K.PIV0, Params())(j.z, j.w, j.w1, j.w2)
+    want = coefficients(K.PIV0, Params(), j.z, j.w, j.w1, j.w2)
     for a, b in zip(squared, want):
         assert abs(a - b) <= 1e-13 * (1.0 + abs(b))
 
@@ -257,75 +263,74 @@ def test_sqrt_series_squares_to_the_piv0_series(t0, f0, f1):
 @pytest.mark.parametrize("kind", list(K))
 def test_series_ends_at_the_quadratic_only_where_the_third_derivative_vanishes(kind):
     p = Params(0.3, 0.7) if kind is K.PIV else Params()
-    coeffs = series_fn(kind, p)(0.4, 0.8, -0.3, 0.5)
-    assert coeffs[:3] == [0.8, -0.3, 0.25]
+    coeffs = coefficients(kind, p, 0.4, 0.8, -0.3, 0.5)
+    assert coeffs[:3] == (0.8, -0.3, 0.25)
     assert (max(map(abs, coeffs[3:])) == 0.0) == (kind in (K.XVII, K.XXXII))
 
 
 _LAZY_KERNELS = """
 import painleve4, painleve4.cli
-from painleve4 import equations, integrator, zeros
-from painleve4.equations import EquationKind as K, Params, series_fn
+from painleve4 import integrator, zeros
+from painleve4.equations import EquationKind as K, Params
 from painleve4.integrator import InitialData, integrate
 
 def built():
-    kernels = (equations.series_kernel, integrator._jet_kernel, integrator._step_kernel)
+    kernels = (integrator._step_kernel, integrator._jet_kernel)
     return tuple(kernel.cache_info().currsize for kernel in kernels)
 
 def built_readers():
     kernels = (integrator.skip_bound_kernel, integrator._reciprocal, integrator._cauchy_square)
     return tuple(kernel.cache_info().currsize for kernel in kernels)
 
-assert built() == (0, 0, 0), built()
+assert built() == (0, 0), built()
 assert built_readers() == (0, 0, 0), built_readers()
-coeffs = series_fn(K.PIV, Params(0.5, 0.1))(0.0, 0.3, 0.2, 0.1)
-assert built() == (1, 0, 0), built()
-series_fn(K.PIV, Params(-0.7, 0.2))(0.0, 0.3, 0.2, 0.1)
-series_fn(K.PIV0, Params())(0.0, 0.3, 0.2, 0.1)
-series_fn(K.XVII, Params())(0.0, 0.3, 0.2, 0.1)
-assert built() == (1, 0, 0), built()
-assert equations.series_kernel.cache_info().misses == 1
-series_fn(K.XXIX, Params())
-assert built() == (2, 0, 0), built()
+# the first run of a kind builds its step kernel, and no other: |w| stays below 3, so no pole search
+run = integrate(K.PIV, Params(0.5, 0.1), InitialData.nonzero(0.0, 0.3, 0.2), 0.1)
+assert built() == (1, 0), built()
+# piv at another alpha and piv0 reuse it
+integrate(K.PIV, Params(-0.7, 0.2), InitialData.nonzero(0.0, 0.3, 0.2), 0.1)
+integrate(K.PIV0, Params(), InitialData.nonzero(0.0, 0.3, 0.2), 0.1)
+assert built() == (1, 0), built()
+assert integrator._step_kernel.cache_info().misses == 1
 
-# w = z^2 - 1/4 on xxxii: two roots
-# integrate builds the step kernel, and no reader
+# the quadratic kinds share one kernel: w = z^2 - 1/4 on xxxii, two roots, and w = (z + 1)^2 on xvii
 quadratic = integrate(K.XXXII, Params(), InitialData.nonzero(-2.0, 3.75, -4.0), 4.0)
-assert built() == (2, 0, 1), built()
+assert built() == (2, 0), built()
+integrate(K.XVII, Params(), InitialData.nonzero(0.0, 1.0, 2.0), 2.0)
+assert built() == (2, 0), built()
 assert built_readers() == (0, 0, 0), built_readers()
 
 # the series pole rule: xxix ends at the root of 1/w's series, piv at 1/(w + z)'s;
 # the first pole run builds the jet kernel, which Newton reads u and u' through
 for kind in (K.XXIX, K.PIV):
     assert integrate(kind, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0).pole_estimate is not None
-    assert built() == (2, 1, 1), built()
+    assert built() == (3, 1), built()
     assert built_readers() == (0, 1, 0), built_readers()
 assert integrator._reciprocal.cache_info().misses == 1
 # sqrt-piv0 squares f's series first
 for _ in range(2):
     assert integrate(K.SQRT_PIV0, Params(), InitialData.nonzero(-3.0, 0.7, 0.0), 6.0).pole_estimate is not None
     assert built_readers() == (0, 1, 1), built_readers()
-# and has a series kernel of its own
-assert built() == (3, 1, 1), built()
+# and has a step kernel of its own
+assert built() == (4, 1), built()
 
 # the zero search reads w and its derivatives, and its curvature bound, through
 # the jet kernel, and builds the skip bound's
 assert len(zeros.locate_zeros(quadratic)) == 2
-assert built() == (3, 1, 1), built()
+assert built() == (4, 1), built()
 assert built_readers() == (1, 1, 1), built_readers()
 zeros.locate_zeros(quadratic)
-integrator._jet_kernel()(coeffs, 0.2)
+integrator._jet_kernel()(run.nodes[-1].series, 0.2)
 assert integrator._jet_kernel.cache_info().misses == 1
-assert integrator._step_kernel.cache_info().misses == 1
+assert integrator._step_kernel.cache_info().misses == 4
 """
 
 
 def test_kernels_compile_on_first_use():
     # in a fresh interpreter: importing the package builds no kernel, the
-    # first binding of a kind builds exactly one, and piv at another alpha,
-    # piv0 and the quadratic kinds reuse or need none; the step of
-    # `integrate`, the zero search and the series pole rule build theirs on
-    # first use, once
+    # first run of a kind builds exactly one step kernel, and piv at another
+    # alpha and piv0 reuse it, as xvii reuses xxxii's; the zero search and
+    # the series pole rule build theirs on first use, once
     src = Path(equations.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _LAZY_KERNELS], env=env, capture_output=True, text=True, timeout=60)

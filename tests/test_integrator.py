@@ -24,13 +24,15 @@ from painleve4 import (
     integrate,
     residual2,
 )
-from painleve4.equations import ORDER, rhs3, series_fn
+from painleve4.equations import KINDS, ORDER, compile_kernel, rhs3, series_lines
 from painleve4.integrator import (
     _H_MIN,
+    _STEP_ARGS,
     _cauchy_square,
     _jet_kernel,
     _reciprocal,
     _step_kernel,
+    _step_lines,
     _tail,
     skip_bound_kernel,
 )
@@ -75,6 +77,11 @@ def _reference_pole(kind, p, init, estimate):
     return _newton_step_to_pole(kind, ref.nodes[-1].jet)
 
 
+def coefficients(kind, p, z, w, w1, w2):
+    """a_0 .. a_p of the kind's series about the jet (z, w, w', w''), as its step kernel returns them."""
+    return _step_kernel(KINDS[kind].series)(p.alpha, z, w, w1, w2, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)[0]
+
+
 def _tail_error(coeffs, h, bound):
     """err_est: the largest tail term |a_k| h^k, k = p-3 .. p, over bound."""
     return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
@@ -96,7 +103,8 @@ def _step_length(coeffs, bound: float) -> float | None:
 
 
 def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
-    """A step as three calls, `_step_length`, `_jet_kernel` and `_tail_error`: the reference for `_step_kernel`."""
+    """A step from coeffs as three calls, `_step_length`, `_jet_kernel` and `_tail_error`: the reference for the step
+    `_step_kernel` takes after its series."""
     bound = abs_tol + rel_tol * abs(coeffs[0])
     h = _step_length(coeffs, bound)
     if h is None:
@@ -139,7 +147,7 @@ def _reference_dense_eval_param(traj, s):
 
 def taylor_step(kind, j, h):
     """One Taylor step of signed length h from j: the new jet, and the tail error in units of the default tolerance."""
-    coeffs = series_fn(kind, Params())(j.z, j.w, j.w1, j.w2)
+    coeffs = coefficients(kind, Params(), j.z, j.w, j.w1, j.w2)
     tol = Tolerances()
     return Jet3(j.z + h, *_jet_kernel()(coeffs, h)), _tail_error(coeffs, abs(h), tol.abs + tol.rel * abs(j.w))
 
@@ -240,7 +248,7 @@ class TestStep:
             (K.PIV, Jet3(0.0, 1e100 + 1e100j, 1e100j, -1e100 + 0j)),
             (K.SQRT_PIV0, Jet3(0.0, 1e100, 1e100, 0.0)),
         ):
-            coeffs = series_fn(kind, Params())(jet.z, jet.w, jet.w1, jet.w2)
+            coeffs = coefficients(kind, Params(), jet.z, jet.w, jet.w1, jet.w2)
             for h in (10.0, -10.0):
                 assert _step_length(coeffs, 1e-10) is None
                 assert not all(map(isfinite, _jet_kernel()(coeffs, h)))
@@ -478,22 +486,22 @@ class TestRejectedSteps:
 
 @pytest.fixture
 def series_builds(monkeypatch):
-    """Count the series that `integrate` builds, one per trial step."""
+    """Count the series that `integrate` builds, one per trial step: the calls of its step kernel."""
     import painleve4.integrator as integrator
 
     calls = [0]
-    bind = integrator.series_fn
+    build = integrator._step_kernel
 
-    def counting_series_fn(kind, p):
-        series = bind(kind, p)
+    def counting_step_kernel(name):
+        kernel = build(name)
 
-        def counted(z, w, w1, w2):
+        def counted(*args):
             calls[0] += 1
-            return series(z, w, w1, w2)
+            return kernel(*args)
 
         return counted
 
-    monkeypatch.setattr(integrator, "series_fn", counting_series_fn)
+    monkeypatch.setattr(integrator, "_step_kernel", counting_step_kernel)
     return calls
 
 
@@ -561,10 +569,12 @@ class TestStats:
         t = _run_stats_case(name, monkeypatch)
         assert t.status is TrajectoryStatus.STEP_UNDERFLOW
         j = t.nodes[-1].jet
-        coeffs = series_fn(t.kind, t.params)(j.z, j.w, j.w1, j.w2)
+        coeffs, step = _step_kernel(KINDS[t.kind].series)(
+            t.params.alpha, j.z, j.w, j.w1, j.w2, 0.0, 1.0, t.direction, integrator._H_MIN, t.tol.abs, t.tol.rel
+        )
         h = _step_length(coeffs, t.tol.abs + t.tol.rel * abs(j.w))
         assert (int(h is not None and h < integrator._H_MIN), int(h is None)) == (error, non_finite)
-        assert _step_kernel()(coeffs, 0.0, 1.0, t.direction, integrator._H_MIN, t.tol.abs, t.tol.rel) is None
+        assert step is None
 
     def test_a_rerun_has_the_same_stats(self):
         runs = [integrate(K.PIV, Params(0.3, 0.7), InitialData.nonzero(0.0, 0.8, -0.2), 1.5) for _ in range(2)]
@@ -627,12 +637,11 @@ def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name, monkeypat
     if h_min is not None:
         monkeypatch.setattr(integrator, "_H_MIN", h_min)
     t = integrate(kind, p, init, span)
-    series = series_fn(kind, p)
     assert len(t.nodes) > 5
     assert t.nodes[0].series == ()
     for left, node in zip(t.nodes, t.nodes[1:]):
         j = left.jet
-        fresh = series(j.z, j.w, j.w1, j.w2)
+        fresh = coefficients(kind, p, j.z, j.w, j.w1, j.w2)
         assert [_bits(v) for v in node.series] == [_bits(v) for v in fresh]
         end = _jet_kernel()(fresh, node.h * t.direction)
         assert [_bits(v) for v in end] == [_bits(v) for v in (node.jet.w, node.jet.w1, node.jet.w2)]
@@ -1012,11 +1021,13 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
     def params():
         return Params(rng.uniform(-1, 1), rng.uniform(-1, 1)) if kind is K.PIV else Params()
 
+    kernel = _step_kernel(KINDS[kind].series)
+
     def same_bits(p, z0, y, h, d):
         t = h * d
-        got = series_fn(kind, p)(z0, *y)
+        got = coefficients(kind, p, z0, *y)
         want = reference_series(kind, p, z0, *y)
-        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert type(got) is tuple and [_bits(v) for v in got] == [_bits(v) for v in want]
         # the step and the zero search: the polynomial at z0 + t, with its derivatives
         pw = [1.0]
         for _ in range(ORDER):
@@ -1047,10 +1058,13 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             ref = [_left_sum(map(mul, cs, pw)) for cs in (u, du)]
             assert [_bits(v) for v in _jet_kernel()(u, t)[:2]] == [_bits(v) for v in ref]
         # the step kernel from s = 0.5 with |h| of the span left: at its end,
-        # before it, and refused where h_min is half the span left
+        # before it, and refused where h_min is half the span left; the same
+        # series with each, and the step that the reference takes from it
         for h_min in (_H_MIN, 0.5 * h):
-            args = (got, 0.5, 0.5 + h, d, h_min, 1e-10, 1e-10)
-            step, want_step = _step_kernel()(*args), _reference_step(*args)
+            args = (0.5, 0.5 + h, d, h_min, 1e-10, 1e-10)
+            coeffs, step = kernel(p.alpha, z0, *y, *args)
+            assert [_bits(v) for v in coeffs] == [_bits(v) for v in want]
+            want_step = _reference_step(want, *args)
             assert (step is None) == (want_step is None)
             if step is not None:
                 assert [_bits(v) for v in step] == [_bits(v) for v in want_step]
@@ -1071,24 +1085,32 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             same_bits(params(), edge(), (edge(), edge(), edge()), h, direction(sign))
 
 
+def _injected_kernel(k, value):
+    """The quadratic kinds' step kernel with a_k = value once its series is set: a tail coefficient injected."""
+    series = series_lines(None)
+    lines = _step_lines(None)
+    assert lines[: len(series)] == series
+    lines = [*series, f"a{k} = value", *lines[len(series) :]]
+    return compile_kernel("step", _STEP_ARGS, lines, inf=math.inf, isfinite=isfinite, value=value)
+
+
 def test_nan_error_component_is_not_accepted(monkeypatch):
     # a NaN among the four tail coefficients of the step rule must not read
-    # as a vanishing tail, which would allow an unbounded step
+    # as a vanishing tail, which would allow an unbounded step; nor may a
+    # complex one whose modulus is past the largest double, where abs() raises
     import painleve4.integrator as integrator
 
-    exact = [1.0, 0.5, 0.25] + [0.0] * (ORDER - 2)
-    args = (0.0, 5.0, 1.0, _H_MIN, 1e-10, 1e-10)  # s, total, d, h_min, abs, rel
-    assert _step_kernel()(exact, *args)[:2] == (5.0, 5.0)
+    # alpha, the jet (z, w, w', w'') = (0, 1, 0.5, 0.5), then s, total, d, h_min, abs and rel
+    args = (0.0, 0.0, 1.0, 0.5, 0.5, 0.0, 5.0, 1.0, _H_MIN, 1e-10, 1e-10)
+    coeffs, step = _step_kernel(None)(*args)
+    assert coeffs == (1.0, 0.5, 0.25) + (0.0,) * (ORDER - 2) and step[:2] == (5.0, 5.0)
+    assert _injected_kernel(ORDER, 0.0)(*args) == (coeffs, step)
     for k in range(ORDER - 3, ORDER + 1):
-        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
-            coeffs = list(exact)
-            coeffs[k] = bad
-            assert _step_kernel()(coeffs, *args) is None
+        for bad in (math.nan, math.inf, complex(0.0, math.nan), complex(1.5e308, 1.5e308)):
+            coeffs, step = _injected_kernel(k, bad)(*args)
+            assert coeffs[k] is bad and step is None, (k, bad)
 
-    def nan_tail(kind, p):
-        return lambda z, w, w1, w2: [w, w1, 0.5 * w2] + [0.0] * (ORDER - 3) + [math.nan]
-
-    monkeypatch.setattr(integrator, "series_fn", nan_tail)
+    monkeypatch.setattr(integrator, "_step_kernel", lambda name: _injected_kernel(ORDER, math.nan))
     t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)
     assert t.status is TrajectoryStatus.STEP_UNDERFLOW and len(t.nodes) == 1
 
@@ -1096,10 +1118,10 @@ def test_nan_error_component_is_not_accepted(monkeypatch):
 def test_step_rule_reads_four_tail_coefficients():
     # criterion 3's zero seed has period-4 sparsity: of a_17 .. a_20 only a_17
     # is nonzero, so a rule on the last two orders would take the whole span
-    coeffs = series_fn(K.PIV, Params(0.0, 1.0))(0.0, 0.0, 1.0, 0.0)
-    assert coeffs[ORDER - 3] != 0.0 and coeffs[ORDER - 2:] == [0.0, 0.0, 0.0]
+    coeffs, step = _step_kernel(KINDS[K.PIV].series)(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)
+    assert coeffs[ORDER - 3] != 0.0 and coeffs[ORDER - 2 :] == (0.0, 0.0, 0.0)
     # w = 0 at the seed, so the bound abs + rel |w| is abs
-    h = _step_kernel()(coeffs, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)[1]
+    h = step[1]
     assert h == 0.5 * (1e-10 / abs(coeffs[ORDER - 3])) ** (1.0 / (ORDER - 3)) < 1.0
     t = integrate(K.PIV, Params(0.0, 1.0), InitialData.zero(0.0, +1, 0.0), 1.0)
     assert t.nodes[1].h == h and len(t.nodes) > 3
@@ -1162,7 +1184,7 @@ def test_tail_screen_is_twice_the_jorba_zou_step_of_u():
         # near the Laurent jet of w = e/(z - a) - a
         w, w1, w2 = e / (z - a) - a + rng.gauss(0.0, 0.1), -e / (z - a) ** 2 + rng.gauss(0.0, 0.1), 2.0 * e / (z - a) ** 3
         p = Params(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) if kind is K.PIV else Params()
-        v = series_fn(kind, p)(z, w, w1, w2)
+        v = coefficients(kind, p, z, w, w1, w2)
         if kind is not K.XXIX:
             v = [v[0] + z, v[1] + 1.0, *v[2:]]
         first, u = v[0] / v[1], _reciprocal()(v)

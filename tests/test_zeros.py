@@ -29,8 +29,8 @@ from painleve4 import (
     locate_zeros,
     zeros,
 )
-from painleve4.equations import ORDER, series_fn
-from painleve4.integrator import _jet_kernel
+from painleve4.equations import KINDS, ORDER
+from painleve4.integrator import _H_MIN, _jet_kernel, _step_kernel
 
 K = EquationKind
 
@@ -547,7 +547,8 @@ def _lands_as_the_reference(c: _Refinement) -> bool:
 def _refinements_through(p: Params, z_event, at_event: tuple, r: float, d, field=ScalarField.REAL):
     """The run that starts r before the jet at_event = (w, w', w'') at z_event, on the polynomial of
     piv's series there, and crosses it on the path z0 + s d; and the refinements its zero search makes."""
-    start = _jet_kernel()(series_fn(K.PIV, p)(z_event, *at_event), -r * d)
+    series, _ = _step_kernel(KINDS[K.PIV].series)(p.alpha, z_event, *at_event, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)
+    start = _jet_kernel()(series, -r * d)
     init = InitialData.raw(z_event - r * d, *start, field=field, direction=d)
     t = integrate(K.PIV, p, init, -2.0 * r if d == -1.0 else 2.0 * r)
     with _beside_the_reference() as calls:
