@@ -946,9 +946,10 @@ def test_constraint_is_conserved_even_off_the_zero_set():
 
 
 # A plain reference for the series kernels: the right-hand side of each kind
-# expanded term by term with a generic Cauchy product, in the order the
-# kernels sum, so the two agree bit for bit.  Its sums add left to right from
-# 0 with reduce(): from Python 3.12 on, sum() of floats is compensated.
+# expanded term by term with a generic Cauchy product, and its squares by
+# half sums (`_square`), in the order the kernels sum, so the two agree bit
+# for bit.  Its sums add left to right from 0 with reduce(): from Python 3.12
+# on, sum() of floats is compensated.
 
 
 def _left_sum(terms):
@@ -959,11 +960,17 @@ def _cauchy(x, y, k):
     return _left_sum(x[i] * y[k - i] for i in range(k + 1))
 
 
+def _square(x, k):
+    """Coefficient k of x^2 as the series square: each product below the middle once, the sum doubled, then the middle."""
+    half = 2.0 * _left_sum(x[i] * x[k - i] for i in range((k + 1) // 2))
+    return half + x[k // 2] * x[k // 2] if k % 2 == 0 else half
+
+
 def reference_series(kind, p, z, w, w1, w2):
     a = [w, w1, 0.5 * w2]
     for k in range(ORDER - 2):
         dw = [(i + 1) * a[i + 1] for i in range(k + 1)]
-        sq = [_cauchy(a, a, i) for i in range(k + 1)]
+        sq = [_square(a, i) for i in range(k + 1)]
         if kind in (K.XVII, K.XXXII):
             r = 0.0
         elif kind is K.XXIX:
@@ -972,7 +979,7 @@ def reference_series(kind, p, z, w, w1, w2):
             # t as the series (z, 1, 0, ...); 4 t^2 as (4 z^2, 8 z, 4, 0, ...)
             t = [z, 1.0] + [0.0] * k
             tt = ([4.0 * z * z, 8.0 * z, 4.0] + [0.0] * k)[: k + 1]
-            quad = [15.0 * _cauchy(sq, sq, i) + 24.0 * (t[0] * sq[i] + (sq[i - 1] if i else 0.0)) for i in range(k + 1)]
+            quad = [15.0 * _square(sq, i) + 24.0 * (t[0] * sq[i] + (sq[i - 1] if i else 0.0)) for i in range(k + 1)]
             quad = [qi + tti if i < 3 else qi for i, (qi, tti) in enumerate(zip(quad, tt))]
             tf = z * a[k] + a[k - 1] if k else z * w
             r = 2.0 * (_cauchy(a, sq, k) + tf) + 0.25 * _cauchy(quad, dw, k)
