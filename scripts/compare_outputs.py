@@ -12,11 +12,21 @@ Usage:
 
 With two trees, such as a `git archive` of the parent commit and the
 working tree, the exit code is 1 when any artifact differs and 0 otherwise.
+Each artifact that differs also says how far it moved: whether its shape
+held, and the largest relative difference over its numbers.  The shape is
+the artifact with every float replaced by a placeholder, so it holds the CSV
+rows and text columns, the JSON keys, the statuses, and every integer: exit
+codes, node and event counts.  A float is a number written with a decimal
+point or an exponent; a CSV float that is exactly an integer is written
+without either, and so counts as shape.
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -103,11 +113,17 @@ OUTPUTS = {
         "--field complex --dir-re 0.9999875000260416 --dir-im 0.004999979166692708",
         _TRAJECTORY,
     ),
+    # an exact quadratic kind over a span past 2.5e15: t^20 overflows in the
+    # step's powers, 0.0 * inf is NaN, and the run ends step_underflow after 1 node
+    "integrate-xvii-span-1e16": ("integrate --eq xvii --w0 1 --span 1e16", _TRAJECTORY),
 }  # fmt: skip
 
+# a float as the outputs write it, with a decimal point or an exponent, and not part of a name
+_FLOAT = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?![\w.])")
 
-def digests(tree: Path) -> dict[str, str]:
-    """'output/artifact' -> sha256 hex digest, or 'missing' for a file the command did not write."""
+
+def outputs(tree: Path) -> dict[str, bytes | None]:
+    """'output/artifact' -> its bytes, None for a file the command did not write; stdout is led by its exit code."""
     env = {**os.environ, "PYTHONPATH": str((tree / "src").resolve())}
     result = {}
     for name, (command, files) in OUTPUTS.items():
@@ -116,11 +132,51 @@ def digests(tree: Path) -> dict[str, str]:
                 [sys.executable, "-m", "painleve4.cli", *command.split()],
                 cwd=work, env=env, capture_output=True, check=False,
             )
-            result[f"{name}/stdout"] = hashlib.sha256(b"exit %d\n" % run.returncode + run.stdout).hexdigest()
+            result[f"{name}/stdout"] = b"exit %d\n" % run.returncode + run.stdout
             for file in files:
                 path = Path(work) / file
-                result[f"{name}/{file}"] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
+                result[f"{name}/{file}"] = path.read_bytes() if path.exists() else None
     return result
+
+
+def digest(content: bytes | None) -> str:
+    return "missing" if content is None else hashlib.sha256(content).hexdigest()
+
+
+def _where(artifact: str, text: str, at: int) -> str:
+    """Where the float at offset `at` of text lies: its line, and its CSV column or the text before it on the line."""
+    start = text.rfind("\n", 0, at) + 1
+    line = text.count("\n", 0, at) + 1
+    before = text[start:at]
+    if artifact.endswith(".csv"):
+        header = next(csv.reader(io.StringIO(text)))
+        column = len(next(csv.reader([before]))) - 1 if before else 0
+        return f"line {line}, column {header[column]}"
+    before = before.strip().rstrip(":[,( ").strip()
+    return f"line {line}" + (f", after {before[-40:]!r}" if before else "")
+
+
+def movement(artifact: str, before: bytes | None, after: bytes | None) -> str:
+    """How far an artifact that differs moved: whether its shape held, and the largest relative difference.
+
+    The relative difference of two floats x and y is |x - y| / max(|x|, |y|),
+    0 where both are 0.  It is read only where the shape held, so that the
+    floats pair up in order.
+    """
+    if before is None or after is None:
+        return "shape changed: written on one side only"
+    old, new = before.decode("utf-8"), after.decode("utf-8")
+    old_shape, new_shape = _FLOAT.sub("#", old).splitlines(), _FLOAT.sub("#", new).splitlines()
+    if old_shape != new_shape:
+        line = next((i for i, (a, b) in enumerate(zip(old_shape, new_shape)) if a != b), min(map(len, (old_shape, new_shape))))
+        return f"shape changed from line {line + 1}"
+    worst, at = 0.0, None
+    for x, m in zip(_FLOAT.finditer(old), _FLOAT.finditer(new)):
+        a, b = float(x.group()), float(m.group())
+        if a != b and (rel := abs(a - b) / max(abs(a), abs(b))) > worst:
+            worst, at = rel, m.start()
+    where = "" if at is None else f" ({_where(artifact, new, at)})"
+    return f"shape held; largest relative difference {worst:.2g}{where}"
 
 
 def main(argv=None) -> int:
@@ -129,15 +185,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
         parser.error("give one tree, or two to compare")
-    runs = [digests(tree) for tree in args.trees]
+    runs = [outputs(tree) for tree in args.trees]
     if len(runs) == 1:
-        for artifact, digest in runs[0].items():
-            print(f"{digest}  {artifact}")
+        for artifact, content in runs[0].items():
+            print(f"{digest(content)}  {artifact}")
         return 0
     before, after = runs
     differing = [artifact for artifact in before if before[artifact] != after[artifact]]
     for artifact in before:
-        print(f"{'differs' if artifact in differing else 'identical':9s}  {artifact}")
+        if artifact in differing:
+            print(f"differs    {artifact}  {movement(artifact, before[artifact], after[artifact])}")
+        else:
+            print(f"identical  {artifact}")
     print(f"{len(before) - len(differing)} of {len(before)} identical")
     return 1 if differing else 0
 
