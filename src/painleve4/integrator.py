@@ -21,7 +21,10 @@ capped at the span left.  Four orders, not two: a series with period-4
 sparsity (piv at beta = 1 from the zero jet w = 0, w' = 1, w'' = 0 has
 a_18 = a_19 = a_20 = 0) would otherwise read as exact.  Only when all four
 vanish is h unbounded, which is the exact xvii/xxxii case (a_k = 0 for
-k >= 3), so those kinds cross any span in one step.  A step is rejected
+k >= 3), so those kinds cross a span in one step, up to |span| of about
+2.59e15, the largest double's 20th root.  Past it the step's power t^20
+overflows, 0.0 * inf is NaN, and the run ends STEP_UNDERFLOW at its first
+node.  A step is rejected
 when the rule asks for h below `_H_MIN` = 1e-12 (on error) or a
 coefficient or the state is not finite; the first rejection ends the run
 STEP_UNDERFLOW, and no step is retried.

@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from collections import Counter
 from cmath import isfinite
 from functools import reduce
 from operator import add, mul
@@ -1090,6 +1092,19 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         for _ in range(20):
             h = rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-4.0, -0.5), 10.0 ** rng.uniform(1.0, 3.0)])
             same_bits(params(), edge(), (edge(), edge(), edge()), h, direction(sign))
+
+
+# multiplications and additions in one step kernel, by series template: piv and piv0, xxix, sqrt-piv0,
+# and xvii and xxxii; a square's Cauchy sum written in full, or a second evaluation pass, would raise them
+_STEP_OPERATIONS = {"piv": (481, 397), "xxix": (424, 323), "sqrt_piv0": (796, 675), None: (109, 62)}
+
+
+@pytest.mark.parametrize("name", list(_STEP_OPERATIONS), ids=str)
+def test_the_work_of_a_step_is_pinned_as_a_count(name):
+    assert {row.series for row in KINDS.values()} == set(_STEP_OPERATIONS)
+    source = "def step():\n" + "".join(f"    {line}\n" for line in _step_lines(name))
+    ops = Counter(type(node.op) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.BinOp))
+    assert (ops[ast.Mult], ops[ast.Add]) == _STEP_OPERATIONS[name]
 
 
 def _injected_kernel(k, value):

@@ -4,7 +4,8 @@ In the beta^2 convention, w = -2z solves piv at (alpha, beta) = (0, 2),
 w = -2z/3 at (0, 2/3), and w = 1/z at (2, 2), which has a pole at 0.  The
 map w(z) -> -w(-z) keeps (alpha, beta), and the integrator's arithmetic is
 odd in z, w and w'' and even in w', so a reflected run reproduces the
-original bit for bit.
+original bit for bit.  What a tolerance buys is read off w = -2z/3 and
+off xxix's 1/(1 - z), the pole family the other exact oracles use.
 """
 
 import cmath
@@ -13,6 +14,7 @@ import random
 import pytest
 
 from painleve4 import EquationKind, InitialData, Params, ScalarField, Tolerances, TrajectoryStatus, integrate
+from painleve4.oracles import xxix_pole_family
 
 K = EquationKind
 
@@ -53,6 +55,20 @@ def test_minus_two_thirds_z_stays_within_rounding(z0, span, d):
     # largest node error measured is 1.5e-15
     for node in _rational(-2.0 / 3.0, 2.0 / 3.0, z0, span, d).nodes:
         assert abs(node.jet.w + 2.0 * node.jet.z / 3.0) <= 1e-14
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_exact_solutions_hold_to_the_tolerance(tol):
+    # the README's tolerance table: the largest node error, relative, of
+    # w = -2z/3 from z0 = 1 over 3 and of xxix's 1/(1 - z) from 0 over 0.9;
+    # measured 1.8e-15 and 2.3e-12 at 1e-8, 5.7e-16 and 1.9e-14 at 1e-10,
+    # 4.4e-16 and 2.5e-15 at 1e-12
+    rational = integrate(K.PIV, Params(0.0, 2.0 / 3.0), InitialData.raw(1.0, -2.0 / 3.0, -2.0 / 3.0, 0.0), 3.0,
+                         Tolerances(tol, tol))  # fmt: skip
+    family = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 0.9, Tolerances(tol, tol))
+    for traj, exact in ((rational, lambda z: -2.0 * z / 3.0), (family, lambda z: xxix_pole_family(1.0, z).w)):
+        assert traj.status is TrajectoryStatus.COMPLETED and len(traj.nodes) > 1
+        assert max(abs(n.jet.w - exact(n.jet.z)) / abs(exact(n.jet.z)) for n in traj.nodes) <= tol
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
