@@ -178,9 +178,9 @@ def compile_kernel(name: str, args: str, lines, **names):
 # 15 f^4 + 24 t f^2 + 4 t^2, and c_k those of 4 (z^2 - alpha) or 4 t^2, all in
 # powers of z - z0.  {xy} is the Cauchy sum x_0 y_k + ... + x_k y_0 (a square
 # {xx} as `_square_sum`), {zx} the coefficient z x_k + x_{k-1} of z x, and {c}
-# adds c_k while k < 3.  The lines
-# set r, coefficient k of the right-hand side; piv reads its {za} twice, so it
-# computes it once per order, as za.  r at order 0 is `rhs3`; only piv reads alpha.
+# adds c_k while k < 3.  The lines set r, coefficient k of the right-hand side;
+# piv reads its {za} twice, so it computes it once per order, as za.  r at
+# order 0 is `rhs3`; only piv reads alpha.
 _SERIES_TEMPLATES = {
     "piv": (("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
             ("s{k} = {aa}", "za = {za}", "P{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {Pd} + 4.0 * (s{k} + za)")),
