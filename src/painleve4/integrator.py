@@ -342,7 +342,8 @@ def _step_lines(name: str | None) -> list[str]:
         *(f"m{k} = abs(a{k})" for k in _TAIL),
         f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return coeffs, None",
         "h = inf",
-        *(f"if m{k}: h = min(h, (bound / m{k}) ** {1.0 / k!r})" for k in _TAIL),
+        # min(h, x) as a comparison, without a call: x replaces h only where x < h, NaN never
+        *(line for k in _TAIL for line in (f"if m{k}:", f"    x = (bound / m{k}) ** {1.0 / k!r}", "    if x < h: h = x")),
         "h = 0.5 * h",
         "left = total - s",
         "hit_end = h >= left",
