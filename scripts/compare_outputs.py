@@ -13,12 +13,14 @@ Usage:
 With two trees, such as a `git archive` of the parent commit and the
 working tree, the exit code is 1 when any artifact differs and 0 otherwise.
 Each artifact that differs also says how far it moved: whether its shape
-held, and the largest relative difference over its numbers.  The shape is
-the artifact with every float replaced by a placeholder, so it holds the CSV
-rows and text columns, the JSON keys, the statuses, and every integer: exit
-codes, node and event counts.  A float is a number written with a decimal
-point or an exponent; a CSV float that is exactly an integer is written
-without either, and so counts as shape.
+held, and the largest relative difference over its numbers.  A second line
+gives that difference for each CSV column, JSON key or stdout line text whose
+numbers moved, largest first, which tells a move by rounding from one with a
+cause.  The shape is the artifact with every float replaced by a placeholder,
+so it holds the CSV rows and text columns, the JSON keys, the statuses, and
+every integer: exit codes, node and event counts.  A float is a number written
+with a decimal point or an exponent; a CSV float that is exactly an integer is
+written without either, and so counts as shape.
 """
 
 import argparse
@@ -113,13 +115,15 @@ OUTPUTS = {
         "--field complex --dir-re 0.9999875000260416 --dir-im 0.004999979166692708",
         _TRAJECTORY,
     ),
-    # an exact quadratic kind over a span past 2.5e15: t^20 overflows in the
-    # step's powers, 0.0 * inf is NaN, and the run ends step_underflow after 1 node
+    # an exact quadratic kind over a span past 2.59e15, the largest double's 20th
+    # root: one step whose err_est takes no power of its zero tail, 2 nodes
     "integrate-xvii-span-1e16": ("integrate --eq xvii --w0 1 --span 1e16", _TRAJECTORY),
 }  # fmt: skip
 
 # a float as the outputs write it, with a decimal point or an exponent, and not part of a name
 _FLOAT = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?![\w.])")
+# a JSON key, as the outputs write it
+_KEY = re.compile(r'"([^"]+)":')
 
 
 def outputs(tree: Path) -> dict[str, bytes | None]:
@@ -143,16 +147,18 @@ def digest(content: bytes | None) -> str:
     return "missing" if content is None else hashlib.sha256(content).hexdigest()
 
 
+def _column(text: str, at: int) -> str:
+    """The CSV column of the float at offset `at` of text, by the header's name."""
+    before = text[text.rfind("\n", 0, at) + 1 : at]
+    return next(csv.reader(io.StringIO(text)))[len(next(csv.reader([before]))) - 1 if before else 0]
+
+
 def _where(artifact: str, text: str, at: int) -> str:
     """Where the float at offset `at` of text lies: its line, and its CSV column or the text before it on the line."""
-    start = text.rfind("\n", 0, at) + 1
     line = text.count("\n", 0, at) + 1
-    before = text[start:at]
     if artifact.endswith(".csv"):
-        header = next(csv.reader(io.StringIO(text)))
-        column = len(next(csv.reader([before]))) - 1 if before else 0
-        return f"line {line}, column {header[column]}"
-    before = before.strip().rstrip(":[,( ").strip()
+        return f"line {line}, column {_column(text, at)}"
+    before = text[text.rfind("\n", 0, at) + 1 : at].strip().rstrip(":[,( ").strip()
     return f"line {line}" + (f", after {before[-40:]!r}" if before else "")
 
 
@@ -179,6 +185,33 @@ def movement(artifact: str, before: bytes | None, after: bytes | None) -> str:
     return f"shape held; largest relative difference {worst:.2g}{where}"
 
 
+def _field(artifact: str, text: str, at: int) -> str:
+    """What the float at offset `at` of text is: its CSV column, its JSON key, or the text before it on its line."""
+    if artifact.endswith(".csv"):
+        return _column(text, at)
+    if artifact.endswith(".json"):
+        keys = _KEY.findall(text, 0, at)
+        return keys[-1] if keys else "(no key)"
+    return _FLOAT.sub("#", text[text.rfind("\n", 0, at) + 1 : at]).strip().rstrip(":[,( ")
+
+
+def moves_by_field(artifact: str, before: bytes | None, after: bytes | None) -> dict[str, float]:
+    """The largest relative difference of each CSV column, JSON key or stdout line text whose floats moved, largest
+    first; empty where the shape changed, since the floats then do not pair up."""
+    if before is None or after is None:
+        return {}
+    old, new = before.decode("utf-8"), after.decode("utf-8")
+    if _FLOAT.sub("#", old) != _FLOAT.sub("#", new):
+        return {}
+    worst: dict[str, float] = {}
+    for x, m in zip(_FLOAT.finditer(old), _FLOAT.finditer(new)):
+        a, b = float(x.group()), float(m.group())
+        if a != b:
+            field = _field(artifact, new, m.start())
+            worst[field] = max(worst.get(field, 0.0), abs(a - b) / max(abs(a), abs(b)))
+    return dict(sorted(worst.items(), key=lambda item: -item[1]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("trees", nargs="+", type=Path, metavar="TREE", help="one or two source trees, each with src/")
@@ -195,6 +228,8 @@ def main(argv=None) -> int:
     for artifact in before:
         if artifact in differing:
             print(f"differs    {artifact}  {movement(artifact, before[artifact], after[artifact])}")
+            if fields := moves_by_field(artifact, before[artifact], after[artifact]):
+                print("           by field: " + ", ".join(f"{field} {rel:.2g}" for field, rel in fields.items()))
         else:
             print(f"identical  {artifact}")
     print(f"{len(before) - len(differing)} of {len(before)} identical")

@@ -213,26 +213,26 @@ def _order_lines(body, k: int) -> list[str]:
 
 
 def series_lines(name: str | None) -> list[str]:
-    """Kernel lines that set a_0 .. a_p, the Taylor coefficients of w about the jet (z, w, w1, w2), and d_2 .. d_(p-1).
+    """Kernel lines that set a_0 .. a_p, the Taylor coefficients of w about the jet (z, w, w1, w2).
 
     `name` is a kind's `KindRow.series`.  A template's recurrence is written
     out to a_p: coefficient a_(k+3) comes from coefficient k of the
     right-hand side, whose products are Cauchy sums over the coefficients
     already known, so the lines make O(p^2) operations, read alpha, z, w, w1
-    and w2, and never divide by w.  d_k = (k + 1) a_(k+1) is coefficient k
-    of w'.  None stands for xvii and xxxii, whose w''' = 0 ends the series at
-    a_2: their later a_k and d_k are 0.0.  Each step of `integrate` runs
-    these lines (`integrator._step_kernel`).
+    and w2, and never divide by w.  d_k = (k + 1) a_(k+1), coefficient k of
+    w', is set up to the d_(p-3) the recurrence reads.  None stands for xvii
+    and xxxii, whose w''' = 0 ends the series at a_2: their later a_k are
+    0.0.  Each step of `integrate` runs these lines (`integrator._step_kernel`).
     """
     if name is None:
-        zeros = " = ".join([*(f"a{k}" for k in range(3, ORDER + 1)), *(f"d{k}" for k in range(2, ORDER))])
-        return ["a0, a1, a2 = w, w1, 0.5 * w2", f"{zeros} = 0.0"]
+        return ["a0, a1, a2 = w, w1, 0.5 * w2", f"{' = '.join(f'a{k}' for k in range(3, ORDER + 1))} = 0.0"]
     head, body = _SERIES_TEMPLATES[name]
     lines = ["a0, a1, a2, d0, d1 = w, w1, 0.5 * w2, w1, w2", *head]
     for k in range(ORDER - 2):
         lines += _order_lines(body, k)
         # a_{k+3} = r / ((k+1)(k+2)(k+3)) and d_{k+2} = (k+3) a_{k+3}, the factors as float literals
-        lines += [f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}", f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"]
+        lines.append(f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}")
+        lines += [f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"] if k + 2 <= ORDER - 3 else []
     return lines
 
 

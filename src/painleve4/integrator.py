@@ -12,8 +12,11 @@ polynomial at z + h*d.  The recurrence, the step rule, that evaluation and
 err_est are one written-out kernel per recurrence (`_step_kernel`), looked
 up once when `integrate` is entered; it returns the coefficients with the
 step, so at a node where the pole search runs (below) the search reads them
-before the step is used.  The step length follows Jorba and Zou (Exp. Math.
-14 (2005)):
+before the step is used.  Every evaluation of a step polynomial, the
+step's end, dense output, the zero search and the pole rule's Newton
+iteration, is nested (Horner) multiplication written out by `_nested`,
+which forms no power of t.  The step length follows Jorba and Zou (Exp.
+Math. 14 (2005)):
 
     h = 0.5 * min over k = p-3 .. p of ((abs + rel |w|) / |a_k|)^(1/k),
 
@@ -21,11 +24,10 @@ capped at the span left.  Four orders, not two: a series with period-4
 sparsity (piv at beta = 1 from the zero jet w = 0, w' = 1, w'' = 0 has
 a_18 = a_19 = a_20 = 0) would otherwise read as exact.  Only when all four
 vanish is h unbounded, which is the exact xvii/xxxii case (a_k = 0 for
-k >= 3), so those kinds cross a span in one step, up to |span| of about
-2.59e15, the largest double's 20th root.  Past it the step's power t^20
-overflows, 0.0 * inf is NaN, and the run ends STEP_UNDERFLOW at its first
-node.  A step is rejected
-when the rule asks for h below `_H_MIN` = 1e-12 (on error) or a
+k >= 3), so those kinds cross any span in one step whose end point is
+finite; err_est takes no power h^k of a zero a_k, which would overflow
+from |span| of about 2.59e15, the largest double's 20th root.  A step is
+rejected when the rule asks for h below `_H_MIN` = 1e-12 (on error) or a
 coefficient or the state is not finite; the first rejection ends the run
 STEP_UNDERFLOW, and no step is retried.
 
@@ -110,37 +112,22 @@ _ARC = attrgetter("s")
 
 # the orders k = p-3 .. p whose terms the step rule, err_est and `_tail` read
 _TAIL = range(ORDER - 3, ORDER + 1)
-# kernel lines that set p_k = t^k for k = 0 .. p, as p0 = 1.0 and p_k = p_(k-1) * t
-_POWERS = ["p0 = 1.0", *(f"p{k} = p{k - 1} * t" for k in range(1, ORDER + 1))]
 
 
-def _b(k: int, reused: bool) -> str:
-    """The name of b_k = k a_k: b_k, or in a step kernel from k = 3 on the series' d_(k-1) = k a_k, the same product."""
-    return f"d{k - 1}" if reused and k >= 3 else f"b{k}"
+def _nested() -> list[str]:
+    """Kernel lines that set w, w1 and w2 to p(t), p'(t) and p''(t)/2 of p = sum a_k t^k by nested multiplication.
 
-
-def _derivatives(reused: bool) -> list[str]:
-    """Kernel lines that set b_k = k a_k, where `_b` names it b_k, and e_k = k b_(k+1): the coefficients of w' and w''.
-
-    The factors are float literals.
+    For k = p-1 .. 0: w2 = w2 t + w1, w1 = w1 t + w, w = w t + a_k, from
+    w = a_p.  w1 and w2 start as the value they would add to zero: at
+    k = p-1 and p-2 the products of a zero are not written.
     """
-    return [
-        *(f"b{k} = a{k} * {float(k)!r}" for k in range(1, 3 if reused else ORDER + 1)),
-        *(f"e{k} = {_b(k + 1, reused)} * {float(k)!r}" for k in range(1, ORDER)),
-    ]
+    p = ORDER
+    lines = [f"w1 = a{p}", f"w = w1 * t + a{p - 1}", "w2 = w1", "w1 = w1 * t + w", f"w = w * t + a{p - 2}"]
+    for k in range(p - 3, -1, -1):
+        lines += ["w2 = w2 * t + w1", "w1 = w1 * t + w", f"w = w * t + a{k}"]
+    return lines
 
 
-def _jet_sums(reused: bool) -> str:
-    """(w, w', w'') at t from a_k, b_k (named by `_b`), e_k and p_k, each sum added left to right from 0.0."""
-    return ", ".join((
-        written_sum(f"a{k} * p{k}" for k in range(ORDER + 1)),
-        written_sum(f"{_b(k + 1, reused)} * p{k}" for k in range(ORDER)),
-        written_sum(f"e{k + 1} * p{k}" for k in range(ORDER - 1)),
-    ))
-
-
-_DERIVATIVES = _derivatives(False)
-_JET_SUMS = _jet_sums(False)
 # what a step kernel takes: alpha and the jet (z, w, w', w'') its series expands about, then the step's state and rule
 _STEP_ARGS = "alpha, z, w, w1, w2, s, total, d, h_min, abs_tol, rel_tol"
 
@@ -319,20 +306,19 @@ def _names(x: str) -> str:
 
 @cache
 def skip_bound_kernel():
-    """|a_0| - (|a_1| h + ... + |a_p| h^p) from (coeffs, t = h), written out like `_jet_kernel`; compiled once."""
-    terms = written_sum(f"abs(a{k}) * p{k}" for k in range(1, ORDER + 1))
-    return compile_kernel("skip_bound", "coeffs, t", [f"{_names('a')}= coeffs", *_POWERS, f"return abs(a0) - {terms}"])
+    """|a_0| - (|a_1| h + ... + |a_p| h^p) from (coeffs, t = h), the sum by nested multiplication; compiled once."""
+    nested = (f"m = m * t + abs(a{k})" for k in range(ORDER - 1, 0, -1))
+    lines = [f"{_names('a')}= coeffs", f"m = abs(a{ORDER})", *nested, "return abs(a0) - m * t"]
+    return compile_kernel("skip_bound", "coeffs, t", lines)
 
 
 @cache
 def _jet_kernel():
     """(coeffs, t) -> (w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k, compiled once per process.
 
-    Written out: p_k = t^k, b_k = k a_k and e_k = k b_(k+1), and each of
-    the three sums added left to right from 0.0.
+    Written out by nested multiplication (`_nested`); w'' is twice p''/2.
     """
-    lines = [f"{_names('a')}= coeffs", *_POWERS, *_DERIVATIVES, f"return {_JET_SUMS}"]
-    return compile_kernel("jet", "coeffs, t", lines)
+    return compile_kernel("jet", "coeffs, t", [f"{_names('a')}= coeffs", *_nested(), "return w, w1, 2.0 * w2"])
 
 
 def _step_lines(name: str | None) -> list[str]:
@@ -350,11 +336,11 @@ def _step_lines(name: str | None) -> list[str]:
         "if hit_end: h = left",
         "elif h < h_min: return coeffs, None",
         "t = h * d",
-        *_POWERS,
-        *_derivatives(True),
-        f"w, w1, w2 = {_jet_sums(True)}",
+        *_nested(),
+        "w2 = 2.0 * w2",
         "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return coeffs, None",
-        f"err = max({', '.join(f'm{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
+        # a zero tail coefficient's term is 0.0 without its power, which may overflow
+        f"err = max({', '.join(f'm{k} and m{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
         "return coeffs, ((total if hit_end else s + h), h, err, w, w1, w2)",
     ]
     return [
@@ -378,12 +364,13 @@ def _step_kernel(name: str | None):
     z + h d, or None where the step is refused: a tail coefficient or the
     new state is not finite, or the Jorba-Zou step 0.5 min_k (bound /
     |a_k|)^(1/k), k = p-3 .. p, is below h_min short of the span's end.
-    The step reads b_k = k a_k, k >= 3, off the recurrence's d_(k-1) =
-    k a_k, the same product, and otherwise does `_jet_kernel`'s float
-    operations in their order, so its w, w' and w'' are that kernel's bits
-    on coeffs.  piv and piv0 share one kernel, and so do xvii and xxxii.
+    Its end point is `_jet_kernel`'s lines (`_nested`), so its w, w' and
+    w'' are that kernel's bits on coeffs at h d.  piv and piv0 share one
+    kernel, and so do xvii and xxxii; each is compiled under its template's
+    name (step_piv, step_xxix, step_sqrt_piv0, step_quadratic), so that a
+    profiler keeps them apart.
     """
-    return compile_kernel("step", _STEP_ARGS, _step_lines(name), inf=math.inf, isfinite=isfinite)
+    return compile_kernel(f"step_{name or 'quadratic'}", _STEP_ARGS, _step_lines(name), inf=math.inf, isfinite=isfinite)
 
 
 @cache

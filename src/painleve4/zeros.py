@@ -11,9 +11,12 @@ Between two nodes, w is the Taylor polynomial of the step that joins them
 (`TrajectoryNode.series`), so every root of w in a node interval is found
 on that interval's own polynomial; a long step may hold several.  It is
 only ever evaluated pointwise (its expanded products are noisy near
-multiple roots), w with w' and w'' by the written-out `integrator._jet_kernel`,
-so the bits do not depend on the interpreter.  An interval is skipped at once
-when |w_0| - sum_k |a_k| h^k >= abs_tol.  Otherwise it is halved, at most
+multiple roots), w with w' and w'' by nested multiplication in the
+written-out `integrator._jet_kernel`, so the bits do not depend on the
+interpreter; near a simple root the computed sign of w may flip, or w be
+exactly 0, at more than one double.  An interval is skipped at once when
+|w_0| - sum_k |a_k| h^k >= abs_tol, that sum nested on |a_k| as well
+(`integrator.skip_bound_kernel`).  Otherwise it is halved, at most
 `_MAX_DEPTH` times, wherever the lower bound |w(c)| - |w'(c)| r - M r^2/2
 of |w| on a piece of centre c and radius r (M, the same kernel's w'' at h
 on the coefficients |a_k|, bounds |w''| on the interval) stays below

@@ -10,11 +10,16 @@ _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 
 
 @pytest.fixture(scope="module")
-def movement():
+def script():
     spec = importlib.util.spec_from_file_location("compare_outputs", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.movement
+    return module
+
+
+@pytest.fixture(scope="module")
+def movement(script):
+    return script.movement
 
 
 _CSV = "alpha,status,node_count,pole_est_re,h_min\n-2,pole,15,0.47808960997076932,0.031758806047446297\n"
@@ -92,3 +97,36 @@ def test_names_and_signed_zeros_are_read_as_they_are_written(movement):
         "shape held; largest relative difference 0"
     )
     assert movement("summary.json", before, b'{"w1_re": -0.0, "w3_re": 1e-05}') == "shape changed from line 1"
+
+
+def test_each_csv_column_reports_its_own_largest_move(script):
+    # pole_est_re moved by rounding and h_min for a reason: the columns tell them apart, largest first
+    rows = _CSV + "-1,pole,3,0.5,0.25\n"
+    after = rows.replace("0.47808960997076932", "0.47808960997076976").replace("0.25\n", "0.3\n")
+    assert script.moves_by_field("sweep.csv", rows.encode(), after.encode()) == {
+        "h_min": pytest.approx(0.05 / 0.3), "pole_est_re": pytest.approx(4.4e-16 / 0.47808960997076976, rel=0.01),
+    }
+    assert list(script.moves_by_field("sweep.csv", rows.encode(), after.encode())) == ["h_min", "pole_est_re"]
+
+
+def test_each_json_key_reports_its_own_largest_move(script):
+    # a key in a list of objects reports the largest move over the list; a key whose floats held is not listed
+    before = json.dumps({"pole_estimate": 1.5, "events": [{"a": 0.5, "slope": 1.0}, {"a": 0.25, "slope": -1.0}]}, indent=2)
+    after = before.replace("0.5,", "0.5000000000000001,").replace("0.25,", "0.26,").replace("1.5,", "1.5000000000000002,")
+    moves = script.moves_by_field("events.json", before.encode(), after.encode())
+    assert list(moves) == ["a", "pole_estimate"]
+    assert moves["a"] == pytest.approx(0.01 / 0.26) and moves["pole_estimate"] == pytest.approx(2.2e-16 / 1.5, rel=0.01)
+
+
+def test_stdout_reports_each_move_by_the_text_before_it(script):
+    before = b"exit 0\nconstraint: PASS (worst 1.343e-12, budget 1.0e-07)\nsqrt: PASS (worst 2.0e-12, budget 1.0e-08)\n"
+    after = before.replace(b"1.343e-12", b"1.363e-12")
+    assert script.moves_by_field("stdout", before, after) == {"constraint: PASS (worst": pytest.approx(0.02 / 1.363)}
+    after = after.replace(b"budget 1.0e-08", b"budget 2.0e-08")
+    assert list(script.moves_by_field("stdout", before, after)) == ["sqrt: PASS (worst #, budget", "constraint: PASS (worst"]
+
+
+def test_no_moves_by_field_where_the_shape_changed_or_nothing_moved(script):
+    assert script.moves_by_field("sweep.csv", _CSV.encode(), _CSV.replace(",15,", ",16,").encode()) == {}
+    assert script.moves_by_field("summary.json", None, _summary()) == {}
+    assert script.moves_by_field("summary.json", _summary(), _summary()) == {}

@@ -358,14 +358,17 @@ def test_float_typed_kernels_give_the_bits_of_int_typed_ones(x):
     # and int factors they had, every value keeps every bit on every interpreter
     from painleve4 import integrator
 
-    # the literal each line of b_k = a_k * k and e_k = b_(k+1) * k multiplies by
-    factors = [ast.literal_eval(line.rsplit(" * ", 1)[1]) for line in integrator._DERIVATIVES]
-    assert factors == [*range(1, ORDER + 1), *range(1, ORDER)] and all(type(f) is float for f in factors)
+    # the literal each line d_k = (k + 1) a_(k+1) of a series multiplies by, and the 2.0 that
+    # doubles p''/2 at the end of nested multiplication in the jet kernel and at a step's end
+    lines = [line.strip() for line in integrator._step_lines("piv")]
+    factors = [ast.literal_eval(line.split(" = ")[1].split(" * ")[0]) for line in lines if re.match(r"(d\d+|w2) = \d", line)]
+    ints = [*range(3, ORDER - 1), 2]
+    assert factors == ints and all(type(f) is float for f in factors)
     for y in (-0.0, 2.5, complex(-0.0, -0.0), complex(_NAN, 1.0)):
         for terms in (["x"], ["x", "y"], ["y", "x"], ["x * y"]):
             as_int = "(0" + "".join(f" + {term}" for term in terms) + ")"
             assert _raw_bits(eval(equations.written_sum(terms))) == _raw_bits(eval(as_int)), (y, terms)
-        for k, factor in zip(range(1, ORDER + 1), factors[:ORDER]):
+        for k, factor in zip(ints, factors):
             assert _raw_bits(x * factor) == _raw_bits(x * k), k
             assert _raw_bits(y * x * factor) == _raw_bits(y * x * k), (y, k)
     if not isinstance(x, complex):  # the step kernel's powers h ** k of a real step length

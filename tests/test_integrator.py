@@ -1,10 +1,12 @@
 import ast
+import cmath
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from cmath import isfinite
 from functools import reduce
-from operator import add, mul
+from operator import add
 
 import pytest
 
@@ -38,7 +40,7 @@ from painleve4.integrator import (
     _tail,
     skip_bound_kernel,
 )
-from painleve4.oracles import xxix_pole_family
+from painleve4.oracles import eval_quadratic, fit_quadratic, xxix_pole_family
 
 K = EquationKind
 
@@ -958,6 +960,22 @@ def _left_sum(terms):
     return reduce(add, terms, 0)
 
 
+def _nested_reference(a, t):
+    """p(t), p'(t) and p''(t) of p = sum a_k t^k by nested multiplication, in a loop over k = p-1 .. 0.
+
+    The value is w = w t + a_k; each derivative is updated before the one
+    below it, w2 = w2 t + w1 and w1 = w1 t + w, and starts as that one's
+    value where it would be its product by zero plus it.
+    """
+    w, w1, w2 = a[-1], None, None
+    for c in reversed(a[:-1]):
+        if w1 is not None:
+            w2 = w1 if w2 is None else w2 * t + w1
+        w1 = w if w1 is None else w1 * t + w
+        w = w * t + c
+    return w, w1, 2.0 * w2
+
+
 def _cauchy(x, y, k):
     return _left_sum(x[i] * y[k - i] for i in range(k + 1))
 
@@ -1038,22 +1056,16 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         want = reference_series(kind, p, z0, *y)
         assert type(got) is tuple and [_bits(v) for v in got] == [_bits(v) for v in want]
         # the step and the zero search: the polynomial at z0 + t, with its derivatives
-        pw = [1.0]
-        for _ in range(ORDER):
-            pw.append(pw[-1] * t)
-        dw = [k * v for k, v in enumerate(want) if k]
-        ddw = [k * v for k, v in enumerate(dw) if k]
-        ref = [_left_sum(map(mul, cs, pw)) for cs in (want, dw, ddw)]
+        ref = _nested_reference(want, t)
         assert [_bits(v) for v in _jet_kernel()(got, t)] == [_bits(v) for v in ref]
         # the zero search's bounds over a step of length |t|: the skip bound, and
         # the curvature bound, w'' of the polynomial on |a_k|
         h = abs(t)
-        ph = [1.0]
-        for _ in range(ORDER):
-            ph.append(ph[-1] * h)
-        skip = abs(want[0]) - _left_sum(abs(c) * q for c, q in zip(want[1:], ph[1:]))
-        dw_abs = [k * abs(v) for k, v in enumerate(want) if k]
-        bound2 = _left_sum(map(mul, [k * v for k, v in enumerate(dw_abs) if k], ph))
+        m = abs(want[-1])
+        for c in reversed(want[1:-1]):
+            m = m * h + abs(c)
+        skip = abs(want[0]) - m * h
+        bound2 = _nested_reference([abs(c) for c in want], h)[2]
         got_bounds = skip_bound_kernel()(got, h), _jet_kernel()([abs(c) for c in got], h)[2]
         assert [_bits(v) for v in got_bounds] == [_bits(skip), _bits(bound2)]
         # the series pole rule: the Cauchy square, the reciprocal, and u and u' at t
@@ -1063,9 +1075,7 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             for k in range(1, ORDER + 1):
                 u.append(-u[0] * _left_sum(want[i] * u[k - i] for i in range(1, k + 1)))
             assert [_bits(v) for v in _reciprocal()(got)] == [_bits(v) for v in u]
-            du = [k * v for k, v in enumerate(u) if k]
-            ref = [_left_sum(map(mul, cs, pw)) for cs in (u, du)]
-            assert [_bits(v) for v in _jet_kernel()(u, t)[:2]] == [_bits(v) for v in ref]
+            assert [_bits(v) for v in _jet_kernel()(u, t)[:2]] == [_bits(v) for v in _nested_reference(u, t)[:2]]
         # the step kernel from s = 0.5 with |h| of the span left: at its end,
         # before it, and refused where h_min is half the span left; the same
         # series with each, and the step that the reference takes from it
@@ -1095,8 +1105,10 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
 
 
 # multiplications and additions in one step kernel, by series template: piv and piv0, xxix, sqrt-piv0,
-# and xvii and xxxii; a square's Cauchy sum written in full, or a second evaluation pass, would raise them
-_STEP_OPERATIONS = {"piv": (481, 397), "xxix": (424, 323), "sqrt_piv0": (796, 675), None: (109, 62)}
+# and xvii and xxxii; a square's Cauchy sum written in full, or a power table, or a second evaluation
+# pass, would raise them.  The step's end point takes 58 and 57 of them: nested multiplication (57 each)
+# and the doubling of p''/2
+_STEP_OPERATIONS = {"piv": (436, 394), "xxix": (379, 320), "sqrt_piv0": (751, 672), None: (66, 59)}
 
 
 @pytest.mark.parametrize("name", list(_STEP_OPERATIONS), ids=str)
@@ -1240,3 +1252,89 @@ def test_xxix_pole_family_steps_and_dense_output_exactly(c):
         exact = xxix_pole_family(c, jet.z)
         for a, b in ((jet.w, exact.w), (jet.w1, exact.w1), (jet.w2, exact.w2)):
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_each_step_kernel_is_compiled_under_its_template_name():
+    # a profiler keys a function by its file, line and name: each template's kernel has its own
+    codes = {row.series: _step_kernel(row.series).__code__ for row in KINDS.values()}
+    names = {"piv": "step_piv", "xxix": "step_xxix", "sqrt_piv0": "step_sqrt_piv0", None: "step_quadratic"}
+    assert {series: code.co_name for series, code in codes.items()} == names
+    assert len({(code.co_filename, code.co_firstlineno, code.co_name) for code in codes.values()}) == len(names)
+
+
+def _exact_derivatives(a, t):
+    """p(t), p'(t) and p''(t) of p = sum a_k t^k as power sums in exact arithmetic, each value a pair (re, im) of
+    Fractions: the oracle for the jet kernel."""
+    a = [(Fraction(c.real), Fraction(c.imag)) for c in a]
+    powers = [(Fraction(1), Fraction(0))]
+    for _ in range(ORDER):
+        (x, y), (u, v) = powers[-1], (Fraction(t.real), Fraction(t.imag))
+        powers.append((x * u - y * v, x * v + y * u))
+
+    def power_sum(weight, shift):
+        terms = [(weight(k), c, powers[k - shift]) for k, c in enumerate(a) if k >= shift]
+        return (sum(f * (x * u - y * v) for f, (x, y), (u, v) in terms),
+                sum(f * (x * v + y * u) for f, (x, y), (u, v) in terms))  # fmt: skip
+
+    return power_sum(lambda k: 1, 0), power_sum(lambda k: k, 1), power_sum(lambda k: k * (k - 1), 2)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_jet_kernel_is_within_the_error_bound_of_nested_multiplication(field):
+    # each term of p, p' or p''/2 reaches the result through at most 2p roundings: on
+    # real values the error is at most gamma_2p times the same sum on |a_k| and |t|
+    # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 5.1); a
+    # complex product rounds by at most sqrt(2) gamma_2, so complex values take gamma_4p
+    # (2 sqrt(2) + 1 < 4 roundings a term), and each part is held to it
+    rng = random.Random(f"nested/{field}")
+    units = (2 if field == "real" else 4) * ORDER
+    gamma = units * 2.0 ** -53 / (1.0 - units * 2.0 ** -53)
+    worst = 0.0
+    for _ in range(150):
+        if field == "real":
+            a = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-8, 8) for _ in range(ORDER + 1)]
+            t = rng.uniform(-1.5, 1.5)
+        else:
+            a = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(ORDER + 1)]
+            t = cmath.rect(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi))
+        got = _jet_kernel()(tuple(a), t)
+        exact = _exact_derivatives(a, t)
+        scale = _exact_derivatives([abs(c) for c in a], abs(t))
+        for value, (re, im), (bound, _) in zip(got, exact, scale):
+            for part, want in ((value.real, re), (value.imag, im)):
+                error = abs(Fraction(part) - want)
+                assert error <= gamma * bound, (field, a, t)
+                worst = max(worst, float(error / bound))
+    # the bound is not vacuous: the kernel rounds, at a few units of 2^-53 at most
+    assert 0.0 < worst < 8.0 * 2.0 ** -53 < gamma
+
+
+@pytest.mark.parametrize("kind, w0, w1", [(K.XVII, 1.0, 2.0), (K.XXXII, 2.0, 3.0)])
+def test_quadratic_kinds_cross_a_span_of_1e16_in_one_step(kind, w0, w1):
+    # w''' = 0, so the whole span is one step; its end point is nested multiplication, and its
+    # err_est takes no power of a zero tail coefficient, where h ** k would overflow from h ~ 2.59e15
+    init = InitialData.nonzero(0.0, w0, w1)
+    quadratic = fit_quadratic(kind, complete_initial_data(kind, Params(), init))
+    for span in (1e16, -1e16):
+        t = integrate(kind, Params(), init, span)
+        assert (t.status, len(t.nodes), t.nodes[-1].err_est) == (TrajectoryStatus.COMPLETED, 2, 0.0)
+        end = t.nodes[-1].jet
+        exact = eval_quadratic(quadratic, end.z)
+        assert end.z == span
+        for got, want in ((end.w, exact.w), (end.w1, exact.w1), (end.w2, exact.w2)):
+            assert abs(got - want) <= 1e-15 * abs(want)
+    # w = 1 on xvii: any span a double reaches
+    for span in (1e16, 1e100, 1e300):
+        t = integrate(K.XVII, Params(), InitialData.nonzero(0.0, 1.0, 0.0), span)
+        assert (t.status, len(t.nodes), t.nodes[-1].jet.w) == (TrajectoryStatus.COMPLETED, 2, 1.0)
+
+
+def test_complex_xxix_path_past_the_pole_stays_on_its_exact_solution():
+    # `compare_outputs.py`'s integrate-complex-xxix-past-pole: the path passes the pole of
+    # w = 1/(1 - z) at distance 5e-3, where |w| reaches 200, and every node stays on w
+    d = complex(0.9999875000260416, 0.004999979166692708)
+    init = InitialData.raw(0.0, 1.0, 1.0, 2.0, field=ScalarField.COMPLEX, direction=d)
+    t = integrate(K.XXIX, Params(), init, 2.0)
+    assert t.status is TrajectoryStatus.COMPLETED and t.max_abs_w() > 190.0
+    worst = max(abs(n.jet.w - 1.0 / (1.0 - n.jet.z)) * abs(1.0 - n.jet.z) for n in t.nodes)
+    assert worst <= 1e-6

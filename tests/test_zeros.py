@@ -531,17 +531,20 @@ def _ends_a_sign_change(f, x: float) -> bool:
 
 
 def _lands_as_the_reference(c: _Refinement) -> bool:
-    """The new routine's double is the reference's; or else rounding flips f's sign more than once
-    within 64 doubles, and both end one of those sign changes."""
+    """The new routine's double is the reference's; or else rounding leaves f's sign, read as -1, 0 or +1,
+    no single crossing within 64 doubles, and both end one of its sign changes.  No single crossing: the
+    sign goes back (it flips more than once, or is 0 at two doubles with a sign between), or it is 0 at
+    more than one double, each an exact zero that either routine may return."""
     if c.got == c.want:
         return True
     lo, hi = sorted((c.got, c.want))
     xs = [math.nextafter(lo, -math.inf)]
     while xs[-1] <= hi and len(xs) < 66:
         xs.append(math.nextafter(xs[-1], math.inf))
-    signs = [c.f(x)[0] < 0 for x in xs]
-    flips = sum(a != b for a, b in zip(signs, signs[1:]))
-    return xs[-1] > hi and flips >= 2 and _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want)
+    signs = [(v > 0) - (v < 0) for v in (c.f(x)[0] for x in xs)]
+    runs = [a for a, b in zip(signs, [*signs[1:], None]) if a != b]
+    single = runs in (sorted(runs), sorted(runs, reverse=True)) and signs.count(0) <= 1
+    return xs[-1] > hi and not single and _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want)
 
 
 def _refinements_through(p: Params, z_event, at_event: tuple, r: float, d, field=ScalarField.REAL):
