@@ -232,7 +232,8 @@ def series_lines(name: str | None) -> list[str]:
         lines += _order_lines(body, k)
         # a_{k+3} = r / ((k+1)(k+2)(k+3)) and d_{k+2} = (k+3) a_{k+3}, the factors as float literals
         lines.append(f"a{k + 3} = r / {float((k + 1) * (k + 2) * (k + 3))!r}")
-        lines += [f"d{k + 2} = {float(k + 3)!r} * a{k + 3}"] if k + 2 <= ORDER - 3 else []
+        if k + 2 <= ORDER - 3:
+            lines.append(f"d{k + 2} = {float(k + 3)!r} * a{k + 3}")
     return lines
 
 
