@@ -176,13 +176,17 @@ def movement(artifact: str, before: bytes | None, after: bytes | None) -> str:
     if old_shape != new_shape:
         line = next((i for i, (a, b) in enumerate(zip(old_shape, new_shape)) if a != b), min(map(len, (old_shape, new_shape))))
         return f"shape changed from line {line + 1}"
-    worst, at = 0.0, None
-    for x, m in zip(_FLOAT.finditer(old), _FLOAT.finditer(new)):
-        a, b = float(x.group()), float(m.group())
-        if a != b and (rel := abs(a - b) / max(abs(a), abs(b))) > worst:
-            worst, at = rel, m.start()
+    worst, at = max(_moves(old, new), key=lambda move: move[0], default=(0.0, None))
     where = "" if at is None else f" ({_where(artifact, new, at)})"
     return f"shape held; largest relative difference {worst:.2g}{where}"
+
+
+def _moves(old: str, new: str):
+    """(relative difference, offset in new) of each pair of floats that differ, in order."""
+    for x, m in zip(_FLOAT.finditer(old), _FLOAT.finditer(new)):
+        a, b = float(x.group()), float(m.group())
+        if a != b:
+            yield abs(a - b) / max(abs(a), abs(b)), m.start()
 
 
 def _field(artifact: str, text: str, at: int) -> str:
@@ -204,11 +208,9 @@ def moves_by_field(artifact: str, before: bytes | None, after: bytes | None) -> 
     if _FLOAT.sub("#", old) != _FLOAT.sub("#", new):
         return {}
     worst: dict[str, float] = {}
-    for x, m in zip(_FLOAT.finditer(old), _FLOAT.finditer(new)):
-        a, b = float(x.group()), float(m.group())
-        if a != b:
-            field = _field(artifact, new, m.start())
-            worst[field] = max(worst.get(field, 0.0), abs(a - b) / max(abs(a), abs(b)))
+    for rel, at in _moves(old, new):
+        field = _field(artifact, new, at)
+        worst[field] = max(worst.get(field, 0.0), rel)
     return dict(sorted(worst.items(), key=lambda item: -item[1]))
 
 
