@@ -162,31 +162,36 @@ def _where(artifact: str, text: str, at: int) -> str:
     return f"line {line}" + (f", after {before[-40:]!r}" if before else "")
 
 
-def movement(artifact: str, before: bytes | None, after: bytes | None) -> str:
-    """How far an artifact that differs moved: whether its shape held, and the largest relative difference.
+def measure(artifact: str, before: bytes | None, after: bytes | None) -> tuple[str, dict[str, float]]:
+    """How far an artifact that differs moved: whether its shape held, with the largest relative difference, and
+    that difference for each CSV column, JSON key or stdout line text whose floats moved, largest first.
 
     The relative difference of two floats x and y is |x - y| / max(|x|, |y|),
     0 where both are 0.  It is read only where the shape held, so that the
-    floats pair up in order.
+    floats pair up in order; where the shape changed, no field is listed.
     """
     if before is None or after is None:
-        return "shape changed: written on one side only"
+        return "shape changed: written on one side only", {}
     old, new = before.decode("utf-8"), after.decode("utf-8")
     old_shape, new_shape = _FLOAT.sub("#", old).splitlines(), _FLOAT.sub("#", new).splitlines()
     if old_shape != new_shape:
         line = next((i for i, (a, b) in enumerate(zip(old_shape, new_shape)) if a != b), min(map(len, (old_shape, new_shape))))
-        return f"shape changed from line {line + 1}"
-    worst, at = max(_moves(old, new), key=lambda move: move[0], default=(0.0, None))
-    where = "" if at is None else f" ({_where(artifact, new, at)})"
-    return f"shape held; largest relative difference {worst:.2g}{where}"
-
-
-def _moves(old: str, new: str):
-    """(relative difference, offset in new) of each pair of floats that differ, in order."""
+        return f"shape changed from line {line + 1}", {}
+    worst, at, fields = 0.0, None, {}
     for x, m in zip(_FLOAT.finditer(old), _FLOAT.finditer(new)):
         a, b = float(x.group()), float(m.group())
         if a != b:
-            yield abs(a - b) / max(abs(a), abs(b)), m.start()
+            rel, field = abs(a - b) / max(abs(a), abs(b)), _field(artifact, new, m.start())
+            fields[field] = max(fields.get(field, 0.0), rel)
+            if rel > worst:
+                worst, at = rel, m.start()
+    where = "" if at is None else f" ({_where(artifact, new, at)})"
+    return f"shape held; largest relative difference {worst:.2g}{where}", dict(sorted(fields.items(), key=lambda item: -item[1]))
+
+
+def movement(artifact: str, before: bytes | None, after: bytes | None) -> str:
+    """The first part of `measure`: whether the shape held, and the largest relative difference."""
+    return measure(artifact, before, after)[0]
 
 
 def _field(artifact: str, text: str, at: int) -> str:
@@ -197,21 +202,6 @@ def _field(artifact: str, text: str, at: int) -> str:
         keys = _KEY.findall(text, 0, at)
         return keys[-1] if keys else "(no key)"
     return _FLOAT.sub("#", text[text.rfind("\n", 0, at) + 1 : at]).strip().rstrip(":[,( ")
-
-
-def moves_by_field(artifact: str, before: bytes | None, after: bytes | None) -> dict[str, float]:
-    """The largest relative difference of each CSV column, JSON key or stdout line text whose floats moved, largest
-    first; empty where the shape changed, since the floats then do not pair up."""
-    if before is None or after is None:
-        return {}
-    old, new = before.decode("utf-8"), after.decode("utf-8")
-    if _FLOAT.sub("#", old) != _FLOAT.sub("#", new):
-        return {}
-    worst: dict[str, float] = {}
-    for rel, at in _moves(old, new):
-        field = _field(artifact, new, at)
-        worst[field] = max(worst.get(field, 0.0), rel)
-    return dict(sorted(worst.items(), key=lambda item: -item[1]))
 
 
 def main(argv=None) -> int:
@@ -229,8 +219,9 @@ def main(argv=None) -> int:
     differing = [artifact for artifact in before if before[artifact] != after[artifact]]
     for artifact in before:
         if artifact in differing:
-            print(f"differs    {artifact}  {movement(artifact, before[artifact], after[artifact])}")
-            if fields := moves_by_field(artifact, before[artifact], after[artifact]):
+            verdict, fields = measure(artifact, before[artifact], after[artifact])
+            print(f"differs    {artifact}  {verdict}")
+            if fields:
                 print("           by field: " + ", ".join(f"{field} {rel:.2g}" for field, rel in fields.items()))
         else:
             print(f"identical  {artifact}")

@@ -21,7 +21,6 @@ pictures.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .equations import (
@@ -40,7 +39,7 @@ from .errors import (
     SingularInput,
     WrongKind,
 )
-from .integrator import _ARC, Trajectory, dense_eval_param
+from .integrator import Trajectory, dense_eval_param
 from .zeros import ZeroEvent, locate_zeros
 
 _DISC_FIT_TOL = 1e-10
@@ -214,11 +213,7 @@ def sqrt_lift(
     if zero_t is not None and not (lo <= zero_t <= hi):
         raise ValueError(f"event at {zero_t!r} lies outside the interval {interval!r}")
 
-    # each node interval is searched on its own, so the intervals that reach into [s_lo, s_hi] hold its events
-    nodes = traj.nodes
-    i0 = max(bisect_left(nodes, s_lo - pad, key=_ARC) - 1, 0)
-    i1 = min(bisect_right(nodes, s_hi + pad, key=_ARC), len(nodes) - 1)
-    located = locate_zeros(Trajectory(traj.kind, traj.params, traj.field, d, traj.tol, nodes[i0 : i1 + 1], traj.status))
+    located = locate_zeros(traj, (s_lo - pad, s_hi + pad))
     strays = []
     for cand in located:
         if not (lo <= cand.a <= hi):
@@ -230,7 +225,7 @@ def sqrt_lift(
         raise MultipleZeros(f"additional zeros inside {interval!r}: {strays!r}")
 
     sample_s = {s_lo, s_hi}
-    for node in nodes[i0 : i1 + 1]:
+    for node in traj.nodes:
         if s_lo <= node.s <= s_hi:
             sample_s.add(node.s)
     zero_s = None

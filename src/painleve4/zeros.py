@@ -49,19 +49,21 @@ halving, each trial point reading f and its s-derivative from one jet
 (d w', d w'', and |w'|^2 + Re(conj(w) w'' d^2) for q / 2).  Like the
 bisection it replaced, it stops at adjacent doubles and returns the one
 with the smaller |f|, so where f's computed sign changes once in the
-bracket an event lands on the double bisection found; it reads about 4
-trial points per root where halving read about 50.
+bracket, and f is 0 at no double off that change, an event lands on the
+double bisection found; it reads about 4 trial points per root where
+halving read about 50.
 """
 
 import cmath
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import NamedTuple
 
 from .equations import KINDS, Scalar, ScalarField
 from .errors import WrongKind
-from .integrator import Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param, skip_bound_kernel
+from .integrator import _ARC, Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param, skip_bound_kernel
 
 logger = logging.getLogger(__name__)
 
@@ -121,9 +123,9 @@ def _refine(f, lo: float, hi: float, at_lo: tuple, at_hi: tuple) -> float:
     before.  Stops at an exact zero of f, which it returns, or once lo and
     hi are adjacent doubles, and then returns the endpoint with the smaller
     |f| (lo on a tie); it reads at most `_BISECT_ITERS` trial points.  Where
-    f changes sign once in [lo, hi], that is the double bisection returns,
-    unless bisection's `_BISECT_ITERS` halvings run out first (only in an
-    interval from s = 0).
+    f changes sign once in [lo, hi] and is 0 at no double off that change,
+    that is the double bisection returns, unless bisection's halvings run
+    out first (only in an interval from s = 0).
     """
     (f_lo, r_lo), (f_hi, r_hi) = at_lo, at_hi
     df, u = f_hi - f_lo, f_lo / (f_lo - f_hi)
@@ -265,8 +267,12 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
     return roots
 
 
-def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
+def locate_zeros(traj: Trajectory, within: tuple[float, float] | None = None) -> tuple[ZeroEvent, ...]:
     """Locate and classify zeros of w along a trajectory, in path order.
+
+    ``within = (s_lo, s_hi)`` searches only the node intervals that reach
+    into that range of s; each interval is searched on its own, so their
+    events are those that a search of the whole trajectory finds there.
 
     A node whose w is exactly 0 is an event.  Inside each node interval,
     the step's own polynomial gives every candidate (see the module
@@ -291,6 +297,9 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     nodes = traj.nodes
     if not any(n.jet.w for n in nodes):
         return ()
+    if within is not None:
+        first = max(bisect_left(nodes, within[0], key=_ARC) - 1, 0)
+        nodes = nodes[first : bisect_right(nodes, within[1], key=_ARC) + 1]
     d = traj.direction
     real_mode = traj.field is ScalarField.REAL
     beta = traj.params.beta

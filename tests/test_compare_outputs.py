@@ -103,17 +103,17 @@ def test_each_csv_column_reports_its_own_largest_move(script):
     # pole_est_re moved by rounding and h_min for a reason: the columns tell them apart, largest first
     rows = _CSV + "-1,pole,3,0.5,0.25\n"
     after = rows.replace("0.47808960997076932", "0.47808960997076976").replace("0.25\n", "0.3\n")
-    assert script.moves_by_field("sweep.csv", rows.encode(), after.encode()) == {
+    assert script.measure("sweep.csv", rows.encode(), after.encode())[1] == {
         "h_min": pytest.approx(0.05 / 0.3), "pole_est_re": pytest.approx(4.4e-16 / 0.47808960997076976, rel=0.01),
     }
-    assert list(script.moves_by_field("sweep.csv", rows.encode(), after.encode())) == ["h_min", "pole_est_re"]
+    assert list(script.measure("sweep.csv", rows.encode(), after.encode())[1]) == ["h_min", "pole_est_re"]
 
 
 def test_each_json_key_reports_its_own_largest_move(script):
     # a key in a list of objects reports the largest move over the list; a key whose floats held is not listed
     before = json.dumps({"pole_estimate": 1.5, "events": [{"a": 0.5, "slope": 1.0}, {"a": 0.25, "slope": -1.0}]}, indent=2)
     after = before.replace("0.5,", "0.5000000000000001,").replace("0.25,", "0.26,").replace("1.5,", "1.5000000000000002,")
-    moves = script.moves_by_field("events.json", before.encode(), after.encode())
+    moves = script.measure("events.json", before.encode(), after.encode())[1]
     assert list(moves) == ["a", "pole_estimate"]
     assert moves["a"] == pytest.approx(0.01 / 0.26) and moves["pole_estimate"] == pytest.approx(2.2e-16 / 1.5, rel=0.01)
 
@@ -121,12 +121,12 @@ def test_each_json_key_reports_its_own_largest_move(script):
 def test_stdout_reports_each_move_by_the_text_before_it(script):
     before = b"exit 0\nconstraint: PASS (worst 1.343e-12, budget 1.0e-07)\nsqrt: PASS (worst 2.0e-12, budget 1.0e-08)\n"
     after = before.replace(b"1.343e-12", b"1.363e-12")
-    assert script.moves_by_field("stdout", before, after) == {"constraint: PASS (worst": pytest.approx(0.02 / 1.363)}
+    assert script.measure("stdout", before, after)[1] == {"constraint: PASS (worst": pytest.approx(0.02 / 1.363)}
     after = after.replace(b"budget 1.0e-08", b"budget 2.0e-08")
-    assert list(script.moves_by_field("stdout", before, after)) == ["sqrt: PASS (worst #, budget", "constraint: PASS (worst"]
+    assert list(script.measure("stdout", before, after)[1]) == ["sqrt: PASS (worst #, budget", "constraint: PASS (worst"]
 
 
 def test_no_moves_by_field_where_the_shape_changed_or_nothing_moved(script):
-    assert script.moves_by_field("sweep.csv", _CSV.encode(), _CSV.replace(",15,", ",16,").encode()) == {}
-    assert script.moves_by_field("summary.json", None, _summary()) == {}
-    assert script.moves_by_field("summary.json", _summary(), _summary()) == {}
+    assert script.measure("sweep.csv", _CSV.encode(), _CSV.replace(",15,", ",16,").encode())[1] == {}
+    assert script.measure("summary.json", None, _summary())[1] == {}
+    assert script.measure("summary.json", _summary(), _summary())[1] == {}

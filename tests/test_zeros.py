@@ -459,6 +459,19 @@ def test_every_root_of_one_long_step_is_found(z0, span):
         assert abs(abs(e.slope) - 1.0) < 1e-12
 
 
+def test_a_search_within_a_range_finds_what_the_full_search_finds_there():
+    t = integrate(K.PIV, Params(1.0, 0.5), InitialData.nonzero(-1.0, 0.3, -1.0), 6.0)
+    full = locate_zeros(t)
+    assert len(full) == 2 and len(t.nodes) > 20
+    s = [n.s for n in t.nodes]
+    rng = random.Random(3)
+    ranges = [sorted(rng.uniform(-0.1, s[-1] + 0.1) for _ in range(2)) for _ in range(50)]
+    for lo, hi in ranges + [(a, b) for a in s for b in s if a <= b]:
+        found = locate_zeros(t, (lo, hi))
+        assert set(found) <= set(full)
+        assert [e for e in found if lo <= e.a - t.z0 <= hi] == [e for e in full if lo <= e.a - t.z0 <= hi]
+
+
 def test_beta_zero_tangency_of_the_readme_sweep_is_one_event():
     # README sweep cell alpha = 1.6, beta = 0: near its tangency the computed w
     # crosses twice at slopes +-sqrt(-C*) or misses zero by rounding, as the
@@ -530,21 +543,45 @@ def _ends_a_sign_change(f, x: float) -> bool:
     return v == 0 or any((f(math.nextafter(x, y))[0] < 0) != (v < 0) for y in (-math.inf, math.inf))
 
 
+def _crosses(f, x: float) -> bool:
+    """f is nonzero at x and has the other sign, nonzero, at a neighbouring double."""
+    v = f(x)[0]
+    return any(f(math.nextafter(x, y))[0] * v < 0 for y in (-math.inf, math.inf))
+
+
 def _lands_as_the_reference(c: _Refinement) -> bool:
-    """The new routine's double is the reference's; or else rounding leaves f's sign, read as -1, 0 or +1,
-    no single crossing within 64 doubles, and both end one of its sign changes.  No single crossing: the
-    sign goes back (it flips more than once, or is 0 at two doubles with a sign between), or it is 0 at
-    more than one double, each an exact zero that either routine may return."""
+    """The new routine's double is the reference's; or else both lie within 64 doubles and rounding shows f
+    more than one root there: its sign flips more than once (an exact 0 read as +) and both end one of those
+    sign changes, or one is an exact zero of f and the other is another exact zero or a crossing of f."""
     if c.got == c.want:
         return True
     lo, hi = sorted((c.got, c.want))
     xs = [math.nextafter(lo, -math.inf)]
     while xs[-1] <= hi and len(xs) < 66:
         xs.append(math.nextafter(xs[-1], math.inf))
-    signs = [(v > 0) - (v < 0) for v in (c.f(x)[0] for x in xs)]
-    runs = [a for a, b in zip(signs, [*signs[1:], None]) if a != b]
-    single = runs in (sorted(runs), sorted(runs, reverse=True)) and signs.count(0) <= 1
-    return xs[-1] > hi and not single and _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want)
+    signs = [c.f(x)[0] < 0 for x in xs]
+    flips = sum(a != b for a, b in zip(signs, signs[1:]))
+    ends = _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want)
+    zero_got, zero_want = c.f(c.got)[0] == 0, c.f(c.want)[0] == 0
+    two_roots = (zero_got or zero_want) and (zero_got or _crosses(c.f, c.got)) and (zero_want or _crosses(c.f, c.want))
+    return xs[-1] > hi and (flips >= 2 and ends or two_roots)
+
+
+def test_the_reference_check_accepts_another_double_only_where_rounding_shows_two_roots():
+    x = [0.25]
+    for _ in range(5):
+        x.append(math.nextafter(x[-1], 1.0))
+
+    def check(values, got, want):  # f read off values at six adjacent doubles x
+        return _lands_as_the_reference(_Refinement(lambda s: (values[x.index(s)], 1.0), x[got], x[want], 1))
+
+    # one crossing: the double beside the exact zero, or the far end of a sign change, is a miss
+    assert not check([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0], 1, 2)
+    assert not check([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0], 2, 1)
+    # an exact zero beside a crossing, two exact zeros, or a sign that flips back: two roots
+    assert check([-2.0, 1.0, -0.0, 1.0, 2.0, 3.0], 1, 2)
+    assert check([-2.0, 0.0, 0.0, 1.0, 2.0, 3.0], 2, 1)
+    assert check([-2.0, 1.0, -1.0, 1.0, 2.0, 3.0], 1, 3)
 
 
 def _refinements_through(p: Params, z_event, at_event: tuple, r: float, d, field=ScalarField.REAL):
