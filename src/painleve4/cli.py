@@ -12,11 +12,17 @@ shortest round-trip repr, so parsing either back reproduces the binary
 values exactly.  The piv parameters follow the beta^2 convention of Ince's
 form XXXI throughout; there is no conversion flag.
 
+Every output file is written in place (`_write_output`): an existing file
+is overwritten and then cut to the new length, never first truncated to
+zero.  Writes are neither atomic nor durable: a process killed mid-write
+can leave the new head followed by the old file's tail.
+
 Environment: PAINLEVE_LOG = error|warn|info|debug (default warn).
 """
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -80,6 +86,24 @@ def json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write text as UTF-8 bytes to path, over an existing file in place.
+
+    The file is opened without O_TRUNC and cut to the new length after the
+    write.  Truncating to zero first makes ext4 (with auto_da_alloc), XFS and
+    btrfs flush the file at close, which costs a multiple of the write.  The
+    file keeps its inode, mode and links; a symlink writes its target; a new
+    file gets 0o666 less the umask.  A stream that is not seekable, such as
+    a pipe behind /dev/stdout, is not truncated.  O_BINARY keeps Windows from
+    writing "\r\n".
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if fh.seekable():
+            fh.truncate()
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     lines = [CSV_HEADER]
     for node in traj.nodes:
@@ -90,7 +114,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
         rr, ri = _parts(node.res2)
         # the C_* columns repeat res2_*, which on piv and piv0 is C
         lines.append(_CSV_ROW % (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, rr, ri, rr, ri))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_output(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: Path) -> list[dict[str, float]]:
@@ -184,7 +208,7 @@ def cmd_integrate(ns) -> int:
     traj = integrate(*_build_runspec(ns))
     out, summary = Path(ns.out or "trajectory.csv"), Path(ns.summary or "summary.json")
     write_trajectory_csv(out, traj)
-    summary.write_text(json_dumps(summary_json(traj)) + "\n", encoding="utf-8", newline="\n")
+    _write_output(summary, json_dumps(summary_json(traj)) + "\n")
     print(f"{traj.status.value}: {len(traj.nodes)} nodes -> {out}, summary -> {summary}")
     return _exit_code(traj)
 
@@ -202,8 +226,8 @@ def cmd_zeros(ns) -> int:
     summary = summary_json(traj, events)
     payload = {**summary, "identically_zero": identically_zero, "curvature_report": _report_json(report)}
     out = Path(ns.out or "events.json")
-    out.write_text(json_dumps(payload) + "\n", encoding="utf-8", newline="\n")
-    Path(ns.summary or "summary.json").write_text(json_dumps(summary) + "\n", encoding="utf-8", newline="\n")
+    _write_output(out, json_dumps(payload) + "\n")
+    _write_output(Path(ns.summary or "summary.json"), json_dumps(summary) + "\n")
     print(f"{traj.status.value}: {len(events)} zero event(s) -> {out}")
     return _exit_code(traj)
 
@@ -282,31 +306,32 @@ def _stats_cells(stats: dict | None) -> list:
 
 
 def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        "alpha,beta,status,node_count,zero_count,pole_est_re,pole_est_im,max_c_drift,error,"
+        "accepted,h_min,h_max".split(",")
+    )
+    for cell in cells:
+        if cell.pole_estimate is None:
+            pole_re, pole_im = "", ""
+        else:
+            pole_re, pole_im = map(fmt_float, _parts(cell.pole_estimate))
         writer.writerow(
-            "alpha,beta,status,node_count,zero_count,pole_est_re,pole_est_im,max_c_drift,error,"
-            "accepted,h_min,h_max".split(",")
+            [
+                fmt_float(cell.alpha),
+                fmt_float(cell.beta),
+                cell.status,
+                cell.node_count,
+                len(cell.events),
+                pole_re,
+                pole_im,
+                "" if cell.max_c_drift is None else fmt_float(cell.max_c_drift),
+                cell.error,
+                *_stats_cells(cell.stats),
+            ]
         )
-        for cell in cells:
-            if cell.pole_estimate is None:
-                pole_re, pole_im = "", ""
-            else:
-                pole_re, pole_im = map(fmt_float, _parts(cell.pole_estimate))
-            writer.writerow(
-                [
-                    fmt_float(cell.alpha),
-                    fmt_float(cell.beta),
-                    cell.status,
-                    cell.node_count,
-                    len(cell.events),
-                    pole_re,
-                    pole_im,
-                    "" if cell.max_c_drift is None else fmt_float(cell.max_c_drift),
-                    cell.error,
-                    *_stats_cells(cell.stats),
-                ]
-            )
+    _write_output(path, buf.getvalue())
 
 
 def cmd_sweep(ns) -> int:

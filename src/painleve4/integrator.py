@@ -99,8 +99,11 @@ _H_MIN = 1e-12
 # such as a verify draw capped at 3, never searches.  3 runs the README sweep
 # fastest: a lower threshold adds more searches than it saves steps
 _SERIES_POLE_FROM = 3.0
-# Newton iterations before a root search gives up
-_NEWTON_STEPS = 30
+# Newton iterations before a root search gives up.  The search starts at
+# v_0/v_1, close to the root, and no run of the README sweep, the verify
+# suites or tier-1 takes more than 5; 8 leaves three more squarings of the
+# error.  A search given up is repeated from the next node
+_NEWTON_STEPS = 8
 # how far off a complex path (|Im| of r/d) a series root may lie and still end
 # the run there: passing a pole at distance delta takes |w| on the path to
 # about 1/delta, so a root within 1e-4 is a pole the path runs into, while a
@@ -427,20 +430,23 @@ def _series_pole(
 
     u = 1/v with v = pole(coeffs, z) in powers of z' - z (`KindRow.pole`), on
     the series of f^2 for a squared kind.  Newton's root r of u is accepted
-    when it lies ahead on the path, r/d in (0, left] and on a complex path
-    within `_OFF_PATH` of it, and when u's neglected tail can move it by no
-    more than the run's tolerances: the bound max over k = p-3 .. p of |u_k|
-    |r|^k (`_tail`), divided by |u'(r)|, is at most abs + rel |z + r|.  Near a
-    pole Newton's first iterate v_0/v_1 is already close to r, so Newton is not
-    run where that iterate lies behind the node or past the span left, or where
-    u's tail at its distance exceeds abs + rel |u_0|, which is where it lies
-    beyond twice u's Jorba-Zou step.
+    when it lies ahead on the path, r/d in (0, left + abs + rel |z + r|] and
+    on a complex path within `_OFF_PATH` of it, and when u's neglected tail
+    can move it by no more than the run's tolerances: the bound max over
+    k = p-3 .. p of |u_k| |r|^k (`_tail`), divided by |u'(r)|, is at most
+    abs + rel |z + r|.  That same tolerance past the span left takes a pole
+    at the span's end, which the root's own error can put just beyond it.
+    Near a pole Newton's first iterate v_0/v_1 is already close to r, so
+    Newton is not run where that iterate lies behind the node or past the
+    span left by more than the tolerance, or where u's tail at its distance
+    exceeds abs + rel |u_0|, which is where it lies beyond twice u's
+    Jorba-Zou step.
     """
     v = pole(_cauchy_square()(coeffs) if squared else coeffs, z)
     if v[1] == 0:
         return None
     first = v[0] / v[1]
-    if not 0.0 < (first / d).real <= left:
+    if not 0.0 < (first / d).real <= left + tol.abs + tol.rel * abs(z + first):
         return None
     u = _reciprocal()(v)
     if not _tail(u, abs(first)) <= tol.abs + tol.rel * abs(u[0]):
@@ -449,7 +455,7 @@ def _series_pole(
     if r is None:
         return None
     t = r / d
-    if not (0.0 < t.real <= left and abs(t.imag) <= _OFF_PATH):
+    if not (0.0 < t.real <= left + tol.abs + tol.rel * abs(z + r) and abs(t.imag) <= _OFF_PATH):
         return None
     slope = abs(_jet_kernel()(u, r)[1])
     bound = _tail(u, abs(r)) / slope if slope else math.inf

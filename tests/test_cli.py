@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import random
+import stat
 import struct
 import subprocess
 import sys
@@ -123,6 +125,23 @@ class TestIntegrateCommand:
         assert doc["status"] == "pole"
         assert abs(doc["pole_estimate"] - 1.0) < 1e-10
         assert 0.0 <= doc["pole_bound"] <= 1e-10 * (1.0 + doc["pole_estimate"])
+
+    @pytest.mark.parametrize(
+        "args, pole",
+        [
+            (["--eq", "xxix", "--z0", "0", "--w0", "1", "--w1", "1", "--span", "1"], 1.0),
+            (["--eq", "piv", "--alpha", "2", "--beta", "2", "--z0", "1", "--w0", "1", "--w1", "-1", "--w2", "2",
+              "--span", "-1"], 0.0),
+        ],
+        ids=["xxix-1-over-1-minus-z", "piv-1-over-z"],
+    )  # fmt: skip
+    def test_a_pole_at_the_span_end_ends_the_run_there(self, args, pole, tmp_path):
+        # the exact pole is the span's end, and its series root lies past it by the root's own error
+        summary = tmp_path / "s.json"
+        assert main(["integrate", *args, "--out", str(tmp_path / "t.csv"), "--summary", str(summary)]) == 0
+        doc = json.loads(summary.read_text(encoding="utf-8"))
+        assert doc["status"] == "pole"
+        assert abs(doc["pole_estimate"] - pole) <= 1e-12
 
     def test_sqrt_pole_run_exits_zero_at_the_piv0_pole(self, tmp_path):
         # f^2 is the piv0 solution with w0 = 0.5, w1 = 0; |f| only grows like
@@ -664,6 +683,88 @@ def _fresh_process(argv, cwd):
     return proc.returncode, proc.stdout
 
 
+class TestOutputFiles:
+    # every output is written in place (`cli._write_output`): opened without
+    # O_TRUNC and cut to the new length after the write
+    RUN = ["integrate", "--eq", "xxxii", "--z0", "0", "--w0", "2", "--w1", "3", "--span", "4"]
+    COMMANDS = {
+        "integrate": (RUN + ["--out", "t.csv", "--summary", "s.json"], ("t.csv", "s.json")),
+        "zeros": (["zeros", *RUN[1:], "--out", "e.json", "--summary", "s.json"], ("e.json", "s.json")),
+        "sweep": (["sweep", "--eq", "piv", "--alpha-min", "-1", "--alpha-max", "1", "--alpha-steps", "2",
+                   "--w0", "0.4", "--z0", "-1", "--span", "2", "--out", "sweep.csv"], ("sweep.csv",)),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_overwriting_a_longer_file_writes_the_bytes_of_a_fresh_one(self, command, tmp_path, monkeypatch):
+        argv, files = self.COMMANDS[command]
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        for where in (fresh, old):
+            where.mkdir()
+        monkeypatch.chdir(fresh)
+        assert main(argv) == 0
+        for name in files:
+            (old / name).write_bytes((fresh / name).read_bytes() * 2 + b"old tail")
+        monkeypatch.chdir(old)
+        assert main(argv) == 0
+        for name in files:
+            assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_a_symlinked_out_keeps_the_link_and_writes_its_target(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.RUN + ["--out", "fresh.csv", "--summary", "s.json"]) == 0
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"an older, longer file\n" * 10_000)
+        try:
+            link.symlink_to(target)
+        except OSError:  # no symlinks without the privilege, on Windows
+            pytest.skip("symlinks are not available")
+        assert main(self.RUN + ["--out", "link.csv", "--summary", "s.json"]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    @pytest.mark.skipif(os.name == "nt", reason="POSIX file modes and hard links")
+    def test_an_existing_file_keeps_its_inode_mode_and_links_and_a_new_one_gets_the_umask(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out, other = tmp_path / "t.csv", tmp_path / "hard.csv"
+        out.write_bytes(b"x" * 100_000)
+        out.chmod(0o600)
+        os.link(out, other)
+        before = out.stat()
+        assert main(self.RUN + ["--out", "t.csv", "--summary", "s.json"]) == 0
+        after = out.stat()
+        assert (stat.S_IMODE(after.st_mode), after.st_ino, after.st_nlink) == (0o600, before.st_ino, 2)
+        assert other.read_bytes() == out.read_bytes()
+        assert out.read_bytes().startswith((CSV_HEADER + "\n").encode())
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "s.json").stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_out_dev_stdout_prints_the_csv_to_a_pipe(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.RUN + ["--out", "t.csv", "--summary", "s.json"]) == 0
+        proc = _fresh_run(self.RUN + ["--out", "/dev/stdout", "--summary", "s.json"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        csv_text = (tmp_path / "t.csv").read_text(encoding="utf-8")
+        assert proc.stdout.startswith(csv_text)
+        assert proc.stdout[len(csv_text):].startswith("completed: ")
+
+
+def test_no_output_is_written_past_the_in_place_writer():
+    # no write_text or write_bytes, which truncate to zero first, and no open for writing in text mode
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            where = f"{path.name}:{node.lineno}"
+            assert name not in ("write_text", "write_bytes"), where
+            if name == "open":
+                mode = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                text = [m.value for m in mode if isinstance(m, ast.Constant) and isinstance(m.value, str)]
+                assert not any(set(m) & set("wax+") and "b" not in m for m in text), where
+
+
 class TestOneParserPerProcess:
     # main parses with one parser built once per process; what one call
     # parses must not reach the next, so a command run after another prints
@@ -909,20 +1010,25 @@ def test_json_dumps_refuses_a_bare_non_finite_number():
 
 
 def test_every_file_integrate_and_zeros_write_has_newline_line_endings(tmp_path, monkeypatch):
+    # each file is opened in binary mode: O_BINARY, which only Windows has, is
+    # stood in for by a spare bit here, so that every platform sees it asked for
     written = []
-    write_text = Path.write_text
+    os_open, binary, spare = os.open, getattr(os, "O_BINARY", 0), 1 << 30
 
-    def recorded(self, data, *args, **kwargs):
-        written.append((self.name, kwargs.get("newline")))
-        return write_text(self, data, *args, **kwargs)
+    def recorded(path, flags, *args):
+        written.append((Path(path).name, bool(flags & spare)))
+        return os_open(path, flags & ~spare | binary, *args)
 
-    monkeypatch.setattr(Path, "write_text", recorded)
+    monkeypatch.setattr(os, "O_BINARY", spare, raising=False)
+    monkeypatch.setattr(os, "open", recorded)
     run = ["--z0", "0", "--w0", "2", "--w1", "3", "--span", "4"]
     assert main(["integrate", "--eq", "xxxii", *run, "--out", str(tmp_path / "t.csv"),
                  "--summary", str(tmp_path / "s.json")]) == 0  # fmt: skip
     assert main(["zeros", "--eq", "xxxii", *run, "--out", str(tmp_path / "e.json"),
                  "--summary", str(tmp_path / "z.json")]) == 0  # fmt: skip
-    assert written == [("t.csv", "\n"), ("s.json", "\n"), ("e.json", "\n"), ("z.json", "\n")]
+    assert written == [("t.csv", True), ("s.json", True), ("e.json", True), ("z.json", True)]
+    for name, _ in written:
+        assert b"\r" not in (tmp_path / name).read_bytes()
 
 
 _EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, 1e-320, 1e200, 1e308]

@@ -1338,3 +1338,23 @@ def test_complex_xxix_path_past_the_pole_stays_on_its_exact_solution():
     assert t.status is TrajectoryStatus.COMPLETED and t.max_abs_w() > 190.0
     worst = max(abs(n.jet.w - 1.0 / (1.0 - n.jet.z)) * abs(1.0 - n.jet.z) for n in t.nodes)
     assert worst <= 1e-6
+
+
+def test_newton_steps_cover_the_most_the_readme_sweep_takes(monkeypatch):
+    # the pole rule's Newton search takes at most 5 iterations on the README
+    # sweep: at 5 the cells are those of `_NEWTON_STEPS`, at 4 some roots are
+    # given up and 16 cells end elsewhere
+    import painleve4.integrator as integrator
+    from painleve4.cli import _grid, run_sweep
+
+    grid = _grid("alpha", -2.0, 2.0, 11)
+
+    def cells():
+        swept = run_sweep(K.PIV, grid, grid, InitialData.nonzero(-1.0, 0.5, 0.0), 2.0, Tolerances())
+        return [(c.status, c.node_count, c.pole_estimate) for c in swept]
+
+    full = cells()
+    monkeypatch.setattr(integrator, "_NEWTON_STEPS", 5)
+    assert cells() == full
+    monkeypatch.setattr(integrator, "_NEWTON_STEPS", 4)
+    assert sum(a != b for a, b in zip(cells(), full)) == 16
