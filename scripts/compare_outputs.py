@@ -6,12 +6,19 @@ process on the package under TREE/src, in an empty temporary directory.
 Its artifacts are the files the command writes and its exit code with its
 standard output (`stdout`), which is all that `verify` writes.
 
+Each command that writes files is then run again in the same directory,
+after each file it wrote has had its own bytes appended, so that the rerun
+overwrites a longer file.  Every artifact of the rerun must equal the first
+run's: the last lines report how many do, per tree, and name any that does
+not, and the exit code is then 1.
+
 Usage:
     python scripts/compare_outputs.py TREE            one sha256 per artifact
     python scripts/compare_outputs.py PARENT CHANGE   identical or differs per artifact
 
 With two trees, such as a `git archive` of the parent commit and the
-working tree, the exit code is 1 when any artifact differs and 0 otherwise.
+working tree, the exit code is 1 when any artifact differs, or any rerun
+differs from its first run, and 0 otherwise.
 Each artifact that differs also says how far it moved: whether its shape
 held, and the largest relative difference over its numbers.  A second line
 gives that difference for each CSV column, JSON key or stdout line text whose
@@ -56,6 +63,12 @@ OUTPUTS = {
         "integrate --eq piv --alpha 0 --beta 1 --zero-branch plus --w2 0 --z0 0 --span 1", _TRAJECTORY,
     ),
     "integrate-readme-xxix-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 2", _TRAJECTORY),
+    # the exact pole of 1/(1 - z) at the span's end, and that of piv's w = 1/z at
+    # alpha = beta = 2: each series root lies past the end by its own error
+    "integrate-xxix-span-end-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 1", _TRAJECTORY),
+    "integrate-piv-span-end-pole": (
+        "integrate --eq piv --alpha 2 --beta 2 --z0 1 --w0 1 --w1 -1 --w2 2 --span -1", _TRAJECTORY,
+    ),
     # a raw xvii jet on which the piv constraint's w ** 4 would overflow; its own
     # residual's products overflow to inf (and inf - inf to nan), and the run completes
     "integrate-xvii-overflowing-monitor": ("integrate --eq xvii --w1 1e200 --w2 1e200 --span 0.5", _TRAJECTORY),
@@ -126,21 +139,35 @@ _FLOAT = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d
 _KEY = re.compile(r'"([^"]+)":')
 
 
-def outputs(tree: Path) -> dict[str, bytes | None]:
-    """'output/artifact' -> its bytes, None for a file the command did not write; stdout is led by its exit code."""
+def _run(command: str, work: str, env: dict, name: str, files: tuple[str, ...]) -> dict[str, bytes | None]:
+    """The artifacts of one command run in work: 'output/artifact' -> its bytes, None for a file not written."""
+    run = subprocess.run(
+        [sys.executable, "-m", "painleve4.cli", *command.split()], cwd=work, env=env, capture_output=True, check=False,
+    )
+    result = {f"{name}/stdout": b"exit %d\n" % run.returncode + run.stdout}
+    for file in files:
+        path = Path(work) / file
+        result[f"{name}/{file}"] = path.read_bytes() if path.exists() else None
+    return result
+
+
+def outputs(tree: Path) -> tuple[dict[str, bytes | None], list[str]]:
+    """Every artifact by name, stdout led by its exit code; and those that a rerun over longer files changed."""
     env = {**os.environ, "PYTHONPATH": str((tree / "src").resolve())}
-    result = {}
+    result, changed = {}, []
     for name, (command, files) in OUTPUTS.items():
         with tempfile.TemporaryDirectory() as work:
-            run = subprocess.run(
-                [sys.executable, "-m", "painleve4.cli", *command.split()],
-                cwd=work, env=env, capture_output=True, check=False,
-            )
-            result[f"{name}/stdout"] = b"exit %d\n" % run.returncode + run.stdout
+            first = _run(command, work, env, name, files)
+            result.update(first)
+            if not files:
+                continue
             for file in files:
                 path = Path(work) / file
-                result[f"{name}/{file}"] = path.read_bytes() if path.exists() else None
-    return result
+                if path.exists():
+                    path.write_bytes(path.read_bytes() * 2)
+            again = _run(command, work, env, name, files)
+            changed += [artifact for artifact in again if again[artifact] != first[artifact]]
+    return result, changed
 
 
 def digest(content: bytes | None) -> str:
@@ -212,10 +239,10 @@ def main(argv=None) -> int:
         parser.error("give one tree, or two to compare")
     runs = [outputs(tree) for tree in args.trees]
     if len(runs) == 1:
-        for artifact, content in runs[0].items():
+        for artifact, content in runs[0][0].items():
             print(f"{digest(content)}  {artifact}")
-        return 0
-    before, after = runs
+        return _report_reruns(runs)
+    (before, _), (after, _) = runs
     differing = [artifact for artifact in before if before[artifact] != after[artifact]]
     for artifact in before:
         if artifact in differing:
@@ -226,7 +253,19 @@ def main(argv=None) -> int:
         else:
             print(f"identical  {artifact}")
     print(f"{len(before) - len(differing)} of {len(before)} identical")
-    return 1 if differing else 0
+    reruns_differ = _report_reruns(runs)
+    return 1 if differing or reruns_differ else 0
+
+
+def _report_reruns(runs) -> int:
+    """One line per tree: how many rerun artifacts equal their first run, then each that does not; 1 if any."""
+    rerun = sum(len(files) + 1 for _, files in OUTPUTS.values() if files)
+    for k, (_, changed) in enumerate(runs, 1):
+        tree = f" (tree {k})" if len(runs) > 1 else ""
+        print(f"rerun over longer files{tree}: {rerun - len(changed)} of {rerun} identical to the first run")
+        for artifact in changed:
+            print(f"rerun differs{tree}  {artifact}")
+    return 1 if any(changed for _, changed in runs) else 0
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,37 @@ def test_no_moves_by_field_where_the_shape_changed_or_nothing_moved(script):
     assert script.measure("sweep.csv", _CSV.encode(), _CSV.replace(",15,", ",16,").encode())[1] == {}
     assert script.measure("summary.json", None, _summary())[1] == {}
     assert script.measure("summary.json", _summary(), _summary())[1] == {}
+
+
+_RERUN_OUTPUTS = {"integrate-readme-xxix-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 2",
+                                                 ("trajectory.csv", "summary.json"))}  # fmt: skip
+
+
+def test_a_rerun_over_longer_files_writes_the_first_run_s_bytes(script, monkeypatch, capsys):
+    monkeypatch.setattr(script, "OUTPUTS", _RERUN_OUTPUTS)
+    artifacts, changed = script.outputs(_SCRIPT.parents[1])
+    assert changed == [] and set(artifacts) == {
+        f"integrate-readme-xxix-pole/{name}" for name in ("stdout", "trajectory.csv", "summary.json")
+    }
+    assert script.main([str(_SCRIPT.parents[1])]) == 0
+    assert capsys.readouterr().out.endswith("rerun over longer files: 3 of 3 identical to the first run\n")
+
+
+def test_a_writer_that_leaves_the_old_tail_fails_the_rerun(script, monkeypatch, capsys, tmp_path):
+    # the package with its in-place writer's truncation taken out: the first run
+    # writes new files, and the rerun leaves each file's appended copy behind its bytes
+    shutil.copytree(_SCRIPT.parents[1] / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "painleve4" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert "fh.truncate()" in text
+    cli.write_text(text.replace("fh.truncate()", "pass"), encoding="utf-8")
+    monkeypatch.setattr(script, "OUTPUTS", _RERUN_OUTPUTS)
+    assert script.outputs(tmp_path)[1] == [
+        "integrate-readme-xxix-pole/trajectory.csv", "integrate-readme-xxix-pole/summary.json",
+    ]
+    assert script.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "rerun over longer files: 1 of 3 identical to the first run",
+        "rerun differs  integrate-readme-xxix-pole/trajectory.csv",
+        "rerun differs  integrate-readme-xxix-pole/summary.json",
+    ]
