@@ -13,9 +13,9 @@ values exactly.  The piv parameters follow the beta^2 convention of Ince's
 form XXXI throughout; there is no conversion flag.
 
 Every output file is written in place (`_write_output`): an existing file
-is overwritten and then cut to the new length, never first truncated to
-zero.  Writes are neither atomic nor durable: a process killed mid-write
-can leave the new head followed by the old file's tail.
+is overwritten and then cut to the new length where it was longer, never
+first truncated to zero.  Writes are neither atomic nor durable: a process
+killed mid-write can leave the new head followed by the old file's tail.
 
 Environment: PAINLEVE_LOG = error|warn|info|debug (default warn).
 """
@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 from functools import cache
 from pathlib import Path
@@ -89,18 +90,23 @@ def json_dumps(obj) -> str:
 def _write_output(path: Path, text: str) -> None:
     """Write text as UTF-8 bytes to path, over an existing file in place.
 
-    The file is opened without O_TRUNC and cut to the new length after the
-    write.  Truncating to zero first makes ext4 (with auto_da_alloc), XFS and
-    btrfs flush the file at close, which costs a multiple of the write.  The
-    file keeps its inode, mode and links; a symlink writes its target; a new
-    file gets 0o666 less the umask.  A stream that is not seekable, such as
-    a pipe behind /dev/stdout, is not truncated.  O_BINARY keeps Windows from
-    writing "\r\n".
+    The file is opened without O_TRUNC and, where it was longer than the new
+    text, cut to the new length after the write.  Truncating to zero first
+    makes ext4 (with auto_da_alloc), XFS and btrfs flush the file at close,
+    which costs a multiple of the write.  The file keeps its inode, mode and
+    links; a symlink writes its target; a new file gets 0o666 less the
+    umask.  Only a regular file is cut: a pipe behind /dev/stdout or a device
+    such as /dev/null is written and left as it is (ftruncate fails on a
+    device, where lseek does not).  O_BINARY keeps Windows from writing
+    "\r\n".
     """
+    data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    st = os.fstat(fd)
     with open(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        if fh.seekable():
+        fh.write(data)
+        # a new file, or one no longer than data, has no old tail to cut
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
             fh.truncate()
 
 

@@ -143,6 +143,17 @@ class TestIntegrateCommand:
         assert doc["status"] == "pole"
         assert abs(doc["pole_estimate"] - pole) <= 1e-12
 
+    def test_a_span_ending_within_the_tolerance_before_a_pole_ends_at_the_pole(self, tmp_path):
+        # the pole at 1 lies 1e-11 past the span's end, inside abs + rel |z + r|
+        # (2e-10 here), so the run ends `pole` with an estimate beyond the span
+        summary = tmp_path / "s.json"
+        argv = ["integrate", "--eq", "xxix", "--z0", "0", "--w0", "1", "--w1", "1", "--span", repr(1 - 1e-11),
+                "--out", str(tmp_path / "t.csv"), "--summary", str(summary)]  # fmt: skip
+        assert main(argv) == 0
+        doc = json.loads(summary.read_text(encoding="utf-8"))
+        assert doc["status"] == "pole"
+        assert 1 - 1e-11 < doc["pole_estimate"] and abs(doc["pole_estimate"] - 1.0) <= 1e-12
+
     def test_sqrt_pole_run_exits_zero_at_the_piv0_pole(self, tmp_path):
         # f^2 is the piv0 solution with w0 = 0.5, w1 = 0; |f| only grows like
         # |z - a|^(-1/2), so the pole rule reads f^2
@@ -685,7 +696,7 @@ def _fresh_process(argv, cwd):
 
 class TestOutputFiles:
     # every output is written in place (`cli._write_output`): opened without
-    # O_TRUNC and cut to the new length after the write
+    # O_TRUNC and cut to the new length after the write where it was longer
     RUN = ["integrate", "--eq", "xxxii", "--z0", "0", "--w0", "2", "--w1", "3", "--span", "4"]
     COMMANDS = {
         "integrate": (RUN + ["--out", "t.csv", "--summary", "s.json"], ("t.csv", "s.json")),
@@ -748,6 +759,26 @@ class TestOutputFiles:
         csv_text = (tmp_path / "t.csv").read_text(encoding="utf-8")
         assert proc.stdout.startswith(csv_text)
         assert proc.stdout[len(csv_text):].startswith("completed: ")
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_device_is_written_and_not_cut(self, command, tmp_path, monkeypatch):
+        # lseek succeeds on /dev/null but ftruncate fails there
+        argv, _ = self.COMMANDS[command]
+        monkeypatch.chdir(tmp_path)
+        argv = [a if a not in ("t.csv", "s.json", "e.json", "sweep.csv") else "/dev/null" for a in argv]
+        assert main(argv) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_out_dev_stdout_with_stdout_on_dev_null_exits_zero(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "painleve4.cli", *self.RUN, "--out", "/dev/stdout",
+                               "--summary", "s.json"], cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120)  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))["status"] == "completed"
 
 
 def test_no_output_is_written_past_the_in_place_writer():
