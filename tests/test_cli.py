@@ -681,12 +681,12 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _fresh_run(argv, cwd) -> subprocess.CompletedProcess:
+def _fresh_run(argv, cwd, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """`painleve4 argv` run in a new interpreter in cwd, on the package these tests import."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "painleve4.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)  # fmt: skip
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)  # fmt: skip
 
 
 def _fresh_process(argv, cwd):
@@ -772,11 +772,7 @@ class TestOutputFiles:
 
     @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
     def test_out_dev_stdout_with_stdout_on_dev_null_exits_zero(self, tmp_path):
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "painleve4.cli", *self.RUN, "--out", "/dev/stdout",
-                               "--summary", "s.json"], cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True, timeout=120)  # fmt: skip
+        proc = _fresh_run(self.RUN + ["--out", "/dev/stdout", "--summary", "s.json"], tmp_path, subprocess.DEVNULL)
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))["status"] == "completed"
 
