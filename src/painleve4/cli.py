@@ -429,9 +429,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def log_level_from_env(value: str | None = None) -> int:
-    if value is None:
-        value = os.environ.get("PAINLEVE_LOG", "warn")
+def log_level_from_env() -> int:
+    value = os.environ.get("PAINLEVE_LOG", "warn")
     return _LOG_LEVELS.get(value.strip().lower(), logging.WARNING)
 
 

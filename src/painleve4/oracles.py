@@ -183,13 +183,18 @@ def sqrt_lift(
 
     ``event`` is the unique zero of w inside the interval, or None when w
     has no zero there (the lift is then the plain positive square root).
-    w must stay >= -abs_tol on the interval; tiny negative excursions are
+    The claim is checked against `locate_zeros` over the whole
+    trajectory: its events in the interval must be none for None, and
+    otherwise the stated one alone, to within 1e-6 max(1, hi - lo).  w
+    must stay >= -abs_tol on the interval; tiny negative excursions are
     clamped to zero.  At the zero the slope is assigned its limit
     sqrt(w''(a)/2); the recorded ``fdot_jump`` measures the continuity of
     f' through the zero by a symmetric dense difference.
 
     Raises NegativeW for genuinely negative w, MultipleZeros when the
-    interval contains more than the stated zero, WrongKind off piv0.
+    interval contains more than the stated zero, ValueError when the
+    search finds no zero at the stated event (and for an empty interval,
+    one past the covered span or an event outside it), WrongKind off piv0.
     """
     if traj.field is not ScalarField.REAL:
         raise WrongKind("sqrt_lift requires REAL mode")
@@ -213,16 +218,12 @@ def sqrt_lift(
     if zero_t is not None and not (lo <= zero_t <= hi):
         raise ValueError(f"event at {zero_t!r} lies outside the interval {interval!r}")
 
-    located = locate_zeros(traj, (s_lo - pad, s_hi + pad))
-    strays = []
-    for cand in located:
-        if not (lo <= cand.a <= hi):
-            continue
-        if zero_t is not None and abs(cand.a - zero_t) <= 1e-6 * max(1.0, hi - lo):
-            continue
-        strays.append(cand.a)
+    inside = [e.a for e in locate_zeros(traj) if lo <= e.a <= hi]
+    strays = [a for a in inside if zero_t is None or abs(a - zero_t) > 1e-6 * max(1.0, hi - lo)]
     if strays:
         raise MultipleZeros(f"additional zeros inside {interval!r}: {strays!r}")
+    if zero_t is not None and not inside:
+        raise ValueError(f"event at {zero_t!r} is no zero of w that the zero search finds")
 
     sample_s = {s_lo, s_hi}
     for node in traj.nodes:

@@ -89,10 +89,10 @@ def nan_max(*values: float) -> float:
     return max(values)
 
 
-def _draw_w(rng: random.Random, lo: float = -10.0, hi: float = 10.0) -> float:
+def _draw_w(rng: random.Random) -> float:
     # excludes the division-by-w neighbourhood
     while True:
-        w = rng.uniform(lo, hi)
+        w = rng.uniform(-10.0, 10.0)
         if abs(w) >= 1e-3:
             return w
 

@@ -57,13 +57,12 @@ halving read about 50.
 import cmath
 import logging
 import math
-from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import NamedTuple
 
 from .equations import KINDS, Scalar, ScalarField
 from .errors import WrongKind
-from .integrator import _ARC, Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param, skip_bound_kernel
+from .integrator import Trajectory, TrajectoryNode, _jet_kernel, dense_eval_param, skip_bound_kernel
 
 logger = logging.getLogger(__name__)
 
@@ -267,12 +266,8 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
     return roots
 
 
-def locate_zeros(traj: Trajectory, within: tuple[float, float] | None = None) -> tuple[ZeroEvent, ...]:
+def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     """Locate and classify zeros of w along a trajectory, in path order.
-
-    ``within = (s_lo, s_hi)`` searches only the node intervals that reach
-    into that range of s; each interval is searched on its own, so their
-    events are those that a search of the whole trajectory finds there.
 
     A node whose w is exactly 0 is an event.  Inside each node interval,
     the step's own polynomial gives every candidate (see the module
@@ -297,9 +292,6 @@ def locate_zeros(traj: Trajectory, within: tuple[float, float] | None = None) ->
     nodes = traj.nodes
     if not any(n.jet.w for n in nodes):
         return ()
-    if within is not None:
-        first = max(bisect_left(nodes, within[0], key=_ARC) - 1, 0)
-        nodes = nodes[first : bisect_right(nodes, within[1], key=_ARC) + 1]
     d = traj.direction
     real_mode = traj.field is ScalarField.REAL
     beta = traj.params.beta

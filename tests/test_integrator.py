@@ -797,6 +797,19 @@ class TestComplexMode:
         # ended at the series root of the first stored node with |w| > 3, with no step taken to the pole
         assert 3.0 < abs(t.nodes[-1].jet.w) < 10.0
 
+    @pytest.mark.parametrize("delta,status,nodes", [(5e-4, "completed", 129), (5e-5, "pole", 9)])
+    def test_a_pole_off_the_path_ends_the_run_only_within_off_path(self, delta, status, nodes):
+        # the pole of 1/(c - z) lies delta off the path from 0 along 1: at 5e-4
+        # the path passes it (a pole only with _OFF_PATH raised to 1e-3), and at
+        # 5e-5 it runs into it (and past it with _OFF_PATH lowered to 1e-5)
+        c = complex(1.0, delta)
+        j = xxix_pole_family(c, 0j)
+        init = InitialData.raw(j.z, j.w, j.w1, j.w2, field=ScalarField.COMPLEX, direction=1.0 + 0.0j)
+        t = integrate(K.XXIX, Params(), init, 2.0)
+        assert (t.status.value, len(t.nodes)) == (status, nodes)
+        if status == "pole":
+            assert abs(t.pole_estimate - c) < 2e-15
+
     def test_straight_path_constraint_conserved(self):
         d = complex(math.cos(0.3), math.sin(0.3))
         init = InitialData.raw(0.0, 0.7, -0.1, 0.4, field=ScalarField.COMPLEX, direction=d)

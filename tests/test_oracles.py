@@ -16,6 +16,8 @@ from painleve4 import (
     ScalarField,
     SingularInput,
     WrongKind,
+    ZeroBranch,
+    ZeroEvent,
     complete_initial_data,
     dense_eval,
     eval_quadratic,
@@ -264,6 +266,13 @@ class TestSqrtTransform:
         with pytest.raises(ValueError, match="exceeds the covered span"):
             sqrt_lift(traj, None, (0.1, 0.7))
 
+    def test_a_stated_zero_that_the_search_does_not_find_raises(self):
+        # w stays at or above 0.5, so no lift may switch sign at the claimed zero
+        t = integrate(K.PIV0, Params(), InitialData.nonzero(0.0, 0.5, 0.0), 1.0)
+        assert locate_zeros(t) == ()
+        with pytest.raises(ValueError, match="no zero of w"):
+            sqrt_lift(t, ZeroEvent(0.5, 0.0, 1.0, ZeroBranch.PLUS_BETA, True), (0.2, 0.8))
+
     def test_event_outside_the_interval_raises(self, tangency_run):
         traj, event = tangency_run
         with pytest.raises(ValueError, match="outside the interval"):
@@ -300,8 +309,7 @@ def _stray_verdict(traj, event, interval):
 
 
 def _full_scan_verdict(traj, event, interval):
-    """The same verdict from a zero search over the whole trajectory, as `sqrt_lift` made it before it
-    searched only the node intervals that reach into interval."""
+    """The same verdict, written out here from the events of a zero search over the whole trajectory."""
     lo, hi = interval
     near = (lambda a: False) if event is None else (lambda a: abs(a - event.a) <= 1e-6 * max(1.0, hi - lo))
     strays = [e.a for e in locate_zeros(traj) if lo <= e.a <= hi and not near(e.a)]

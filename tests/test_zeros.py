@@ -459,19 +459,6 @@ def test_every_root_of_one_long_step_is_found(z0, span):
         assert abs(abs(e.slope) - 1.0) < 1e-12
 
 
-def test_a_search_within_a_range_finds_what_the_full_search_finds_there():
-    t = integrate(K.PIV, Params(1.0, 0.5), InitialData.nonzero(-1.0, 0.3, -1.0), 6.0)
-    full = locate_zeros(t)
-    assert len(full) == 2 and len(t.nodes) > 20
-    s = [n.s for n in t.nodes]
-    rng = random.Random(3)
-    ranges = [sorted(rng.uniform(-0.1, s[-1] + 0.1) for _ in range(2)) for _ in range(50)]
-    for lo, hi in ranges + [(a, b) for a in s for b in s if a <= b]:
-        found = locate_zeros(t, (lo, hi))
-        assert set(found) <= set(full)
-        assert [e for e in found if lo <= e.a - t.z0 <= hi] == [e for e in full if lo <= e.a - t.z0 <= hi]
-
-
 def test_beta_zero_tangency_of_the_readme_sweep_is_one_event():
     # README sweep cell alpha = 1.6, beta = 0: near its tangency the computed w
     # crosses twice at slopes +-sqrt(-C*) or misses zero by rounding, as the
