@@ -113,10 +113,11 @@ def _write_output(path: Path, text: str) -> None:
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     lines = [CSV_HEADER]
     for node in traj.nodes:
-        zr, zi = _parts(node.jet.z)
-        wr, wi = _parts(node.jet.w)
-        w1r, w1i = _parts(node.jet.w1)
-        w2r, w2i = _parts(node.jet.w2)
+        z, w, w1, w2 = node.jet
+        zr, zi = _parts(z)
+        wr, wi = _parts(w)
+        w1r, w1i = _parts(w1)
+        w2r, w2i = _parts(w2)
         rr, ri = _parts(node.res2)
         # the C_* columns repeat res2_*, which on piv and piv0 is C
         lines.append(_CSV_ROW % (zr, zi, wr, wi, w1r, w1i, w2r, w2i, node.h, node.err_est, rr, ri, rr, ri))

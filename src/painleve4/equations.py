@@ -52,7 +52,6 @@ conversion is offered anywhere in this package.
 
 from cmath import isfinite  # takes real and complex values alike
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import NamedTuple
@@ -85,57 +84,57 @@ def _check_finite(name: str, x: Scalar) -> None:
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
-@dataclass(frozen=True)
-class Params:
+def _checked_make(cls, iterable):
+    """`_make`, and so `_replace`, of a record that validates: through its `__new__`."""
+    return cls(*iterable)
+
+
+_tuple_new = tuple.__new__
+
+
+class Params(NamedTuple("Params", [("alpha", float), ("beta", float)])):
     """Scalar parameter pair (alpha, beta) of the piv family, beta^2 convention."""
 
-    alpha: float = 0.0
-    beta: float = 0.0
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        _check_finite("alpha", self.alpha)
-        _check_finite("beta", self.beta)
+    def __new__(cls, alpha: float = 0.0, beta: float = 0.0):
+        _check_finite("alpha", alpha)
+        _check_finite("beta", beta)
+        return _tuple_new(cls, (alpha, beta))
 
 
-@dataclass(frozen=True)
-class Jet3:
+class Jet3(NamedTuple("Jet3", [("z", Scalar), ("w", Scalar), ("w1", Scalar), ("w2", Scalar)])):
     """Point value (z, w, w', w''): the full state of the third-order system.
 
     The third derivative is not stored: the series of each step
-    (`series_lines`) carries it as 6 a_3.
+    (`series_lines`) carries it as 6 a_3.  `vars(jet)` reads the four
+    fields by name, through a read-only `__dict__`; no instance holds one.
     """
 
-    z: Scalar
-    w: Scalar
-    w1: Scalar
-    w2: Scalar
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, z: Scalar, w: Scalar, w1: Scalar, w2: Scalar):
         # one chain for the common, finite case; the loop names the first bad field
-        if not (isfinite(self.z) and isfinite(self.w) and isfinite(self.w1) and isfinite(self.w2)):
-            for name in ("z", "w", "w1", "w2"):
-                _check_finite(name, getattr(self, name))
+        if not (isfinite(z) and isfinite(w) and isfinite(w1) and isfinite(w2)):
+            for name, value in zip(cls._fields, (z, w, w1, w2)):
+                _check_finite(name, value)
+        return _tuple_new(cls, (z, w, w1, w2))
 
-
-_new_object = object.__new__
-_set_field = object.__setattr__
+    @property
+    def __dict__(self) -> dict:
+        return self._asdict()
 
 
 def _trusted_jet(z: Scalar, w: Scalar, w1: Scalar, w2: Scalar) -> Jet3:
-    """`Jet3(z, w, w1, w2)` without `__post_init__`'s finiteness check, for values the caller has already checked.
+    """`Jet3(z, w, w1, w2)` without `Jet3.__new__`'s finiteness check, for values the caller has already checked.
 
-    The fields are set as the generated `__init__` sets them, so the jet
-    compares, hashes, reads through `vars()` and `asdict`, and refuses
-    assignment as one built by `Jet3`; only the check is skipped.  Writing
-    `jet.__dict__` instead is cheaper to build, but on CPython 3.11 it moves
-    the attributes into a dict that every later read pays for.
+    The tuple is built as `Jet3.__new__` builds it, so the jet compares,
+    hashes, reads through `vars()` and `_asdict`, and refuses assignment as
+    one built by `Jet3`; only the check is skipped.
     """
-    jet = _new_object(Jet3)
-    _set_field(jet, "z", z)
-    _set_field(jet, "w", w)
-    _set_field(jet, "w1", w1)
-    _set_field(jet, "w2", w2)
-    return jet
+    return _tuple_new(Jet3, (z, w, w1, w2))
 
 
 def ensure_kind_params(kind: EquationKind, p: Params) -> None:
@@ -270,14 +269,16 @@ def constraint_c(p: Params, j: Jet3) -> Scalar:
     derivative of C vanishes identically, so C is a first integral of that
     flow whatever its initial value.  It is `residual2` of piv and piv0.
     """
-    z, w = j.z, j.w
+    # unpacked: a named tuple's field costs more to read by name than by position
+    z, w, w1, w2 = j
+    alpha, beta = p
     return (
-        2.0 * w * j.w2
-        - j.w1 * j.w1
+        2.0 * w * w2
+        - w1 * w1
         - 3.0 * w ** 4
         - 8.0 * z * w ** 3
-        - 4.0 * (z * z - p.alpha) * w * w
-        + p.beta * p.beta
+        - 4.0 * (z * z - alpha) * w * w
+        + beta * beta
     )
 
 

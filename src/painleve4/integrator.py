@@ -62,7 +62,6 @@ import logging
 import math
 from bisect import bisect_right
 from cmath import isfinite  # takes real and complex values alike
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from operator import attrgetter
@@ -83,8 +82,10 @@ from .equations import (
     rhs3,  # noqa: F401 -- unused here; perfbench/tracing.py patches integrator.rhs3
     series_lines,
     written_sum,
+    _checked_make,
     _rhs2_scalar,
     _trusted_jet,
+    _tuple_new,
 )
 from .errors import InvalidInitialData, OutOfSpan
 
@@ -135,24 +136,27 @@ def _nested() -> list[str]:
 _STEP_ARGS = "alpha, z, w, w1, w2, s, total, d, h_min, abs_tol, rel_tol"
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple("Tolerances", [("rel", float), ("abs", float)])):
     """The step rule's relative and absolute tolerances; the shortest step is the constant `_H_MIN`."""
 
-    rel: float = 1e-10
-    abs: float = 1e-10
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, rel: float = 1e-10, abs: float = 1e-10):
         # comparisons chained this way are false for NaN as well as for inf
-        if not (1e-14 <= self.rel <= 1.0):
-            raise ValueError(f"rel: must be finite and in [1e-14, 1], got {self.rel}")
-        if not (1e-14 <= self.abs <= 1.0):
-            raise ValueError(f"abs: must be finite and in [1e-14, 1], got {self.abs}")
+        if not (1e-14 <= rel <= 1.0):
+            raise ValueError(f"rel: must be finite and in [1e-14, 1], got {rel}")
+        if not (1e-14 <= abs <= 1.0):
+            raise ValueError(f"abs: must be finite and in [1e-14, 1], got {abs}")
+        return _tuple_new(cls, (rel, abs))
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Initial data in one of three modes.
+_INITIAL_FIELDS = [("z0", Scalar), ("mode", str), ("w0", Scalar | None), ("w1_0", Scalar | None),
+                   ("w2_0", Scalar | None), ("branch", int | None), ("field", ScalarField), ("direction", Scalar)]
+
+
+class InitialData(NamedTuple("InitialData", _INITIAL_FIELDS)):
+    """Initial data in one of three modes, `mode` "nonzero", "zero" or "raw".
 
     nonzero(w0 != 0, w1):  w'' is completed from the second-order equation,
         which guarantees C = 0.
@@ -161,36 +165,31 @@ class InitialData:
         is free.  C = 0 automatically.
     raw(w0, w1, w2):       unconstrained jet, for general third-order
         experiments including C != 0 ones.
+
+    A REAL path runs along the sign of the span, so its direction is 1.0.
     """
 
-    z0: Scalar
-    mode: str  # "nonzero" | "zero" | "raw"
-    w0: Scalar | None = None
-    w1_0: Scalar | None = None
-    w2_0: Scalar | None = None
-    branch: int | None = None
-    field: ScalarField = ScalarField.REAL
-    direction: Scalar = 1.0
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if self.mode not in ("nonzero", "zero", "raw"):
-            raise InvalidInitialData(f"mode: unknown initial-data mode {self.mode!r}")
-        if self.mode == "nonzero":
-            if self.w0 == 0 or self.w0 is None:
-                raise InvalidInitialData("w0: nonzero mode requires w0 != 0")
-        if self.mode == "zero":
-            if self.branch not in (+1, -1):
-                raise InvalidInitialData(f"branch: must be +1 or -1, got {self.branch!r}")
-        if self.field is ScalarField.REAL:
-            for name in ("z0", "w0", "w1_0", "w2_0"):
-                value = getattr(self, name)
-                if isinstance(value, complex):
+    def __new__(cls, z0, mode, w0=None, w1_0=None, w2_0=None, branch=None, field=ScalarField.REAL, direction=1.0):
+        self = _tuple_new(cls, (z0, mode, w0, w1_0, w2_0, branch, field, direction))
+        if mode not in ("nonzero", "zero", "raw"):
+            raise InvalidInitialData(f"mode: unknown initial-data mode {mode!r}")
+        if mode == "nonzero" and (w0 == 0 or w0 is None):
+            raise InvalidInitialData("w0: nonzero mode requires w0 != 0")
+        if mode == "zero" and branch not in (+1, -1):
+            raise InvalidInitialData(f"branch: must be +1 or -1, got {branch!r}")
+        if field is ScalarField.REAL:
+            for name in ("z0", "w0", "w1_0", "w2_0", "direction"):
+                if isinstance(getattr(self, name), complex):
                     raise InvalidInitialData(f"{name}: REAL mode rejects complex values")
-        else:
-            if not abs(abs(complex(self.direction)) - 1.0) <= 1e-12:
-                raise InvalidInitialData(
-                    f"direction: COMPLEX mode needs a unit direction, |d| = {abs(complex(self.direction))!r}"
-                )
+            if not direction == 1.0:  # NaN too
+                raise InvalidInitialData(f"direction: REAL mode runs along the sign of the span, got {direction!r}")
+        elif not abs(abs(complex(direction)) - 1.0) <= 1e-12:
+            modulus = abs(complex(direction))
+            raise InvalidInitialData(f"direction: COMPLEX mode needs a unit direction, |d| = {modulus!r}")
+        return self
 
     @classmethod
     def nonzero(cls, z0, w0, w1, field=ScalarField.REAL, direction=1.0) -> "InitialData":
@@ -224,8 +223,8 @@ class TrajectoryNode(NamedTuple):
     and err_est is its largest tail term |a_k| h^k, k = p-3 .. p, in units of
     abs + rel |w_prev|.  Node 0 has h = err_est = 0 and no series.
 
-    A named tuple rather than a frozen dataclass: it is just as immutable and
-    hashable, and `integrate` builds one per step at a third of the cost.
+    A named tuple, as is every record of the package: immutable, hashable,
+    and cheap enough for `integrate` to build one per step.
     """
 
     jet: Jet3
@@ -241,8 +240,7 @@ class TrajectoryNode(NamedTuple):
         return self.res2
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Ordered nodes of one integration, plus terminal status."""
 
     kind: EquationKind

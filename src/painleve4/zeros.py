@@ -236,7 +236,7 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
         return []
     jet = _jet_kernel()
     bound2 = jet([abs(a) for a in coeffs], h)[2]
-    end = right.jet.w, right.jet.w1, right.jet.w2
+    end = right.jet[1:]  # (w, w', w'') of the closing node
 
     def bound3() -> float:
         """|w'''| bound on the interval: w'' at h of w' = sum (k + 1) a_(k+1) t^k, on the coefficients' moduli."""

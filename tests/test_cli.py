@@ -1,7 +1,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -205,7 +204,7 @@ class TestIntegrateCommand:
             n._replace(jet=_trusted_jet(*(value() for _ in range(4))), h=next(edge), err_est=next(edge), res2=value())
             for n in t.nodes
         )
-        t = dataclasses.replace(t, nodes=nodes)
+        t = t._replace(nodes=nodes)
         lines = [CSV_HEADER]
         for n in t.nodes:
             res2 = cli._parts(n.res2)

@@ -5,7 +5,6 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
 import pytest
@@ -140,10 +139,10 @@ def test_trusted_jet_is_the_validated_jet(values):
     assert type(trusted) is Jet3
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
     assert list(vars(trusted).items()) == list(vars(checked).items())
-    assert asdict(trusted) == asdict(checked)
-    with pytest.raises(FrozenInstanceError):
+    assert trusted._asdict() == checked._asdict()
+    with pytest.raises(AttributeError):
         trusted.w = 1.0
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del trusted.w1
     assert trusted == checked
 

@@ -212,6 +212,12 @@ class TestCompleteInitialData:
         with pytest.raises(InvalidInitialData):
             InitialData.raw(0.0, 1.0 + 1.0j, 0.0, 0.0)
 
+    @pytest.mark.parametrize("d", [-1.0, 2.0, 1j, complex(1.0, 0.0), 0.0, math.nan])
+    def test_a_real_mode_direction_other_than_one_is_rejected(self, d):
+        # a REAL path runs along the sign of its span: any other direction was once ignored, and the run went forward
+        with pytest.raises(InvalidInitialData, match="^direction: "):
+            InitialData.raw(0.0, 0.5, 0.0, 0.0, direction=d)
+
     def test_raw_passthrough(self):
         j = complete_initial_data(K.PIV, Params(1, 2), InitialData.raw(0.5, 1.0, 2.0, 3.0))
         assert (j.z, j.w, j.w1, j.w2) == (0.5, 1.0, 2.0, 3.0)
@@ -1251,7 +1257,8 @@ def test_xxix_pole_family_steps_and_dense_output_exactly(c):
     z_end = 0.5 if (c.real if isinstance(c, complex) else c) > 0 else -0.5
     j = xxix_pole_family(c, 0.0)
     field = ScalarField.COMPLEX if isinstance(c, complex) else ScalarField.REAL
-    init = InitialData.raw(j.z, j.w, j.w1, j.w2, field=field, direction=1.0 if z_end > 0 else -1.0)
+    # the sign of span sets a REAL path's direction; the complex c lies ahead along 1
+    init = InitialData.raw(j.z, j.w, j.w1, j.w2, field=field)
     if field is ScalarField.COMPLEX:
         t = integrate(K.XXIX, Params(), init, abs(z_end))
     else:

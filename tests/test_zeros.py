@@ -1,6 +1,5 @@
 import cmath
 import contextlib
-import dataclasses
 import math
 import random
 from typing import NamedTuple
@@ -82,7 +81,7 @@ def test_exact_node_zero_is_the_one_event_of_its_interval():
     assert hit.jet.w == 0.0
     on = integrate(K.XXXII, Params(), InitialData.raw(hit.jet.z, 0.0, hit.jet.w1, hit.jet.w2), 1.0)
     later = tuple(n._replace(s=hit.s + n.s) for n in on.nodes[1:])
-    joined = dataclasses.replace(first, nodes=first.nodes + later)
+    joined = first._replace(nodes=first.nodes + later)
     assert len(joined.nodes) == 3
     events = locate_zeros(joined)
     assert len(events) == 1
@@ -361,7 +360,7 @@ def test_verdict_reads_the_stored_monitor():
     # with the stored monitor blinded to 0 the same slope is unresolved
     t = integrate(K.PIV0, Params(), InitialData.raw(-1.0, 0.3, 0.2, -0.5), 2.0)
     assert [e.branch for e in locate_zeros(t)] == [ZeroBranch.PLUS_BETA]
-    blind = dataclasses.replace(t, nodes=tuple(n._replace(res2=0.0) for n in t.nodes))
+    blind = t._replace(nodes=tuple(n._replace(res2=0.0) for n in t.nodes))
     events = locate_zeros(blind)
     assert len(events) == 1
     assert events[0].branch is ZeroBranch.UNRESOLVED
@@ -536,22 +535,33 @@ def _crosses(f, x: float) -> bool:
     return any(f(math.nextafter(x, y))[0] * v < 0 for y in (-math.inf, math.inf))
 
 
-def _lands_as_the_reference(c: _Refinement) -> bool:
-    """The new routine's double is the reference's; or else both lie within 64 doubles and rounding shows f
-    more than one root there: its sign flips more than once (an exact 0 read as +) and both end one of those
-    sign changes, or one is an exact zero of f and the other is another exact zero or a crossing of f."""
+def _reference_branch(c: _Refinement) -> str:
+    """The rule of `_lands_as_the_reference` that decides c: "same double", "sign flips", "two roots" or "miss"."""
     if c.got == c.want:
-        return True
+        return "same double"
     lo, hi = sorted((c.got, c.want))
     xs = [math.nextafter(lo, -math.inf)]
     while xs[-1] <= hi and len(xs) < 66:
         xs.append(math.nextafter(xs[-1], math.inf))
+    if xs[-1] <= hi:
+        return "miss"  # more than 64 doubles apart
     signs = [c.f(x)[0] < 0 for x in xs]
     flips = sum(a != b for a, b in zip(signs, signs[1:]))
-    ends = _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want)
+    if flips >= 2 and _ends_a_sign_change(c.f, c.got) and _ends_a_sign_change(c.f, c.want):
+        return "sign flips"
     zero_got, zero_want = c.f(c.got)[0] == 0, c.f(c.want)[0] == 0
-    two_roots = (zero_got or zero_want) and (zero_got or _crosses(c.f, c.got)) and (zero_want or _crosses(c.f, c.want))
-    return xs[-1] > hi and (flips >= 2 and ends or two_roots)
+    if (zero_got or zero_want) and (zero_got or _crosses(c.f, c.got)) and (zero_want or _crosses(c.f, c.want)):
+        return "two roots"
+    return "miss"
+
+
+def _lands_as_the_reference(c: _Refinement) -> bool:
+    """The new routine's double is the reference's; or else both lie within 64 doubles and rounding shows f
+    more than one root there: its sign flips more than once (an exact 0 read as +) and both end one of those
+    sign changes, or one is an exact zero of f and the other is another exact zero or a crossing of f.
+
+    `scripts/wide_search.py` counts the branches taken (`_reference_branch`), so that a widened rule shows."""
+    return _reference_branch(c) != "miss"
 
 
 def test_the_reference_check_accepts_another_double_only_where_rounding_shows_two_roots():
@@ -576,8 +586,12 @@ def _refinements_through(p: Params, z_event, at_event: tuple, r: float, d, field
     piv's series there, and crosses it on the path z0 + s d; and the refinements its zero search makes."""
     series, _ = _step_kernel(KINDS[K.PIV].series)(p.alpha, z_event, *at_event, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)
     start = _jet_kernel()(series, -r * d)
-    init = InitialData.raw(z_event - r * d, *start, field=field, direction=d)
-    t = integrate(K.PIV, p, init, -2.0 * r if d == -1.0 else 2.0 * r)
+    # a REAL path runs along the sign of its span, a COMPLEX one along its direction
+    if field is ScalarField.REAL:
+        init, span = InitialData.raw(z_event - r * d, *start), 2.0 * r * d
+    else:
+        init, span = InitialData.raw(z_event - r * d, *start, field=field, direction=d), 2.0 * r
+    t = integrate(K.PIV, p, init, span)
     with _beside_the_reference() as calls:
         locate_zeros(t)
     return t, calls
