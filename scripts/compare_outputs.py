@@ -62,6 +62,14 @@ OUTPUTS = {
     "integrate-readme-zero-seed": (
         "integrate --eq piv --alpha 0 --beta 1 --zero-branch plus --w2 0 --z0 0 --span 1", _TRAJECTORY,
     ),
+    # a zero seed on the other branch, slope -beta
+    "integrate-zero-seed-minus": (
+        "integrate --eq piv --alpha 0 --beta 1 --zero-branch minus --w2 0.5 --z0 0 --span 0.5", _TRAJECTORY,
+    ),
+    # a raw jet given as signed zeros: w and w' enter as +0.0, so node 0 writes 0, not -0
+    "integrate-raw-signed-zeros": (
+        "integrate --eq piv --alpha 0 --beta 1 --w0 -0 --w1 -0 --w2 0.5 --z0 0 --span 0.5", _TRAJECTORY,
+    ),
     "integrate-readme-xxix-pole": ("integrate --eq xxix --z0 0 --w0 1 --w1 1 --span 2", _TRAJECTORY),
     # the exact pole of 1/(1 - z) at the span's end, and that of piv's w = 1/z at
     # alpha = beta = 2: each series root lies past the end by its own error

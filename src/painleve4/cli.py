@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .equations import EquationKind, Params, Scalar, ScalarField
-from .errors import PainleveError, WrongKind
+from .errors import InvalidInitialData, PainleveError, WrongKind
 from .integrator import (
     InitialData,
     Tolerances,
@@ -165,27 +165,22 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
     }
 
 
-def _build_tolerances(ns) -> Tolerances:
+# a record field's flag, where it is not the field's own name
+_FLAGS = {"branch": "--zero-branch", "direction": "--dir-re/--dir-im"}
+
+
+def _flagged(record, *args):
+    """record(*args), its error naming the flag: the record's messages lead with the offending field name."""
     try:
-        return Tolerances(rel=ns.rel, abs=ns.abs)
-    except ValueError as exc:
-        # Tolerances messages already lead with the offending field name
-        raise ValueError(f"--{exc}") from None
+        return record(*args)
+    except (ValueError, InvalidInitialData) as exc:
+        name, message = str(exc).split(": ", 1)
+        raise ValueError(f"{_FLAGS.get(name, '--' + name)}: {message}") from None
 
 
 def _build_initial(ns, field: ScalarField, direction: Scalar) -> InitialData:
-    if ns.zero_branch is not None:
-        if ns.w0 is not None or ns.w1 is not None:
-            raise ValueError("--zero-branch: cannot be combined with --w0/--w1 (the slope is forced to ±beta)")
-        branch = +1 if ns.zero_branch == "plus" else -1
-        return InitialData.zero(ns.z0, branch, ns.w2 if ns.w2 is not None else 0.0, field, direction)
-    if ns.w2 is not None:
-        return InitialData.raw(ns.z0, ns.w0 or 0.0, ns.w1 or 0.0, ns.w2, field, direction)
-    if ns.w0 is not None:
-        if ns.w0 == 0:
-            raise ValueError("--w0: must be nonzero (use --w2 for a raw jet or --zero-branch for a zero seed)")
-        return InitialData.nonzero(ns.z0, ns.w0, ns.w1 or 0.0, field, direction)
-    raise ValueError("--w0: initial data required (--w0 [--w1], or --w2 for a raw jet, or --zero-branch)")
+    branch = {None: None, "plus": +1, "minus": -1}[ns.zero_branch]
+    return _flagged(InitialData, ns.z0, ns.w0, ns.w1, ns.w2, branch, field, direction)
 
 
 def _build_runspec(ns) -> tuple:
@@ -196,14 +191,10 @@ def _build_runspec(ns) -> tuple:
     except ValueError as exc:
         raise ValueError(f"--alpha/--beta: {exc}") from None
     field = ScalarField(ns.field)
-    direction: Scalar = 1.0
-    if field is ScalarField.COMPLEX:
-        direction = complex(ns.dir_re, ns.dir_im)
-        if not abs(abs(direction) - 1.0) <= 1e-12:
-            raise ValueError(f"--dir-re/--dir-im: direction must have unit modulus, got |d| = {abs(direction)!r}")
+    direction = complex(ns.dir_re, ns.dir_im) if field is ScalarField.COMPLEX else 1.0
     if ns.span is None or ns.span == 0:
         raise ValueError("--span: a nonzero span is required")
-    tol = _build_tolerances(ns)
+    tol = _flagged(Tolerances, ns.rel, ns.abs)
     return kind, params, _build_initial(ns, field, direction), ns.span, tol
 
 
@@ -349,7 +340,7 @@ def cmd_sweep(ns) -> int:
         raise ValueError(f"--alpha-steps/--beta-steps: grid of {len(alphas) * len(betas)} cells exceeds 1e6")
     if ns.span is None or ns.span == 0:
         raise ValueError("--span: a nonzero span is required")
-    tol = _build_tolerances(ns)
+    tol = _flagged(Tolerances, ns.rel, ns.abs)
     init = _build_initial(ns, ScalarField.REAL, 1.0)
     cells = run_sweep(kind, alphas, betas, init, ns.span, tol)
     out = Path(ns.out) if ns.out else Path("sweep.csv")
@@ -373,7 +364,7 @@ def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
         sub.add_argument("--alpha", type=float, default=0.0, help="alpha parameter (piv only)")
         sub.add_argument("--beta", type=float, default=0.0, help="beta parameter, Ince XXXI beta^2 convention")
     sub.add_argument("--z0", type=float, default=0.0, help="initial point")
-    sub.add_argument("--w0", type=float, default=None, help="initial w (nonzero mode unless --w2 is given)")
+    sub.add_argument("--w0", type=float, default=None, help="initial w, nonzero unless --w2 or --zero-branch is given")
     sub.add_argument("--w1", type=float, default=None, help="initial w'")
     sub.add_argument("--w2", type=float, default=None, help="initial w''; its presence selects a raw jet")
     sub.add_argument(
@@ -454,9 +445,8 @@ def main(argv=None) -> int:
             return cmd_zeros(ns)
         if ns.command == "verify":
             return cmd_verify(ns.suite, ns.seed, ns.count)
-        if ns.command == "sweep":
-            return cmd_sweep(ns)
-        raise ValueError(f"unknown command {ns.command!r}")
+        # the subcommand is required, so argparse lets no other command through
+        return cmd_sweep(ns)
     except (ValueError, PainleveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -289,11 +289,11 @@ class KindRow(NamedTuple):
     rhs2: Callable  # (p, z, w, w') -> w'', the second-order equation
     res2: Callable  # (p, jet) -> its cleared residual (`residual2`)
     params: bool = False  # takes (alpha, beta); the other kinds reject nonzero values
-    divides: bool = True  # rhs2 divides by w, so w = 0 is outside its domain
     res2_is_c: bool = False  # res2 is piv's C: zero seeds, the curvature theorem and `sqrt_lift` apply
     pole: Callable | None = None  # (coeffs, z) -> v about z, u = 1/v simple at each pole; None: no poles
     k: float = 0.0  # zero-slope constant, res2 = k + beta^2 - w'^2 at a zero; a quadratic's discriminant
-    # read through the piv0 solution w = f^2: real paths, f'' completed, |f^2| as magnitude, zeros and poles on f^2
+    # read through the piv0 solution w = f^2: real paths, f'' completed, |f^2| as magnitude, zeros and poles on f^2;
+    # the one rhs2 that does not divide by w, which every other kind's leaves outside its domain at w = 0
     squared: bool = False
 
 
@@ -318,14 +318,14 @@ KINDS = {
     EquationKind.SQRT_PIV0: KindRow(
         "sqrt_piv0", lambda p, t, f, f1: f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25,
         lambda p, j: 4.0 * j.w2 - j.w * (3.0 * j.w * j.w + 2.0 * j.z) * (j.w * j.w + 2.0 * j.z),
-        divides=False, pole=_PIV.pole, squared=True,  # v = f^2 + t
+        pole=_PIV.pole, squared=True,  # v = f^2 + t
     ),
 }
 
 
 def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
     row = KINDS[kind]
-    if row.divides and w == 0:
+    if not row.squared and w == 0:
         raise SingularInput(f"{kind.value}: w = 0 is outside the second-order form's domain")
     return row.rhs2(p, z, w, w1)
 

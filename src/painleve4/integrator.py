@@ -151,37 +151,40 @@ class Tolerances(NamedTuple("Tolerances", [("rel", float), ("abs", float)])):
         return _tuple_new(cls, (rel, abs))
 
 
-_INITIAL_FIELDS = [("z0", Scalar), ("mode", str), ("w0", Scalar | None), ("w1_0", Scalar | None),
-                   ("w2_0", Scalar | None), ("branch", int | None), ("field", ScalarField), ("direction", Scalar)]
+_INITIAL_FIELDS = [("z0", Scalar), ("w0", Scalar | None), ("w1", Scalar | None), ("w2", Scalar | None),
+                   ("branch", int | None), ("field", ScalarField), ("direction", Scalar)]
 
 
 class InitialData(NamedTuple("InitialData", _INITIAL_FIELDS)):
-    """Initial data in one of three modes, `mode` "nonzero", "zero" or "raw".
+    """Initial data of one of three kinds, told apart by which entries are given.
 
-    nonzero(w0 != 0, w1):  w'' is completed from the second-order equation,
-        which guarantees C = 0.
-    zero(branch, w2):      w = 0 seed for piv/piv0; the slope is forced to
-        branch * beta, the only value compatible with the equation, and w''
-        is free.  C = 0 automatically.
-    raw(w0, w1, w2):       unconstrained jet, for general third-order
-        experiments including C != 0 ones.
+    zero(branch, w2):      a branch means a w = 0 seed for piv/piv0; the slope
+        is forced to branch * beta, the only value compatible with the
+        equation, and w'' is free.  C = 0 automatically.  It takes no w0 or w1.
+    raw(w0, w1, w2):       otherwise a w2 means an unconstrained jet, for
+        general third-order experiments including C != 0 ones.
+    nonzero(w0 != 0, w1):  otherwise a regular point; w'' is completed from
+        the second-order equation, which guarantees C = 0.
 
+    An entry not given is zero.  Each message leads with the field it names.
     A REAL path runs along the sign of the span, so its direction is 1.0.
     """
 
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, z0, mode, w0=None, w1_0=None, w2_0=None, branch=None, field=ScalarField.REAL, direction=1.0):
-        self = _tuple_new(cls, (z0, mode, w0, w1_0, w2_0, branch, field, direction))
-        if mode not in ("nonzero", "zero", "raw"):
-            raise InvalidInitialData(f"mode: unknown initial-data mode {mode!r}")
-        if mode == "nonzero" and (w0 == 0 or w0 is None):
-            raise InvalidInitialData("w0: nonzero mode requires w0 != 0")
-        if mode == "zero" and branch not in (+1, -1):
-            raise InvalidInitialData(f"branch: must be +1 or -1, got {branch!r}")
+    def __new__(cls, z0, w0=None, w1=None, w2=None, branch=None, field=ScalarField.REAL, direction=1.0):
+        self = _tuple_new(cls, (z0, w0, w1, w2, branch, field, direction))
+        if branch is not None:
+            if branch not in (+1, -1):
+                raise InvalidInitialData(f"branch: must be +1 or -1, got {branch!r}")
+            if w0 is not None or w1 is not None:
+                raise InvalidInitialData("branch: a zero seed takes no w0 or w1 (its slope is forced to ±beta)")
+        elif w2 is None and not w0:
+            raise InvalidInitialData(f"w0: a regular point needs w0 != 0, got {w0!r} "
+                                     "(w2 makes a raw jet, branch a zero seed)")
         if field is ScalarField.REAL:
-            for name in ("z0", "w0", "w1_0", "w2_0", "direction"):
+            for name in ("z0", "w0", "w1", "w2", "direction"):
                 if isinstance(getattr(self, name), complex):
                     raise InvalidInitialData(f"{name}: REAL mode rejects complex values")
             if not direction == 1.0:  # NaN too
@@ -193,15 +196,15 @@ class InitialData(NamedTuple("InitialData", _INITIAL_FIELDS)):
 
     @classmethod
     def nonzero(cls, z0, w0, w1, field=ScalarField.REAL, direction=1.0) -> "InitialData":
-        return cls(z0, "nonzero", w0=w0, w1_0=w1, field=field, direction=direction)
+        return cls(z0, w0, w1, field=field, direction=direction)
 
     @classmethod
     def zero(cls, z0, branch, w2, field=ScalarField.REAL, direction=1.0) -> "InitialData":
-        return cls(z0, "zero", w2_0=w2, branch=branch, field=field, direction=direction)
+        return cls(z0, w2=w2, branch=branch, field=field, direction=direction)
 
     @classmethod
     def raw(cls, z0, w0, w1, w2, field=ScalarField.REAL, direction=1.0) -> "InitialData":
-        return cls(z0, "raw", w0=w0, w1_0=w1, w2_0=w2, field=field, direction=direction)
+        return cls(z0, w0, w1, w2, field=field, direction=direction)
 
 
 class TrajectoryStatus(Enum):
@@ -274,26 +277,29 @@ class Trajectory(NamedTuple):
 
 
 def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> Jet3:
-    """Fill in the jet entries the equation determines; pass raw data through.
+    """Fill in the jet entries the equation determines; pass a raw jet through.
 
     For a squared kind (sqrt-piv0) the second derivative is never free data:
-    it is always recomputed from the equation, also in raw mode.  A completed
-    w'' that is not finite is rejected as InvalidInitialData naming w0.
+    it is always recomputed from the equation, also for a raw jet.  A
+    completed w'' that is not finite is rejected as InvalidInitialData
+    naming w0.  w0 and w1 enter as +0.0 where they are not given or are a
+    zero of either sign.
     """
     ensure_kind_params(kind, p)
     row = KINDS[kind]
     conv = complex if init.field is ScalarField.COMPLEX else float
     z0 = conv(init.z0)
+    w2 = conv(0.0 if init.w2 is None else init.w2)
 
-    if init.mode == "zero":
+    if init.branch is not None:
         if not row.res2_is_c:
-            raise InvalidInitialData(f"zero-branch: zero mode is only valid for piv/piv0, not {kind.value}")
-        return Jet3(z0, conv(0.0), conv(init.branch * p.beta), conv(init.w2_0 if init.w2_0 is not None else 0.0))
+            raise InvalidInitialData(f"branch: a zero seed is only valid for piv/piv0, not {kind.value}")
+        return Jet3(z0, conv(0.0), conv(init.branch * p.beta), w2)
 
-    w0 = conv(init.w0 if init.w0 is not None else 0.0)
-    w1 = conv(init.w1_0 if init.w1_0 is not None else 0.0)
-    if init.mode == "raw" and not row.squared:
-        return Jet3(z0, w0, w1, conv(init.w2_0 if init.w2_0 is not None else 0.0))
+    w0 = conv(init.w0 or 0.0)
+    w1 = conv(init.w1 or 0.0)
+    if init.w2 is not None and not row.squared:
+        return Jet3(z0, w0, w1, w2)
     w2 = _rhs2_scalar(kind, p, z0, w0, w1)
     if not isfinite(w2):
         raise InvalidInitialData(f"w0: w'' completed from the equation is not finite ({w2!r})")

@@ -36,10 +36,11 @@ from .errors import (
     DiscriminantViolation,
     MultipleZeros,
     NegativeW,
+    OutOfSpan,
     SingularInput,
     WrongKind,
 )
-from .integrator import Trajectory, dense_eval_param
+from .integrator import Trajectory, dense_eval
 from .zeros import ZeroEvent, locate_zeros
 
 _DISC_FIT_TOL = 1e-10
@@ -187,7 +188,9 @@ def sqrt_lift(
     trajectory: its events in the interval must be none for None, and
     otherwise the stated one alone, to within 1e-6 max(1, hi - lo).  w
     must stay >= -abs_tol on the interval; tiny negative excursions are
-    clamped to zero.  At the zero the slope is assigned its limit
+    clamped to zero.  The samples are the interval's ends, the nodes
+    between them and the zero, each once and in increasing t.  At the
+    zero the slope is assigned its limit
     sqrt(w''(a)/2); the recorded ``fdot_jump`` measures the continuity of
     f' through the zero by a symmetric dense difference.
 
@@ -203,16 +206,10 @@ def sqrt_lift(
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"interval: need lo < hi, got {interval!r}")
-
-    d = traj.direction
-    z0 = traj.z0
-    s_end = traj.nodes[-1].s
-    s_a, s_b = (lo - z0) * d, (hi - z0) * d
-    s_lo, s_hi = min(s_a, s_b), max(s_a, s_b)
-    pad = 1e-12 * max(1.0, s_end)
-    if s_lo < -pad or s_hi > s_end + pad:
-        raise ValueError(f"interval: {interval!r} exceeds the covered span")
-    s_lo, s_hi = max(s_lo, 0.0), min(s_hi, s_end)
+    try:
+        ends = [dense_eval(traj, lo), dense_eval(traj, hi)]
+    except OutOfSpan:
+        raise ValueError(f"interval: {interval!r} exceeds the covered span") from None
 
     zero_t = event.a if event is not None else None
     if zero_t is not None and not (lo <= zero_t <= hi):
@@ -225,33 +222,26 @@ def sqrt_lift(
     if zero_t is not None and not inside:
         raise ValueError(f"event at {zero_t!r} is no zero of w that the zero search finds")
 
-    sample_s = {s_lo, s_hi}
-    for node in traj.nodes:
-        if s_lo <= node.s <= s_hi:
-            sample_s.add(node.s)
-    zero_s = None
-    if zero_t is not None:
-        zero_s = (zero_t - z0) * d
-        sample_s.add(zero_s)
+    zero_jet = None if zero_t is None else dense_eval(traj, zero_t)
+    # a point at a node reads that node's own jet, so equal jets are one sample
+    jets = [*ends, *(n.jet for n in traj.nodes if lo < n.jet.z < hi), *([] if zero_jet is None else [zero_jet])]
     abs_tol = traj.tol.abs
 
     samples = []
-    for s in sorted(sample_s):
-        jet = dense_eval_param(traj, s)
-        if zero_s is not None and s == zero_s:
+    for jet in sorted(dict.fromkeys(jets), key=lambda jet: jet.z):
+        if jet == zero_jet:
             # at the zero itself the dense w is pure interpolation noise;
             # use the exact limit f = 0, f' = sqrt(w''(a)/2), positive branch
             samples.append(SqrtSample(zero_t, 0.0, math.sqrt(max(jet.w2, 0.0) / 2.0)))
         else:
             samples.append(_lift_point(jet, zero_t, abs_tol))
-    samples.sort(key=lambda sm: sm.t)
 
     fdot_jump = None
     if zero_t is not None and lo < zero_t < hi:
         # symmetric difference; f'' vanishes at the zero, so the bias is O(eps^3)
         eps = 0.005 * min(zero_t - lo, hi - zero_t)
-        left = _lift_point(dense_eval_param(traj, (zero_t - eps - z0) * d), zero_t, abs_tol)
-        right = _lift_point(dense_eval_param(traj, (zero_t + eps - z0) * d), zero_t, abs_tol)
+        left = _lift_point(dense_eval(traj, zero_t - eps), zero_t, abs_tol)
+        right = _lift_point(dense_eval(traj, zero_t + eps), zero_t, abs_tol)
         fdot_jump = abs(right.fdot - left.fdot)
 
     return SqrtLiftResult(tuple(samples), zero_t, fdot_jump)

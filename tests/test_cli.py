@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -338,6 +339,22 @@ class TestValidation:
 
     def test_unknown_equation_exits_1(self, capsys):
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1
+
+    def test_the_initial_data_rules_are_the_records_alone(self):
+        # `InitialData` owns every rule on which entries go together; the command line states none
+        # of its own: it builds the record and turns the field a message names into its flag
+        tree = ast.parse(inspect.getsource(cli._build_initial))
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.If, ast.IfExp, ast.Raise, ast.Compare))]
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [(["--zero-branch", "minus", "--w1", "0"], "--zero-branch"), (["--w0", "-0", "--w1", "1"], "--w0")],
+    )  # fmt: skip
+    def test_a_record_error_names_its_flag(self, args, flag, capsys, tmp_path):
+        argv = ["integrate", "--eq", "piv", "--span", "1", *args,
+                "--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")]  # fmt: skip
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
     def test_exit_code_2_on_step_underflow(self, tmp_path, monkeypatch):
         # force underflow through the library (its shortest step is the

@@ -34,6 +34,7 @@ from painleve4.integrator import (
     _STEP_ARGS,
     _cauchy_square,
     _jet_kernel,
+    _newton_root,
     _reciprocal,
     _step_kernel,
     _step_lines,
@@ -225,6 +226,30 @@ class TestCompleteInitialData:
     def test_raw_sqrt_recomputes_second_derivative(self):
         j = complete_initial_data(K.SQRT_PIV0, Params(), InitialData.raw(0.0, 2.0, 0.0, 99.0))
         assert j.w2 == 24.0
+
+    def test_the_entries_given_decide_the_kind_of_data(self):
+        # a branch makes a zero seed, else a w2 a raw jet, else a regular point
+        p = Params(0.0, 2.0)
+        assert complete_initial_data(K.PIV, p, InitialData(0.0, branch=-1, w2=0.5)) == (0.0, 0.0, -2.0, 0.5)
+        assert complete_initial_data(K.PIV, p, InitialData(0.0, w2=0.5)) == (0.0, 0.0, 0.0, 0.5)
+        assert complete_initial_data(K.PIV, p, InitialData(0.0, 1.0)) == complete_initial_data(
+            K.PIV, p, InitialData.nonzero(0.0, 1.0, 0.0)
+        )
+
+    @pytest.mark.parametrize("given", [{"w0": 1.0}, {"w1": 0.0}, {"w0": 0.0, "w1": 2.0}])
+    def test_a_zero_seed_takes_no_w0_or_w1(self, given):
+        with pytest.raises(InvalidInitialData, match="^branch: "):
+            InitialData(0.0, branch=+1, **given)
+
+    @pytest.mark.parametrize("w0", [None, -0.0])
+    def test_a_regular_point_needs_a_nonzero_w0(self, w0):
+        with pytest.raises(InvalidInitialData, match="^w0: "):
+            InitialData(0.0, w0, 1.0)
+
+    def test_signed_zeros_enter_as_positive_zeros(self):
+        # as the command line has always written them: w0 = w1 = -0 gives node 0 the row of +0
+        j = complete_initial_data(K.PIV, Params(), InitialData.raw(0.0, -0.0, -0.0, 0.5))
+        assert [math.copysign(1.0, x) for x in j] == [1.0, 1.0, 1.0, 1.0]
 
 
 class TestStep:
@@ -1378,3 +1403,10 @@ def test_newton_steps_cover_the_most_the_readme_sweep_takes(monkeypatch):
     assert cells() == full
     monkeypatch.setattr(integrator, "_NEWTON_STEPS", 4)
     assert sum(a != b for a, b in zip(cells(), full)) == 16
+
+
+@pytest.mark.parametrize("u1", [0.0, -0.0])
+def test_newton_root_gives_up_where_a_slope_vanishes(u1):
+    # u = 1 + t^2 has u'(0) = 0, so the first Newton step has no slope to divide by
+    u = [1.0, u1, 1.0, *[0.0] * (ORDER - 2)]
+    assert _newton_root(u) is None

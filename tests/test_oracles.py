@@ -151,6 +151,11 @@ class TestUIntegral:
         with pytest.raises(SingularInput):
             xxxii_u_integral(Jet3(0.0, -1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("w,w1", [(2.0 + 0j, 3.0), (2.0, 3.0 + 0j)])
+    def test_rejects_a_complex_jet(self, w, w1):
+        with pytest.raises(SingularInput, match="REAL mode"):
+            xxxii_u_integral(Jet3(1.0, w, w1, 0.0))
+
     def test_constant_along_trajectory_and_equals_a(self):
         q = fit_quadratic(K.XXXII, Jet3(0.0, 2.0, 3.0, 0.0))
         t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)

@@ -21,7 +21,7 @@ import pytest
 
 import painleve4
 from painleve4.cli import SweepCell
-from painleve4.equations import EquationKind, Jet3, Params
+from painleve4.equations import EquationKind, Jet3, KindRow, Params
 from painleve4.integrator import InitialData, Tolerances, integrate
 from painleve4.oracles import QuadraticSolution, SqrtLiftResult, SqrtSample, XXIXIntegrals
 from painleve4.verify import PropertyResult
@@ -132,6 +132,9 @@ def test_no_field_repeats_another_value():
     assert "passed" not in PropertyResult._fields
     assert "zero_count" not in SweepCell._fields
     assert "interval" not in SqrtLiftResult._fields
+    # which entries are given decides the kind of initial data, and squared decides whether rhs2 divides by w
+    assert "mode" not in InitialData._fields
+    assert "divides" not in KindRow._fields
 
 
 @pytest.mark.parametrize(

@@ -620,6 +620,17 @@ def test_simple_crossing_refines_to_the_reference_double(alpha, beta, z, r, slop
     _check_simple_roots(crossings)
 
 
+@pytest.mark.xfail(strict=True, reason="Newton walks a plateau of equal w one double at a time; no fix is known")
+def test_simple_crossing_on_a_rounding_plateau_settles_within_eight_trials():
+    # an example of the test above that its derandomized draw never meets: from the sixth trial on, w reads
+    # +6.9e-18 at three adjacent doubles and -6.9e-18 at the next, each Newton step from the positive end is
+    # 1.25 ulp, and the bracket's far end stays at 0.21598582054965007, so the crossing takes 9 trials
+    _, calls = _refinements_through(Params(-0.5, 0.0), 0.25, (0.0, 0.2, 2.0), 1 / 3, 1.0)
+    crossings = [c for c in calls if c.f.__name__ == "w_rate"]
+    assert [c.got for c in crossings] == [0.1318764804336631, 0.3333333328787953]
+    _check_simple_roots(crossings)
+
+
 @settings(max_examples=60, deadline=None)
 @given(alpha=_unit, z=_unit, r=_event_step, depth=_depth, curvature=_slope, sign=_sign)
 def test_tangential_extremum_refines_to_the_reference_double(alpha, z, r, depth, curvature, sign):
