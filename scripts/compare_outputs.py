@@ -4,7 +4,10 @@
 Each output is one `painleve4` command, run by this interpreter in a fresh
 process on the package under TREE/src, in an empty temporary directory.
 Its artifacts are the files the command writes and its exit code with its
-standard output (`stdout`), which is all that `verify` writes.
+standard output (`stdout`), which is all that `verify` writes.  A command
+refused with exit 1 adds its standard error to `stdout`, since that holds the
+message; the refused commands listed all fail a check of the package, whose
+messages, unlike argparse's, read the same on every interpreter.
 
 Each command that writes files is then run again in the same directory,
 after each file it wrote has had its own bytes appended, so that the rerun
@@ -139,6 +142,17 @@ OUTPUTS = {
     # an exact quadratic kind over a span past 2.59e15, the largest double's 20th
     # root: one step whose err_est takes no power of its zero tail, 2 nodes
     "integrate-xvii-span-1e16": ("integrate --eq xvii --w0 1 --span 1e16", _TRAJECTORY),
+    # refused specifications, each message naming the flag at fault
+    "refused-integrate-w0-overflows": ("integrate --eq piv --w0 1e120 --span 1", ()),
+    "refused-integrate-z0-inf": ("integrate --eq piv --z0 inf --w0 1 --w2 1 --span 1", ()),
+    "refused-integrate-piv0-alpha": ("integrate --eq piv0 --alpha 1 --w0 1 --span 1", ()),
+    "refused-integrate-xxxii-zero-seed": ("integrate --eq xxxii --zero-branch plus --span 1", ()),
+    "refused-integrate-real-direction": ("integrate --eq piv --w0 1 --span 1 --dir-re 7", ()),
+    "refused-verify-count-0": ("verify --suite sqrt --count 0", ()),
+    "refused-sweep-span-inf": ("sweep --eq piv --z0 -1 --w0 0.5 --span inf", ()),
+    "refused-sweep-grid-overflows": (
+        "sweep --eq piv --z0 -1 --w0 0.5 --span 1 --alpha-min=-1e308 --alpha-max 1e308 --alpha-steps 3", (),
+    ),
 }  # fmt: skip
 
 # a float as the outputs write it, with a decimal point or an exponent, and not part of a name
@@ -152,7 +166,8 @@ def _run(command: str, work: str, env: dict, name: str, files: tuple[str, ...]) 
     run = subprocess.run(
         [sys.executable, "-m", "painleve4.cli", *command.split()], cwd=work, env=env, capture_output=True, check=False,
     )
-    result = {f"{name}/stdout": b"exit %d\n" % run.returncode + run.stdout}
+    refusal = run.stderr if run.returncode == 1 else b""
+    result = {f"{name}/stdout": b"exit %d\n" % run.returncode + run.stdout + refusal}
     for file in files:
         path = Path(work) / file
         result[f"{name}/{file}"] = path.read_bytes() if path.exists() else None

@@ -17,6 +17,10 @@ is overwritten and then cut to the new length where it was longer, never
 first truncated to zero.  Writes are neither atomic nor durable: a process
 killed mid-write can leave the new head followed by the old file's tail.
 
+A refused specification exits 1 with `error: --flag: ...` (argparse's own
+refusals: usage, then its message): a library message leads with its field
+(`w0`, `branch`, `span`), and `main` alone names the command's flag for it.
+
 Environment: PAINLEVE_LOG = error|warn|info|debug (default warn).
 """
 
@@ -34,12 +38,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .equations import EquationKind, Params, Scalar, ScalarField
-from .errors import InvalidInitialData, PainleveError, WrongKind
+from .errors import PainleveError, WrongKind
 from .integrator import (
     InitialData,
     Tolerances,
     Trajectory,
     TrajectoryStatus,
+    check_span,
     dense_eval,  # noqa: F401 -- unused here; perfbench/tracing.py patches cli.dense_eval
     integrate,
 )
@@ -165,37 +170,15 @@ def summary_json(traj: Trajectory, events: tuple[ZeroEvent, ...] = ()) -> dict:
     }
 
 
-# a record field's flag, where it is not the field's own name
-_FLAGS = {"branch": "--zero-branch", "direction": "--dir-re/--dir-im"}
-
-
-def _flagged(record, *args):
-    """record(*args), its error naming the flag: the record's messages lead with the offending field name."""
-    try:
-        return record(*args)
-    except (ValueError, InvalidInitialData) as exc:
-        name, message = str(exc).split(": ", 1)
-        raise ValueError(f"{_FLAGS.get(name, '--' + name)}: {message}") from None
-
-
 def _build_initial(ns, field: ScalarField, direction: Scalar) -> InitialData:
     branch = {None: None, "plus": +1, "minus": -1}[ns.zero_branch]
-    return _flagged(InitialData, ns.z0, ns.w0, ns.w1, ns.w2, branch, field, direction)
+    return InitialData(ns.z0, ns.w0, ns.w1, ns.w2, branch, field, direction)
 
 
-def _build_runspec(ns) -> tuple:
-    """`integrate`'s (kind, params, init, span, tol), validated from the parsed arguments."""
-    kind = EquationKind(ns.eq)
-    try:
-        params = Params(ns.alpha, ns.beta)
-    except ValueError as exc:
-        raise ValueError(f"--alpha/--beta: {exc}") from None
-    field = ScalarField(ns.field)
-    direction = complex(ns.dir_re, ns.dir_im) if field is ScalarField.COMPLEX else 1.0
-    if ns.span is None or ns.span == 0:
-        raise ValueError("--span: a nonzero span is required")
-    tol = _flagged(Tolerances, ns.rel, ns.abs)
-    return kind, params, _build_initial(ns, field, direction), ns.span, tol
+def _build_runspec(ns, field: ScalarField = ScalarField.REAL, direction: Scalar = 1.0) -> tuple:
+    """`integrate`'s (kind, params, init, span, tol) from the parsed arguments; each record checks its own."""
+    params, tol = Params(ns.alpha, ns.beta), Tolerances(ns.rel, ns.abs)
+    return EquationKind(ns.eq), params, _build_initial(ns, field, direction), ns.span, tol
 
 
 def _exit_code(traj: Trajectory) -> int:
@@ -203,7 +186,8 @@ def _exit_code(traj: Trajectory) -> int:
 
 
 def cmd_integrate(ns) -> int:
-    traj = integrate(*_build_runspec(ns))
+    direction = complex(ns.dir_re, ns.dir_im) if ns.dir_im else ns.dir_re  # REAL mode takes a real one only
+    traj = integrate(*_build_runspec(ns, ScalarField(ns.field), direction))
     out, summary = Path(ns.out or "trajectory.csv"), Path(ns.summary or "summary.json")
     write_trajectory_csv(out, traj)
     _write_output(summary, json_dumps(summary_json(traj)) + "\n")
@@ -291,9 +275,10 @@ def run_sweep(
 def _grid(name: str, lo: float, hi: float, steps: int) -> list[float]:
     if steps < 1:
         raise ValueError(f"--{name}-steps: grid is empty (steps = {steps})")
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, grid)):  # an infinite end, or a width that overflows
+        raise ValueError(f"--{name}-min/--{name}-max: grid from {lo!r} to {hi!r} has a point that is not finite")
+    return grid
 
 
 def _stats_cells(stats: dict | None) -> list:
@@ -338,9 +323,8 @@ def cmd_sweep(ns) -> int:
     betas = _grid("beta", ns.beta_min, ns.beta_max, ns.beta_steps)
     if len(alphas) * len(betas) > 1_000_000:
         raise ValueError(f"--alpha-steps/--beta-steps: grid of {len(alphas) * len(betas)} cells exceeds 1e6")
-    if ns.span is None or ns.span == 0:
-        raise ValueError("--span: a nonzero span is required")
-    tol = _flagged(Tolerances, ns.rel, ns.abs)
+    check_span(ns.span)  # before the first cell, which would refuse it as every other cell does
+    tol = Tolerances(ns.rel, ns.abs)
     init = _build_initial(ns, ScalarField.REAL, 1.0)
     cells = run_sweep(kind, alphas, betas, init, ns.span, tol)
     out = Path(ns.out) if ns.out else Path("sweep.csv")
@@ -373,7 +357,7 @@ def _add_common(sub: argparse.ArgumentParser, *, sweep=False) -> None:
         default=None,
         help="seed a zero of w with slope +beta or -beta (piv/piv0); --w2 sets the free curvature",
     )
-    sub.add_argument("--span", type=float, default=None, help="signed integration span (arc length in COMPLEX mode)")
+    sub.add_argument("--span", type=float, required=True, help="signed integration span (arc length in COMPLEX mode)")
     sub.add_argument("--rel", type=float, default=1e-10, help="relative tolerance")
     sub.add_argument("--abs", type=float, default=1e-10, help="absolute tolerance")
     sub.add_argument("--out", default=None, help="primary output file")
@@ -394,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     # zeros and sweep run in REAL mode; only integrate takes a path
     p_zeros = subs.add_parser("zeros", help="integrate and scan for zeros of w")
     _add_common(p_zeros)
-    p_zeros.set_defaults(field="real")
 
     p_verify = subs.add_parser("verify", help="run a randomized property suite")
     p_verify.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
@@ -432,6 +415,10 @@ def _configure_logging() -> None:
     )
 
 
+# a field's flag, where it is not "--" and the field's own name
+_FLAGS = {"branch": "--zero-branch", "direction": "--dir-re/--dir-im"}
+
+
 def main(argv=None) -> int:
     _configure_logging()
     try:
@@ -448,7 +435,11 @@ def main(argv=None) -> int:
         # the subcommand is required, so argparse lets no other command through
         return cmd_sweep(ns)
     except (ValueError, PainleveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a message leads with its field; where the command parsed that field's flag (a pair's first), name the flag
+        field, sep, rest = str(exc).partition(": ")
+        flag = _FLAGS.get(field, "--" + field)
+        own = sep and hasattr(ns, flag[2:].split("/")[0].replace("-", "_"))
+        print(f"error: {flag}: {rest}" if own else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -81,7 +81,7 @@ class ScalarField(Enum):
 
 def _check_finite(name: str, x: Scalar) -> None:
     if not isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
+        raise ValueError(f"{name}: must be finite, got {x!r}")
 
 
 def _checked_make(cls, iterable):

@@ -166,7 +166,7 @@ class InitialData(NamedTuple("InitialData", _INITIAL_FIELDS)):
     nonzero(w0 != 0, w1):  otherwise a regular point; w'' is completed from
         the second-order equation, which guarantees C = 0.
 
-    An entry not given is zero.  Each message leads with the field it names.
+    An entry not given is zero, one given is finite.  Each message leads with the field it names.
     A REAL path runs along the sign of the span, so its direction is 1.0.
     """
 
@@ -183,6 +183,10 @@ class InitialData(NamedTuple("InitialData", _INITIAL_FIELDS)):
         elif w2 is None and not w0:
             raise InvalidInitialData(f"w0: a regular point needs w0 != 0, got {w0!r} "
                                      "(w2 makes a raw jet, branch a zero seed)")
+        # one chain for the common, finite case; the search names the first entry that is not
+        if not (isfinite(z0) and isfinite(w0 or 0.0) and isfinite(w1 or 0.0) and isfinite(w2 or 0.0)):
+            name, value = next((n, x) for n, x in zip(("z0", "w0", "w1", "w2"), self) if not isfinite(x or 0.0))
+            raise InvalidInitialData(f"{name}: must be finite, got {value!r}")
         if field is ScalarField.REAL:
             for name in ("z0", "w0", "w1", "w2", "direction"):
                 if isinstance(getattr(self, name), complex):
@@ -466,6 +470,12 @@ def _series_pole(
     return (r, bound) if bound <= tol.abs + tol.rel * abs(z + r) else None
 
 
+def check_span(span: float) -> None:
+    """Refuse a span that `integrate` refuses on every path: zero, not finite, or not real."""
+    if not (span != 0 and isfinite(span) and not isinstance(span, complex)):
+        raise ValueError(f"span: must be a nonzero finite real, got {span!r}")
+
+
 def integrate(
     kind: EquationKind,
     p: Params,
@@ -511,8 +521,7 @@ def integrate(
       STEP_BUDGET     _MAX_STEPS steps did not cover the span.
     """
     ensure_kind_params(kind, p)
-    if not (span != 0 and isfinite(span) and not isinstance(span, complex)):
-        raise ValueError(f"span: must be a nonzero finite real, got {span!r}")
+    check_span(span)
     if not (w_bound > 0):
         raise ValueError(f"w_bound: must be positive, got {w_bound!r}")
     row = KINDS[kind]

@@ -276,23 +276,32 @@ class TestValidation:
             (["integrate", "--eq", "piv", "--w0", "1", "--span", "1", "--field", "complex",
               "--dir-re", "nan"], "--dir-re"),
             (["zeros", "--eq", "xvii", "--beta", "2", "--z0", "0", "--w0", "1", "--w1", "-2", "--span", "2"],
-             "error: beta:"),
-            (["integrate", "--eq", "xxxii", "--alpha", "1", "--w0", "1", "--span", "1"], "error: alpha:"),
-            (["integrate", "--eq", "piv", "--alpha", "nan", "--w0", "1", "--span", "1"], "error: --alpha/--beta:"),
-            (["sweep", "--eq", "piv", "--w0", "0.5"], "error: --span:"),
+             "error: --beta:"),
+            (["integrate", "--eq", "xxxii", "--alpha", "1", "--w0", "1", "--span", "1"], "error: --alpha:"),
+            (["integrate", "--eq", "piv", "--alpha", "nan", "--w0", "1", "--span", "1"], "error: --alpha:"),
+            # sweep refuses the span that integrate refuses, before its first cell
+            (["sweep", "--eq", "piv", "--w0", "0.5", "--span", "0"], "error: --span:"),
             (["sweep", "--eq", "piv", "--w0", "0.5", "--span", "1", "--alpha-steps", "1001", "--beta-steps", "1000"],
              "error: --alpha-steps/--beta-steps:"),
             (["integrate", "--eq", "piv", "--w0", "0.5", "--span", "2", "--rel", "inf"], "error: --rel:"),
             (["integrate", "--eq", "piv", "--w0", "0.5", "--span", "2", "--abs", "inf"], "error: --abs:"),
+            (["sweep", "--eq", "piv", "--w0", "0.5"], "arguments are required: --span"),
+            (["sweep", "--eq", "piv", "--w0", "0.5", "--span", "inf"], "error: --span:"),
+            (["integrate", "--eq", "piv", "--z0", "inf", "--w0", "1", "--w2", "1", "--span", "1"], "error: --z0:"),
+            (["integrate", "--eq", "piv", "--z0", "nan", "--w0", "1", "--span", "1"], "error: --z0:"),
+            (["integrate", "--eq", "piv", "--w0", "1", "--w1", "inf", "--span", "1"], "error: --w1:"),
+            (["integrate", "--eq", "sqrt-piv0", "--w0", "1", "--span", "1", "--field", "complex"], "error: --field:"),
+            (["integrate", "--eq", "piv", "--w0", "1", "--span", "-1", "--field", "complex"], "error: --span:"),
+            (["verify", "--suite", "sqrt", "--count", "0"], "error: --count:"),
         ],
     )
     def test_invalid_specs_exit_1_naming_the_field(self, args, needle, capsys, tmp_path):
-        # sweep writes no summary, so it has no --summary
-        summary = [] if args[0] == "sweep" else ["--summary", str(tmp_path / "s")]
-        full = args + ["--out", str(tmp_path / "o")] + summary
+        # sweep writes no summary, so it has no --summary, and verify writes no file
+        files = {"sweep": ["--out", str(tmp_path / "o")], "verify": []}
+        full = args + files.get(args[0], ["--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")])
         assert main(full) == 1
-        err = capsys.readouterr().err
-        assert needle in err
+        # the last line is the message: argparse prints its usage, which names every flag, first
+        assert needle in capsys.readouterr().err.splitlines()[-1]
 
     @pytest.mark.parametrize("command", ["integrate", "zeros"])
     @pytest.mark.parametrize(
@@ -312,7 +321,7 @@ class TestValidation:
         full = [command] + args + ["--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")]
         assert main(full) == 1
         err = capsys.readouterr().err
-        assert "error: w0:" in err and "Traceback" not in err
+        assert "error: --w0:" in err and "Traceback" not in err
 
     def test_exit_code_2_on_step_budget(self, tmp_path, monkeypatch, capsys):
         import painleve4.integrator as integrator
@@ -341,10 +350,13 @@ class TestValidation:
         assert main(["integrate", "--eq", "bogus", "--w0", "1", "--span", "1"]) == 1
 
     def test_the_initial_data_rules_are_the_records_alone(self):
-        # `InitialData` owns every rule on which entries go together; the command line states none
-        # of its own: it builds the record and turns the field a message names into its flag
-        tree = ast.parse(inspect.getsource(cli._build_initial))
-        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.If, ast.IfExp, ast.Raise, ast.Compare))]
+        # `InitialData`, `Params` and `Tolerances` own every rule on their entries, and `integrate`
+        # its span's: the command line states none of its own; it builds the records, and `main`
+        # turns the field a message names into its flag
+        for build in (cli._build_initial, cli._build_runspec):
+            tree = ast.parse(inspect.getsource(build))
+            rules = [n for n in ast.walk(tree) if isinstance(n, (ast.If, ast.IfExp, ast.Raise, ast.Compare))]
+            assert not rules, build.__name__
 
     @pytest.mark.parametrize(
         "args,flag",
@@ -355,6 +367,31 @@ class TestValidation:
                 "--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")]  # fmt: skip
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize(
+        "command,message,printed",
+        [
+            ("integrate", "span: x", "--span: x"),
+            ("integrate", "branch: x", "--zero-branch: x"),
+            ("integrate", "direction: x", "--dir-re/--dir-im: x"),
+            ("integrate", "w_bound: x", "w_bound: x"),
+            ("zeros", "direction: x", "direction: x"),
+            # sweep takes alpha from its grid, and has no path
+            ("sweep", "span: x", "--span: x"),
+            ("sweep", "alpha: x", "alpha: x"),
+            ("sweep", "direction: x", "direction: x"),
+            ("sweep", "no field leads this", "no field leads this"),
+            ("sweep", ": x", ": x"),
+        ],
+    )  # fmt: skip
+    def test_only_the_commands_own_inputs_are_named_by_flag(self, command, message, printed, monkeypatch, capsys):
+        def refuse(*args):
+            raise ValueError(message)
+
+        monkeypatch.setattr(cli, "integrate", refuse)
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        assert main([command, "--eq", "piv", "--w0", "1", "--span", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {printed}\n"
 
     def test_exit_code_2_on_step_underflow(self, tmp_path, monkeypatch):
         # force underflow through the library (its shortest step is the
@@ -567,6 +604,14 @@ class TestRemovedFlags:
         assert code == 1
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--dir-re", "7"), ("--dir-re", "-1"), ("--dir-im", "1")])
+    def test_real_integrate_rejects_a_direction_it_would_ignore(self, flag, value, tmp_path, capsys):
+        # a REAL run goes along the sign of its span, so it has no path direction to take
+        code = main(["integrate", "--eq", "piv", "--w0", "1", "--span", "1", flag, value,
+                     "--out", str(tmp_path / "o"), "--summary", str(tmp_path / "s")])  # fmt: skip
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --dir-re/--dir-im: ")
+
 
 class TestSweepCommand:
     def test_grid_row_count(self, tmp_path):
@@ -598,6 +643,19 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "alpha-steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pair,lo,hi",
+        [("alpha", "-1e308", "1e308"), ("alpha", "-inf", "1"), ("alpha", "0", "nan"), ("beta", "1e308", "-1e308")],
+    )
+    def test_a_grid_point_that_is_not_finite_is_refused(self, pair, lo, hi, tmp_path, capsys):
+        # hi - lo overflows, or an end is not finite: the grid would hold values the command line never gave
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--eq", "piv", "--w0", "0.5", "--z0", "-1", "--span", "1", f"--{pair}-min={lo}",
+                     f"--{pair}-max={hi}", f"--{pair}-steps=3", "--out", str(out)])  # fmt: skip
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --{pair}-min/--{pair}-max: ")
+        assert not out.exists()
 
     def test_all_cells_failing_exits_1(self, tmp_path):
         # piv0 rejects nonzero alpha, so every cell errors out
@@ -1105,5 +1163,9 @@ def test_extreme_initial_data_exits_without_traceback(command, eq, values, span,
     # is at most 1, so that no run steps for long
     argv = [command, f"--eq={eq}", f"--span={span}", f"--out={tmp_path / 'o'}", f"--summary={tmp_path / 's'}"]
     argv += [f"--{flag}={value}" for flag, value in values.items() if value is not None]
-    assert main(argv) in (0, 1, 2), argv
-    assert "Traceback" not in capsys.readouterr().err, argv
+    code = main(argv)
+    assert code in (0, 1, 2), argv
+    err = capsys.readouterr().err
+    assert "Traceback" not in err, argv
+    # a refused run names a flag of its command, not always the one at fault (README, initial data)
+    assert code != 1 or err.splitlines()[-1].startswith("error: --"), (argv, err)

@@ -111,12 +111,12 @@ _JET_FIELDS = ("z", "w", "w1", "w2")
 def test_jet_names_its_first_non_finite_field(field, bad):
     values = {"z": 0.5, "w": 1.0, "w1": -2.0, "w2": 0.25j}
     values[field] = bad
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite, got "):
         Jet3(**values)
     # every later field non-finite too: the message still names the first
     for later in _JET_FIELDS[_JET_FIELDS.index(field) + 1:]:
         values[later] = math.nan
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got {re.escape(repr(bad))}$"):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite, got {re.escape(repr(bad))}$"):
         Jet3(**values)
 
 

@@ -209,6 +209,17 @@ class TestCompleteInitialData:
         with pytest.raises(InvalidInitialData):
             InitialData.nonzero(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("entry", ["z0", "w0", "w1", "w2"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_a_non_finite_entry_is_refused_by_its_own_name(self, entry, bad):
+        # not by the jet's field it would fill, nor as a w'' the equation cannot complete
+        values = {"z0": 0.5, "w0": 1.0, "w1": -2.0, "w2": 0.25, entry: bad}
+        with pytest.raises(InvalidInitialData, match=f"^{entry}: must be finite, got "):
+            InitialData(**values, field=ScalarField.COMPLEX)
+        # in REAL mode too, where the entries not given stay None
+        with pytest.raises(InvalidInitialData, match=f"^{entry}: must be finite, got "):
+            InitialData(**{k: v for k, v in values.items() if k == entry or k in ("z0", "w0")})
+
     def test_real_mode_rejects_complex_entries(self):
         with pytest.raises(InvalidInitialData):
             InitialData.raw(0.0, 1.0 + 1.0j, 0.0, 0.0)

@@ -92,9 +92,9 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
 
 
 def test_replace_and_make_validate_as_the_constructor_does():
-    with pytest.raises(ValueError, match="^alpha must be finite"):
+    with pytest.raises(ValueError, match="^alpha: must be finite"):
         Params()._replace(alpha=math.inf)
-    with pytest.raises(ValueError, match="^w1 must be finite"):
+    with pytest.raises(ValueError, match="^w1: must be finite"):
         Jet3._make([0.0, 1.0, math.nan, 0.0])
     with pytest.raises(ValueError, match="^rel: "):
         Tolerances()._replace(rel=0.0)
