@@ -45,6 +45,7 @@ from .integrator import (
     Trajectory,
     TrajectoryStatus,
     check_span,
+    check_zero_seed,
     dense_eval,  # noqa: F401 -- unused here; perfbench/tracing.py patches cli.dense_eval
     integrate,
 )
@@ -273,8 +274,6 @@ def run_sweep(
 
 
 def _grid(name: str, lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise ValueError(f"--{name}-steps: grid is empty (steps = {steps})")
     grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
     if not all(map(math.isfinite, grid)):  # an infinite end, or a width that overflows
         raise ValueError(f"--{name}-min/--{name}-max: grid from {lo!r} to {hi!r} has a point that is not finite")
@@ -319,13 +318,18 @@ def write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
 
 def cmd_sweep(ns) -> int:
     kind = EquationKind(ns.eq)
+    for name, steps in (("alpha", ns.alpha_steps), ("beta", ns.beta_steps)):
+        if steps < 1:
+            raise ValueError(f"--{name}-steps: grid is empty (steps = {steps})")
+    # from the step counts, before either grid list is built
+    if ns.alpha_steps * ns.beta_steps > 1_000_000:
+        raise ValueError(f"--alpha-steps/--beta-steps: grid of {ns.alpha_steps * ns.beta_steps} cells exceeds 1e6")
     alphas = _grid("alpha", ns.alpha_min, ns.alpha_max, ns.alpha_steps)
     betas = _grid("beta", ns.beta_min, ns.beta_max, ns.beta_steps)
-    if len(alphas) * len(betas) > 1_000_000:
-        raise ValueError(f"--alpha-steps/--beta-steps: grid of {len(alphas) * len(betas)} cells exceeds 1e6")
     check_span(ns.span)  # before the first cell, which would refuse it as every other cell does
     tol = Tolerances(ns.rel, ns.abs)
     init = _build_initial(ns, ScalarField.REAL, 1.0)
+    check_zero_seed(kind, init)  # so too a zero seed on a kind without one, whatever the cell's alpha and beta
     cells = run_sweep(kind, alphas, betas, init, ns.span, tol)
     out = Path(ns.out) if ns.out else Path("sweep.csv")
     write_sweep_csv(out, cells)

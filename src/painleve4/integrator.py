@@ -280,6 +280,12 @@ class Trajectory(NamedTuple):
         return max(abs(n.jet.w) for n in self.nodes)
 
 
+def check_zero_seed(kind: EquationKind, init: InitialData) -> None:
+    """Refuse a zero seed (a branch) on a kind other than piv and piv0, whatever its parameters."""
+    if init.branch is not None and not KINDS[kind].res2_is_c:
+        raise InvalidInitialData(f"branch: a zero seed is only valid for piv/piv0, not {kind.value}")
+
+
 def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> Jet3:
     """Fill in the jet entries the equation determines; pass a raw jet through.
 
@@ -296,8 +302,7 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     w2 = conv(0.0 if init.w2 is None else init.w2)
 
     if init.branch is not None:
-        if not row.res2_is_c:
-            raise InvalidInitialData(f"branch: a zero seed is only valid for piv/piv0, not {kind.value}")
+        check_zero_seed(kind, init)
         return Jet3(z0, conv(0.0), conv(init.branch * p.beta), w2)
 
     w0 = conv(init.w0 or 0.0)

@@ -547,17 +547,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
-    @pytest.mark.parametrize("suite", ["constraint", "xxix-integrals", "sqrt"])
-    def test_undrawable_suite_exits_1_without_traceback(self, suite, monkeypatch, capsys):
+    @pytest.fixture
+    def every_run_a_pole(self, monkeypatch):
         import painleve4.verify as verify
 
         pole_run = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
         assert pole_run.status is TrajectoryStatus.POLE
         monkeypatch.setattr(verify, "integrate", lambda *args, **kwargs: pole_run)
+
+    @pytest.mark.parametrize("suite", ["xxix-integrals", "sqrt"])
+    @pytest.mark.usefixtures("every_run_a_pole")
+    def test_undrawable_suite_exits_1_without_traceback(self, suite, capsys):
         assert main(["verify", "--suite", suite, "--count", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: could not draw a bounded")
         assert "Traceback" not in err
+
+    @pytest.mark.usefixtures("every_run_a_pole")
+    def test_constraint_run_ending_at_a_pole_fails_without_traceback(self, capsys):
+        # the constraint suite checks every draw it integrates, so a pole run is a failed property, not a redraw
+        assert main(["verify", "--suite", "constraint", "--count", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("constraint C conserved along the third-order flow: FAIL (worst inf,")
+        assert "10/10 ended neither completed nor at the bound" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_failure_exits_3(self, monkeypatch, capsys):
         import painleve4.cli as cli
@@ -655,6 +668,30 @@ class TestSweepCommand:
                      f"--{pair}-max={hi}", f"--{pair}-steps=3", "--out", str(out)])  # fmt: skip
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: --{pair}-min/--{pair}-max: ")
+        assert not out.exists()
+
+    def test_an_oversized_grid_is_refused_before_either_grid_is_built(self, monkeypatch, tmp_path, capsys):
+        import painleve4.cli as cli
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(cli, "_grid", no_grid)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--eq", "piv", "--w0", "0.5", "--span", "1", "--alpha-steps", "1001",
+                     "--beta-steps", "1000", "--out", str(out)])  # fmt: skip
+        assert code == 1
+        assert capsys.readouterr().err == "error: --alpha-steps/--beta-steps: grid of 1001000 cells exceeds 1e6\n"
+        assert not out.exists()
+
+    def test_a_zero_seed_on_a_kind_without_one_is_refused_before_the_first_cell(self, tmp_path, capsys):
+        # every cell would fail on it alike, whatever its alpha and beta
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--eq", "xxxii", "--zero-branch", "plus", "--span", "1", "--alpha-steps", "2",
+                     "--out", str(out)])  # fmt: skip
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: --zero-branch: a zero seed is only valid for piv/piv0, not xxxii"
         assert not out.exists()
 
     def test_all_cells_failing_exits_1(self, tmp_path):

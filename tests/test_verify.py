@@ -1,7 +1,9 @@
 import random
+from itertools import takewhile
 
 import pytest
 
+import painleve4.verify as verify
 from painleve4 import PainleveError, TrajectoryStatus, integrate
 from painleve4.verify import _VERIFY_TOL, DEFAULT_COUNTS, SUITE_NAMES, _constraint_draw, _draw_bounded_run, run_suite
 
@@ -46,6 +48,62 @@ def test_constraint_suite_exercises_off_manifold_runs():
     (r,) = results
     # raw random jets essentially never satisfy C = 0 exactly
     assert "8/8 runs started off the C = 0 set" in r.note
+
+
+def _record_constraint_runs(monkeypatch, count, change=lambda traj: traj):
+    """Run the constraint suite at seed 0 with verify.integrate wrapped; its result and every (args, kwargs, run)."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        traj = change(integrate(*args, **kwargs))
+        calls.append((args, kwargs, traj))
+        return traj
+
+    monkeypatch.setattr(verify, "integrate", recording)
+    (result,) = run_suite("constraint", seed=0, count=count)
+    return result, calls
+
+
+def test_constraint_suite_integrates_each_draw_once(monkeypatch):
+    result, calls = _record_constraint_runs(monkeypatch, 12)
+    assert len(calls) == 12
+    assert result.passed, result.line()
+
+
+def test_constraint_suite_checks_the_bounded_prefix_of_every_draw(monkeypatch):
+    # the nodes checked are those of the same draw without a bound, up to the first with |w| > 3
+    _, calls = _record_constraint_runs(monkeypatch, 12)
+    statuses = set()
+    for args, kwargs, traj in calls:
+        assert kwargs == {"w_bound": 3.0}
+        free = integrate(*args)
+        assert traj.nodes == tuple(takewhile(lambda n: abs(n.jet.w) <= 3.0, free.nodes))
+        statuses.add(traj.status)
+    assert statuses == {TrajectoryStatus.COMPLETED, TrajectoryStatus.W_BOUND}
+
+
+def test_constraint_suite_checks_the_nodes_of_runs_stopped_at_the_bound(monkeypatch):
+    shifted = []
+
+    def shift_first_bounded(traj):
+        # move C by twice the budget at the last node of the first run that stopped at the bound
+        if traj.status is TrajectoryStatus.W_BOUND and not shifted:
+            last = traj.nodes[-1]
+            traj = traj._replace(nodes=(*traj.nodes[:-1], last._replace(res2=last.res2 + 2e-7)))
+            shifted.append(traj)
+        return traj
+
+    # unshifted, the same draws pass (test_constraint_suite_integrates_each_draw_once)
+    result, _ = _record_constraint_runs(monkeypatch, 12, shift_first_bounded)
+    assert shifted
+    assert not result.passed, result.line()
+
+
+def test_constraint_note_counts_the_runs_stopped_at_the_bound(monkeypatch):
+    result, calls = _record_constraint_runs(monkeypatch, 12)
+    stopped = sum(traj.status is TrajectoryStatus.W_BOUND for _, _, traj in calls)
+    assert 0 < stopped < 12
+    assert result.note.endswith(f"; {stopped}/12 stopped where |w| passed 3")
 
 
 def test_unknown_suite_rejected():
