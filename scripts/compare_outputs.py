@@ -142,6 +142,16 @@ OUTPUTS = {
     # an exact quadratic kind over a span past 2.59e15, the largest double's 20th
     # root: one step whose err_est takes no power of its zero tail, 2 nodes
     "integrate-xvii-span-1e16": ("integrate --eq xvii --w0 1 --span 1e16", _TRAJECTORY),
+    # README's span of 1e100, one step of it
+    "integrate-xvii-span-1e100": ("integrate --eq xvii --w0 1 --span 1e100", _TRAJECTORY),
+    # w'' = 0.0 / (2 w) = -0.0 at w = -1, w' = 0, crossed forwards and backwards: the quadratic's
+    # three-term evaluation starts from the +0.0 that zero coefficients above a_2 would leave
+    "integrate-xvii-negative-zero-curvature": ("integrate --eq xvii --w0 -1 --w1 0 --span 1", _TRAJECTORY),
+    "integrate-xvii-negative-zero-curvature-backward": ("integrate --eq xvii --w0 -1 --w1 0 --span -1", _TRAJECTORY),
+    # the README xxxii quadratic on a complex path
+    "integrate-complex-xxxii": (
+        "integrate --eq xxxii --z0 0 --w0 2 --w1 3 --span 4 --field complex --dir-re 0.6 --dir-im 0.8", _TRAJECTORY,
+    ),
     # refused specifications, each message naming the flag at fault
     "refused-integrate-w0-overflows": ("integrate --eq piv --w0 1e120 --span 1", ()),
     "refused-integrate-z0-inf": ("integrate --eq piv --z0 inf --w0 1 --w2 1 --span 1", ()),

@@ -220,11 +220,12 @@ def series_lines(name: str | None) -> list[str]:
     already known, so the lines make O(p^2) operations, read alpha, z, w, w1
     and w2, and never divide by w.  d_k = (k + 1) a_(k+1), coefficient k of
     w', is set up to the d_(p-3) the recurrence reads.  None stands for xvii
-    and xxxii, whose w''' = 0 ends the series at a_2: their later a_k are
-    0.0.  Each step of `integrate` runs these lines (`integrator._step_kernel`).
+    and xxxii, whose w''' = 0 ends the series at a_2: the lines set a_0,
+    a_1 and a_2 only, the coefficients that series has.  Each step of
+    `integrate` runs these lines (`integrator._step_kernel`).
     """
     if name is None:
-        return ["a0, a1, a2 = w, w1, 0.5 * w2", f"{' = '.join(f'a{k}' for k in range(3, ORDER + 1))} = 0.0"]
+        return ["a0, a1, a2 = w, w1, 0.5 * w2"]
     head, body = _SERIES_TEMPLATES[name]
     lines = ["a0, a1, a2, d0, d1 = w, w1, 0.5 * w2, w1, w2", *head]
     for k in range(ORDER - 2):

@@ -8,28 +8,30 @@ direction otherwise, so a single code path serves both modes.
 
 Each step expands w about the current node to order p = `ORDER` with the
 kind's coefficient recurrence (`equations.series_lines`) and evaluates that
-polynomial at z + h*d.  The recurrence, the step rule, that evaluation and
-err_est are one written-out kernel per recurrence (`_step_kernel`), looked
-up once when `integrate` is entered; it returns the coefficients with the
-step, so at a node where the pole search runs (below) the search reads them
-before the step is used.  Every evaluation of a step polynomial, the
-step's end, dense output, the zero search and the pole rule's Newton
-iteration, is nested (Horner) multiplication written out by `_nested`,
-which forms no power of t.  The step length follows Jorba and Zou (Exp.
-Math. 14 (2005)):
+polynomial at z + h*d.  xvii and xxxii, whose w''' = 0, have the exact
+quadratic for their series: each of their steps holds a_0, a_1 and a_2
+alone.  The recurrence, the step rule, that evaluation and err_est are one
+written-out kernel per recurrence (`_step_kernel`), looked up once when
+`integrate` is entered; it returns the coefficients with the step, so at
+a node where the pole search runs (below) the search reads them before the
+step is used.  Every evaluation of a step polynomial, the step's end, dense
+output, the zero search and the pole rule's Newton iteration, is nested
+(Horner) multiplication written out by `_nested` for the series' own
+length, which forms no power of t.  The step length follows Jorba and Zou
+(Exp. Math. 14 (2005)):
 
     h = 0.5 * min over k = p-3 .. p of ((abs + rel |w|) / |a_k|)^(1/k),
 
 capped at the span left.  Four orders, not two: a series with period-4
 sparsity (piv at beta = 1 from the zero jet w = 0, w' = 1, w'' = 0 has
-a_18 = a_19 = a_20 = 0) would otherwise read as exact.  Only when all four
-vanish is h unbounded, which is the exact xvii/xxxii case (a_k = 0 for
-k >= 3), so those kinds cross any span in one step whose end point is
-finite; err_est takes no power h^k of a zero a_k, which would overflow
-from |span| of about 2.59e15, the largest double's 20th root.  A step is
-rejected when the rule asks for h below `_H_MIN` = 1e-12 (on error) or a
-coefficient or the state is not finite; the first rejection ends the run
-STEP_UNDERFLOW, and no step is retried.
+a_18 = a_19 = a_20 = 0) would otherwise read as exact.  Where all four
+vanish h is unbounded, and err_est takes no power h^k of a zero a_k, which
+would overflow from |span| of about 2.59e15, the largest double's 20th
+root.  The quadratic has no tail orders at all: its step is the span left,
+with err_est 0.0, so xvii and xxxii cross any span in one step whose end
+point is finite.  A step is rejected when the rule asks for h below
+`_H_MIN` = 1e-12 (on error) or a coefficient or the state is not finite;
+the first rejection ends the run STEP_UNDERFLOW, and no step is retried.
 
 Each node keeps the coefficients of the step that reached it, so dense
 output evaluates that step's own polynomial, and the zero search reads the
@@ -58,6 +60,7 @@ only pole rule: the third-order form is regular at the zeros of w, so no
 other point ends a run.
 """
 
+import cmath
 import logging
 import math
 from bisect import bisect_right
@@ -118,16 +121,21 @@ _ARC = attrgetter("s")
 _TAIL = range(ORDER - 3, ORDER + 1)
 
 
-def _nested() -> list[str]:
+def _nested(size: int) -> list[str]:
     """Kernel lines that set w, w1 and w2 to p(t), p'(t) and p''(t)/2 of p = sum a_k t^k by nested multiplication.
 
-    For k = p-1 .. 0: w2 = w2 t + w1, w1 = w1 t + w, w = w t + a_k, from
-    w = a_p.  w1 and w2 start as the value they would add to zero: at
-    k = p-1 and p-2 the products of a zero are not written.
+    The series has size coefficients a_0 .. a_n.  For k = n-1 .. 0:
+    w2 = w2 t + w1, w1 = w1 t + w, w = w t + a_k, from w = a_n.  w1 and w2
+    start as the value they would add to zero: at k = n-1 and n-2 the
+    products of a zero are not written.  A series that
+    ends below the order p (xvii and xxxii's quadratic) starts from
+    +0.0 t + a_n, the state that reading p - n zero coefficients above it
+    would reach: where a_n is -0.0 and t is not negative, that is +0.0.
     """
-    p = ORDER
-    lines = [f"w1 = a{p}", f"w = w1 * t + a{p - 1}", "w2 = w1", "w1 = w1 * t + w", f"w = w * t + a{p - 2}"]
-    for k in range(p - 3, -1, -1):
+    n = size - 1
+    top = f"a{n}" if n == ORDER else f"0.0 * t + a{n}"
+    lines = [f"w1 = {top}", f"w = w1 * t + a{n - 1}", "w2 = w1", "w1 = w1 * t + w", f"w = w * t + a{n - 2}"]
+    for k in range(n - 3, -1, -1):
         lines += ["w2 = w2 * t + w1", "w1 = w1 * t + w", f"w = w * t + a{k}"]
     return lines
 
@@ -228,7 +236,9 @@ class TrajectoryNode(NamedTuple):
     series holds its Taylor coefficients a_0 .. a_p in powers of z - z_prev
     (`equations.series_lines`), so w between the two nodes is that polynomial,
     and err_est is its largest tail term |a_k| h^k, k = p-3 .. p, in units of
-    abs + rel |w_prev|.  Node 0 has h = err_est = 0 and no series.
+    abs + rel |w_prev|.  On xvii and xxxii series is the exact quadratic
+    (a_0, a_1, a_2), which has no tail, and err_est is 0.0.  Node 0 has
+    h = err_est = 0 and no series.
 
     A named tuple, as is every record of the package: immutable, hashable,
     and cheap enough for `integrate` to build one per step.
@@ -292,10 +302,20 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     For a squared kind (sqrt-piv0) the second derivative is never free data:
     it is always recomputed from the equation, also for a raw jet.  A
     completed w'' that is not finite is rejected as InvalidInitialData
-    naming w0.  w0 and w1 enter as +0.0 where they are not given or are a
-    zero of either sign.
+    naming the entry or parameter that overflowed (`_overflowed`).  w0 and
+    w1 enter as +0.0 where they are not given or are a zero of either sign.
     """
     ensure_kind_params(kind, p)
+    return _completed_jet(kind, p, init)
+
+
+def _completed_jet(kind: EquationKind, p: Params, init: InitialData) -> Jet3:
+    """`complete_initial_data` on parameters already checked against the kind.
+
+    The jet skips Jet3's finiteness check: `InitialData` refused every entry
+    that is not finite, beta is a finite parameter, and a completed w'' is
+    checked here.
+    """
     row = KINDS[kind]
     conv = complex if init.field is ScalarField.COMPLEX else float
     z0 = conv(init.z0)
@@ -303,67 +323,106 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
 
     if init.branch is not None:
         check_zero_seed(kind, init)
-        return Jet3(z0, conv(0.0), conv(init.branch * p.beta), w2)
+        return _trusted_jet(z0, conv(0.0), conv(init.branch * p.beta), w2)
 
     w0 = conv(init.w0 or 0.0)
     w1 = conv(init.w1 or 0.0)
     if init.w2 is not None and not row.squared:
-        return Jet3(z0, w0, w1, w2)
+        return _trusted_jet(z0, w0, w1, w2)
     w2 = _rhs2_scalar(kind, p, z0, w0, w1)
     if not isfinite(w2):
-        raise InvalidInitialData(f"w0: w'' completed from the equation is not finite ({w2!r})")
-    return Jet3(z0, w0, w1, w2)
+        name = _overflowed(kind, p, z0, w0, w1)
+        raise InvalidInitialData(f"{name}: w'' completed from the equation is not finite ({w2!r})")
+    return _trusted_jet(z0, w0, w1, w2)
 
 
-def _names(x: str) -> str:
-    """'x0, x1, ..., xp, ': the names a kernel unpacks or returns."""
-    return "".join(f"{x}{k}, " for k in range(ORDER + 1))
+def _overflowed(kind: EquationKind, p: Params, z0: Scalar, w0: Scalar, w1: Scalar) -> str:
+    """The entry or parameter to blame for a completed w'' that is not finite.
+
+    The first nonzero one of z0, w0, w1, alpha and beta that, set to 1.0
+    with the others as given, completes a finite w''; where none does
+    alone, the nonzero one farthest from 1 in magnitude.
+    """
+    entries = dict(zip(("z0", "w0", "w1", "alpha", "beta"), (z0, w0, w1, *p)))
+    given = {name: x for name, x in entries.items() if x}
+    for name in given:
+        e = {**entries, name: 1.0}
+        try:
+            if isfinite(_rhs2_scalar(kind, Params(e["alpha"], e["beta"]), e["z0"], e["w0"], e["w1"])):
+                return name
+        except OverflowError:  # a power of w past the largest double
+            pass
+    # log |x|, which the modulus of a complex x past the largest double does not overflow
+    return max(given, key=lambda name: abs(cmath.log(given[name]).real))
+
+
+def _names(x: str, size: int) -> str:
+    """'x0, x1, ..., xn, ' with n = size - 1: the names a kernel unpacks or returns."""
+    return "".join(f"{x}{k}, " for k in range(size))
 
 
 @cache
-def skip_bound_kernel():
-    """|a_0| - (|a_1| h + ... + |a_p| h^p) from (coeffs, t = h), the sum by nested multiplication; compiled once."""
-    nested = (f"m = m * t + abs(a{k})" for k in range(ORDER - 1, 0, -1))
-    lines = [f"{_names('a')}= coeffs", f"m = abs(a{ORDER})", *nested, "return abs(a0) - m * t"]
-    return compile_kernel("skip_bound", "coeffs, t", lines)
+def skip_bound_kernel(size: int):
+    """|a_0| - (|a_1| h + ... + |a_n| h^n) from (coeffs, t = h), coeffs of length size, the sum by nested multiplication.
+
+    Compiled once per length; a step's series is read by the kernel of its own length.
+    """
+    nested = (f"m = m * t + abs(a{k})" for k in range(size - 2, 0, -1))
+    lines = [f"{_names('a', size)}= coeffs", f"m = abs(a{size - 1})", *nested, "return abs(a0) - m * t"]
+    return compile_kernel(f"skip_bound{size}", "coeffs, t", lines)
 
 
 @cache
-def _jet_kernel():
-    """(coeffs, t) -> (w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k, compiled once per process.
+def _jet_kernel(size: int):
+    """(coeffs, t) -> (w, w', w'') at z_prev + t of the series w = sum a_k (z - z_prev)^k, coeffs of length size.
 
     Written out by nested multiplication (`_nested`); w'' is twice p''/2.
+    Compiled once per length and process: a step's series is read by the
+    kernel of its own length, 3 for xvii and xxxii, p + 1 otherwise.
     """
-    return compile_kernel("jet", "coeffs, t", [f"{_names('a')}= coeffs", *_nested(), "return w, w1, 2.0 * w2"])
+    lines = [f"{_names('a', size)}= coeffs", *_nested(size), "return w, w1, 2.0 * w2"]
+    return compile_kernel(f"jet{size}", "coeffs, t", lines)
 
 
 def _step_lines(name: str | None) -> list[str]:
-    """The lines of `_step_kernel(name)`: the series, then the step rule and the polynomial at the step's end."""
-    rule = [
-        "bound = abs_tol + rel_tol * abs(a0)",
-        *(f"m{k} = abs(a{k})" for k in _TAIL),
-        f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return coeffs, None",
-        "h = inf",
-        # min(h, x) as a comparison, without a call: x replaces h only where x < h, NaN never
-        *(line for k in _TAIL for line in (f"if m{k}:", f"    x = (bound / m{k}) ** {1.0 / k!r}", "    if x < h: h = x")),
-        "h = 0.5 * h",
-        "left = total - s",
-        "hit_end = h >= left",
-        "if hit_end: h = left",
-        "elif h < h_min: return coeffs, None",
+    """The lines of `_step_kernel(name)`: the series, then the step rule, the polynomial at the step's end and err_est."""
+    if name is None:  # the quadratic has no tail orders: it crosses the span left in one step, whose err_est is 0.0
+        size, rule = 3, [
+            # |a0| of a complex a0 past the largest double raises, as the bound abs + rel |a0| does on the other kinds
+            "abs(a0)",
+            "h = total - s",
+        ]
+        result = ["return coeffs, (total, h, 0.0, w, w1, w2)"]
+    else:
+        size, rule = ORDER + 1, [
+            "bound = abs_tol + rel_tol * abs(a0)",
+            *(f"m{k} = abs(a{k})" for k in _TAIL),
+            f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return coeffs, None",
+            "h = inf",
+            # min(h, x) as a comparison, without a call: x replaces h only where x < h, NaN never
+            *(line for k in _TAIL for line in (f"if m{k}:", f"    x = (bound / m{k}) ** {1.0 / k!r}", "    if x < h: h = x")),
+            "h = 0.5 * h",
+            "left = total - s",
+            "hit_end = h >= left",
+            "if hit_end: h = left",
+            "elif h < h_min: return coeffs, None",
+        ]
+        result = [
+            # a zero tail coefficient's term is 0.0 without its power, which may overflow
+            f"err = max({', '.join(f'm{k} and m{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
+            "return coeffs, ((total if hit_end else s + h), h, err, w, w1, w2)",
+        ]
+    end = [
         "t = h * d",
-        *_nested(),
+        *_nested(size),
         "w2 = 2.0 * w2",
         "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return coeffs, None",
-        # a zero tail coefficient's term is 0.0 without its power, which may overflow
-        f"err = max({', '.join(f'm{k} and m{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
-        "return coeffs, ((total if hit_end else s + h), h, err, w, w1, w2)",
     ]
     return [
         *series_lines(name),
-        f"coeffs = ({_names('a')})",
+        f"coeffs = ({_names('a', size)})",
         "try:",
-        *(f"    {line}" for line in rule),
+        *(f"    {line}" for line in (*rule, *end, *result)),
         # |a_k| of a complex coefficient, or h^k, past the largest double: refused like a coefficient that is not finite
         "except OverflowError:",
         "    return coeffs, None",
@@ -376,12 +435,16 @@ def _step_kernel(name: str | None):
 
     (alpha, z, w, w', w'', s, total, d, h_min, abs, rel) -> (coeffs, step).
     coeffs is the tuple a_0 .. a_p of the series of w about the jet
-    (`equations.series_lines`).  step is (s_new, h, err_est, w, w', w'') at
-    z + h d, or None where the step is refused: a tail coefficient or the
-    new state is not finite, or the Jorba-Zou step 0.5 min_k (bound /
-    |a_k|)^(1/k), k = p-3 .. p, is below h_min short of the span's end.
-    Its end point is `_jet_kernel`'s lines (`_nested`), so its w, w' and
-    w'' are that kernel's bits on coeffs at h d.  piv and piv0 share one
+    (`equations.series_lines`), and for xvii and xxxii, whose series ends at
+    the quadratic, the tuple (a_0, a_1, a_2).  step is (s_new, h, err_est,
+    w, w', w'') at z + h d, or None where the step is refused: a tail
+    coefficient or the new state is not finite, or the Jorba-Zou step
+    0.5 min_k (bound / |a_k|)^(1/k), k = p-3 .. p, is below h_min short of
+    the span's end.  The quadratic has no tail orders: its step is the span
+    left, with err_est 0.0, and it is refused only where its end state is
+    not finite or |a_0| overflows.  Its end point is the lines of
+    `_jet_kernel` of coeffs' length (`_nested`), so its w, w' and w'' are
+    that kernel's bits on coeffs at h d.  piv and piv0 share one
     kernel, and so do xvii and xxxii; each is compiled under its template's
     name (step_piv, step_xxix, step_sqrt_piv0, step_quadratic), so that a
     profiler keeps them apart.
@@ -393,14 +456,16 @@ def _step_kernel(name: str | None):
 def _reciprocal():
     """The kernel v -> u = 1/v (v_0 != 0): u_k = -u_0 (0 + v_1 u_(k-1) + ... + v_k u_0), written out; built once."""
     rows = (f"u{k} = -u0 * {written_sum(f'v{i} * u{k - i}' for i in range(1, k + 1))}" for k in range(1, ORDER + 1))
-    return compile_kernel("reciprocal", "v", [f"{_names('v')}= v", "u0 = 1.0 / v0", *rows, f"return [{_names('u')}]"])
+    size = ORDER + 1
+    lines = [f"{_names('v', size)}= v", "u0 = 1.0 / v0", *rows, f"return [{_names('u', size)}]"]
+    return compile_kernel("reciprocal", "v", lines)
 
 
 @cache
 def _cauchy_square():
     """The kernel f_0 .. f_p -> the first p + 1 coefficients of f^2, each Cauchy sum written out; compiled once."""
     squares = (written_sum(f"f{i} * f{k - i}" for i in range(k + 1)) for k in range(ORDER + 1))
-    return compile_kernel("cauchy_square", "f", [f"{_names('f')}= f", f"return [{', '.join(squares)}]"])
+    return compile_kernel("cauchy_square", "f", [f"{_names('f', ORDER + 1)}= f", f"return [{', '.join(squares)}]"])
 
 
 def _tail(u, x: float) -> float:
@@ -422,7 +487,7 @@ def _newton_root(u) -> Scalar | None:
 
     None where a slope vanishes or the iteration does not settle.
     """
-    jet = _jet_kernel()
+    jet = _jet_kernel(len(u))
     t = 0.0
     for _ in range(_NEWTON_STEPS):
         value, slope, _ = jet(u, t)
@@ -470,7 +535,7 @@ def _series_pole(
     t = r / d
     if not (0.0 < t.real <= left + tol.abs + tol.rel * abs(z + r) and abs(t.imag) <= _OFF_PATH):
         return None
-    slope = abs(_jet_kernel()(u, r)[1])
+    slope = abs(_jet_kernel(len(u))(u, r)[1])
     bound = _tail(u, abs(r)) / slope if slope else math.inf
     return (r, bound) if bound <= tol.abs + tol.rel * abs(z + r) else None
 
@@ -549,9 +614,10 @@ def integrate(
     pole_from = math.inf if pole_v is None else _SERIES_POLE_FROM
 
     try:
-        j0 = complete_initial_data(kind, p, init)
+        j0 = _completed_jet(kind, p, init)  # ensure_kind_params ran above
         nodes = [TrajectoryNode(j0, 0.0, 0.0, monitor(j0), 0.0)]
     except OverflowError:
+        # only a power of w raises (w ** 3 in rhs2, w ** 4 in a residual); any other overflow is an inf
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)
     z0 = j0.z
@@ -588,10 +654,11 @@ def integrate(
             status = TrajectoryStatus.W_BOUND
             break
 
-        # the kernel refused a non-finite state, so the jet skips Jet3's check
+        # the kernel refused a non-finite state, so the jet skips Jet3's check;
+        # the node is built as the jet is, as a tuple, without its named tuple's __new__
         z = z0 + s_new * d
         jet = _trusted_jet(z, w, w1, w2)
-        nodes.append(TrajectoryNode(jet, h, err_est, monitor(jet), s_new, coeffs))
+        nodes.append(_tuple_new(TrajectoryNode, (jet, h, err_est, monitor(jet), s_new, coeffs)))
         s = s_new
 
     traj = Trajectory(kind, p, init.field, d, tol, tuple(nodes), status, pole_estimate, pole_bound)
@@ -637,7 +704,8 @@ def dense_eval_param(traj: Trajectory, s: float) -> Jet3:
     if right.s == s:
         return right.jet
     t = (s - left.s) * traj.direction
-    return _trusted_jet(left.jet.z + t, *_jet_kernel()(right.series, t))
+    series = right.series
+    return _trusted_jet(left.jet.z + t, *_jet_kernel(len(series))(series, t))
 
 
 def dense_eval(traj: Trajectory, z) -> Jet3:

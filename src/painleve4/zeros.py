@@ -232,9 +232,11 @@ def _interval_roots(left: TrajectoryNode, right: TrajectoryNode, d: Scalar, real
     coeffs = right.series
     s0, s1 = left.s, right.s
     h = s1 - s0
-    if skip_bound_kernel()(coeffs, h) >= abs_tol:
+    # each read by the kernels of the series' own length: 3 for xvii and xxxii, p + 1 otherwise
+    size = len(coeffs)
+    if skip_bound_kernel(size)(coeffs, h) >= abs_tol:
         return []
-    jet = _jet_kernel()
+    jet = _jet_kernel(size)
     bound2 = jet([abs(a) for a in coeffs], h)[2]
     end = right.jet[1:]  # (w, w', w'') of the closing node
 

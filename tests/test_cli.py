@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from painleve4 import (
@@ -360,7 +360,21 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "args,flag",
-        [(["--zero-branch", "minus", "--w1", "0"], "--zero-branch"), (["--w0", "-0", "--w1", "1"], "--w0")],
+        [
+            (["--zero-branch", "minus", "--w1", "0"], "--zero-branch"),
+            (["--w0", "-0", "--w1", "1"], "--w0"),
+            # a completed w'' that overflows names the entry or parameter that overflowed it
+            (["--z0", "1e200", "--w0", "1"], "--z0"),
+            (["--w0", "1", "--w1", "1e200"], "--w1"),
+            (["--alpha", "1e308", "--w0", "1"], "--alpha"),
+            (["--w0", "1e-320", "--w1", "1"], "--w0"),
+            # the subnormal z0 is farther from 1 in magnitude, but w1 alone overflows w''
+            (["--z0", "1e-320", "--w0", "1", "--w1", "1e200"], "--w1"),
+            # two entries that each overflow it alone: the one farther from 1
+            (["--z0", "1e200", "--alpha", "1e308", "--w0", "1"], "--alpha"),
+            # w ** 3 raises
+            (["--w0", "1e200"], "--w0"),
+        ],
     )  # fmt: skip
     def test_a_record_error_names_its_flag(self, args, flag, capsys, tmp_path):
         argv = ["integrate", "--eq", "piv", "--span", "1", *args,
@@ -1183,10 +1197,13 @@ def test_every_file_integrate_and_zeros_write_has_newline_line_endings(tmp_path,
         assert b"\r" not in (tmp_path / name).read_bytes()
 
 
-_EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, 1e-320, 1e200, 1e308]
+_ORDINARY = (1.0, -1.0, 0.5)
+_EXTREMES = [0.0, -0.0, *_ORDINARY, math.nan, math.inf, -math.inf, 1e-320, 1e200, 1e308]
 _EXTREME_FLAGS = ("z0", "w0", "w1", "w2", "rel", "abs")
 
 
+@example(command="integrate", eq="piv", values={"z0": 1e200, "w0": 1.0, "w1": None, "w2": None, "rel": None, "abs": None},
+         span=1.0)  # fmt: skip
 @given(
     command=st.sampled_from(["integrate", "zeros"]),
     eq=st.sampled_from([k.value for k in K]),
@@ -1204,5 +1221,12 @@ def test_extreme_initial_data_exits_without_traceback(command, eq, values, span,
     assert code in (0, 1, 2), argv
     err = capsys.readouterr().err
     assert "Traceback" not in err, argv
-    # a refused run names a flag of its command, not always the one at fault (README, initial data)
-    assert code != 1 or err.splitlines()[-1].startswith("error: --"), (argv, err)
+    # a refused run names a flag of its command, and that flag was given an
+    # extreme value: a zero, a subnormal, one whose powers overflow, one not
+    # finite, no --w0 at all, or for a tolerance one outside [1e-14, 1]
+    if code == 1:
+        last = err.splitlines()[-1]
+        assert last.startswith("error: --"), (argv, err)
+        flag = last.removeprefix("error: --").split(":")[0]
+        given = {"span": span, **values}[flag]
+        assert given not in _ORDINARY or (flag in ("rel", "abs") and given < 0), (argv, err)

@@ -264,7 +264,10 @@ def test_series_ends_at_the_quadratic_only_where_the_third_derivative_vanishes(k
     p = Params(0.3, 0.7) if kind is K.PIV else Params()
     coeffs = coefficients(kind, p, 0.4, 0.8, -0.3, 0.5)
     assert coeffs[:3] == (0.8, -0.3, 0.25)
-    assert (max(map(abs, coeffs[3:])) == 0.0) == (kind in (K.XVII, K.XXXII))
+    # xvii and xxxii's step holds the quadratic's three coefficients; every other series goes on to a_p
+    exact = kind in (K.XVII, K.XXXII)
+    assert len(coeffs) == (3 if exact else ORDER + 1)
+    assert exact or max(map(abs, coeffs[3:])) > 0.0
 
 
 _LAZY_KERNELS = """
@@ -300,7 +303,7 @@ assert built() == (2, 0), built()
 assert built_readers() == (0, 0, 0), built_readers()
 
 # the series pole rule: xxix ends at the root of 1/w's series, piv at 1/(w + z)'s;
-# the first pole run builds the jet kernel, which Newton reads u and u' through
+# the first pole run builds the jet kernel of the whole order, which Newton reads u and u' through
 for kind in (K.XXIX, K.PIV):
     assert integrate(kind, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0).pole_estimate is not None
     assert built() == (3, 1), built()
@@ -314,13 +317,16 @@ for _ in range(2):
 assert built() == (4, 1), built()
 
 # the zero search reads w and its derivatives, and its curvature bound, through
-# the jet kernel, and builds the skip bound's
+# the jet kernel of the series' own length, and builds the skip bound's: on the
+# quadratic's three coefficients, a second jet kernel and a first skip bound
 assert len(zeros.locate_zeros(quadratic)) == 2
-assert built() == (4, 1), built()
+assert built() == (4, 2), built()
 assert built_readers() == (1, 1, 1), built_readers()
 zeros.locate_zeros(quadratic)
-integrator._jet_kernel()(run.nodes[-1].series, 0.2)
-assert integrator._jet_kernel.cache_info().misses == 1
+integrator.dense_eval(quadratic, 0.5)
+integrator.dense_eval(run, 0.05)
+assert integrator._jet_kernel.cache_info().misses == 2
+assert integrator.skip_bound_kernel.cache_info().misses == 1
 assert integrator._step_kernel.cache_info().misses == 4
 """
 
@@ -329,7 +335,7 @@ def test_kernels_compile_on_first_use():
     # in a fresh interpreter: importing the package builds no kernel, the
     # first run of a kind builds exactly one step kernel, and piv at another
     # alpha and piv0 reuse it, as xvii reuses xxxii's; the zero search and
-    # the series pole rule build theirs on first use, once
+    # the series pole rule build theirs on first use, once per series length
     src = Path(equations.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", _LAZY_KERNELS], env=env, capture_output=True, text=True, timeout=60)

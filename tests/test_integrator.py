@@ -9,6 +9,8 @@ from functools import reduce
 from operator import add
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from painleve4 import (
     EquationKind,
@@ -41,6 +43,7 @@ from painleve4.integrator import (
     _tail,
     skip_bound_kernel,
 )
+from painleve4 import zeros
 from painleve4.oracles import eval_quadratic, fit_quadratic, xxix_pole_family
 
 K = EquationKind
@@ -88,8 +91,12 @@ def coefficients(kind, p, z, w, w1, w2):
 
 
 def _tail_error(coeffs, h, bound):
-    """err_est: the largest tail term |a_k| h^k, k = p-3 .. p, over bound."""
-    return max(abs(coeffs[k]) * h ** k for k in range(ORDER - 3, ORDER + 1)) / bound
+    """err_est: the largest tail term |a_k| h^k, k = p-3 .. p, over bound; 0.0 on a series that ends below them.
+
+    A zero a_k's term is 0.0, its power of h, which may overflow, not taken.
+    """
+    terms = [abs(coeffs[k]) * h ** k if coeffs[k] else 0.0 for k in range(ORDER - 3, len(coeffs))]
+    return max(terms, default=0.0) / bound
 
 
 def _step_length(coeffs, bound: float) -> float | None:
@@ -119,7 +126,7 @@ def _reference_step(coeffs, s, total, d, h_min, abs_tol, rel_tol):
         h = total - s
     elif h < h_min:
         return None
-    w, w1, w2 = _jet_kernel()(coeffs, h * d)
+    w, w1, w2 = _jet_kernel(len(coeffs))(coeffs, h * d)
     if not (isfinite(w) and isfinite(w1) and isfinite(w2)):
         return None
     return (total if hit_end else s + h), h, _tail_error(coeffs, h, bound), w, w1, w2
@@ -145,16 +152,16 @@ def _reference_dense_eval_param(traj, s):
         return nodes[lo].jet
     if nodes[hi].s == s:
         return nodes[hi].jet
-    left = nodes[lo]
+    left, series = nodes[lo], nodes[hi].series
     t = (s - left.s) * traj.direction
-    return Jet3(left.jet.z + t, *_jet_kernel()(nodes[hi].series, t))
+    return Jet3(left.jet.z + t, *_jet_kernel(len(series))(series, t))
 
 
 def taylor_step(kind, j, h):
     """One Taylor step of signed length h from j: the new jet, and the tail error in units of the default tolerance."""
     coeffs = coefficients(kind, Params(), j.z, j.w, j.w1, j.w2)
     tol = Tolerances()
-    return Jet3(j.z + h, *_jet_kernel()(coeffs, h)), _tail_error(coeffs, abs(h), tol.abs + tol.rel * abs(j.w))
+    return Jet3(j.z + h, *_jet_kernel(len(coeffs))(coeffs, h)), _tail_error(coeffs, abs(h), tol.abs + tol.rel * abs(j.w))
 
 
 class TestTolerances:
@@ -297,7 +304,7 @@ class TestStep:
             coeffs = coefficients(kind, Params(), jet.z, jet.w, jet.w1, jet.w2)
             for h in (10.0, -10.0):
                 assert _step_length(coeffs, 1e-10) is None
-                assert not all(map(isfinite, _jet_kernel()(coeffs, h)))
+                assert not all(map(isfinite, _jet_kernel(len(coeffs))(coeffs, h)))
 
     @pytest.mark.parametrize("h", [1e-2, -1e-2])
     def test_sqrt_residual_is_conserved(self, h):
@@ -689,7 +696,7 @@ def test_reused_stage_gives_the_nodes_of_a_fresh_kernel_per_step(name, monkeypat
         j = left.jet
         fresh = coefficients(kind, p, j.z, j.w, j.w1, j.w2)
         assert [_bits(v) for v in node.series] == [_bits(v) for v in fresh]
-        end = _jet_kernel()(fresh, node.h * t.direction)
+        end = _jet_kernel(len(fresh))(fresh, node.h * t.direction)
         assert [_bits(v) for v in end] == [_bits(v) for v in (node.jet.w, node.jet.w1, node.jet.w2)]
 
 
@@ -1109,10 +1116,15 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         t = h * d
         got = coefficients(kind, p, z0, *y)
         want = reference_series(kind, p, z0, *y)
-        assert type(got) is tuple and [_bits(v) for v in got] == [_bits(v) for v in want]
+        # xvii and xxxii's series ends at a_2: each reader of those three gives the bits that
+        # the reference gives on the whole order, their a_3 .. a_p zeros included
+        n = len(got)
+        assert n == (3 if KINDS[kind].series is None else ORDER + 1)
+        assert type(got) is tuple and [_bits(v) for v in got] == [_bits(v) for v in want[:n]]
+        assert [_bits(v) for v in want[n:]] == [_bits(0.0)] * (ORDER + 1 - n)
         # the step and the zero search: the polynomial at z0 + t, with its derivatives
         ref = _nested_reference(want, t)
-        assert [_bits(v) for v in _jet_kernel()(got, t)] == [_bits(v) for v in ref]
+        assert [_bits(v) for v in _jet_kernel(n)(got, t)] == [_bits(v) for v in ref]
         # the zero search's bounds over a step of length |t|: the skip bound, and
         # the curvature bound, w'' of the polynomial on |a_k|
         h = abs(t)
@@ -1121,38 +1133,39 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
             m = m * h + abs(c)
         skip = abs(want[0]) - m * h
         bound2 = _nested_reference([abs(c) for c in want], h)[2]
-        got_bounds = skip_bound_kernel()(got, h), _jet_kernel()([abs(c) for c in got], h)[2]
+        got_bounds = skip_bound_kernel(n)(got, h), _jet_kernel(n)([abs(c) for c in got], h)[2]
         assert [_bits(v) for v in got_bounds] == [_bits(skip), _bits(bound2)]
-        # the series pole rule: the Cauchy square, the reciprocal, and u and u' at t
-        assert [_bits(v) for v in _cauchy_square()(got)] == [_bits(_cauchy(want, want, k)) for k in range(ORDER + 1)]
-        if want[0] != 0:
+        # the series pole rule, on the kinds with poles: the Cauchy square, the reciprocal, and u and u' at t
+        if KINDS[kind].pole is not None:
+            assert [_bits(v) for v in _cauchy_square()(got)] == [_bits(_cauchy(want, want, k)) for k in range(n)]
+        if KINDS[kind].pole is not None and want[0] != 0:
             u = [1.0 / want[0]]
             for k in range(1, ORDER + 1):
                 u.append(-u[0] * _left_sum(want[i] * u[k - i] for i in range(1, k + 1)))
             assert [_bits(v) for v in _reciprocal()(got)] == [_bits(v) for v in u]
-            assert [_bits(v) for v in _jet_kernel()(u, t)[:2]] == [_bits(v) for v in _nested_reference(u, t)[:2]]
+            assert [_bits(v) for v in _jet_kernel(len(u))(u, t)[:2]] == [_bits(v) for v in _nested_reference(u, t)[:2]]
         # the step kernel from s = 0.5 with |h| of the span left: at its end,
         # before it, and refused where h_min is half the span left; the same
         # series with each, and the step that the reference takes from it
         for h_min in (_H_MIN, 0.5 * h):
             args = (0.5, 0.5 + h, d, h_min, 1e-10, 1e-10)
             coeffs, step = kernel(p.alpha, z0, *y, *args)
-            assert [_bits(v) for v in coeffs] == [_bits(v) for v in want]
+            assert [_bits(v) for v in coeffs] == [_bits(v) for v in want[:n]]
             want_step = _reference_step(want, *args)
             assert (step is None) == (want_step is None)
             if step is not None:
                 assert [_bits(v) for v in step] == [_bits(v) for v in want_step]
-        return got
+        return want
 
     for sign in (1.0, -1.0):
         for _ in range(20):
             p, z0 = params(), draw()
             d = direction(sign)
             y = (draw(), draw(), draw())
-            got = same_bits(p, z0, y, 10.0 ** rng.uniform(-4.0, -0.5), d)
+            want = same_bits(p, z0, y, 10.0 ** rng.uniform(-4.0, -0.5), d)
             # 6 a_3 is the right-hand side at the jet
             w3 = rhs3(kind, p, z0, y[0], y[1])
-            assert abs(6.0 * got[3] - w3) <= 1e-14 * (1.0 + abs(w3) + sum(abs(v) for v in y) ** 5)
+            assert abs(6.0 * want[3] - w3) <= 1e-14 * (1.0 + abs(w3) + sum(abs(v) for v in y) ** 5)
     for sign in (1.0, -1.0):
         for _ in range(20):
             h = rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-4.0, -0.5), 10.0 ** rng.uniform(1.0, 3.0)])
@@ -1162,8 +1175,9 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
 # multiplications and additions in one step kernel, by series template: piv and piv0, xxix, sqrt-piv0,
 # and xvii and xxxii; a square's Cauchy sum written in full, or a power table, or a second evaluation
 # pass, would raise them.  The step's end point takes 58 and 57 of them: nested multiplication (57 each)
-# and the doubling of p''/2
-_STEP_OPERATIONS = {"piv": (436, 394), "xxix": (379, 320), "sqrt_piv0": (751, 672), None: (66, 59)}
+# and the doubling of p''/2.  xvii and xxxii's series ends at a_2, so their step takes 5 and 4 there,
+# nested multiplication of three terms from +0.0 t + a_2 and the doubling, and reads no tail order
+_STEP_OPERATIONS = {"piv": (436, 394), "xxix": (379, 320), "sqrt_piv0": (751, 672), None: (7, 4)}
 
 
 @pytest.mark.parametrize("name", list(_STEP_OPERATIONS), ids=str)
@@ -1175,9 +1189,9 @@ def test_the_work_of_a_step_is_pinned_as_a_count(name):
 
 
 def _injected_kernel(k, value):
-    """The quadratic kinds' step kernel with a_k = value once its series is set: a tail coefficient injected."""
-    series = series_lines(None)
-    lines = _step_lines(None)
+    """piv's step kernel with a_k = value once its series is set: a tail coefficient injected."""
+    series = series_lines("piv")
+    lines = _step_lines("piv")
     assert lines[: len(series)] == series
     lines = [*series, f"a{k} = value", *lines[len(series) :]]
     return compile_kernel("step", _STEP_ARGS, lines, inf=math.inf, isfinite=isfinite, value=value)
@@ -1189,10 +1203,11 @@ def test_nan_error_component_is_not_accepted(monkeypatch):
     # complex one whose modulus is past the largest double, where abs() raises
     import painleve4.integrator as integrator
 
-    # alpha, the jet (z, w, w', w'') = (0, 1, 0.5, 0.5), then s, total, d, h_min, abs and rel
-    args = (0.0, 0.0, 1.0, 0.5, 0.5, 0.0, 5.0, 1.0, _H_MIN, 1e-10, 1e-10)
-    coeffs, step = _step_kernel(None)(*args)
-    assert coeffs == (1.0, 0.5, 0.25) + (0.0,) * (ORDER - 2) and step[:2] == (5.0, 5.0)
+    # alpha, piv's zero jet (z, w, w', w'') = (0, 0, 1, 0), whose a_18 .. a_20 vanish, then s, total, d, h_min, abs
+    # and rel
+    args = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)
+    coeffs, step = _step_kernel("piv")(*args)
+    assert coeffs[ORDER] == 0.0 and step is not None
     assert _injected_kernel(ORDER, 0.0)(*args) == (coeffs, step)
     for k in range(ORDER - 3, ORDER + 1):
         for bad in (math.nan, math.inf, complex(0.0, math.nan), complex(1.5e308, 1.5e308)):
@@ -1200,8 +1215,98 @@ def test_nan_error_component_is_not_accepted(monkeypatch):
             assert coeffs[k] is bad and step is None, (k, bad)
 
     monkeypatch.setattr(integrator, "_step_kernel", lambda name: _injected_kernel(ORDER, math.nan))
-    t = integrate(K.XXXII, Params(), InitialData.nonzero(0.0, 2.0, 3.0), 4.0)
+    t = integrate(K.PIV, Params(0.0, 1.0), InitialData.zero(0.0, +1, 0.0), 1.0)
     assert t.status is TrajectoryStatus.STEP_UNDERFLOW and len(t.nodes) == 1
+
+
+def test_quadratic_step_crosses_the_span_left_and_keeps_its_refusals():
+    # xvii and xxxii's series is (a_0, a_1, a_2): no tail order to read, so one
+    # step crosses the span left, with err_est 0.0; it is still refused where
+    # |a_0| of a complex a_0 overflows, as the bound abs + rel |a_0| is on the
+    # other kinds, and where the end state is not finite
+    args = (0.0, 1.0, 1.0, 0.5, 0.5)  # alpha and the jet (z, w, w', w'') = (1, 1, 0.5, 0.5)
+    rest = (1.0, 5.0, 1.0, _H_MIN, 1e-10, 1e-10)  # s, total, d, h_min, abs and rel
+    coeffs, step = _step_kernel(None)(*args, *rest)
+    assert coeffs == (1.0, 0.5, 0.25) and step == (5.0, 4.0, 0.0, 7.0, 2.5, 0.5)
+    huge = complex(1.5e308, 1.5e308)
+    assert _step_kernel(None)(0.0, 1.0, huge, 0.5, 0.5, *rest) == ((huge, 0.5, 0.25), None)
+    assert _step_kernel(None)(0.0, 1.0, 1.0, 1e308, 0.5, *rest)[1] is None
+
+
+def _zero_search_reads(traj, abs_tol):
+    """What `zeros._interval_roots` reads on the one step of traj, the skip bound and then bound2 and bound3, and its roots.
+
+    At abs_tol = inf every piece would survive: the bounds are recorded and no piece is searched.
+    """
+    reads = []
+    skip_bound, clusters = zeros.skip_bound_kernel, zeros._clusters
+
+    def recorded_skip(size):
+        kernel = skip_bound(size)
+
+        def skip(coeffs, h):
+            reads.append(kernel(coeffs, h))
+            return reads[-1]
+
+        return skip
+
+    def recorded_clusters(jet_at, lo, hi, bound2, bound3, abs_tol, real_mode):
+        reads.extend((bound2, bound3()))
+        return [] if abs_tol == math.inf else clusters(jet_at, lo, hi, bound2, bound3, abs_tol, real_mode)
+
+    left, right = traj.nodes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "skip_bound_kernel", recorded_skip)
+        patch.setattr(zeros, "_clusters", recorded_clusters)
+        roots = zeros._interval_roots(left, right, traj.direction, traj.field is ScalarField.REAL, abs_tol)
+    return [_bits(v) for v in reads], [_bits(v) for v in roots]
+
+
+_entry = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+_complex_entry = st.builds(complex, _entry, _entry)
+
+
+@example(K.XVII, False, 1.0, -1.0, 0.0, None, 1.0, 0.0)  # w'' = 0.0 / (2 w) = -0.0, crossed forwards
+@example(K.XVII, False, -1.0, -1.0, 0.0, None, 1.0, 0.0)  # and backwards
+@example(K.XXXII, False, 1.0, 3.75, -4.0, None, 4.0, 0.0)  # w = (z - 2)^2 - 1/4 from z = 0: two crossings
+@given(
+    kind=st.sampled_from([K.XVII, K.XXXII]),
+    on_complex_path=st.booleans(),
+    sign=st.sampled_from([1.0, -1.0]),
+    w0=st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+    w1=_entry,
+    w2=st.none() | st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0),
+    length=st.floats(1e-3, 1e3) | st.just(1e100),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+@settings(max_examples=150, deadline=None)
+def test_quadratic_series_reads_the_bits_of_its_zero_padded_series(kind, on_complex_path, sign, w0, w1, w2, length, theta):
+    # xvii and xxxii's step holds a_0, a_1 and a_2 alone.  Each reader of it,
+    # the step's end point, dense output, the skip bound, bound2, bound3 and the
+    # zero search, gives the bits that the readers of the whole order give on
+    # the same series padded with zeros to a_p, as every step held it before
+    if on_complex_path:
+        d = sign * complex(math.cos(theta), math.sin(theta))
+        w0, w1 = complex(w0, 0.5 * w1), complex(w1, -0.0 if w2 is None else w2)
+        init = InitialData(0.5 - 0.25j, w0, w1, None if w2 is None else complex(w2, -0.0), field=ScalarField.COMPLEX,
+                           direction=d)  # fmt: skip
+        span = length
+    else:
+        init, span = InitialData(0.5, w0, w1, w2), sign * length
+    t = integrate(kind, Params(), init, span)
+    assert t.status is TrajectoryStatus.COMPLETED and len(t.nodes) == 2
+    left, right = t.nodes
+    assert len(right.series) == 3
+    padded = t._replace(nodes=(left, right._replace(series=right.series + (0.0,) * (ORDER - 2))))
+    # the step's end, as the rule of the whole order takes it from the padded series
+    tol = t.tol
+    want = _reference_step(padded.nodes[1].series, 0.0, abs(span), t.direction, _H_MIN, tol.abs, tol.rel)
+    assert [_bits(v) for v in (right.s, right.h, right.err_est, *right.jet[1:])] == [_bits(v) for v in want]
+    for s in (0.1 * right.s, 0.5 * right.s, 0.999 * right.s):
+        assert [_bits(v) for v in dense_eval_param(t, s)] == [_bits(v) for v in dense_eval_param(padded, s)]
+    for abs_tol in (tol.abs, math.inf):
+        assert _zero_search_reads(t, abs_tol) == _zero_search_reads(padded, abs_tol)
+    assert repr(zeros.locate_zeros(t)) == repr(zeros.locate_zeros(padded))
 
 
 def test_step_rule_reads_four_tail_coefficients():
@@ -1353,7 +1458,7 @@ def test_jet_kernel_is_within_the_error_bound_of_nested_multiplication(field):
         else:
             a = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(ORDER + 1)]
             t = cmath.rect(rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0 * math.pi))
-        got = _jet_kernel()(tuple(a), t)
+        got = _jet_kernel(ORDER + 1)(tuple(a), t)
         exact = _exact_derivatives(a, t)
         scale = _exact_derivatives([abs(c) for c in a], abs(t))
         for value, (re, im), (bound, _) in zip(got, exact, scale):

@@ -585,7 +585,7 @@ def _refinements_through(p: Params, z_event, at_event: tuple, r: float, d, field
     """The run that starts r before the jet at_event = (w, w', w'') at z_event, on the polynomial of
     piv's series there, and crosses it on the path z0 + s d; and the refinements its zero search makes."""
     series, _ = _step_kernel(KINDS[K.PIV].series)(p.alpha, z_event, *at_event, 0.0, 1.0, 1.0, _H_MIN, 1e-10, 1e-10)
-    start = _jet_kernel()(series, -r * d)
+    start = _jet_kernel(len(series))(series, -r * d)
     # a REAL path runs along the sign of its span, a COMPLEX one along its direction
     if field is ScalarField.REAL:
         init, span = InitialData.raw(z_event - r * d, *start), 2.0 * r * d
@@ -754,19 +754,23 @@ def _clusters_by_halving(jet_at, lo: float, hi: float, bound2: float, abs_tol: f
 
 def _zero_search(runs, reference: bool) -> tuple[list[str], int]:
     """Each run's events, and the jet reads of all their zero searches, by `zeros._clusters` or by the reference."""
-    jet = _jet_kernel()
     reads = 0
 
-    def counted(coeffs, t):
-        nonlocal reads
-        reads += 1
-        return jet(coeffs, t)
+    def counting_kernel(size):
+        jet = _jet_kernel(size)
+
+        def counted(coeffs, t):
+            nonlocal reads
+            reads += 1
+            return jet(coeffs, t)
+
+        return counted
 
     def by_halving(jet_at, lo, hi, bound2, bound3, abs_tol, real_mode):
         return _clusters_by_halving(jet_at, lo, hi, bound2, abs_tol, real_mode)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "_jet_kernel", lambda: counted)
+        patch.setattr(zeros, "_jet_kernel", counting_kernel)
         if reference:
             patch.setattr(zeros, "_clusters", by_halving)
         events = [repr(locate_zeros(t)) for t in runs]
@@ -802,7 +806,7 @@ def test_pieces_halve_to_max_depth_where_w1_and_w2_vanish_together():
     # vanish together, so neither the monotone test nor the w'' certificate
     # stops the pieces around it before 12 halvings
     coeffs = tuple([math.comb(4, k) * (-0.3) ** (4 - k) for k in range(5)] + [0.0] * (ORDER - 4))
-    jet = _jet_kernel()
+    jet = _jet_kernel(ORDER + 1)
     nodes = (
         TrajectoryNode(Jet3(0.0, *jet(coeffs, 0.0)), 0.0, 0.0, 0.0, 0.0),
         TrajectoryNode(Jet3(1.0, *jet(coeffs, 1.0)), 1.0, 0.0, 0.0, 1.0, coeffs),
