@@ -306,16 +306,8 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     w1 enter as +0.0 where they are not given or are a zero of either sign.
     """
     ensure_kind_params(kind, p)
-    return _completed_jet(kind, p, init)
-
-
-def _completed_jet(kind: EquationKind, p: Params, init: InitialData) -> Jet3:
-    """`complete_initial_data` on parameters already checked against the kind.
-
-    The jet skips Jet3's finiteness check: `InitialData` refused every entry
-    that is not finite, beta is a finite parameter, and a completed w'' is
-    checked here.
-    """
+    # the jet skips Jet3's finiteness check: `InitialData` refused every entry
+    # that is not finite, beta is a finite parameter, and a completed w'' is checked below
     row = KINDS[kind]
     conv = complex if init.field is ScalarField.COMPLEX else float
     z0 = conv(init.z0)
@@ -386,41 +378,36 @@ def _jet_kernel(size: int):
 
 def _step_lines(name: str | None) -> list[str]:
     """The lines of `_step_kernel(name)`: the series, then the step rule, the polynomial at the step's end and err_est."""
-    if name is None:  # the quadratic has no tail orders: it crosses the span left in one step, whose err_est is 0.0
-        size, rule = 3, [
-            # |a0| of a complex a0 past the largest double raises, as the bound abs + rel |a0| does on the other kinds
-            "abs(a0)",
-            "h = total - s",
-        ]
-        result = ["return coeffs, (total, h, 0.0, w, w1, w2)"]
-    else:
-        size, rule = ORDER + 1, [
-            "bound = abs_tol + rel_tol * abs(a0)",
-            *(f"m{k} = abs(a{k})" for k in _TAIL),
-            f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return coeffs, None",
-            "h = inf",
-            # min(h, x) as a comparison, without a call: x replaces h only where x < h, NaN never
-            *(line for k in _TAIL for line in (f"if m{k}:", f"    x = (bound / m{k}) ** {1.0 / k!r}", "    if x < h: h = x")),
-            "h = 0.5 * h",
-            "left = total - s",
-            "hit_end = h >= left",
-            "if hit_end: h = left",
-            "elif h < h_min: return coeffs, None",
-        ]
-        result = [
-            # a zero tail coefficient's term is 0.0 without its power, which may overflow
-            f"err = max({', '.join(f'm{k} and m{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
-            "return coeffs, ((total if hit_end else s + h), h, err, w, w1, w2)",
-        ]
+    size = 3 if name is None else ORDER + 1
+    head = [*series_lines(name), f"coeffs = ({_names('a', size)})"]
     end = [
         "t = h * d",
         *_nested(size),
         "w2 = 2.0 * w2",
         "if not (isfinite(w) and isfinite(w1) and isfinite(w2)): return coeffs, None",
     ]
+    if name is None:  # the quadratic has no tail orders: it crosses the span left in one step, whose err_est is 0.0
+        return [*head, "h = total - s", *end, "return coeffs, (total, h, 0.0, w, w1, w2)"]
+    rule = [
+        "bound = abs_tol + rel_tol * abs(a0)",
+        *(f"m{k} = abs(a{k})" for k in _TAIL),
+        f"if not ({' and '.join(f'm{k} < inf' for k in _TAIL)}): return coeffs, None",
+        "h = inf",
+        # min(h, x) as a comparison, without a call: x replaces h only where x < h, NaN never
+        *(line for k in _TAIL for line in (f"if m{k}:", f"    x = (bound / m{k}) ** {1.0 / k!r}", "    if x < h: h = x")),
+        "h = 0.5 * h",
+        "left = total - s",
+        "hit_end = h >= left",
+        "if hit_end: h = left",
+        "elif h < h_min: return coeffs, None",
+    ]
+    result = [
+        # a zero tail coefficient's term is 0.0 without its power, which may overflow
+        f"err = max({', '.join(f'm{k} and m{k} * h ** {float(k)!r}' for k in _TAIL)}) / bound",
+        "return coeffs, ((total if hit_end else s + h), h, err, w, w1, w2)",
+    ]
     return [
-        *series_lines(name),
-        f"coeffs = ({_names('a', size)})",
+        *head,
         "try:",
         *(f"    {line}" for line in (*rule, *end, *result)),
         # |a_k| of a complex coefficient, or h^k, past the largest double: refused like a coefficient that is not finite
@@ -442,7 +429,7 @@ def _step_kernel(name: str | None):
     0.5 min_k (bound / |a_k|)^(1/k), k = p-3 .. p, is below h_min short of
     the span's end.  The quadratic has no tail orders: its step is the span
     left, with err_est 0.0, and it is refused only where its end state is
-    not finite or |a_0| overflows.  Its end point is the lines of
+    not finite.  Its end point is the lines of
     `_jet_kernel` of coeffs' length (`_nested`), so its w, w' and w'' are
     that kernel's bits on coeffs at h d.  piv and piv0 share one
     kernel, and so do xvii and xxxii; each is compiled under its template's
@@ -614,10 +601,12 @@ def integrate(
     pole_from = math.inf if pole_v is None else _SERIES_POLE_FROM
 
     try:
-        j0 = _completed_jet(kind, p, init)  # ensure_kind_params ran above
+        j0 = complete_initial_data(kind, p, init)
         nodes = [TrajectoryNode(j0, 0.0, 0.0, monitor(j0), 0.0)]
+        mag = abs(j0.w * j0.w if squared else j0.w)
     except OverflowError:
-        # only a power of w raises (w ** 3 in rhs2, w ** 4 in a residual); any other overflow is an inf
+        # only a power of w raises (w ** 3 in rhs2, w ** 4 in a residual), or |w| of a complex w past the
+        # largest double; any other overflow is an inf
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)
     z0 = j0.z
@@ -627,7 +616,6 @@ def integrate(
     status = TrajectoryStatus.COMPLETED
     pole_estimate: Scalar | None = None
     pole_bound: float | None = None
-    mag = abs(w * w if squared else w)
     s = 0.0
     n_steps = 0
 

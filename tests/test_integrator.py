@@ -1135,14 +1135,13 @@ def test_kernel_bit_identical_to_reference_step(kind, mode):
         bound2 = _nested_reference([abs(c) for c in want], h)[2]
         got_bounds = skip_bound_kernel(n)(got, h), _jet_kernel(n)([abs(c) for c in got], h)[2]
         assert [_bits(v) for v in got_bounds] == [_bits(skip), _bits(bound2)]
-        # the series pole rule, on the kinds with poles: the Cauchy square, the reciprocal, and u and u' at t
-        if KINDS[kind].pole is not None:
-            assert [_bits(v) for v in _cauchy_square()(got)] == [_bits(_cauchy(want, want, k)) for k in range(n)]
-        if KINDS[kind].pole is not None and want[0] != 0:
+        # the series pole rule on the whole order: the Cauchy square, the reciprocal, and u and u' at t
+        assert [_bits(v) for v in _cauchy_square()(want)] == [_bits(_cauchy(want, want, k)) for k in range(ORDER + 1)]
+        if want[0] != 0:
             u = [1.0 / want[0]]
             for k in range(1, ORDER + 1):
                 u.append(-u[0] * _left_sum(want[i] * u[k - i] for i in range(1, k + 1)))
-            assert [_bits(v) for v in _reciprocal()(got)] == [_bits(v) for v in u]
+            assert [_bits(v) for v in _reciprocal()(want)] == [_bits(v) for v in u]
             assert [_bits(v) for v in _jet_kernel(len(u))(u, t)[:2]] == [_bits(v) for v in _nested_reference(u, t)[:2]]
         # the step kernel from s = 0.5 with |h| of the span left: at its end,
         # before it, and refused where h_min is half the span left; the same
@@ -1219,18 +1218,23 @@ def test_nan_error_component_is_not_accepted(monkeypatch):
     assert t.status is TrajectoryStatus.STEP_UNDERFLOW and len(t.nodes) == 1
 
 
-def test_quadratic_step_crosses_the_span_left_and_keeps_its_refusals():
+def test_quadratic_step_crosses_the_span_left():
     # xvii and xxxii's series is (a_0, a_1, a_2): no tail order to read, so one
-    # step crosses the span left, with err_est 0.0; it is still refused where
-    # |a_0| of a complex a_0 overflows, as the bound abs + rel |a_0| is on the
-    # other kinds, and where the end state is not finite
+    # step crosses the span left, with err_est 0.0; it is refused only where
+    # the end state is not finite
     args = (0.0, 1.0, 1.0, 0.5, 0.5)  # alpha and the jet (z, w, w', w'') = (1, 1, 0.5, 0.5)
     rest = (1.0, 5.0, 1.0, _H_MIN, 1e-10, 1e-10)  # s, total, d, h_min, abs and rel
     coeffs, step = _step_kernel(None)(*args, *rest)
     assert coeffs == (1.0, 0.5, 0.25) and step == (5.0, 4.0, 0.0, 7.0, 2.5, 0.5)
-    huge = complex(1.5e308, 1.5e308)
-    assert _step_kernel(None)(0.0, 1.0, huge, 0.5, 0.5, *rest) == ((huge, 0.5, 0.25), None)
     assert _step_kernel(None)(0.0, 1.0, 1.0, 1e308, 0.5, *rest)[1] is None
+
+
+@pytest.mark.parametrize("kind", [K.PIV, K.XVII])
+def test_a_complex_w0_whose_modulus_overflows_is_refused_by_name(kind):
+    # each entry is finite, so InitialData takes it; |w0| is past the largest double
+    init = InitialData(0.0, complex(1.5e308, 1.5e308), 0.0, 0.0, field=ScalarField.COMPLEX)
+    with pytest.raises(InvalidInitialData, match="^w0: initial data overflows floating point$"):
+        integrate(kind, Params(), init, 1.0)
 
 
 def _zero_search_reads(traj, abs_tol):
