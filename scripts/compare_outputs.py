@@ -61,6 +61,8 @@ OUTPUTS = {
         for suite in _SUITES
         for seed in _SEEDS
     },
+    # two of these 25 sqrt runs stop where |f| passes 3, and each is checked up to there
+    "verify-sqrt-seed-6": ("verify --suite sqrt --seed 6", ()),
     "integrate-readme-xxxii": ("integrate --eq xxxii --z0 0 --w0 2 --w1 3 --span 4", _TRAJECTORY),
     "integrate-readme-zero-seed": (
         "integrate --eq piv --alpha 0 --beta 1 --zero-branch plus --w2 0 --z0 0 --span 1", _TRAJECTORY,

@@ -337,13 +337,11 @@ def _overflowed(kind: EquationKind, p: Params, z0: Scalar, w0: Scalar, w1: Scala
     """
     entries = dict(zip(("z0", "w0", "w1", "alpha", "beta"), (z0, w0, w1, *p)))
     given = {name: x for name, x in entries.items() if x}
+    # only a power of w raises, and each trial keeps the w0 whose completion did not raise, or sets it to 1.0
     for name in given:
         e = {**entries, name: 1.0}
-        try:
-            if isfinite(_rhs2_scalar(kind, Params(e["alpha"], e["beta"]), e["z0"], e["w0"], e["w1"])):
-                return name
-        except OverflowError:  # a power of w past the largest double
-            pass
+        if isfinite(_rhs2_scalar(kind, Params(e["alpha"], e["beta"]), e["z0"], e["w0"], e["w1"])):
+            return name
     # log |x|, which the modulus of a complex x past the largest double does not overflow
     return max(given, key=lambda name: abs(cmath.log(given[name]).real))
 
@@ -569,11 +567,12 @@ def integrate(
       W_BOUND         a step took |w| above w_bound (|f| for sqrt-piv0, as
                       `Trajectory.max_abs_w` measures); that step is
                       neither stored nor counted, so every stored |w| is
-                      at most w_bound; a caller that rejects any run
-                      leaving |w| <= w_bound stops it here,
+                      at most w_bound, and a caller that checks only
+                      nodes with |w| <= w_bound checks every stored one,
       STEP_UNDERFLOW  the step rule asked for h below _H_MIN, or a
-                      coefficient or the new state was not finite; a run
-                      that nears a pole whose series root it never trusts
+                      coefficient, the new state or its |w| was not
+                      finite (that state is not stored); a run that
+                      nears a pole whose series root it never trusts
                       ends here,
       STEP_BUDGET     _MAX_STEPS steps did not cover the span.
     """
@@ -637,7 +636,11 @@ def integrate(
             status = TrajectoryStatus.STEP_UNDERFLOW
             break
         s_new, h, err_est, w, w1, w2 = taken
-        mag = abs(w * w if squared else w)
+        try:
+            mag = abs(w * w if squared else w)
+        except OverflowError:  # a complex w of finite parts whose modulus passes the largest double
+            status = TrajectoryStatus.STEP_UNDERFLOW
+            break
         if mag > stop:
             status = TrajectoryStatus.W_BOUND
             break

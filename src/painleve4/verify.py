@@ -5,19 +5,17 @@ Every suite draws its instances from a seeded `random.Random`, so a fixed
 PropertyResult per checked property with the worst observed deviation.
 
 Jet entries are drawn uniformly from [-10, 10], excluding |w| < 1e-3 where
-an operation divides by w.  The `constraint` suite is the exception: its
-draws are kept at desk scale (entries in [-1, 1]) and each run is checked
-only while |w| <= 3, because the conserved quantity C contains w^4 terms
-and an absolute drift bound in double precision is only meaningful while
-the terms it cancels stay representable at that accuracy.  Near-pole nodes
-of an unconstrained draw would swamp any integrator with pure rounding
-noise.  C is a first integral of the whole flow, so the suite integrates
-each draw once with ``w_bound=3`` and checks every node that run stores.
-
-Suites whose checks hold only on runs that stay bounded (`xxix-integrals`,
-`sqrt`) redraw until a run completes below its cap, and stop a rejected
-draw as soon as it crosses the cap, so rejection costs only the nodes
-below the cap.
+an operation divides by w.  The suites that integrate (`constraint`,
+`xxix-integrals`, `sqrt`) draw at desk scale and integrate each draw once
+with ``w_bound=_W_BOUND``, so that every node stored has |w| <= 3 (|f| for
+sqrt-piv0): C contains w^4 terms, and an absolute drift bound in double
+precision is only meaningful while the terms it cancels stay representable
+at that accuracy.  C, xxix's (k, K, L) and the squared sqrt-piv0 residual
+are first integrals of the whole flow, so each suite checks every node a
+run stores.  A run ending `completed`, `w_bound` or `pole` has stopped (only
+a sqrt run can reach a pole: the pole search starts above |w| = 3); one
+ending `step_underflow` or `step_budget` fails its property with worst inf,
+and the property's note counts such runs where there are any.
 """
 
 import logging
@@ -34,7 +32,6 @@ from .equations import (
     jet_identities,
     residual2,
 )
-from .errors import PainleveError
 from .integrator import (
     InitialData,
     Tolerances,
@@ -55,6 +52,10 @@ from .oracles import (
 logger = logging.getLogger(__name__)
 
 _VERIFY_TOL = Tolerances(rel=1e-10, abs=1e-10)
+
+#: the bound on |w| (|f| for sqrt-piv0) of every drawn run, and the statuses that stop one without failing it
+_W_BOUND = 3.0
+_STOPS = (TrajectoryStatus.COMPLETED, TrajectoryStatus.W_BOUND, TrajectoryStatus.POLE)
 
 #: interior points per closed-form run at which dense output is checked too
 _DENSE_POINTS = 8
@@ -93,6 +94,17 @@ def nan_max(*values: float) -> float:
     return max(values)
 
 
+def _runs_result(
+    name: str, worst: float, budget: float, failed: int, runs: int, note: str = "",
+    how: str = "ended step_underflow or step_budget",
+) -> PropertyResult:
+    """The result of a property checked along runs: worst inf, and a note that counts them, where any failed."""
+    if failed:
+        worst = math.inf
+        note = "; ".join(filter(None, (note, f"{failed}/{runs} runs {how}")))
+    return PropertyResult(name, worst, budget, note)
+
+
 def _draw_w(rng: random.Random) -> float:
     # excludes the division-by-w neighbourhood
     while True:
@@ -126,24 +138,6 @@ def suite_identities(seed: int, count: int) -> list[PropertyResult]:
     ]
 
 
-def _draw_bounded_run(rng: random.Random, draw, w_cap: float, max_attempts: int, what: str):
-    """First (trajectory, draw) of fresh ``draw(rng)`` = (kind, params, init, span) completing with max|w| <= w_cap.
-
-    The redraw of `xxix-integrals` and `sqrt`, whose checks hold only on a
-    run that stays bounded over its whole span.  Each run is integrated with
-    ``w_bound=w_cap``, so a draw that leaves |w| <= w_cap stops there
-    (status ``w_bound``) instead of stepping on toward a pole.  Such a run
-    would be rejected anyway, so the draws, the accepted trajectories and
-    every suite result are as without the bound.
-    """
-    for _ in range(max_attempts):
-        drawn = draw(rng)
-        traj = integrate(*drawn, _VERIFY_TOL, w_bound=w_cap)
-        if traj.status is TrajectoryStatus.COMPLETED and traj.max_abs_w() <= w_cap:
-            return traj, drawn
-    raise PainleveError(f"could not draw a bounded {what} run in {max_attempts} attempts; ranges need retuning")
-
-
 def _constraint_draw(rng: random.Random):
     """Random third-order piv data over a span-2 run."""
     p = Params(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
@@ -157,26 +151,19 @@ def suite_constraint(seed: int, count: int) -> list[PropertyResult]:
     worst = 0.0
     off_manifold = 0
     at_bound = 0
-    unfinished = 0
+    short = 0
     for _ in range(count):
         # integrate stores no step past the bound, so every node checked has |w| <= 3
-        traj = integrate(*_constraint_draw(rng), _VERIFY_TOL, w_bound=3.0)
-        if traj.status is TrajectoryStatus.W_BOUND:
-            at_bound += 1
-        elif traj.status is not TrajectoryStatus.COMPLETED:
-            # a pole, step_underflow or step_budget ends the run short of both the span and the bound
-            unfinished += 1
-            worst = math.inf
+        traj = integrate(*_constraint_draw(rng), _VERIFY_TOL, w_bound=_W_BOUND)
+        at_bound += traj.status is TrajectoryStatus.W_BOUND
+        short += traj.status not in _STOPS
         # res2 of piv is the constraint C
         c0 = traj.nodes[0].res2
         if abs(c0) > 1e-6:
             off_manifold += 1
         worst = nan_max(worst, *[abs(n.res2 - c0) for n in traj.nodes])
-    budget = 1e-7
     note = f"{off_manifold}/{count} runs started off the C = 0 set; {at_bound}/{count} stopped where |w| passed 3"
-    if unfinished:
-        note += f"; {unfinished}/{count} ended neither completed nor at the bound"
-    return [PropertyResult("constraint C conserved along the third-order flow", worst, budget, note)]
+    return [_runs_result("constraint C conserved along the third-order flow", worst, 1e-7, short, count, note)]
 
 
 def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
@@ -239,8 +226,10 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
 
     worst_drift = 0.0
     runs = max(1, count // 10)
+    short = 0
     for _ in range(runs):
-        traj, _ = _draw_bounded_run(rng, _xxix_draw, 10.0, 200, "xxix")
+        traj = integrate(*_xxix_draw(rng), _VERIFY_TOL, w_bound=_W_BOUND)
+        short += traj.status not in _STOPS
         first = xxix_integrals(traj.nodes[0].jet)
         for node in traj.nodes:
             vals = xxix_integrals(node.jet)
@@ -261,7 +250,7 @@ def suite_xxix_integrals(seed: int, count: int) -> list[PropertyResult]:
 
     return [
         PropertyResult("L vanishes on jets satisfying the xxix equation", worst_l, 1e-8),
-        PropertyResult("(k, K, L) constant along integrated xxix trajectories", worst_drift, 1e-7),
+        _runs_result("(k, K, L) constant along integrated xxix trajectories", worst_drift, 1e-7, short, runs),
         PropertyResult("pole family 1/(c - z) has zero xxix residual", worst_res, 1e-10),
     ]
 
@@ -278,29 +267,29 @@ def suite_sqrt(seed: int, count: int) -> list[PropertyResult]:
     rng = random.Random(seed)
     worst_res = 0.0
     worst_round = 0.0
+    short = 0
+    unlifted = 0
     for _ in range(count):
-        traj, (_, _, init, span) = _draw_bounded_run(rng, _sqrt_draw, 3.0, 200, "sqrt-piv0")
-        t0 = init.z0
-        pushed0 = square_push(traj.nodes[0].jet.z, traj.nodes[0].jet.w, traj.nodes[0].jet.w1)
-        for node in traj.nodes:
-            pushed = square_push(node.jet.z, node.jet.w, node.jet.w1)
-            worst_res = nan_max(worst_res, abs(residual2(EquationKind.PIV0, Params(), pushed)))
-
-        lifted = integrate(
-            EquationKind.PIV0,
-            Params(),
-            InitialData.raw(t0, pushed0.w, pushed0.w1, pushed0.w2),
-            span,
-            _VERIFY_TOL,
-        )
-        if lifted.status is TrajectoryStatus.COMPLETED:
-            for node in traj.nodes:
-                w_here = dense_eval(lifted, node.jet.z).w
-                worst_round = nan_max(worst_round, abs(w_here - node.jet.w ** 2))
+        _, _, _, span = drawn = _sqrt_draw(rng)
+        traj = integrate(*drawn, _VERIFY_TOL, w_bound=_W_BOUND)
+        short += traj.status not in _STOPS
+        pushed = [square_push(n.jet.z, n.jet.w, n.jet.w1) for n in traj.nodes]
+        worst_res = nan_max(worst_res, *[abs(residual2(EquationKind.PIV0, Params(), q)) for q in pushed])
+        arc = traj.nodes[-1].s
+        if arc == 0.0:
+            continue  # only node 0 is stored: nothing to lift
+        # the piv0 run over the arc the sqrt run covered, on a completed run the drawn span
+        init = InitialData.raw(*pushed[0])
+        lifted = integrate(EquationKind.PIV0, Params(), init, math.copysign(arc, span), _VERIFY_TOL)
+        if lifted.status is not TrajectoryStatus.COMPLETED:
+            unlifted += 1
+            continue
+        worst_round = nan_max(worst_round, *[abs(dense_eval(lifted, n.jet.z).w - n.jet.w**2) for n in traj.nodes])
 
     return [
-        PropertyResult("squared sqrt-piv0 samples satisfy the piv0 residual", worst_res, 1e-8),
-        PropertyResult("piv0 run matches the square of the sqrt-piv0 run", worst_round, 1e-7),
+        _runs_result("squared sqrt-piv0 samples satisfy the piv0 residual", worst_res, 1e-8, short, count),
+        _runs_result("piv0 run matches the square of the sqrt-piv0 run", worst_round, 1e-7, unlifted, count,
+                     how="lifted to piv0 did not complete"),
     ]
 
 

@@ -562,28 +562,31 @@ class TestVerifyCommand:
         assert out.count("PASS") == 2
 
     @pytest.fixture
-    def every_run_a_pole(self, monkeypatch):
+    def every_run_underflows(self, monkeypatch):
         import painleve4.verify as verify
+        from painleve4.oracles import xxix_pole_family
 
-        pole_run = integrate(K.XXIX, Params(), InitialData.nonzero(0.0, 1.0, 1.0), 2.0)
-        assert pole_run.status is TrajectoryStatus.POLE
-        monkeypatch.setattr(verify, "integrate", lambda *args, **kwargs: pole_run)
+        # the first step's coefficients overflow: the run ends step_underflow at its seed
+        underflow = integrate(K.XXIX, Params(), InitialData.raw(*xxix_pole_family(1e-20, 0.0)), 1.0)
+        assert underflow.status is TrajectoryStatus.STEP_UNDERFLOW and len(underflow.nodes) == 1
+        monkeypatch.setattr(verify, "integrate", lambda *args, **kwargs: underflow)
 
-    @pytest.mark.parametrize("suite", ["xxix-integrals", "sqrt"])
-    @pytest.mark.usefixtures("every_run_a_pole")
-    def test_undrawable_suite_exits_1_without_traceback(self, suite, capsys):
-        assert main(["verify", "--suite", suite, "--count", "10"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: could not draw a bounded")
-        assert "Traceback" not in err
-
-    @pytest.mark.usefixtures("every_run_a_pole")
-    def test_constraint_run_ending_at_a_pole_fails_without_traceback(self, capsys):
-        # the constraint suite checks every draw it integrates, so a pole run is a failed property, not a redraw
-        assert main(["verify", "--suite", "constraint", "--count", "10"]) == 3
+    @pytest.mark.parametrize(
+        "suite,count,prop",
+        [
+            ("constraint", 10, "constraint C conserved along the third-order flow"),
+            ("xxix-integrals", 100, "(k, K, L) constant along integrated xxix trajectories"),
+            ("sqrt", 10, "squared sqrt-piv0 samples satisfy the piv0 residual"),
+        ],
+    )
+    @pytest.mark.usefixtures("every_run_underflows")
+    def test_a_run_ending_step_underflow_fails_the_suite_without_traceback(self, suite, count, prop, capsys):
+        # each suite checks every draw it integrates, so a run that does not stop is a failed property, not a redraw
+        assert main(["verify", "--suite", suite, "--count", str(count)]) == 3
         captured = capsys.readouterr()
-        assert captured.out.startswith("constraint C conserved along the third-order flow: FAIL (worst inf,")
-        assert "10/10 ended neither completed nor at the bound" in captured.out
+        (line,) = [line for line in captured.out.splitlines() if line.startswith(prop)]
+        assert line.startswith(f"{prop}: FAIL (worst inf,")
+        assert line.endswith("10/10 runs ended step_underflow or step_budget]")
         assert "Traceback" not in captured.err
 
     def test_failure_exits_3(self, monkeypatch, capsys):

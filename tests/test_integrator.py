@@ -1237,6 +1237,18 @@ def test_a_complex_w0_whose_modulus_overflows_is_refused_by_name(kind):
         integrate(kind, Params(), init, 1.0)
 
 
+def test_a_step_to_a_complex_w_whose_modulus_overflows_ends_step_underflow():
+    # xvii's one exact step ends near (1.56 + 1.56j)e308: both parts finite, |w| past the largest double
+    init = InitialData(0.0, 1.0 + 0j, 9e153 * cmath.exp(1j * cmath.pi / 8), field=ScalarField.COMPLEX)
+    traj = integrate(K.XVII, Params(), init, 3.3)
+    assert traj.status is TrajectoryStatus.STEP_UNDERFLOW
+    assert len(traj.nodes) == 1  # the overflowing state is not stored
+    w = eval_quadratic(fit_quadratic(K.XVII, traj.nodes[0].jet), 3.3).w
+    assert isfinite(w.real) and isfinite(w.imag)
+    with pytest.raises(OverflowError):
+        abs(w)
+
+
 def _zero_search_reads(traj, abs_tol):
     """What `zeros._interval_roots` reads on the one step of traj, the skip bound and then bound2 and bound3, and its roots.
 

@@ -1,11 +1,15 @@
-"""Exact oracles for piv itself: rational solutions and the reflection symmetry.
+"""Exact oracles for piv itself: rational solutions, the reflection and the rotation.
 
 In the beta^2 convention, w = -2z solves piv at (alpha, beta) = (0, 2),
 w = -2z/3 at (0, 2/3), and w = 1/z at (2, 2), which has a pole at 0.  The
 map w(z) -> -w(-z) keeps (alpha, beta), and the integrator's arithmetic is
 odd in z, w and w'' and even in w', so a reflected run reproduces the
-original bit for bit.  What a tolerance buys is read off w = -2z/3 and
-off xxix's 1/(1 - z), the pole family the other exact oracles use.
+original bit for bit.  The map w(z) -> -i w(iz) takes (alpha, beta) to
+(-alpha, beta); multiplying by a unit of the complex plane is exact, and
+rounding is symmetric in sign, so a rotated complex run reproduces the
+original bit for bit as well.  What a tolerance buys is read off
+w = -2z/3 and off xxix's 1/(1 - z), the pole family the other exact
+oracles use.
 """
 
 import cmath
@@ -13,7 +17,16 @@ import random
 
 import pytest
 
-from painleve4 import EquationKind, InitialData, Params, ScalarField, Tolerances, TrajectoryStatus, integrate
+from painleve4 import (
+    EquationKind,
+    InitialData,
+    Params,
+    ScalarField,
+    Tolerances,
+    TrajectoryStatus,
+    integrate,
+    locate_zeros,
+)
 from painleve4.oracles import xxix_pole_family
 
 K = EquationKind
@@ -102,3 +115,84 @@ def test_reflection_maps_every_node_bit_for_bit():
         statuses.add(a.status)
     # the draws reach poles as well as the span's end
     assert statuses == {TrajectoryStatus.COMPLETED, TrajectoryStatus.POLE}
+
+
+def _minus_i(x):
+    """-i x, exactly: x + iy -> y - ix."""
+    return complex(x.imag, -x.real)
+
+
+def _times_i(x):
+    """i x, exactly: x + iy -> -y + ix."""
+    return complex(-x.imag, x.real)
+
+
+def _rotated(kind, p, init, span):
+    """The run of init and that of W(z) = -i w(iz) at (-alpha, beta), from -i z0 along -i d.
+
+    W' = w' and W'' = i w'' at the mapped point, so a zero seed keeps its
+    branch; each node and zero event of the two runs is compared bit for bit.
+    """
+    a = integrate(kind, p, init, span)
+    mapped = InitialData(
+        _minus_i(init.z0),
+        None if init.w0 is None else _minus_i(init.w0),
+        init.w1,
+        None if init.w2 is None else _times_i(init.w2),
+        init.branch,
+        ScalarField.COMPLEX,
+        _minus_i(init.direction),
+    )
+    b = integrate(kind, Params(-p.alpha, p.beta), mapped, span)
+    assert b.status is a.status
+    assert [(n.jet.z, n.jet.w, n.jet.w1, n.jet.w2, n.s, n.h, n.err_est) for n in b.nodes] == [
+        (_minus_i(n.jet.z), _minus_i(n.jet.w), n.jet.w1, _times_i(n.jet.w2), n.s, n.h, n.err_est) for n in a.nodes
+    ]
+    if a.pole_estimate is None:
+        assert b.pole_estimate is None
+    else:
+        assert (b.pole_estimate, b.pole_bound) == (_minus_i(a.pole_estimate), a.pole_bound)
+    events = locate_zeros(a)
+    assert [(e.a, e.slope, e.curvature, e.branch) for e in locate_zeros(b)] == [
+        (_minus_i(e.a), e.slope, _times_i(e.curvature), e.branch) for e in events
+    ]
+    return a, events
+
+
+def _complex(rng, r):
+    return complex(rng.uniform(-r, r), rng.uniform(-r, r))
+
+
+def test_rotation_maps_every_node_and_zero_bit_for_bit():
+    # regular and zero-seeded runs of piv at drawn (alpha, beta) and of piv0, which the map takes onto itself
+    rng = random.Random(21)
+    zero_seeds = zeros = 0
+    for i in range(90):
+        kind, p = (K.PIV0, Params()) if i % 3 == 2 else (K.PIV, Params(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+        d = cmath.exp(1j * rng.uniform(-cmath.pi, cmath.pi))
+        z0 = _complex(rng, 1.5)
+        if i % 2:
+            init = InitialData.zero(z0, rng.choice((-1, 1)), _complex(rng, 2.0), ScalarField.COMPLEX, d)
+            zero_seeds += 1
+        else:
+            init = InitialData.nonzero(z0, _complex(rng, 1.5), _complex(rng, 1.5), ScalarField.COMPLEX, d)
+        traj, events = _rotated(kind, p, init, rng.uniform(0.5, 3.0))
+        assert traj.status is TrajectoryStatus.COMPLETED
+        zeros += len(events)
+    # each zero seed is an event at its node 0
+    assert zeros >= zero_seeds == 45
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rotation_maps_rational_runs_through_a_zero_and_into_a_pole(seed):
+    # on paths through 0: w = -2z/3 at (0, 2/3), which the map keeps, crosses its zero there, and
+    # w = 1/z at (2, 2), which goes to W = -1/z at (-2, 2), ends at its pole there
+    rng = random.Random(seed)
+    d = cmath.exp(1j * rng.uniform(-cmath.pi, cmath.pi))
+    z0 = -rng.uniform(0.5, 2.0) * d
+    line = InitialData.raw(z0, -2.0 * z0 / 3.0, -2.0 / 3.0, 0.0, ScalarField.COMPLEX, d)
+    traj, events = _rotated(K.PIV, Params(0.0, 2.0 / 3.0), line, 3.0)
+    assert traj.status is TrajectoryStatus.COMPLETED and len(events) == 1 and abs(events[0].a) < 1e-12
+    pole = InitialData.raw(z0, 1.0 / z0, -1.0 / (z0 * z0), 2.0 / (z0 * z0 * z0), ScalarField.COMPLEX, d)
+    traj, _ = _rotated(K.PIV, Params(2.0, 2.0), pole, 3.0)
+    assert traj.status is TrajectoryStatus.POLE and abs(traj.pole_estimate) <= traj.pole_bound
