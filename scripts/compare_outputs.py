@@ -165,6 +165,7 @@ OUTPUTS = {
     "refused-sweep-grid-overflows": (
         "sweep --eq piv --z0 -1 --w0 0.5 --span 1 --alpha-min=-1e308 --alpha-max 1e308 --alpha-steps 3", (),
     ),
+    "refused-sweep-xxix-alpha-grid": ("sweep --eq xxix --w0 1 --span 1 --alpha-min 1 --alpha-max 2 --alpha-steps 2", ()),
 }  # fmt: skip
 
 # a float as the outputs write it, with a decimal point or an exponent, and not part of a name

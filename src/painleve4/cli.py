@@ -37,7 +37,7 @@ from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .equations import EquationKind, Params, Scalar, ScalarField
+from .equations import KINDS, EquationKind, Params, Scalar, ScalarField
 from .errors import PainleveError, WrongKind
 from .integrator import (
     InitialData,
@@ -327,6 +327,10 @@ def cmd_sweep(ns) -> int:
     alphas = _grid("alpha", ns.alpha_min, ns.alpha_max, ns.alpha_steps)
     betas = _grid("beta", ns.beta_min, ns.beta_max, ns.beta_steps)
     check_span(ns.span)  # before the first cell, which would refuse it as every other cell does
+    # so too a nonzero grid on a kind without parameters; a grid with a nonzero point has a nonzero end
+    for name, grid in (("alpha", alphas), ("beta", betas)):
+        if (value := grid[0] or grid[-1]) and not KINDS[kind].params:
+            raise ValueError(f"--{name}-min/--{name}-max: {kind.value} requires alpha = beta = 0, got {name} = {value!r}")
     tol = Tolerances(ns.rel, ns.abs)
     init = _build_initial(ns, ScalarField.REAL, 1.0)
     check_zero_seed(kind, init)  # so too a zero seed on a kind without one, whatever the cell's alpha and beta

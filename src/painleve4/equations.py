@@ -1,34 +1,29 @@
-"""Equation right-hand sides, residuals, the conserved constraint, and jet identities.
+"""Each kind's equation, stated once as its residual; the series that advance it; jet identities.
 
 The toolkit integrates the fourth Painleve equation in the parameter
-convention of Ince's canonical form XXXI,
+convention of Ince's canonical form XXXI, three more members of the
+Painleve-Gambier canonical list that carry their derivatives in the same
+combination w'' - w'^2/(2w), and the square-root companion of the
+alpha = beta = 0 case.  Each kind's second-order equation is stated once,
+multiplied through by its denominator, as the residual `KindRow.res2`:
 
-    w'' = w'^2/(2w) + (3/2) w^3 + 4 z w^2 + 2 (z^2 - alpha) w - beta^2/(2w),
+    piv, piv0   C = 2 w w'' - w'^2 - 3 w^4 - 8 z w^3 - 4 (z^2 - alpha) w^2 + beta^2
+    xvii        2 w w'' - w'^2
+    xxix        2 w w'' - w'^2 - 3 w^4
+    xxxii       2 w w'' - w'^2 + 1
+    sqrt-piv0   4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t)
 
-together with three more members of the Painleve-Gambier canonical list
-that carry their derivatives in the same combination w'' - w'^2/(2w):
-
-    xvii    w'' = w'^2/(2w)
-    xxix    w'' = w'^2/(2w) + (3/2) w^3
-    xxxii   w'' = (w'^2 - 1)/(2w)
-
-and the square-root companion of the alpha = beta = 0 case,
-
-    sqrt-piv0   4 f'' = f (3 f^2 + 2 t)(f^2 + 2 t).
-
-Multiplying through by 2w and differentiating once removes the 1/w
-denominator entirely; for piv the result is
+Each is affine in w'', and solved for it gives the equation itself, for piv
+w'' = w'^2/(2w) + (3/2) w^3 + 4 z w^2 + 2 (z^2 - alpha) w - beta^2/(2w).
+Differentiating a residual once removes the 1/w denominator entirely; for
+piv the result is
 
     w''' = {6 w^2 + 12 z w + 4 (z^2 - alpha)} w' + 4 (w + z) w,
 
-which is polynomial in every variable and therefore regular at zeros of w.
-sqrt-piv0 has no denominator to clear; differentiating it once gives
-
-    f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4.
-
-Every kind is advanced through its third-order form; the second-order
-equation survives only as the cleared-denominator residual `residual2`, a
-first integral of that form and the one monitor an integration node
+which is polynomial in every variable and therefore regular at zeros of w;
+for sqrt-piv0 it is f''' = 2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4.
+Every kind is advanced through its third-order form, of which the residual
+(`residual2`) is a first integral and the one monitor an integration node
 stores.  On piv and piv0 it is the conserved constraint C (`constraint_c`).
 
 Because every third-order right-hand side is a polynomial, the Taylor
@@ -179,7 +174,8 @@ def compile_kernel(name: str, args: str, lines, **names):
 # {xx} as `_square_sum`), {zx} the coefficient z x_k + x_{k-1} of z x, and {c}
 # adds c_k while k < 3.  The lines set r, coefficient k of the right-hand side;
 # piv reads its {za} twice, so it computes it once per order, as za.  r at
-# order 0 is `rhs3`; only piv reads alpha.
+# order 0 is `rhs3`; only piv reads alpha.  The templates are written by hand:
+# tests/test_exact_series.py proves each against its kind's res2, in rationals.
 _SERIES_TEMPLATES = {
     "piv": (("c0 = 4.0 * (z * z - alpha)", "c1 = 8.0 * z"),
             ("s{k} = {aa}", "za = {za}", "P{k} = 6.0 * s{k} + 12.0 * za{c}", "r = {Pd} + 4.0 * (s{k} + za)")),
@@ -252,9 +248,8 @@ def rhs3(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Sca
     xvii, xxxii: 0  (2 w w''' = 0 after clearing and differentiating)
     sqrt-piv0:   2 f (f^2 + t) + (15 f^4 + 24 t f^2 + 4 t^2) f' / 4, read as (t, f, f')
 
-    Each is r at order 0 of the kind's series template.  The second
-    derivative does not appear on the right-hand side: it cancels when the
-    cleared-denominator form is differentiated.
+    Each is r at order 0 of the kind's series template.  w'' is no argument:
+    it cancels when the residual `res2` is differentiated.
     """
     ensure_kind_params(kind, p)
     name = KINDS[kind].series
@@ -284,63 +279,60 @@ def constraint_c(p: Params, j: Jet3) -> Scalar:
 
 
 class KindRow(NamedTuple):
-    """One kind's row of `KINDS`: every fact about it that other code reads, each stated once."""
+    """One kind's row of `KINDS`: every fact about it that other code reads, each stated once.
+
+    `res2` alone states the equation: w'' (`_rhs2_scalar`), the zero slope and `res2_is_c` are read off it.
+    """
 
     series: str | None  # its `_SERIES_TEMPLATES` key; None for xvii and xxxii, whose w''' = 0
-    rhs2: Callable  # (p, z, w, w') -> w'', the second-order equation
-    res2: Callable  # (p, jet) -> its cleared residual (`residual2`)
+    res2: Callable  # (p, jet) -> the cleared residual of the second-order equation (`residual2`)
     params: bool = False  # takes (alpha, beta); the other kinds reject nonzero values
-    res2_is_c: bool = False  # res2 is piv's C: zero seeds, the curvature theorem and `sqrt_lift` apply
     pole: Callable | None = None  # (coeffs, z) -> v about z, u = 1/v simple at each pole; None: no poles
-    k: float = 0.0  # zero-slope constant, res2 = k + beta^2 - w'^2 at a zero; a quadratic's discriminant
     # read through the piv0 solution w = f^2: real paths, f'' completed, |f^2| as magnitude, zeros and poles on f^2;
-    # the one rhs2 that does not divide by w, which every other kind's leaves outside its domain at w = 0
+    # the one res2 whose w'' coefficient is 4, not 2w: w = 0 stays in the domain of w'', which every other kind's leaves
     squared: bool = False
 
+    @property
+    def res2_is_c(self) -> bool:
+        """res2 is piv's C: zero seeds, the curvature theorem and `sqrt_lift` apply."""
+        return self.res2 is constraint_c
 
-_PIV = KindRow("piv", lambda p, z, w, w1: (
-    w1 * w1 / (2.0 * w) + 1.5 * w ** 3 + 4.0 * z * w * w + 2.0 * (z * z - p.alpha) * w - p.beta * p.beta / (2.0 * w)
-), constraint_c, params=True, res2_is_c=True, pole=lambda v, z: [v[0] + z, v[1] + 1.0, *v[2:]])  # v = w + z
+    def zero_slope2(self, p: Params) -> Scalar:
+        """k + beta^2, res2 at the jet (0, 0, 0, 0): res2 = k + beta^2 - w'^2 at a zero; a quadratic's discriminant."""
+        return self.res2(p, _trusted_jet(0.0, 0.0, 0.0, 0.0))
+
+
+_PIV = KindRow("piv", constraint_c, params=True, pole=lambda v, z: [v[0] + z, v[1] + 1.0, *v[2:]])  # v = w + z
 
 #: one row per kind, the defaults of `KindRow` where a row names no value
 KINDS = {
     EquationKind.PIV: _PIV,
     EquationKind.PIV0: _PIV._replace(params=False),
-    EquationKind.XVII: KindRow(
-        None, lambda p, z, w, w1: w1 * w1 / (2.0 * w), lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1
-    ),
+    EquationKind.XVII: KindRow(None, lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1),
     EquationKind.XXIX: KindRow(
-        "xxix", lambda p, z, w, w1: w1 * w1 / (2.0 * w) + 1.5 * w ** 3,
-        lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 - 3.0 * j.w ** 4, pole=lambda v, z: v,  # v = w
+        "xxix", lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 - 3.0 * j.w ** 4, pole=lambda v, z: v  # v = w
     ),
-    EquationKind.XXXII: KindRow(
-        None, lambda p, z, w, w1: (w1 * w1 - 1.0) / (2.0 * w), lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 + 1.0, k=1.0
-    ),
+    EquationKind.XXXII: KindRow(None, lambda p, j: 2.0 * j.w * j.w2 - j.w1 * j.w1 + 1.0),
     EquationKind.SQRT_PIV0: KindRow(
-        "sqrt_piv0", lambda p, t, f, f1: f * (3.0 * f * f + 2.0 * t) * (f * f + 2.0 * t) * 0.25,
-        lambda p, j: 4.0 * j.w2 - j.w * (3.0 * j.w * j.w + 2.0 * j.z) * (j.w * j.w + 2.0 * j.z),
+        "sqrt_piv0", lambda p, j: 4.0 * j.w2 - j.w * (3.0 * j.w * j.w + 2.0 * j.z) * (j.w * j.w + 2.0 * j.z),
         pole=_PIV.pole, squared=True,  # v = f^2 + t
     ),
 }
 
 
 def _rhs2_scalar(kind: EquationKind, p: Params, z: Scalar, w: Scalar, w1: Scalar) -> Scalar:
+    """w'' at (z, w, w'): res2, affine in w'' with coefficient 2w (4 when squared), solved for it.
+
+    res2 at w'' = 0.0 is subtracted from 0.0, so that a zero w'' keeps the sign w'^2 / (2w) gives it.
+    """
     row = KINDS[kind]
     if not row.squared and w == 0:
         raise SingularInput(f"{kind.value}: w = 0 is outside the second-order form's domain")
-    return row.rhs2(p, z, w, w1)
+    return (0.0 - row.res2(p, _trusted_jet(z, w, w1, 0.0))) / (4.0 if row.squared else 2.0 * w)
 
 
 def residual2(kind: EquationKind, p: Params, j: Jet3) -> Scalar:
-    """Division-free residual of the selected second-order equation at j.
-
-    The equation is multiplied through by 2w (sign convention:
-    2w * (LHS - RHS), expanded), so the residual is defined at w = 0 and
-    vanishes exactly on solution jets: `KindRow.res2`, `constraint_c` on
-    piv and piv0.  sqrt-piv0 has no denominator; its residual, the jet read
-    as (t, f, f', f''), is 4 f'' - f (3 f^2 + 2 t)(f^2 + 2 t).  p is not
-    checked against the kind here: `integrate` does that once per run.
-    """
+    """The kind's `KindRow.res2` at j, defined at w = 0; p is not checked against the kind: `integrate` does that."""
     return KINDS[kind].res2(p, j)
 
 

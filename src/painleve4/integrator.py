@@ -321,7 +321,10 @@ def complete_initial_data(kind: EquationKind, p: Params, init: InitialData) -> J
     w1 = conv(init.w1 or 0.0)
     if init.w2 is not None and not row.squared:
         return _trusted_jet(z0, w0, w1, w2)
-    w2 = _rhs2_scalar(kind, p, z0, w0, w1)
+    try:
+        w2 = _rhs2_scalar(kind, p, z0, w0, w1)
+    except OverflowError:  # only a power of w raises: w ** 4 in res2
+        raise InvalidInitialData("w0: initial data overflows floating point") from None
     if not isfinite(w2):
         name = _overflowed(kind, p, z0, w0, w1)
         raise InvalidInitialData(f"{name}: w'' completed from the equation is not finite ({w2!r})")
@@ -604,7 +607,7 @@ def integrate(
         nodes = [TrajectoryNode(j0, 0.0, 0.0, monitor(j0), 0.0)]
         mag = abs(j0.w * j0.w if squared else j0.w)
     except OverflowError:
-        # only a power of w raises (w ** 3 in rhs2, w ** 4 in a residual), or |w| of a complex w past the
+        # only a power of w raises (w ** 4 in a residual), or |w| of a complex w past the
         # largest double; any other overflow is an inf
         raise InvalidInitialData("w0: initial data overflows floating point") from None
     total = abs(span)

@@ -62,7 +62,7 @@ class QuadraticSolution(NamedTuple):
 
     @property
     def target_discriminant(self) -> float:
-        return KINDS[self.kind].k
+        return KINDS[self.kind].zero_slope2(_ZERO_PARAMS)
 
 
 def fit_quadratic(kind: EquationKind, j: Jet3) -> QuadraticSolution:

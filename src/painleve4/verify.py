@@ -170,7 +170,7 @@ def _quadratic_closure(kind: EquationKind, rng: random.Random, count: int):
     worst_w = 0.0
     worst_disc = 0.0
     worst_k = 0.0
-    has_k = KINDS[kind].k != 0.0  # xxxii, whose k is 1, has the u-substitution integral
+    has_k = KINDS[kind].zero_slope2(Params()) != 0.0  # xxxii, whose k is 1, has the u-substitution integral
     for _ in range(count):
         # |w0| >= 0.25 and |z0| <= 1.5 keep the b^2 - 4ac cancellation within
         # a few hundred eps, compatible with the absolute discriminant budget

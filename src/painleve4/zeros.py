@@ -279,8 +279,8 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     where res2* is the monitor of the node closing the interval (of the
     node itself for a node zero); the branch is then the nearer of +-beta,
     and UNRESOLVED otherwise.  At a zero res2 reduces to k - w'^2, where k
-    is beta^2 plus the kind's zero-slope constant `KindRow.k`: beta^2 on
-    piv and piv0, whose res2 is C, 1 on xxxii and 0 on xvii and xxix.
+    is res2 at the jet (0, 0, 0, 0) (`KindRow.zero_slope2`): beta^2 on piv
+    and piv0, whose res2 is C, 1 on xxxii and 0 on xvii and xxix.
 
     sqrt-piv0 has f'' = 0 and a free slope at its zeros, so each is judged
     on the piv0 solution w = f^2 instead: its slope w' = 2 f f' against 0
@@ -299,7 +299,7 @@ def locate_zeros(traj: Trajectory) -> tuple[ZeroEvent, ...]:
     beta = traj.params.beta
     abs_tol = traj.tol.abs
     row = KINDS[traj.kind]
-    k, squared = row.k + beta * beta, row.squared
+    k, squared = row.zero_slope2(traj.params), row.squared
 
     # each candidate carries the node whose res2 judges it
     candidates = [(nodes[0].jet, nodes[0])] if nodes[0].jet.w == 0 else []

@@ -711,17 +711,36 @@ class TestSweepCommand:
         assert err.splitlines()[-1] == "error: --zero-branch: a zero seed is only valid for piv/piv0, not xxxii"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind,pair,grid",
+        [("xxix", "alpha", ["--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "2"]),
+         ("piv0", "beta", ["--beta-min", "1", "--beta-max", "1"]),
+         ("xvii", "alpha", ["--alpha-min", "-1", "--alpha-max", "1", "--alpha-steps", "3"])],
+    )  # fmt: skip
+    def test_a_nonzero_grid_on_a_kind_without_parameters_is_refused_before_the_first_cell(
+        self, kind, pair, grid, tmp_path, capsys
+    ):
+        # every cell with a nonzero alpha or beta would fail on it alike
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--eq", kind, "--w0", "0.5", "--span", "1", *grid, "--out", str(out)])
+        assert code == 1
+        value = grid[1]
+        assert capsys.readouterr().err == (
+            f"error: --{pair}-min/--{pair}-max: {kind} requires alpha = beta = 0, got {pair} = {float(value)!r}\n"
+        )
+        assert not out.exists()
+
     def test_all_cells_failing_exits_1(self, tmp_path):
-        # piv0 rejects nonzero alpha, so every cell errors out
+        # alpha = 1e308 overflows every cell's completed w''
         code = main(
             [
                 "sweep",
-                "--eq", "piv0",
-                "--alpha-min", "1", "--alpha-max", "2", "--alpha-steps", "2",
+                "--eq", "piv",
+                "--alpha-min", "1e308", "--alpha-max", "1e308", "--alpha-steps", "2",
                 "--w0", "0.5", "--span", "1",
                 "--out", str(tmp_path / "s.csv"),
             ]
-        )
+        )  # fmt: skip
         assert code == 1
 
     def test_beta_zero_column_has_nonzero_curvature_events(self):
@@ -770,7 +789,7 @@ class TestSweepCommand:
 
     def test_errored_cell_leaves_the_step_counters_empty(self, tmp_path):
         out = tmp_path / "s.csv"
-        code = main(["sweep", "--eq", "piv0", "--alpha-min", "1", "--w0", "0.5", "--span", "1", "--out", str(out)])
+        code = main(["sweep", "--eq", "piv", "--alpha-min", "1e308", "--w0", "0.5", "--span", "1", "--out", str(out)])
         assert code == 1
         row = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1]
         assert row[2] == "error" and row[9:] == [""] * 3

@@ -215,25 +215,6 @@ def test_jet_identities_are_rounding_noise(z, w, w1, w2, w3):
     assert abs(d2) <= 1e-12 * scale2
 
 
-@given(z=finite, w=finite, w1=finite, alpha=finite, beta=finite)
-@settings(max_examples=200)
-def test_third_order_form_closes_the_derivative(z, w, w1, alpha, beta):
-    # 2 w rhs3 must equal the formal z-derivative of the cleared second-order
-    # form with the 2 w' w'' terms cancelled, for every jet including w = 0
-    p = Params(alpha, beta)
-    lhs = 2.0 * w * rhs3(K.PIV, p, z, w, w1)
-    rhs = 12.0 * w ** 3 * w1 + 24.0 * z * w * w * w1 + 8.0 * w ** 3 + 8.0 * (z * z - alpha) * w * w1 + 8.0 * z * w * w
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-@given(w=finite, w1=finite)
-@settings(max_examples=100)
-def test_xxix_closure(w, w1):
-    # d/dz (2 w w'' - w'^2 - 3 w^4) = 2 w w''' - 12 w^3 w' = 0 under w''' = 6 w^2 w'
-    assert 2.0 * w * rhs3(K.XXIX, Params(), 0.0, w, w1) == pytest.approx(12.0 * w ** 3 * w1, rel=1e-13, abs=1e-9)
-
-
 @pytest.mark.parametrize("c", [1.3, -0.4, 1.0 + 0.5j, -2.0 - 1.5j])
 @pytest.mark.parametrize("z0", [0.2, -0.9])
 def test_xxix_series_of_the_pole_family(c, z0):

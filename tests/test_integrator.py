@@ -1,5 +1,6 @@
 import ast
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -263,6 +264,23 @@ class TestCompleteInitialData:
     def test_a_regular_point_needs_a_nonzero_w0(self, w0):
         with pytest.raises(InvalidInitialData, match="^w0: "):
             InitialData(0.0, w0, 1.0)
+
+    @pytest.mark.parametrize("kind", [K.PIV, K.XXIX])
+    @pytest.mark.parametrize("w0", [1e80, -1e80, complex(1e80, -1e80)], ids=["plus", "minus", "complex"])
+    def test_a_w0_whose_fourth_power_overflows_is_refused_by_name(self, kind, w0):
+        # w'' is solved from res2, whose w ** 4 raises where w ** 3 alone would not
+        field = ScalarField.COMPLEX if isinstance(w0, complex) else ScalarField.REAL
+        with pytest.raises(InvalidInitialData, match="^w0: initial data overflows floating point$"):
+            complete_initial_data(kind, Params(), InitialData(0.0, w0, 0.0, field=field))
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_completion_refuses_every_overflow_by_name(self, kind):
+        # never a bare OverflowError, whichever entry is large
+        for z0, w0, w1 in itertools.product([0.5, -1e200], [0.5, 1e40, -1e78, 1e160], [0.0, 1e160]):
+            try:
+                complete_initial_data(kind, Params(), InitialData(z0, w0, w1))
+            except InvalidInitialData as exc:
+                assert str(exc).startswith(("z0: ", "w0: ", "w1: ")), exc
 
     def test_signed_zeros_enter_as_positive_zeros(self):
         # as the command line has always written them: w0 = w1 = -0 gives node 0 the row of +0

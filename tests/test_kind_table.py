@@ -11,8 +11,8 @@ a `verify` draw, is not a comparison.
 import ast
 from pathlib import Path
 
-from painleve4 import equations
-from painleve4.equations import EquationKind
+from painleve4 import equations, integrator
+from painleve4.equations import EquationKind, Params
 
 
 def _is_member(node: ast.AST) -> bool:
@@ -70,3 +70,16 @@ def test_no_module_compares_against_kind_members():
 
 def test_every_kind_has_one_row():
     assert list(equations.KINDS) == list(EquationKind)
+
+
+def test_a_row_states_its_equation_once_as_res2(monkeypatch):
+    # w'' (`_rhs2_scalar`), the zero slope and whether res2 is piv's C are read off res2, not set beside it
+    assert equations.KindRow._fields == ("series", "res2", "params", "pole", "squared")
+    rows = equations.KINDS.items()
+    assert [kind for kind, row in rows if row.res2_is_c] == [EquationKind.PIV, EquationKind.PIV0]
+    # the tracer wraps integrator.constraint_c; the rows compare with the equations module's own
+    monkeypatch.setattr(integrator, "constraint_c", lambda p, j: equations.constraint_c(p, j))
+    assert equations.KINDS[EquationKind.PIV].res2_is_c
+    # k + beta^2: beta^2 where res2 is C, 1 on xxxii, 0 on xvii, xxix and sqrt-piv0
+    slopes = {kind.value: row.zero_slope2(Params(0.0, 1.5) if row.params else Params()) for kind, row in rows}
+    assert slopes == {"piv": 2.25, "piv0": 0.0, "xvii": 0.0, "xxix": 0.0, "xxxii": 1.0, "sqrt-piv0": 0.0}

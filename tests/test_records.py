@@ -132,7 +132,7 @@ def test_no_field_repeats_another_value():
     assert "passed" not in PropertyResult._fields
     assert "zero_count" not in SweepCell._fields
     assert "interval" not in SqrtLiftResult._fields
-    # which entries are given decides the kind of initial data, and squared decides whether rhs2 divides by w
+    # which entries are given decides the kind of initial data, and squared decides whether the completed w'' divides by w
     assert "mode" not in InitialData._fields
     assert "divides" not in KindRow._fields
 

@@ -61,3 +61,33 @@ def test_every_top_level_name_is_read_in_the_package_or_by_perfbench():
         if name not in exported | read_in_src | read_by_perfbench
     ]
     assert not unread, unread
+
+
+# imports that perfbench/tracing.py patches on the importing module, which itself does not read them
+_PATCHED = {("cli.py", "dense_eval"), ("integrator.py", "rhs3"), ("verify.py", "constraint_c")}
+
+
+def _unread_imports(tree: ast.Module) -> set[str]:
+    """Names the module imports and never loads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - loaded
+
+
+def test_the_import_guard_finds_an_unread_import():
+    source = "import os.path\nimport sys as system\nfrom .a import b, c as d\nfrom e import f\nprint(os, d)\n"
+    assert _unread_imports(ast.parse(source)) == {"system", "b", "f"}
+
+
+def test_every_import_is_read_in_its_module_or_patched_by_perfbench():
+    # __init__ imports only to export
+    unread = {
+        (path.name, name)
+        for path, tree in _trees(PACKAGE).items()
+        if path.name != "__init__.py"
+        for name in _unread_imports(tree)
+    }
+    assert unread == _PATCHED
