@@ -57,8 +57,8 @@ logger = logging.getLogger(__name__)
 CONVENTION_NOTE = "Ince XXXI β² convention"
 
 CSV_HEADER = "z_re,z_im,w_re,w_im,w1_re,w1_im,w2_re,w2_im,h,err_est,C_re,C_im,res2_re,res2_im"
-# one trajectory CSV row: "%.17g" % x is fmt_float(x) for every float x, inf, nan and -0.0 included
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+_FLOAT = "%.17g"  # every float the CSV files write, in trajectory rows and through fmt_float
+_CSV_ROW = ",".join([_FLOAT] * len(CSV_HEADER.split(",")))
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -69,7 +69,7 @@ _LOG_LEVELS = {
 
 
 def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % x
 
 
 def _parts(x: Scalar) -> tuple[float, float]:

@@ -579,7 +579,6 @@ def integrate(
                       ends here,
       STEP_BUDGET     _MAX_STEPS steps did not cover the span.
     """
-    ensure_kind_params(kind, p)
     check_span(span)
     if not (w_bound > 0):
         raise ValueError(f"w_bound: must be positive, got {w_bound!r}")
@@ -619,11 +618,9 @@ def integrate(
     pole_estimate: Scalar | None = None
     pole_bound: float | None = None
     s = 0.0
-    n_steps = 0
 
     while total - s > h_min:
-        n_steps += 1
-        if n_steps > _MAX_STEPS:
+        if len(nodes) > _MAX_STEPS:
             status = TrajectoryStatus.STEP_BUDGET
             break
         coeffs, taken = step(alpha, z, w, w1, w2, s, total, d, h_min, abs_tol, rel_tol)

@@ -6,9 +6,7 @@ import itertools
 import json
 import math
 import os
-import random
 import stat
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -54,13 +52,6 @@ def test_seventeen_digits_round_trip(x):
 
 #: doubles a trajectory CSV must write as fmt_float does: signed zero, infinities, NaN and both ends of the range
 _EDGE_DOUBLES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max)
-
-
-def test_percent_format_is_fmt_float():
-    # write_trajectory_csv formats each row with one "%.17g" template
-    rng = random.Random(0)
-    doubles = [*_EDGE_DOUBLES, *(struct.unpack("<d", rng.randbytes(8))[0] for _ in range(400_000))]
-    assert [x for x in doubles if "%.17g" % x != fmt_float(x)] == []
 
 
 class TestIntegrateCommand:

@@ -515,6 +515,19 @@ class TestIntegrate:
         assert len(t.nodes) == 6
         assert 0.0 < t.nodes[-1].s < 2.0
 
+    def test_parameters_are_checked_once_per_integration(self, monkeypatch):
+        # by the completion of the initial data, which refuses a nonzero pair on piv0
+        import painleve4.integrator as integrator
+
+        calls = []
+        check = integrator.ensure_kind_params
+        monkeypatch.setattr(integrator, "ensure_kind_params", lambda *args: calls.append(args) or check(*args))
+        integrate(K.PIV0, Params(), InitialData.nonzero(-1.0, 0.5, 0.0), 0.5)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="^alpha: piv0 requires"):
+            integrate(K.PIV0, Params(0.5, 0.0), InitialData.nonzero(-1.0, 0.5, 0.0), 0.5)
+        assert len(calls) == 2
+
     def test_span_validation(self):
         with pytest.raises(ValueError):
             integrate(K.PIV, Params(), InitialData.nonzero(0.0, 1.0, 0.0), 0.0)
